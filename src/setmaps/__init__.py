@@ -14,7 +14,6 @@ from .expansions import (
     check_binomial_type,
     expand,
     expansion_reconstructs,
-    partition_sum,
     verify_abel_one_expansion,
     verify_chromatic_expansion,
     verify_power_identity,
@@ -43,6 +42,7 @@ from .ring import (
     CapExceeded,
     SetMap,
     bell_number,
+    block_sums,
     compose,
     decompose,
     partitions_of,

@@ -16,7 +16,9 @@ Every rational in the output is rendered canonically as p/q (or p when
 q = 1); coefficient arrays are low-degree-first.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed,
-2 usage or parse error, 3 a size cap was exceeded.
+2 usage or parse error, 3 a size cap was exceeded, 141 standard output
+was closed before the result was written (128 + SIGPIPE, the status a
+shell reports for a pipeline stage ended by a broken pipe).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,9 +39,11 @@ from .abel import (
     verify_forest_coefficients,
 )
 from .expansions import (
+    EXPAND_CAP,
     check_binomial_type,
     expand,
     expansion_reconstructs,
+    target_subset,
     verify_abel_one_expansion,
     verify_chromatic_expansion,
     verify_power_identity,
@@ -58,7 +62,7 @@ from .graphs import (
     count_stable_partitions,
     load_graph,
 )
-from .ring import CapExceeded, bell_number
+from .ring import CapExceeded, bell_number, subsets_of
 from .umbral import family_from_string, standard_families
 
 GRAPH_CHECKS = (
@@ -81,23 +85,6 @@ ORACLES = (
     "sink-source",
     "tail-forests",
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    graph: Optional[str] = None
-    blocks: Optional[tuple[int, ...]] = None
-    subset: Optional[int] = None
-    basis: Optional[str] = None
-    check: Optional[str] = None
-    oracle: Optional[str] = None
-    x: Optional[Fraction] = None
-    k: Optional[int] = None
-    source: Optional[int] = None
-    sink: Optional[int] = None
-    format: str = "json"
-    cap: Optional[int] = None
 
 
 def _rat(value) -> str:
@@ -194,44 +181,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_cap(cfg: RunConfig) -> None:
-    if cfg.cap is None:
+def _warn_cap(ns: argparse.Namespace) -> None:
+    if ns.cap is None:
         return
-    estimate = bell_number(cfg.cap) if cfg.cap <= 25 else "astronomically many"
+    estimate = bell_number(ns.cap) if ns.cap <= 25 else "astronomically many"
     print(
-        f"warning: cap override {cfg.cap}; enumeration may touch on the order of "
-        f"Bell({cfg.cap}) = {estimate} partitions or 2^{cfg.cap} subsets",
+        f"warning: cap override {ns.cap}; enumeration may touch on the order of "
+        f"Bell({ns.cap}) = {estimate} partitions or 2^{ns.cap} subsets",
         file=sys.stderr,
     )
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if cfg.graph is None:
+def _load_graph(ns: argparse.Namespace) -> Graph:
+    if ns.graph is None:
         raise ValueError("this command needs --graph")
-    return load_graph(cfg.graph)
+    return load_graph(ns.graph)
 
 
-def _graph_subset(graph: Graph, cfg: RunConfig) -> int:
-    subset = graph.vertex_mask if cfg.subset is None else cfg.subset
+def _graph_subset(graph: Graph, ns: argparse.Namespace) -> int:
+    subset = graph.vertex_mask if ns.subset is None else ns.subset
     if subset < 0 or subset & ~graph.vertex_mask:
         raise ValueError(f"subset {subset} outside vertex range of {graph.n} vertices")
     return subset
 
 
-def _graph_input(cfg: RunConfig, graph: Graph, subset: Optional[int] = None) -> dict:
-    payload = {"graph": cfg.graph, "vertices": graph.n, "edges": graph.edge_count}
+def _graph_input(ns: argparse.Namespace, graph: Graph, subset: Optional[int] = None) -> dict:
+    payload = {"graph": ns.graph, "vertices": graph.n, "edges": graph.edge_count}
     if subset is not None:
         payload["subset"] = subset
     return payload
 
 
-def cmd_chromatic(cfg: RunConfig) -> tuple[dict, int]:
-    graph = _load_graph(cfg)
-    subset = _graph_subset(graph, cfg)
+def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
+    graph = _load_graph(ns)
+    subset = _graph_subset(graph, ns)
     poly = chromatic_poly(graph.restrict(subset))
     payload = {
         "command": "chromatic",
-        "input": _graph_input(cfg, graph, subset),
+        "input": _graph_input(ns, graph, subset),
         "result": {
             "coefficients": _coeff_strings(poly),
             "degree": poly.degree,
@@ -242,20 +229,21 @@ def cmd_chromatic(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_expand(cfg: RunConfig) -> tuple[dict, int]:
-    graph = _load_graph(cfg)
-    subset = _graph_subset(graph, cfg)
-    family = family_from_string(cfg.basis)
-    kwargs = {} if cfg.cap is None else {"cap": cfg.cap}
-    exp = expand(chromatic_setmap(graph), subset, family, **kwargs)
-    rebuilt = exp.reconstruct()
-    reconstructs = rebuilt == chromatic_poly(graph.restrict(subset))
-    subset_coeffs = {
-        str(T): _rat(exp.coeffs[T]) for T in range(1, subset + 1) if T & ~subset == 0
-    }
+def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
+    graph = _load_graph(ns)
+    cap = EXPAND_CAP if ns.cap is None else ns.cap
+    subset = target_subset(graph, ns.subset, cap, "expansion")
+    family = family_from_string(ns.basis)
+    # the table covers only the subset, its vertices relabelled 0..k-1 in order
+    local = graph.restrict(subset)
+    exp = expand(chromatic_setmap(local), None, family, cap)
+    reconstructs = exp.reconstruct() == chromatic_poly(local)
+    # local mask t is the t-th submask of the subset in increasing order
+    masks = sorted(subsets_of(subset))
+    subset_coeffs = {str(T): _rat(exp.coeffs[t]) for t, T in enumerate(masks) if T}
     payload = {
         "command": "expand",
-        "input": {**_graph_input(cfg, graph, subset), "basis": str(family)},
+        "input": {**_graph_input(ns, graph, subset), "basis": str(family)},
         "result": {
             "subset_coefficients": subset_coeffs,
             "length_coefficients": [_rat(c) for c in exp.by_length()],
@@ -266,21 +254,22 @@ def cmd_expand(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0 if reconstructs else 1
 
 
-def _graph_check_list(cfg: RunConfig, graph: Graph, subset: int) -> list[tuple[str, bool]]:
-    kwargs = {} if cfg.cap is None else {"cap": cfg.cap}
+def _graph_check_list(ns: argparse.Namespace, graph: Graph, subset: int) -> list[tuple[str, bool]]:
+    kwargs = {} if ns.cap is None else {"cap": ns.cap}
     checks: list[tuple[str, bool]] = []
-    name = cfg.check
+    name = ns.check
 
     def run(label: str, fn, *args, **kw) -> None:
         checks.append((label, bool(fn(*args, **kw))))
 
+    if name in ("binomial", "expansion", "power", "all"):
+        p = chromatic_setmap(graph)  # one full table for every check that reads it
     if name in ("binomial", "all"):
-        run("binomial-type", check_binomial_type, chromatic_setmap(graph), **kwargs)
+        run("binomial-type", check_binomial_type, p, **kwargs)
     if name in ("expansion", "all"):
         families = (
-            standard_families() if cfg.basis is None else (family_from_string(cfg.basis),)
+            standard_families() if ns.basis is None else (family_from_string(ns.basis),)
         )
-        p = chromatic_setmap(graph)
         for family in families:
             run(f"expansion {family}", expansion_reconstructs, p, family, subset, **kwargs)
     if name in ("rising-pairs", "all"):
@@ -290,7 +279,7 @@ def _graph_check_list(cfg: RunConfig, graph: Graph, subset: int) -> list[tuple[s
     if name in ("stable-counts", "all"):
         run("stable-counts", verify_stable_count_expansion, graph, subset, **kwargs)
     if name in ("derivative", "all"):
-        a = Fraction(0) if cfg.x is None else cfg.x
+        a = Fraction(0) if ns.x is None else ns.x
         run(
             f"derivative a={a}",
             verify_chromatic_expansion,
@@ -301,7 +290,7 @@ def _graph_check_list(cfg: RunConfig, graph: Graph, subset: int) -> list[tuple[s
             **kwargs,
         )
     if name in ("evaluation", "all"):
-        a = Fraction(1) if cfg.x is None else cfg.x
+        a = Fraction(1) if ns.x is None else ns.x
         run(
             f"evaluation a={a}",
             verify_chromatic_expansion,
@@ -312,12 +301,12 @@ def _graph_check_list(cfg: RunConfig, graph: Graph, subset: int) -> list[tuple[s
             **kwargs,
         )
     if name in ("power", "all"):
-        x0 = Fraction(2) if cfg.x is None else cfg.x
-        y0 = 2 if cfg.k is None else cfg.k
+        x0 = Fraction(2) if ns.x is None else ns.x
+        y0 = 2 if ns.k is None else ns.k
         run(
             f"power x0={x0} y0={y0}",
             verify_power_identity,
-            chromatic_setmap(graph),
+            p,
             x0,
             y0,
             **kwargs,
@@ -327,23 +316,23 @@ def _graph_check_list(cfg: RunConfig, graph: Graph, subset: int) -> list[tuple[s
     return checks
 
 
-def _block_check_list(cfg: RunConfig, blocks: BlockPartition) -> list[tuple[str, bool]]:
-    kwargs = {} if cfg.cap is None else {"cap": cfg.cap}
+def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
+    kwargs = {} if ns.cap is None else {"cap": ns.cap}
     checks: list[tuple[str, bool]] = []
-    name = cfg.check
-    subset = blocks.full_mask if cfg.subset is None else cfg.subset
+    name = ns.check
+    subset = blocks.full_mask if ns.subset is None else ns.subset
     if name == "closed-form":
         checks.append(
             ("closed-form", verify_closed_form_partition_sum(blocks, subset, **kwargs))
         )
     if name == "forest-count":
         checks.append(
-            ("forest-count", verify_forest_coefficients(blocks, subset, cfg.k, **kwargs))
+            ("forest-count", verify_forest_coefficients(blocks, subset, ns.k, **kwargs))
         )
     if name == "tail-forests":
         n = blocks.block_count
         w = blocks.weight
-        ks = range(1, n + 1) if cfg.k is None else (cfg.k,)
+        ks = range(1, n + 1) if ns.k is None else (ns.k,)
         for k in ks:
             counted = count_tail_forests(blocks, k)
             expected = math.comb(n - 1, k - 1) * w ** (n - k)
@@ -351,71 +340,71 @@ def _block_check_list(cfg: RunConfig, blocks: BlockPartition) -> list[tuple[str,
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.check in GRAPH_CHECKS or (cfg.check == "all" and cfg.graph is not None):
-        graph = _load_graph(cfg)
-        subset = _graph_subset(graph, cfg)
-        checks = _graph_check_list(cfg, graph, subset)
-        source: dict = _graph_input(cfg, graph, subset)
-    elif cfg.check in BLOCK_CHECKS:
-        if cfg.blocks is None:
-            raise ValueError(f"check {cfg.check!r} needs --blocks")
-        blocks = BlockPartition(cfg.blocks)
-        checks = _block_check_list(cfg, blocks)
+def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
+    if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
+        graph = _load_graph(ns)
+        subset = _graph_subset(graph, ns)
+        checks = _graph_check_list(ns, graph, subset)
+        source: dict = _graph_input(ns, graph, subset)
+    elif ns.check in BLOCK_CHECKS:
+        if ns.blocks is None:
+            raise ValueError(f"check {ns.check!r} needs --blocks")
+        blocks = BlockPartition(ns.blocks)
+        checks = _block_check_list(ns, blocks)
         source = {"blocks": list(blocks.sizes)}
     else:
         raise ValueError(
-            f"unknown check {cfg.check!r}; expected one of "
+            f"unknown check {ns.check!r}; expected one of "
             f"{', '.join(GRAPH_CHECKS + BLOCK_CHECKS)} (or 'all' with --graph)"
         )
     failed = sum(1 for _, ok in checks if not ok)
     payload = {
         "command": "verify",
-        "input": {**source, "check": cfg.check},
+        "input": {**source, "check": ns.check},
         "result": {"all_pass": failed == 0, "passed": len(checks) - failed, "failed": failed},
         "checks": [{"name": label, "pass": ok} for label, ok in checks],
     }
     return payload, 0 if failed == 0 else 1
 
 
-def cmd_oracle(cfg: RunConfig) -> tuple[dict, int]:
-    kwargs = {} if cfg.cap is None else {"cap": cfg.cap}
-    name = cfg.oracle
+def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
+    kwargs = {} if ns.cap is None else {"cap": ns.cap}
+    name = ns.oracle
     if name == "tail-forests":
-        if cfg.blocks is None:
+        if ns.blocks is None:
             raise ValueError("oracle tail-forests needs --blocks")
-        if cfg.k is None:
+        if ns.k is None:
             raise ValueError("oracle tail-forests needs --k")
-        blocks = BlockPartition(cfg.blocks)
-        count = count_tail_forests(blocks, cfg.k)
-        source: dict = {"blocks": list(blocks.sizes), "k": cfg.k}
+        blocks = BlockPartition(ns.blocks)
+        count = count_tail_forests(blocks, ns.k)
+        source: dict = {"blocks": list(blocks.sizes), "k": ns.k}
     else:
-        graph = _load_graph(cfg)
-        subset = _graph_subset(graph, cfg)
+        graph = _load_graph(ns)
+        subset = _graph_subset(graph, ns)
         restricted = graph.restrict(subset)
-        source = {**_graph_input(cfg, graph, subset)}
+        source = {**_graph_input(ns, graph, subset)}
         if name == "colorings":
-            if cfg.x is None:
+            if ns.x is None:
                 raise ValueError("oracle colorings needs --x")
-            if cfg.x.denominator != 1 or cfg.x < 0:
+            if ns.x.denominator != 1 or ns.x < 0:
                 raise ValueError("color count must be a nonnegative integer")
-            count = count_proper_colorings(restricted, int(cfg.x))
-            source["x"] = int(cfg.x)
+            count = count_proper_colorings(restricted, int(ns.x))
+            source["x"] = int(ns.x)
         elif name == "acyclic":
             count = count_acyclic_orientations(restricted, **kwargs)
         elif name == "stable-partitions":
             count = count_stable_partitions(restricted, **kwargs)
         elif name == "unique-sink":
-            if cfg.sink is None:
+            if ns.sink is None:
                 raise ValueError("oracle unique-sink needs --sink")
-            count = count_acyclic_unique_sink(restricted, cfg.sink, **kwargs)
-            source["sink"] = cfg.sink
+            count = count_acyclic_unique_sink(restricted, ns.sink, **kwargs)
+            source["sink"] = ns.sink
         elif name == "sink-source":
-            if cfg.source is None or cfg.sink is None:
+            if ns.source is None or ns.sink is None:
                 raise ValueError("oracle sink-source needs --source and --sink")
-            count = count_acyclic_sink_source(restricted, cfg.source, cfg.sink, **kwargs)
-            source["source"] = cfg.source
-            source["sink"] = cfg.sink
+            count = count_acyclic_sink_source(restricted, ns.source, ns.sink, **kwargs)
+            source["source"] = ns.source
+            source["sink"] = ns.sink
         else:
             raise ValueError(f"unknown oracle {name!r}")
     payload = {
@@ -427,9 +416,9 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_abel(cfg: RunConfig) -> tuple[dict, int]:
-    blocks = BlockPartition(cfg.blocks)
-    subset = blocks.full_mask if cfg.subset is None else cfg.subset
+def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
+    blocks = BlockPartition(ns.blocks)
+    subset = blocks.full_mask if ns.subset is None else ns.subset
     poly = abel_poly(blocks, subset)
     payload = {
         "command": "abel",
@@ -482,31 +471,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code is None else int(exc.code)
-    cfg = RunConfig(
-        command=ns.command,
-        graph=getattr(ns, "graph", None),
-        blocks=getattr(ns, "blocks", None),
-        subset=getattr(ns, "subset", None),
-        basis=getattr(ns, "basis", None),
-        check=getattr(ns, "check", None),
-        oracle=getattr(ns, "oracle", None),
-        x=getattr(ns, "x", None),
-        k=getattr(ns, "k", None),
-        source=getattr(ns, "source", None),
-        sink=getattr(ns, "sink", None),
-        format=getattr(ns, "format", "json"),
-        cap=getattr(ns, "cap", None),
-    )
-    _warn_cap(cfg)
+    _warn_cap(ns)
     try:
-        payload, status = _DISPATCH[cfg.command](cfg)
+        payload, status = _DISPATCH[ns.command](ns)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, cfg.format))
+    try:
+        print(render(payload, ns.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nobody reads the output; keep the interpreter's exit flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return status
 
 

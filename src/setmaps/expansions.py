@@ -20,9 +20,9 @@ coefficients in the Abel and falling bases) against brute-force oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .graphs import (
     Graph,
@@ -31,7 +31,7 @@ from .graphs import (
     count_acyclic_orientations,
     count_stable_partitions,
 )
-from .ring import PARTITION_CAP, CapExceeded, SetMap, partitions_of, subsets_of
+from .ring import CapExceeded, SetMap, block_sums, partitions_of, subsets_of
 from .umbral import (
     AbelPolynomials,
     BinomialFamily,
@@ -78,13 +78,15 @@ class Expansion:
 
     ``coeffs`` holds the functional application A p_T for every T inside
     ``subset`` (zero elsewhere, including the empty set, since a delta
-    functional kills constants).  One coefficient pass serves every
-    reconstruction below it.
+    functional kills constants).  ``sums`` holds their block sums for every
+    T inside ``subset``, so one coefficient pass and one kernel run serve
+    every reconstruction below it.
     """
 
     subset: int
     family: BinomialFamily
     coeffs: SetMap
+    sums: dict = field(repr=False, compare=False)
 
     def _target(self, subset: Optional[int]) -> int:
         if subset is None:
@@ -93,29 +95,23 @@ class Expansion:
             raise ValueError(f"subset {subset} not contained in expanded subset {self.subset}")
         return subset
 
-    def by_length(self, subset: Optional[int] = None, cap: int = PARTITION_CAP) -> tuple:
+    def by_length(self, subset: Optional[int] = None) -> tuple:
         """Aggregate c_k = sum over k-block partitions of the coefficient product."""
-        target = self._target(subset)
-        out = [Fraction(0)] * (target.bit_count() + 1)
-        for sigma in partitions_of(target, cap):
-            prod = Fraction(1)
-            for block in sigma:
-                prod *= self.coeffs[block]
-            out[len(sigma)] += prod
-        return tuple(out)
+        return self.sums[self._target(subset)]
 
-    def reconstruct(self, subset: Optional[int] = None, cap: int = PARTITION_CAP) -> Poly:
-        """Re-sum the expansion: sum_k c_k a_k(x).
+    def reconstruct(self, subset: Optional[int] = None) -> Poly:
+        """Re-sum the expansion: sum_k c_k a_k(x)."""
+        return _resum(self.family, self.by_length(subset))
 
-        Grouping the partition sum by block count first is an exact
-        regrouping, because the basis polynomial attached to a partition
-        depends only on its number of blocks.
-        """
-        acc = Poly.zero()
-        for k, c in enumerate(self.by_length(subset, cap)):
-            if c:
-                acc = acc + self.family.poly(k) * c
-        return acc
+
+def _resum(family: BinomialFamily, lengths: tuple) -> Poly:
+    """sum_k lengths[k] a_k(x): a partition sum grouped by block count, exact
+    because a partition's basis polynomial depends only on its block count."""
+    acc = Poly.zero()
+    for k, c in enumerate(lengths):
+        if c:
+            acc = acc + family.poly(k) * c
+    return acc
 
 
 def expand(
@@ -142,24 +138,7 @@ def expand(
     coeffs = [zero] * (1 << p.n)
     for T in subsets_of(target):
         coeffs[T] = functional(p.table[T])
-    return Expansion(subset=target, family=family, coeffs=SetMap(p.n, coeffs))
-
-
-def partition_sum(
-    subset: int,
-    coefficient: Callable[[int], Fraction],
-    basis_poly: Callable[[int], Poly],
-    cap: int = PARTITION_CAP,
-) -> Poly:
-    """Direct evaluation of sum over partitions of basis_poly(blocks) * prod coefficient(T)."""
-    acc = Poly.zero()
-    for sigma in partitions_of(subset, cap):
-        weight = Fraction(1)
-        for block in sigma:
-            weight *= coefficient(block)
-        if weight:
-            acc = acc + basis_poly(len(sigma)) * weight
-    return acc
+    return Expansion(target, family, SetMap(p.n, coeffs), block_sums(coeffs, target))
 
 
 def expansion_reconstructs(
@@ -177,7 +156,9 @@ def _chromatic_table(graph: Graph, subset: int) -> dict[int, Poly]:
     return {T: chromatic_poly(graph.restrict(T)) for T in subsets_of(subset)}
 
 
-def _full_subset(graph: Graph, subset: Optional[int], cap: int, what: str) -> int:
+def target_subset(graph: Graph, subset: Optional[int], cap: int, what: str) -> int:
+    """The vertex subset a graph check works on, full by default, checked
+    against the vertex range and against ``cap`` before any work is done."""
     target = graph.vertex_mask if subset is None else subset
     if target & ~graph.vertex_mask:
         raise ValueError(f"subset {target} outside vertex range of {graph.n} vertices")
@@ -197,7 +178,7 @@ def verify_rising_orientation_pairs(
     inside blocks of sigma.  The pair side is brute-forced: orientations
     of the within-block graph factor over blocks.
     """
-    target = _full_subset(graph, subset, cap, "orientation-pair verification")
+    target = target_subset(graph, subset, cap, "orientation-pair verification")
     exp = expand(chromatic_setmap(graph), target, RisingFactorials())
     coeffs = exp.by_length()
     size = target.bit_count()
@@ -222,10 +203,10 @@ def verify_abel_one_expansion(
     graph: Graph, subset: Optional[int] = None, cap: int = CHROMATIC_EXPANSION_CAP
 ) -> bool:
     """Check chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)."""
-    target = _full_subset(graph, subset, cap, "Abel-basis verification")
+    target = target_subset(graph, subset, cap, "Abel-basis verification")
     table = _chromatic_table(graph, target)
     derivatives = {T: table[T].derivative()(1) for T in table}
-    rebuilt = partition_sum(target, derivatives.__getitem__, AbelPolynomials(1).poly)
+    rebuilt = _resum(AbelPolynomials(1), block_sums(derivatives, target)[target])
     return rebuilt == table[target]
 
 
@@ -240,11 +221,11 @@ def verify_stable_count_expansion(
     every nonempty T (B chi of the empty set is 0 by linearity, while the
     empty set has one empty stable partition, so the empty set is skipped).
     """
-    target = _full_subset(graph, subset, cap, "stable-count verification")
+    target = target_subset(graph, subset, cap, "stable-count verification")
     table = _chromatic_table(graph, target)
     stable = {T: count_stable_partitions(graph.restrict(T)) for T in subsets_of(target)}
     family = LogPolynomials()
-    rebuilt = partition_sum(target, lambda T: Fraction(stable[T]), family.poly)
+    rebuilt = _resum(family, block_sums(stable, target)[target])
     if rebuilt != table[target]:
         return False
     bound = max(1, max(poly.degree for poly in table.values()))
@@ -280,13 +261,13 @@ def verify_chromatic_expansion(
         family = FallingFactorials(a)
     else:
         raise ValueError(f"mode must be 'derivative' or 'evaluation', got {mode!r}")
-    target = _full_subset(graph, subset, cap, "chromatic-expansion verification")
+    target = target_subset(graph, subset, cap, "chromatic-expansion verification")
     table = _chromatic_table(graph, target)
     if mode == "derivative":
         coeffs = {T: table[T].derivative()(a) for T in table}
     else:
         coeffs = {T: table[T](a) for T in table}
-    rebuilt = partition_sum(target, coeffs.__getitem__, family.poly)
+    rebuilt = _resum(family, block_sums(coeffs, target)[target])
     return rebuilt == table[target]
 
 

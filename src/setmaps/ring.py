@@ -16,14 +16,19 @@ the exponential formula,
     (a o h)_S = sum over set partitions sigma of S of
                 a_{len(sigma)} * prod over blocks T of h_T,
 
-and generalizes EGF composition.  All arithmetic is exact: values are
-fractions.Fraction, or any immutable type with compatible + and *
-(polynomial-valued maps work unchanged).
+and generalizes EGF composition.  Every such partition sum goes through
+one kernel, ``block_sums``, which groups the sum by block count for every
+subset at once; composition, inverse, decomposition and sequence recovery
+are sequence (EGF) algebra on top of it.  All arithmetic is exact: values
+are fractions.Fraction or int.  Polynomial values work unchanged in sums,
+the product and the sequence terms of ``compose``; the kernel, and so
+every map it reads, is rational.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -192,39 +197,88 @@ class SetMap:
     def map_values(self, fn: Callable) -> "SetMap":
         return SetMap(self.n, (fn(v) for v in self.table))
 
-    def inverse(self, cap: int = PARTITION_CAP) -> "SetMap":
-        """Multiplicative inverse of a map with value 1 on the empty set.
+    def inverse(self) -> "SetMap":
+        """Multiplicative inverse of a rational map with value 1 on the empty set.
 
-        Computed by the closed partition formula
+        With g = h - unit, the closed partition formula
 
             inv_S = sum over sigma of S of (-1)^len(sigma) len(sigma)!
-                    * prod over blocks W of h_W,
+                    * prod over blocks W of g_W
 
-        which satisfies h * inv = unit.
+        is the composition of the EGF 1/(1+t) with g, and h * inv = unit.
         """
         if self.table[0] != 1:
             raise ValueError("inverse requires value 1 on the empty set")
-        one = self.table[0]
-        out = []
-        for S in range(1 << self.n):
-            acc = None
-            for sigma in partitions_of(S, cap):
-                length = len(sigma)
-                coeff = math.factorial(length) if length % 2 == 0 else -math.factorial(length)
-                term = one * coeff
-                for block in sigma:
-                    term = term * self.table[block]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return SetMap(self.n, out)
+        terms = [(-1) ** k * math.factorial(k) for k in range(self.n + 1)]
+        return compose(terms, self - SetMap.unit(self.n))
 
 
-def compose(terms: Iterable, inner: SetMap, cap: int = PARTITION_CAP) -> SetMap:
-    """Compose a sequence with a set map vanishing on the empty set.
+def _transform(a: list, op: Callable) -> list:
+    """In place, op=add is the zeta transform (sum over submasks), op=sub its
+    inverse, the Moebius transform; each bit is a few slice-wide ``map``s."""
+    size = len(a)
+    half = 1
+    while half < size:
+        step = 2 * half
+        if half < size // step:
+            for j in range(half):
+                a[j + half::step] = map(op, a[j + half::step], a[j::step])
+        else:
+            for base in range(0, size, step):
+                a[base + half:base + step] = map(op, a[base + half:base + step], a[base:base + half])
+        half = step
+    return a
+
+
+def block_sums(table, subset: int) -> dict[int, tuple[Fraction, ...]]:
+    """For every submask T of ``subset``, the tuple (c_0, ..., c_|T|) with c_k
+    the sum over k-block set partitions of T of the product of the rational
+    ``table`` over the blocks (c_0 is 1 on the empty set, 0 elsewhere).
+
+    Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
+    "Fourier meets Moebius", STOC 2007): c_k = f^{*k} / k!, with f^{*k} the
+    k-fold disjoint product.  Zeta-transforming f rank by rank makes that
+    product a polynomial product in the rank at every mask; the rank-r
+    layer of the k-th power, Moebius-transformed, is f^{*k} on r-sets.
+    O(m^3 2^m) for m = |subset|, on ints over one common denominator.
+    """
+    masks = sorted(subsets_of(subset))  # position t is the t-th submask in bit order
+    size, m = len(masks), subset.bit_count()
+    values = [Fraction(0)] + [Fraction(table[T]) for T in masks[1:]]
+    scale = math.lcm(*(x.denominator for x in values))
+    f = [x.numerator * (scale // x.denominator) for x in values]
+    ranks = [t.bit_count() for t in range(size)]
+    by_rank = [[t for t in range(size) if ranks[t] == r] for r in range(m + 1)]
+    zeta = [[]] + [
+        _transform([x if ranks[t] == r else 0 for t, x in enumerate(f)], operator.add)
+        for r in range(1, m + 1)
+    ]
+    sums = [[Fraction(1)]] + [[Fraction(0), x] for x in values[1:]]
+    power = zeta  # power[r]: rank-r layer of f^{*k}, zeta-transformed; k = 1 here
+    for k in range(2, m + 1):
+        nxt = [[]] * (m + 1)
+        for r in range(k, m + 1):
+            acc = list(map(operator.mul, power[k - 1], zeta[r - k + 1]))
+            for i in range(k, r):
+                acc = list(map(operator.add, acc, map(operator.mul, power[i], zeta[r - i])))
+            nxt[r] = acc
+        power = nxt
+        denominator = math.factorial(k) * scale**k
+        for r in range(k, m + 1):
+            layer = _transform(list(power[r]), operator.sub)
+            for t in by_rank[r]:
+                sums[t].append(Fraction(layer[t], denominator))
+    return {T: tuple(s) for T, s in zip(masks, sums)}
+
+
+def compose(terms: Iterable, inner: SetMap) -> SetMap:
+    """Compose a sequence with a rational set map vanishing on the empty set.
 
     (a o h)_S sums a_{len(sigma)} * prod h_T over all set partitions sigma
-    of S; the empty set gets a_0 (empty-product convention).  The sequence
-    must supply terms 0..n; shortfalls are a hard error, never padding.
+    of S, i.e. sum_k a_k c_k(S) with c the block sums of h; the empty set
+    gets a_0 (empty-product convention).  The terms may be polynomials.
+    The sequence must supply terms 0..n; shortfalls are a hard error,
+    never padding.
     """
     n = inner.n
     if inner.table[0] != 0:
@@ -235,16 +289,13 @@ def compose(terms: Iterable, inner: SetMap, cap: int = PARTITION_CAP) -> SetMap:
             f"sequence too short: composition over ground-set size {n} needs terms 0..{n}, "
             f"got {len(seq)}"
         )
-    out = []
-    for S in range(1 << n):
-        acc = None
-        for sigma in partitions_of(S, cap):
-            term = seq[len(sigma)]
-            for block in sigma:
-                term = term * inner.table[block]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return SetMap(n, out)
+    sums = block_sums(inner.table, inner.full_mask)
+    return SetMap(n, (_weigh(seq, sums[S]) for S in range(1 << n)))
+
+
+def _weigh(terms: tuple, lengths: tuple):
+    """sum_k terms[k] * lengths[k] over the block counts of one subset."""
+    return sum(a * c for a, c in zip(terms, lengths))
 
 
 def sequence_product(a: Iterable, b: Iterable) -> tuple:
@@ -265,12 +316,29 @@ def sequence_product(a: Iterable, b: Iterable) -> tuple:
     return tuple(out)
 
 
-def decompose(outer: SetMap, terms: Iterable, cap: int = PARTITION_CAP) -> SetMap:
+def _revert(terms: tuple) -> list[Fraction]:
+    """EGF terms b of the compositional inverse of sum_{k>=1} terms[k] t^k / k!.
+
+    b_0 = 0 and b_m is solved from the degree-m coefficient of
+    sum_k terms[k] B^k / k! = t, in which only k = 1 involves b_m.
+    """
+    b = [Fraction(0)] * len(terms)
+    for m in range(1, len(terms)):
+        acc = Fraction(int(m == 1))
+        power = b
+        for k in range(2, m + 1):
+            power = sequence_product(power, b)
+            acc -= terms[k] * power[m] / math.factorial(k)
+        b[m] = acc / terms[1]
+    return b
+
+
+def decompose(outer: SetMap, terms: Iterable) -> SetMap:
     """Solve compose(terms, h) == outer for the unique h with h_empty = 0.
 
-    Requires terms[0] == outer value on the empty set and terms[1] != 0;
-    h_S is obtained by induction over subsets, peeling the single-block
-    partition off the composition sum and dividing by terms[1].
+    Requires a rational map, terms[0] == its value on the empty set and
+    terms[1] != 0.  Then outer - terms[0] * unit is (a - a_0) o h, so h is
+    the EGF reversion of a - a_0 composed with it.
     """
     n = outer.n
     seq = tuple(terms)
@@ -283,31 +351,17 @@ def decompose(outer: SetMap, terms: Iterable, cap: int = PARTITION_CAP) -> SetMa
         raise ValueError("terms[0] must equal the empty-set value of the map")
     if seq[1] == 0:
         raise ValueError("terms[1] must be nonzero")
-    a1 = seq[1]
-    zero = outer.table[0] * 0
-    h: list = [zero] * (1 << n)
-    for S in range(1, 1 << n):
-        acc = None
-        for sigma in partitions_of(S, cap):
-            if len(sigma) == 1:
-                continue
-            term = seq[len(sigma)]
-            for block in sigma:
-                term = term * h[block]
-            acc = term if acc is None else acc + term
-        remainder = outer.table[S] if acc is None else outer.table[S] - acc
-        h[S] = remainder / a1
-    return SetMap(n, h)
+    return compose(_revert(seq[: n + 1]), outer - SetMap.unit(n, seq[0]))
 
 
-def recover_sequence(outer: SetMap, inner: SetMap, max_n: int, cap: int = PARTITION_CAP) -> tuple:
+def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
     """Recover terms 0..max_n of a with compose(a, inner) == outer.
 
-    The inner map must vanish on the empty set and be nonzero on the
-    one-element subsets used by the induction (elements 0..max_n-1); term
-    m is solved on the subset {0, ..., m-1}, where the all-singletons
-    partition isolates a_m.  A final pass over every subset of size
-    <= max_n rejects maps that are not compositions with ``inner``.
+    The inner map must be rational, vanish on the empty set and be nonzero
+    on the one-element subsets used by the induction (elements
+    0..max_n-1); term m is solved on the subset {0, ..., m-1}, where the
+    all-singletons partition isolates a_m.  A final pass over every subset
+    of size <= max_n rejects maps that are not compositions with ``inner``.
     """
     n = outer.n
     if inner.n != n:
@@ -321,32 +375,12 @@ def recover_sequence(outer: SetMap, inner: SetMap, max_n: int, cap: int = PARTIT
     for v in range(max_n):
         if inner.table[1 << v] == 0:
             raise ValueError("recovery requires nonzero values on one-element subsets")
+    sums = block_sums(inner.table, inner.full_mask)
     terms: list = [outer.table[0]]
     for m in range(1, max_n + 1):
-        S = (1 << m) - 1
-        acc = None
-        for sigma in partitions_of(S, cap):
-            length = len(sigma)
-            if length == m:
-                continue
-            term = terms[length]
-            for block in sigma:
-                term = term * inner.table[block]
-            acc = term if acc is None else acc + term
-        remainder = outer.table[S] if acc is None else outer.table[S] - acc
-        denom = inner.table[1]
-        for v in range(1, m):
-            denom = denom * inner.table[1 << v]
-        terms.append(remainder / denom)
+        lengths = sums[(1 << m) - 1]
+        terms.append((outer.table[(1 << m) - 1] - _weigh(terms, lengths)) / lengths[m])
     for S in range(1 << n):
-        if S.bit_count() > max_n:
-            continue
-        acc = None
-        for sigma in partitions_of(S, cap):
-            term = terms[len(sigma)]
-            for block in sigma:
-                term = term * inner.table[block]
-            acc = term if acc is None else acc + term
-        if acc != outer.table[S]:
+        if S.bit_count() <= max_n and _weigh(terms, sums[S]) != outer.table[S]:
             raise ValueError("map is not a composition of any sequence with the inner map")
     return tuple(terms)

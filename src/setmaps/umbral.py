@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ring import partitions_of
-
 _Scalar = (int, Fraction)
 
 
@@ -433,15 +431,11 @@ class LogPolynomials(BinomialFamily):
     """
 
     def _poly_impl(self, n: int) -> Poly:
+        stirling = [1]  # row m of s(m, k), by s(m+1, k) = s(m, k-1) - m s(m, k)
+        for m in range(n):
+            stirling = [a - m * b for a, b in zip([0] + stirling, stirling + [0])]
         falling = FallingFactorials()
-        acc = Poly.zero()
-        for sigma in partitions_of((1 << n) - 1, cap=max(n, 14)):
-            weight = 1
-            for block in sigma:
-                size = block.bit_count()
-                weight *= math.factorial(size - 1) if size % 2 == 1 else -math.factorial(size - 1)
-            acc = acc + falling.poly(len(sigma)) * weight
-        return acc
+        return sum((falling.poly(k) * s for k, s in enumerate(stirling)), Poly.zero())
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)

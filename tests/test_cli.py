@@ -1,6 +1,9 @@
 """CLI behavior: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,3 +231,65 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+def spy_on_tables(monkeypatch):
+    """Record the vertex count of every chromatic table the CLI builds."""
+    sizes = []
+    build = cli.chromatic_setmap
+
+    def spy(graph):
+        sizes.append(graph.n)
+        return build(graph)
+
+    monkeypatch.setattr(cli, "chromatic_setmap", spy)
+    return sizes
+
+
+def test_expand_builds_the_table_over_the_subset_only(capsys, monkeypatch):
+    sizes = spy_on_tables(monkeypatch)
+    status, out, _ = run_cli(
+        capsys, "expand", "--graph", f"{GRAPHS}/c8.txt", "--subset", "50", "--basis", "rising"
+    )
+    assert status == 0
+    assert sizes == [3]
+    result = json.loads(out)["result"]
+    # keys stay the original vertex masks of the submasks of 50 = {1, 4, 5}
+    assert list(result["subset_coefficients"]) == ["2", "16", "18", "32", "34", "48", "50"]
+    assert result["reconstructs"] is True
+
+
+def test_expand_checks_its_cap_before_building_the_table(capsys, monkeypatch):
+    sizes = spy_on_tables(monkeypatch)
+    status, _, err = run_cli(
+        capsys, "expand", "--graph", f"{GRAPHS}/c8.txt", "--basis", "rising", "--cap", "5"
+    )
+    assert status == 3
+    assert "cap 5" in err
+    assert sizes == []
+
+
+def test_verify_all_builds_the_full_table_once(capsys, monkeypatch):
+    sizes = spy_on_tables(monkeypatch)
+    status, _, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/p4.txt")
+    assert status == 0
+    assert sizes == [4]
+
+
+def test_closed_stdout_exits_cleanly():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "setmaps", "chromatic", "--graph", f"{GRAPHS}/k3.txt"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setmaps.ring import (
     CapExceeded,
     SetMap,
     bell_number,
+    block_sums,
     compose,
     decompose,
     partitions_of,
@@ -99,6 +100,53 @@ def test_subsets_of_enumerates_exactly_the_submasks():
 def test_from_sequence_rejects_short_sequence():
     with pytest.raises(ValueError, match="too short"):
         SetMap.from_sequence(3, (Fraction(1), Fraction(1)))
+
+
+# ---------------------------------------------------------------------------
+# block sums
+# ---------------------------------------------------------------------------
+
+
+def brute_block_sums(table, subset):
+    """Block-count sums of every submask, straight from the partition list."""
+    out = {}
+    for T in subsets_of(subset):
+        sums = [Fraction(0)] * (T.bit_count() + 1)
+        for sigma in partitions_of(T):
+            prod = Fraction(1)
+            for block in sigma:
+                prod *= table[block]
+            sums[len(sigma)] += prod
+        out[T] = tuple(sums)
+    return out
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    value = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    table = draw(st.lists(value, min_size=1 << n, max_size=1 << n))
+    subset = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return table, subset
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_inputs())
+@example(([Fraction(5)], 0))
+@example(([Fraction(7), Fraction(2), Fraction(0), Fraction(5, 6)], 0b10))
+def test_block_sums_match_partition_enumeration(inputs):
+    table, subset = inputs
+    assert block_sums(table, subset) == brute_block_sums(table, subset)
+
+
+def test_block_sums_full_nine_element_set(rng):
+    table = [Fraction(0)] + [random_fraction(rng) for _ in range((1 << 9) - 1)]
+    table[0b11] = Fraction(0)
+    subset = (1 << 9) - 1
+    assert block_sums(table, subset)[subset] == brute_block_sums(table, subset)[subset]
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +404,33 @@ def test_recover_sequence_rejects_inconsistent_map(rng):
     broken[0b110] += 1  # size-2 subset off the induction chain {0}, {0,1}
     with pytest.raises(ValueError, match="not a composition"):
         recover_sequence(SetMap(n, broken), h, 2)
+
+
+# ---------------------------------------------------------------------------
+# integer-valued tables
+# ---------------------------------------------------------------------------
+
+
+def test_compose_on_int_table_counts_partitions():
+    n = 4
+    h = SetMap(n, [0] + [1] * ((1 << n) - 1))
+    result = compose([1] * (n + 1), h)
+    for S in range(1 << n):
+        assert result[S] == bell_by_triangle(S.bit_count())
+
+
+def test_inverse_on_int_table():
+    n = 3
+    h = SetMap(n, [1, 2, -1, 3, 4, 0, -2, 5])
+    inv = h.inverse()
+    assert h * inv == SetMap.unit(n)
+    assert inv[1] == -2
+
+
+def test_decompose_on_int_tables_is_exact():
+    n = 3
+    g = SetMap(n, [2, 1, 0, 4, -1, 2, 3, 1])
+    terms = [2, 3, -1, 5]
+    h = decompose(g, terms)
+    assert h[1] == Fraction(1, 3)
+    assert compose(terms, h) == g

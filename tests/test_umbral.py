@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setmaps.ring import partitions_of
 from setmaps.umbral import (
     AbelPolynomials,
     FallingFactorials,
@@ -181,6 +182,23 @@ def test_log_family_matches_its_egf():
         values = series_to_egf(series)
         for n in range(order + 1):
             assert fam.poly(n)(x) == values[n]
+
+
+def log_family_by_partitions(n):
+    """Member n of the log basis as its defining set-partition sum."""
+    acc = Poly.zero()
+    for sigma in partitions_of((1 << n) - 1):
+        weight = 1
+        for block in sigma:
+            size = block.bit_count()
+            weight *= (-1) ** (size - 1) * factorial(size - 1)
+        acc = acc + FallingFactorials().poly(len(sigma)) * weight
+    return acc
+
+
+def test_log_family_matches_partition_sum_definition():
+    for n in range(9):
+        assert LogPolynomials().poly(n) == log_family_by_partitions(n), n
 
 
 def test_falling_family_poly_and_delta():
