@@ -136,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="subset bitmask (decimal; default: the full set)",
         )
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="override the command's governing size cap (prints a cost warning)",
-        )
 
     p = sub.add_parser("chromatic", help="chromatic polynomial of an induced subgraph")
     common(p, graph=True)
@@ -149,6 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expansion coefficients in a binomial-type basis")
     common(p, graph=True)
     p.add_argument("--basis", required=True, help="monomial | falling:a | rising | abel:a | logfamily")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="override the command's governing size cap (prints a cost warning)",
+    )
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("--check", required=True, help=f"one of {', '.join(GRAPH_CHECKS + BLOCK_CHECKS)}")
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _warn_cap(ns: argparse.Namespace) -> None:
-    if ns.cap is None:
+    if getattr(ns, "cap", None) is None:  # chromatic and abel take no --cap
         return
     estimate = bell_number(ns.cap) if ns.cap <= 25 else "astronomically many"
     print(
@@ -235,9 +235,9 @@ def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     subset = target_subset(graph, ns.subset, cap, "expansion")
     family = family_from_string(ns.basis)
     # the table covers only the subset, its vertices relabelled 0..k-1 in order
-    local = graph.restrict(subset)
-    exp = expand(chromatic_setmap(local), None, family, cap)
-    reconstructs = exp.reconstruct() == chromatic_poly(local)
+    p = chromatic_setmap(graph.restrict(subset))
+    exp = expand(p, None, family, cap)
+    reconstructs = exp.reconstruct() == p[p.full_mask]
     # local mask t is the t-th submask of the subset in increasing order
     masks = sorted(subsets_of(subset))
     subset_coeffs = {str(T): _rat(exp.coeffs[t]) for t, T in enumerate(masks) if T}
@@ -263,7 +263,8 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph, subset: int) -> list
         checks.append((label, bool(fn(*args, **kw))))
 
     if name in ("binomial", "expansion", "power", "all"):
-        p = chromatic_setmap(graph)  # one full table for every check that reads it
+        # one table over the subset, relabelled 0..k-1, for every check that reads it
+        p = chromatic_setmap(graph.restrict(subset))
     if name in ("binomial", "all"):
         run("binomial-type", check_binomial_type, p, **kwargs)
     if name in ("expansion", "all"):
@@ -271,7 +272,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph, subset: int) -> list
             standard_families() if ns.basis is None else (family_from_string(ns.basis),)
         )
         for family in families:
-            run(f"expansion {family}", expansion_reconstructs, p, family, subset, **kwargs)
+            run(f"expansion {family}", expansion_reconstructs, p, family, **kwargs)
     if name in ("rising-pairs", "all"):
         run("rising-pairs", verify_rising_orientation_pairs, graph, subset, **kwargs)
     if name in ("abel-one", "all"):

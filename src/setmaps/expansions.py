@@ -26,7 +26,6 @@ from typing import Optional
 
 from .graphs import (
     Graph,
-    chromatic_poly,
     chromatic_setmap,
     count_acyclic_orientations,
     count_stable_partitions,
@@ -100,18 +99,14 @@ class Expansion:
         return self.sums[self._target(subset)]
 
     def reconstruct(self, subset: Optional[int] = None) -> Poly:
-        """Re-sum the expansion: sum_k c_k a_k(x)."""
-        return _resum(self.family, self.by_length(subset))
-
-
-def _resum(family: BinomialFamily, lengths: tuple) -> Poly:
-    """sum_k lengths[k] a_k(x): a partition sum grouped by block count, exact
-    because a partition's basis polynomial depends only on its block count."""
-    acc = Poly.zero()
-    for k, c in enumerate(lengths):
-        if c:
-            acc = acc + family.poly(k) * c
-    return acc
+        """Re-sum the expansion: sum_k c_k a_k(x), a partition sum grouped by
+        block count, exact because a partition's basis polynomial depends
+        only on its block count."""
+        acc = Poly.zero()
+        for k, c in enumerate(self.by_length(subset)):
+            if c:
+                acc = acc + self.family.poly(k) * c
+        return acc
 
 
 def expand(
@@ -152,10 +147,6 @@ def expansion_reconstructs(
     return exp.reconstruct() == p[exp.subset]
 
 
-def _chromatic_table(graph: Graph, subset: int) -> dict[int, Poly]:
-    return {T: chromatic_poly(graph.restrict(T)) for T in subsets_of(subset)}
-
-
 def target_subset(graph: Graph, subset: Optional[int], cap: int, what: str) -> int:
     """The vertex subset a graph check works on, full by default, checked
     against the vertex range and against ``cap`` before any work is done."""
@@ -178,21 +169,18 @@ def verify_rising_orientation_pairs(
     inside blocks of sigma.  The pair side is brute-forced: orientations
     of the within-block graph factor over blocks.
     """
-    target = target_subset(graph, subset, cap, "orientation-pair verification")
-    exp = expand(chromatic_setmap(graph), target, RisingFactorials())
-    coeffs = exp.by_length()
-    size = target.bit_count()
-    counts = [0] * (size + 1)
-    orientation_counts = {
-        T: count_acyclic_orientations(graph.restrict(T)) for T in subsets_of(target)
-    }
-    for sigma in partitions_of(target):
+    local = graph.restrict(target_subset(graph, subset, cap, "orientation-pair verification"))
+    coeffs = expand(chromatic_setmap(local), None, RisingFactorials()).by_length()
+    full = local.vertex_mask
+    counts = [0] * (local.n + 1)
+    orientation_counts = {T: count_acyclic_orientations(local.restrict(T)) for T in subsets_of(full)}
+    for sigma in partitions_of(full):
         prod = 1
         for block in sigma:
             prod *= orientation_counts[block]
         counts[len(sigma)] += prod
-    sign = 1 if size % 2 == 0 else -1
-    for k in range(size + 1):
+    sign = 1 if local.n % 2 == 0 else -1
+    for k in range(local.n + 1):
         if sign * coeffs[k] != counts[k]:
             return False
         sign = -sign
@@ -204,10 +192,7 @@ def verify_abel_one_expansion(
 ) -> bool:
     """Check chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)."""
     target = target_subset(graph, subset, cap, "Abel-basis verification")
-    table = _chromatic_table(graph, target)
-    derivatives = {T: table[T].derivative()(1) for T in table}
-    rebuilt = _resum(AbelPolynomials(1), block_sums(derivatives, target)[target])
-    return rebuilt == table[target]
+    return verify_chromatic_expansion(graph, target, Fraction(1), "derivative", cap)
 
 
 def verify_stable_count_expansion(
@@ -215,25 +200,19 @@ def verify_stable_count_expansion(
 ) -> bool:
     """Check the log-basis expansion with stable-partition-count coefficients.
 
-    Verifies chi_S = sum over sigma of b_len(x) * prod s_T, with s_T the
-    brute-force stable-partition count of the induced subgraph, and
-    cross-checks that the basis functional B recovers s_T from chi_T for
-    every nonempty T (B chi of the empty set is 0 by linearity, while the
-    empty set has one empty stable partition, so the empty set is skipped).
+    Verifies that the basis functional B gives s_T = B chi_T, the
+    brute-force stable-partition count of the induced subgraph, for every
+    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T.
+    B chi of the empty set is 0 by linearity, while the empty set has one
+    empty stable partition, so the empty set is skipped.
     """
-    target = target_subset(graph, subset, cap, "stable-count verification")
-    table = _chromatic_table(graph, target)
-    stable = {T: count_stable_partitions(graph.restrict(T)) for T in subsets_of(target)}
-    family = LogPolynomials()
-    rebuilt = _resum(family, block_sums(stable, target)[target])
-    if rebuilt != table[target]:
-        return False
-    bound = max(1, max(poly.degree for poly in table.values()))
-    functional = family.delta(bound)
-    for T in subsets_of(target):
-        if T and functional(table[T]) != stable[T]:
+    local = graph.restrict(target_subset(graph, subset, cap, "stable-count verification"))
+    p = chromatic_setmap(local)
+    exp = expand(p, None, LogPolynomials(), cap)
+    for T in subsets_of(local.vertex_mask):
+        if T and exp.coeffs[T] != count_stable_partitions(local.restrict(T)):
             return False
-    return True
+    return exp.reconstruct() == p[local.vertex_mask]
 
 
 def verify_chromatic_expansion(
@@ -251,6 +230,10 @@ def verify_chromatic_expansion(
     mode 'evaluation': chi_S = sum over sigma of
         (x/a)_len * prod chi_T(a)               (a != 0; a = 1 is the
         stable-partition expansion, a = -1 the rising/orientation form).
+
+    These are expansions in the Abel and falling bases, whose delta
+    functionals are f -> f'(a) and f -> f(a) - f(0), and chi_T(0) = 0 for
+    every nonempty T.
     """
     a = Fraction(parameter)
     if mode == "derivative":
@@ -262,13 +245,7 @@ def verify_chromatic_expansion(
     else:
         raise ValueError(f"mode must be 'derivative' or 'evaluation', got {mode!r}")
     target = target_subset(graph, subset, cap, "chromatic-expansion verification")
-    table = _chromatic_table(graph, target)
-    if mode == "derivative":
-        coeffs = {T: table[T].derivative()(a) for T in table}
-    else:
-        coeffs = {T: table[T](a) for T in table}
-    rebuilt = _resum(family, block_sums(coeffs, target)[target])
-    return rebuilt == table[target]
+    return expansion_reconstructs(chromatic_setmap(graph.restrict(target)), family, None, cap)
 
 
 def verify_power_identity(p: SetMap, x0, y0: int, cap: int = POWER_CAP) -> bool:
@@ -292,12 +269,10 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = POWER_CAP) -> bool:
 
 def verify_stanley_evaluation(graph: Graph, subset: Optional[int] = None) -> bool:
     """Check (-1)^|S| chi_S(-1) = number of acyclic orientations, per subset."""
-    target = graph.vertex_mask if subset is None else subset
-    if target & ~graph.vertex_mask:
-        raise ValueError(f"subset {target} outside vertex range of {graph.n} vertices")
-    for T in subsets_of(target):
-        poly = chromatic_poly(graph.restrict(T))
+    local = graph.restrict(graph.vertex_mask if subset is None else subset)
+    p = chromatic_setmap(local)
+    for T in subsets_of(local.vertex_mask):
         sign = 1 if T.bit_count() % 2 == 0 else -1
-        if sign * poly(-1) != count_acyclic_orientations(graph.restrict(T)):
+        if sign * p[T](-1) != count_acyclic_orientations(local.restrict(T)):
             return False
     return True

@@ -2,7 +2,8 @@
 
 Three independent routes to the chromatic polynomial live here: the
 deletion-contraction recursion (the production path, memoized on a
-relabeled canonical form), the edge-subset expansion
+relabeled canonical form in a memo scoped to one call), the edge-subset
+expansion
 
     chi_G(x) = sum over F subset of E of (-1)^|F| x^(components of (V, F)),
 
@@ -17,7 +18,6 @@ validate coefficient interpretations, not to be fast.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, partitions_of
@@ -161,9 +161,6 @@ def load_graph(path: str) -> Graph:
 # chromatic polynomial, three ways
 # ---------------------------------------------------------------------------
 
-_chromatic_cache: dict = {}
-
-
 def _canonical(n: int, edges: tuple) -> tuple:
     """Relabel vertices by (degree, index) and return the relabeled edge tuple.
 
@@ -184,9 +181,9 @@ def _canonical(n: int, edges: tuple) -> tuple:
     return (n, tuple(relabeled))
 
 
-def _chromatic(n: int, edges: tuple) -> Poly:
+def _chromatic(n: int, edges: tuple, memo: dict) -> Poly:
     key = _canonical(n, edges)
-    hit = _chromatic_cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     n, edges = key
@@ -201,23 +198,29 @@ def _chromatic(n: int, edges: tuple) -> Poly:
             a = u if a == v else (a - 1 if a > v else a)
             b = u if b == v else (b - 1 if b > v else b)
             merged.add((a, b) if a < b else (b, a))
-        result = _chromatic(n, deleted) - _chromatic(n - 1, tuple(sorted(merged)))
-    _chromatic_cache[key] = result
+        result = _chromatic(n, deleted, memo) - _chromatic(n - 1, tuple(sorted(merged)), memo)
+    memo[key] = result
     return result
 
 
 def chromatic_poly(graph: Graph) -> Poly:
-    """Chromatic polynomial by memoized deletion-contraction."""
+    """Chromatic polynomial by deletion-contraction, memoized for this call."""
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic polynomial capped at {MAX_GROUND_SIZE} vertices")
-    return _chromatic(graph.n, graph.edges)
+    return _chromatic(graph.n, graph.edges, {})
 
 
 def chromatic_setmap(graph: Graph) -> SetMap:
-    """The map S -> chromatic polynomial of the induced subgraph on S."""
+    """The map S -> chromatic polynomial of the induced subgraph on S.
+
+    One deletion-contraction memo serves all 2^n induced subgraphs, which
+    share most of their subproblems, and is dropped when the table is built.
+    """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
-    return SetMap(graph.n, (chromatic_poly(graph.restrict(S)) for S in range(1 << graph.n)))
+    memo: dict = {}
+    induced = map(graph.restrict, range(1 << graph.n))
+    return SetMap(graph.n, (_chromatic(sub.n, sub.edges, memo) for sub in induced))
 
 
 def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:
@@ -327,17 +330,9 @@ def acyclic_orientations(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Iterator[tup
     return rec(0)
 
 
-@lru_cache(maxsize=None)
-def _acyclic_count(graph: Graph) -> int:
-    # cap already enforced by the caller
-    return sum(1 for _ in acyclic_orientations(graph, cap=len(graph.edges)))
-
-
 def count_acyclic_orientations(graph: Graph, cap: int = EDGE_ENUM_CAP) -> int:
     """Number of acyclic orientations; equals (-1)^n chi(-1) (Stanley)."""
-    if len(graph.edges) > cap:
-        raise CapExceeded(f"orientation enumeration over {len(graph.edges)} edges exceeds cap {cap}")
-    return _acyclic_count(graph)
+    return sum(1 for _ in acyclic_orientations(graph, cap))
 
 
 def _sinks_and_sources(n: int, orientation: tuple) -> tuple[list[int], list[int]]:

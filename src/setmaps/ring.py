@@ -20,9 +20,9 @@ and generalizes EGF composition.  Every such partition sum goes through
 one kernel, ``block_sums``, which groups the sum by block count for every
 subset at once; composition, inverse, decomposition and sequence recovery
 are sequence (EGF) algebra on top of it.  All arithmetic is exact: values
-are fractions.Fraction or int.  Polynomial values work unchanged in sums,
-the product and the sequence terms of ``compose``; the kernel, and so
-every map it reads, is rational.
+are fractions.Fraction or int.  Polynomial values work only in sums and in
+the sequence terms of ``compose``; the product and the kernel, and so every
+map they read, are rational, and run on ints over one common denominator.
 """
 
 from __future__ import annotations
@@ -176,22 +176,24 @@ class SetMap:
         return SetMap(self.n, (-a for a in self.table))
 
     def __mul__(self, other):
-        """Convolution over ordered disjoint decompositions of each subset."""
+        """Convolution over ordered disjoint decompositions of each subset,
+        for rational maps; the result's values are Fractions."""
         if not isinstance(other, SetMap):
             return NotImplemented
         self._same_ground(other)
-        g, h = self.table, other.table
+        g, g_scale = _scaled(self.table)
+        h, h_scale = _scaled(other.table)
+        denominator = g_scale * h_scale
         out = []
         for S in range(1 << self.n):
-            acc = None
+            acc = 0
             sub = S
             while True:
-                term = g[sub] * h[S ^ sub]
-                acc = term if acc is None else acc + term
+                acc += g[sub] * h[S ^ sub]
                 if sub == 0:
                     break
                 sub = (sub - 1) & S
-            out.append(acc)
+            out.append(Fraction(acc, denominator))
         return SetMap(self.n, out)
 
     def map_values(self, fn: Callable) -> "SetMap":
@@ -211,6 +213,14 @@ class SetMap:
             raise ValueError("inverse requires value 1 on the empty set")
         terms = [(-1) ** k * math.factorial(k) for k in range(self.n + 1)]
         return compose(terms, self - SetMap.unit(self.n))
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Rational ``values`` as ints over one common denominator, and that
+    denominator; a polynomial value raises TypeError."""
+    fractions = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (scale // x.denominator) for x in fractions], scale
 
 
 def _transform(a: list, op: Callable) -> list:
@@ -244,16 +254,15 @@ def block_sums(table, subset: int) -> dict[int, tuple[Fraction, ...]]:
     """
     masks = sorted(subsets_of(subset))  # position t is the t-th submask in bit order
     size, m = len(masks), subset.bit_count()
-    values = [Fraction(0)] + [Fraction(table[T]) for T in masks[1:]]
-    scale = math.lcm(*(x.denominator for x in values))
-    f = [x.numerator * (scale // x.denominator) for x in values]
+    values = [0] + [table[T] for T in masks[1:]]
+    f, scale = _scaled(values)
     ranks = [t.bit_count() for t in range(size)]
     by_rank = [[t for t in range(size) if ranks[t] == r] for r in range(m + 1)]
     zeta = [[]] + [
         _transform([x if ranks[t] == r else 0 for t, x in enumerate(f)], operator.add)
         for r in range(1, m + 1)
     ]
-    sums = [[Fraction(1)]] + [[Fraction(0), x] for x in values[1:]]
+    sums = [[Fraction(1)]] + [[Fraction(0), Fraction(x)] for x in values[1:]]
     power = zeta  # power[r]: rank-r layer of f^{*k}, zeta-transformed; k = 1 here
     for k in range(2, m + 1):
         nxt = [[]] * (m + 1)

@@ -289,7 +289,8 @@ class Functional:
         return f"Functional([{', '.join(str(m) for m in self.moments)}])"
 
 
-@lru_cache(maxsize=None)
+# bounded; the eight standard families through degree 20 take 168 entries
+@lru_cache(maxsize=256)
 def _family_poly(family: "BinomialFamily", n: int) -> Poly:
     return family._poly_impl(n)
 

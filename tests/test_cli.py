@@ -142,6 +142,17 @@ def test_cap_override_admits_and_warns(capsys):
     assert json.loads(out)["result"]["all_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("chromatic", "--graph", f"{GRAPHS}/k3.txt"), ("abel", "--blocks", "2,1")],
+)
+def test_cap_is_rejected_where_no_cap_governs(capsys, argv):
+    status, out, err = run_cli(capsys, *argv, "--cap", "3")
+    assert status == 2
+    assert out == ""
+    assert "--cap" in err
+
+
 def test_oracle_acyclic_k3(capsys):
     status, out, _ = run_cli(capsys, "oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt")
     assert status == 0
@@ -274,6 +285,27 @@ def test_verify_all_builds_the_full_table_once(capsys, monkeypatch):
     status, _, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/p4.txt")
     assert status == 0
     assert sizes == [4]
+
+
+def test_verify_builds_the_table_over_the_subset_only(capsys, monkeypatch):
+    sizes = spy_on_tables(monkeypatch)
+    status, out, _ = run_cli(
+        capsys, "verify", "--check", "binomial", "--graph", f"{GRAPHS}/c8.txt", "--subset", "7"
+    )
+    assert status == 0
+    assert sizes == [3]
+    assert json.loads(out)["result"]["all_pass"] is True
+
+
+def test_verify_all_on_a_subset_within_every_cap(capsys):
+    # 6 of c8's 8 vertices: the 8-vertex table would exceed the binomial cap of 7
+    status, out, _ = run_cli(
+        capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/c8.txt", "--subset", "63"
+    )
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["result"]["all_pass"] is True
+    assert payload["input"]["subset"] == 63
 
 
 def test_closed_stdout_exits_cleanly():

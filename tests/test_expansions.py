@@ -277,6 +277,30 @@ def test_stanley_verifier_small_corpus():
         assert verify_stanley_evaluation(g)
 
 
+def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
+    # x^2 on the full set breaks binomial type; c*x would not, and the
+    # expansion verifiers could not see it
+    import setmaps.expansions as expansions
+
+    build = expansions.chromatic_setmap
+
+    def corrupted(graph):
+        table = list(build(graph).table)
+        table[-1] = table[-1] + Poly.monomial(2)
+        return SetMap(graph.n, table)
+
+    monkeypatch.setattr(expansions, "chromatic_setmap", corrupted)
+    c4 = Graph.cycle(4)
+    assert not verify_rising_orientation_pairs(c4)
+    assert not verify_abel_one_expansion(c4)
+    assert not verify_stable_count_expansion(c4)
+    for a in (0, 1, -1):
+        assert not verify_chromatic_expansion(c4, None, Fraction(a), "derivative"), a
+    for a in (1, -1, 2):
+        assert not verify_chromatic_expansion(c4, None, Fraction(a), "evaluation"), a
+    assert not verify_stanley_evaluation(c4)
+
+
 # ---------------------------------------------------------------------------
 # power identity
 # ---------------------------------------------------------------------------
