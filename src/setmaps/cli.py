@@ -181,13 +181,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the stage a --cap override raises, per command, check or oracle; the rest read no cap
+_CAP_STAGES = {
+    "expand": "kernel",
+    "binomial": "pairs",
+    "power": "pairs",
+    "expansion": "kernel",
+    "abel-one": "kernel",
+    "derivative": "kernel",
+    "evaluation": "kernel",
+    "rising-pairs": "partitions",
+    "stable-counts": "partitions",
+    "closed-form": "partitions",
+    "forest-count": "partitions",
+    "stable-partitions": "partitions",
+    "acyclic": "orientations",
+    "unique-sink": "orientations",
+    "sink-source": "orientations",
+}
+
+
 def _warn_cap(ns: argparse.Namespace) -> None:
+    """Price a cap override by the work of each stage it governs."""
     if getattr(ns, "cap", None) is None:  # chromatic and abel take no --cap
         return
-    estimate = bell_number(ns.cap) if ns.cap <= 25 else "astronomically many"
+    cap = ns.cap
+    if ns.command == "verify":
+        names = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
+    else:
+        names = (ns.oracle if ns.command == "oracle" else ns.command,)
+    stages = {_CAP_STAGES[name] for name in names if name in _CAP_STAGES}
+
+    def count(form: str, value) -> str:
+        # evaluated only for caps small enough to print
+        return f"{form} = {value()}" if 0 <= cap <= 25 else form
+
+    costs = {
+        "kernel": (
+            f"the chromatic table covers {count(f'2^{cap}', lambda: 2**cap)} subsets and the "
+            f"block-sum kernel takes about "
+            f"{count(f'2^{cap}*{cap}^3', lambda: 2**cap * cap**3)} steps"
+        ),
+        "partitions": (
+            f"a partition oracle enumerates "
+            f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
+        ),
+        "pairs": f"subset-pair sums touch {count(f'3^{cap}', lambda: 3**cap)} pairs",
+        "orientations": (
+            f"orientation enumeration over {cap} edges touches up to "
+            f"{count(f'2^{cap}', lambda: 2**cap)} orientations"
+        ),
+    }
+    priced = [text for stage, text in costs.items() if stage in stages]
     print(
-        f"warning: cap override {ns.cap}; enumeration may touch on the order of "
-        f"Bell({ns.cap}) = {estimate} partitions or 2^{ns.cap} subsets",
+        f"warning: cap override {cap}; {'; '.join(priced or ['no stage of this command reads it'])}",
         file=sys.stderr,
     )
 

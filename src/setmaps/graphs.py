@@ -1,14 +1,19 @@
 """Simple graphs, chromatic polynomials, and brute-force counting oracles.
 
 Three independent routes to the chromatic polynomial live here: the
-deletion-contraction recursion (the production path, memoized on a
-relabeled canonical form in a memo scoped to one call), the edge-subset
-expansion
+deletion-contraction recursion, the edge-subset expansion
 
     chi_G(x) = sum over F subset of E of (-1)^|F| x^(components of (V, F)),
 
 and exact Newton interpolation through backtracking coloring counts.
 Their agreement is an acceptance check, so none of them may share logic.
+
+Deletion-contraction is the production path.  It works on plain int
+coefficient tuples, lowest degree first, memoized on a degree-sorted
+relabeling in a memo scoped to one call; a Poly is built once per answer.
+Before it splits an edge it peels off what the sort puts first: k
+isolated vertices give x^k times the rest, and a leaf at vertex 0 gives
+(x - 1) times the graph without it.
 
 The counting oracles (proper colorings, acyclic orientations, stable
 partitions, unique-sink and sink-source orientations, per Stanley and
@@ -18,6 +23,7 @@ validate coefficient interpretations, not to be fast.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, partitions_of
@@ -171,24 +177,35 @@ def _canonical(n: int, edges: tuple) -> tuple:
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    order = sorted(range(n), key=lambda w: (deg[w], w))
+    # a stable sort by degree breaks ties by index
+    order = sorted(range(n), key=deg.__getitem__)
     rank = [0] * n
     for i, w in enumerate(order):
         rank[w] = i
     relabeled = sorted(
-        (rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]) for u, v in edges
+        [(rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]) for u, v in edges]
     )
     return (n, tuple(relabeled))
 
 
-def _chromatic(n: int, edges: tuple, memo: dict) -> Poly:
+def _chromatic(n: int, edges: tuple, memo: dict) -> tuple:
+    """Chromatic polynomial as n + 1 int coefficients, lowest degree first."""
     key = _canonical(n, edges)
     hit = memo.get(key)
     if hit is not None:
         return hit
     n, edges = key
     if not edges:
-        result = Poly.monomial(n)
+        result = (0,) * n + (1,)
+    elif edges[0][0]:
+        # vertices are sorted by degree, so 0..k-1 are the isolated ones: x^k chi(rest)
+        k = edges[0][0]
+        rest = tuple((a - k, b - k) for a, b in edges)
+        result = (0,) * k + _chromatic(n - k, rest, memo)
+    elif len(edges) == 1 or edges[1][0]:
+        # vertex 0 is a leaf: (x - 1) chi(G - 0)
+        rest = _chromatic(n - 1, tuple((a - 1, b - 1) for a, b in edges[1:]), memo)
+        result = tuple(map(operator.sub, (0,) + rest, rest + (0,)))
     else:
         u, v = edges[0]
         deleted = edges[1:]
@@ -198,7 +215,9 @@ def _chromatic(n: int, edges: tuple, memo: dict) -> Poly:
             a = u if a == v else (a - 1 if a > v else a)
             b = u if b == v else (b - 1 if b > v else b)
             merged.add((a, b) if a < b else (b, a))
-        result = _chromatic(n, deleted, memo) - _chromatic(n - 1, tuple(sorted(merged)), memo)
+        big = _chromatic(n, deleted, memo)
+        small = _chromatic(n - 1, tuple(sorted(merged)), memo)
+        result = tuple(map(operator.sub, big, small + (0,)))
     memo[key] = result
     return result
 
@@ -207,7 +226,7 @@ def chromatic_poly(graph: Graph) -> Poly:
     """Chromatic polynomial by deletion-contraction, memoized for this call."""
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic polynomial capped at {MAX_GROUND_SIZE} vertices")
-    return _chromatic(graph.n, graph.edges, {})
+    return Poly(_chromatic(graph.n, graph.edges, {}))
 
 
 def chromatic_setmap(graph: Graph) -> SetMap:
@@ -220,7 +239,7 @@ def chromatic_setmap(graph: Graph) -> SetMap:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
     memo: dict = {}
     induced = map(graph.restrict, range(1 << graph.n))
-    return SetMap(graph.n, (_chromatic(sub.n, sub.edges, memo) for sub in induced))
+    return SetMap(graph.n, (Poly(_chromatic(sub.n, sub.edges, memo)) for sub in induced))
 
 
 def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:

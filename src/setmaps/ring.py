@@ -68,25 +68,46 @@ def partitions_of(mask: int, cap: int = PARTITION_CAP) -> Iterator[tuple[int, ..
             f"set-partition enumeration over {k} elements exceeds cap {cap} "
             f"(Bell({k}) = {bell_number(k)} partitions)"
         )
-    if k == 0:
-        yield ()
+    if k <= 1:
+        yield (mask,) if k else ()
         return
+    # Restricted growth strings: element i joins one of the blocks opened by
+    # elements before it, or opens the next one.  The prefix (all but the
+    # last element) advances like an odometer; the last element runs in the
+    # inner loop.
+    m = k - 1
+    bits = [1 << e for e in elements]
+    last = bits[m]
+    suffix = [0] * k  # suffix[i]: the prefix elements from i on
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | bits[i]
+    growth = [0] * m  # growth[i]: the block of element i
+    opened = [0] + [1] * m  # opened[i]: blocks opened by elements before i
     blocks = [0] * k
-    blocks[0] = 1 << elements[0]
-
-    def grow(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield tuple(blocks[:used])
-            return
-        bit = 1 << elements[i]
+    blocks[0] = mask ^ last
+    while True:
+        used = opened[m]
         for j in range(used):
-            blocks[j] |= bit
-            yield from grow(i + 1, used)
-            blocks[j] &= ~bit
-        blocks[used] = bit
-        yield from grow(i + 1, used + 1)
-
-    yield from grow(1, 1)
+            blocks[j] |= last
+            yield tuple(blocks[:used])
+            blocks[j] ^= last
+        blocks[used] = last
+        yield tuple(blocks[: used + 1])
+        # the last prefix element below its highest choice moves up one block;
+        # the ones after it, each alone in a block it opened, return to block 0
+        i = m - 1
+        while i and growth[i] == opened[i]:
+            i -= 1
+        if i == 0:
+            return
+        b = growth[i]
+        blocks[b] ^= bits[i]
+        b += 1
+        growth[i] = b
+        blocks[b] = bits[i] if b == opened[i] else blocks[b] | bits[i]
+        blocks[0] |= suffix[i + 1]
+        growth[i + 1 :] = [0] * (m - 1 - i)
+        opened[i + 1 :] = [max(opened[i], b + 1)] * (m - i)
 
 
 @lru_cache(maxsize=None)

@@ -142,6 +142,33 @@ def test_cap_override_admits_and_warns(capsys):
     assert json.loads(out)["result"]["all_pass"] is True
 
 
+def test_expand_cap_warning_prices_the_kernel_not_partitions(capsys):
+    argv = ("expand", "--graph", f"{GRAPHS}/c8.txt", "--basis", "rising")
+    _, plain, quiet = run_cli(capsys, *argv)
+    status, out, err = run_cli(capsys, *argv, "--cap", "13")
+    assert status == 0
+    assert out == plain and quiet == ""
+    assert "2^13 = 8192 subsets" in err and "2^13*13^3" in err
+    assert "Bell" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, priced",
+    [
+        (("verify", "--check", "stable-counts", "--graph", f"{GRAPHS}/c5.txt"), "Bell(7) = 877"),
+        (("verify", "--check", "abel-one", "--graph", f"{GRAPHS}/c5.txt"), "2^7 = 128 subsets"),
+        (("verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt"), "3^7 = 2187 pairs"),
+        (("oracle", "acyclic", "--graph", f"{GRAPHS}/c5.txt"), "2^7 = 128 orientations"),
+        (("oracle", "colorings", "--graph", f"{GRAPHS}/c5.txt", "--x", "3"), "no stage"),
+    ],
+)
+def test_cap_warning_names_the_governed_stage(capsys, argv, priced):
+    status, _, err = run_cli(capsys, *argv, "--cap", "7")
+    assert status == 0
+    assert priced in err
+    assert ("Bell" in err) == ("Bell" in priced)
+
+
 @pytest.mark.parametrize(
     "argv",
     [("chromatic", "--graph", f"{GRAPHS}/k3.txt"), ("abel", "--blocks", "2,1")],

@@ -1,6 +1,11 @@
 """Graphs, chromatic routes, and the combinatorial counting oracles."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setmaps.graphs import (
     Graph,
@@ -146,6 +151,62 @@ def test_trees_match_closed_form():
         assert chromatic_poly(Graph.path(n)) == expected
         star = Graph(n, [(0, v) for v in range(1, n)])
         assert chromatic_poly(star) == expected
+
+
+@st.composite
+def reducible_graphs(draw, max_n: int, max_edges: int):
+    """Graphs rich in what deletion-contraction peels off before it splits an
+    edge: isolated vertices, pendant leaves, forests, disconnected parts.
+    Labels are shuffled so those vertices sit anywhere."""
+    core = draw(st.integers(0, max_n))
+    isolated = draw(st.integers(0, max_n - core))
+    shape = draw(st.sampled_from(("any", "forest", "leaves", "parts")))
+    slots = list(combinations(range(core), 2))
+    if shape == "parts":
+        cut = draw(st.integers(0, core))
+        slots = [(u, v) for u, v in slots if (u < cut) == (v < cut)]
+    if shape == "forest":
+        edges = []
+    else:
+        edges = draw(st.lists(st.sampled_from(slots), max_size=max_edges)) if slots else []
+    if shape in ("forest", "leaves"):
+        # every vertex past the first few hangs off an earlier one, or starts a tree
+        start = 1 if shape == "forest" else draw(st.integers(1, max(core, 1)))
+        for v in range(start, core):
+            if draw(st.booleans()):
+                edges.append((draw(st.integers(0, v - 1)), v))
+    n = core + isolated
+    label = draw(st.permutations(range(n)))
+    graph = Graph(n, [(label[u], label[v]) for u, v in edges])
+    return Graph(n, graph.edges[:max_edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_graphs(max_n=9, max_edges=14))
+def test_reduced_recursion_matches_edge_subset_expansion(g):
+    poly = chromatic_poly(g)
+    assert all(isinstance(c, Fraction) for c in poly.coeffs)
+    assert poly == subgraph_expansion(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_graphs(max_n=6, max_edges=15))
+def test_reduced_recursion_matches_interpolation(g):
+    # interpolation counts every coloring with up to n colors one by one
+    # (n^n of them on n isolated vertices), so it stays at 6 vertices
+    poly = chromatic_poly(g)
+    assert all(isinstance(c, Fraction) for c in poly.coeffs)
+    assert poly == chromatic_by_interpolation(g)
+
+
+def test_shared_memo_table_matches_fresh_polynomials():
+    # a triangle and a 4-cycle sharing vertex 2, a pendant path 5-6-8 and the
+    # isolated vertex 7: induced subgraphs meet both reductions and real splits
+    g = Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6), (6, 8)])
+    table = chromatic_setmap(g)
+    for S in range(1 << g.n):
+        assert table[S] == chromatic_poly(g.restrict(S)), S
+        assert all(isinstance(c, Fraction) for c in table[S].coeffs)
 
 
 # ---------------------------------------------------------------------------

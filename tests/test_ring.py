@@ -79,6 +79,38 @@ def test_partition_order_is_frozen():
     ]
 
 
+def _recursive_partitions(mask):
+    """The earlier recursive enumeration, kept as the reference for the order."""
+    elements = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    k = len(elements)
+    if k == 0:
+        yield ()
+        return
+    blocks = [0] * k
+    blocks[0] = 1 << elements[0]
+
+    def grow(i, used):
+        if i == k:
+            yield tuple(blocks[:used])
+            return
+        bit = 1 << elements[i]
+        for j in range(used):
+            blocks[j] |= bit
+            yield from grow(i + 1, used)
+            blocks[j] &= ~bit
+        blocks[used] = bit
+        yield from grow(i + 1, used + 1)
+
+    yield from grow(1, 1)
+
+
+@pytest.mark.parametrize("masks", [range(1 << 8), (0b1000000001, 0b1010110100, 0b110110101)])
+def test_partitions_match_recursive_enumeration(masks):
+    # every mask on 8 elements, and sparse masks above them, tuple for tuple
+    for mask in masks:
+        assert list(partitions_of(mask)) == list(_recursive_partitions(mask)), mask
+
+
 def test_partitions_cap_is_enforced():
     with pytest.raises(CapExceeded):
         list(partitions_of((1 << 15) - 1))

@@ -23,3 +23,17 @@ def test_expansion_atlas_rebuilds_every_basis(capsys):
     atlas = load_script("expansion_atlas")
     assert atlas.main(["--graph", str(ROOT / "graphs" / "c5.txt")]) == 0
     assert "all bases rebuild the chromatic polynomial" in capsys.readouterr().out
+
+
+def test_expansion_atlas_builds_one_table_over_the_subset(capsys, monkeypatch):
+    atlas = load_script("expansion_atlas")
+    built = []
+    table = atlas.chromatic_setmap
+    monkeypatch.setattr(atlas, "chromatic_setmap", lambda g: built.append(g) or table(g))
+    assert atlas.main(["--graph", str(ROOT / "graphs" / "c8.txt"), "--subset", "63"]) == 0
+    out = capsys.readouterr().out
+    # vertices 0..5 of the 8-cycle induce a path: x (x - 1)^5
+    assert [g.n for g in built] == [6]
+    assert "subset=63" in out
+    assert "chromatic polynomial: x^6 - 5*x^5 + 10*x^4 - 10*x^3 + 5*x^2 - x\n" in out
+    assert "all bases rebuild the chromatic polynomial" in out
