@@ -35,7 +35,7 @@ def main(argv=None):
     width = max(len(str(f)) for f in standard_families())
     ok = True
     for family in standard_families():
-        exp = expand(p, None, family)
+        exp = expand(p, family)
         coeffs = ", ".join(str(c) for c in exp.by_length())
         rebuilt = exp.reconstruct()
         ok = ok and rebuilt == target

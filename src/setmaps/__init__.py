@@ -14,8 +14,6 @@ from .expansions import (
     check_binomial_type,
     expand,
     expansion_reconstructs,
-    verify_abel_one_expansion,
-    verify_chromatic_expansion,
     verify_power_identity,
     verify_rising_orientation_pairs,
     verify_stable_count_expansion,

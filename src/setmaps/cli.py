@@ -32,6 +32,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .abel import (
+    TAIL_BLOCK_CAP,
+    TAIL_WEIGHT_CAP,
     BlockPartition,
     abel_poly,
     count_tail_forests,
@@ -39,13 +41,13 @@ from .abel import (
     verify_forest_coefficients,
 )
 from .expansions import (
+    BINOMIAL_CHECK_CAP,
+    CHROMATIC_EXPANSION_CAP,
     EXPAND_CAP,
+    POWER_CAP,
     check_binomial_type,
     expand,
     expansion_reconstructs,
-    target_subset,
-    verify_abel_one_expansion,
-    verify_chromatic_expansion,
     verify_power_identity,
     verify_rising_orientation_pairs,
     verify_stable_count_expansion,
@@ -63,7 +65,7 @@ from .graphs import (
     load_graph,
 )
 from .ring import CapExceeded, bell_number, subsets_of
-from .umbral import family_from_string, standard_families
+from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
 
 GRAPH_CHECKS = (
     "binomial",
@@ -198,6 +200,8 @@ _CAP_STAGES = {
     "acyclic": "orientations",
     "unique-sink": "orientations",
     "sink-source": "orientations",
+    "stanley": "orientations",
+    "tail-forests": "tails",
 }
 
 
@@ -231,6 +235,13 @@ def _warn_cap(ns: argparse.Namespace) -> None:
             f"orientation enumeration over {cap} edges touches up to "
             f"{count(f'2^{cap}', lambda: 2**cap)} orientations"
         ),
+        # n - k tails over n blocks, each aimed at one of at most w elements:
+        # sum_k C(n, k) w^(n-k) = (1 + w)^n with w <= TAIL_WEIGHT_CAP
+        "tails": (
+            f"tail-forest enumeration over {cap} blocks tries up to "
+            f"{count(f'{TAIL_WEIGHT_CAP + 1}^{cap}', lambda: (TAIL_WEIGHT_CAP + 1) ** cap)} "
+            f"tail sets"
+        ),
     }
     priced = [text for stage, text in costs.items() if stage in stages]
     print(
@@ -245,27 +256,30 @@ def _load_graph(ns: argparse.Namespace) -> Graph:
     return load_graph(ns.graph)
 
 
-def _graph_subset(graph: Graph, ns: argparse.Namespace) -> int:
-    subset = graph.vertex_mask if ns.subset is None else ns.subset
-    if subset < 0 or subset & ~graph.vertex_mask:
-        raise ValueError(f"subset {subset} outside vertex range of {graph.n} vertices")
-    return subset
+def _subset(ns: argparse.Namespace, graph: Graph) -> int:
+    return graph.vertex_mask if ns.subset is None else ns.subset
 
 
-def _graph_input(ns: argparse.Namespace, graph: Graph, subset: Optional[int] = None) -> dict:
-    payload = {"graph": ns.graph, "vertices": graph.n, "edges": graph.edge_count}
-    if subset is not None:
-        payload["subset"] = subset
-    return payload
+def _graph_input(ns: argparse.Namespace, graph: Graph) -> dict:
+    return {
+        "graph": ns.graph,
+        "vertices": graph.n,
+        "edges": graph.edge_count,
+        "subset": _subset(ns, graph),
+    }
+
+
+def _check_cap(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise CapExceeded(f"{what} over {size} vertices exceeds cap {cap}")
 
 
 def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
     graph = _load_graph(ns)
-    subset = _graph_subset(graph, ns)
-    poly = chromatic_poly(graph.restrict(subset))
+    poly = chromatic_poly(graph.restrict(_subset(ns, graph)))
     payload = {
         "command": "chromatic",
-        "input": _graph_input(ns, graph, subset),
+        "input": _graph_input(ns, graph),
         "result": {
             "coefficients": _coeff_strings(poly),
             "degree": poly.degree,
@@ -279,18 +293,20 @@ def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
 def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     graph = _load_graph(ns)
     cap = EXPAND_CAP if ns.cap is None else ns.cap
-    subset = target_subset(graph, ns.subset, cap, "expansion")
-    family = family_from_string(ns.basis)
+    subset = _subset(ns, graph)
     # the table covers only the subset, its vertices relabelled 0..k-1 in order
-    p = chromatic_setmap(graph.restrict(subset))
-    exp = expand(p, None, family, cap)
+    local = graph.restrict(subset)
+    _check_cap("expansion", local.n, cap)
+    family = family_from_string(ns.basis)
+    p = chromatic_setmap(local)
+    exp = expand(p, family, cap)
     reconstructs = exp.reconstruct() == p[p.full_mask]
     # local mask t is the t-th submask of the subset in increasing order
     masks = sorted(subsets_of(subset))
     subset_coeffs = {str(T): _rat(exp.coeffs[t]) for t, T in enumerate(masks) if T}
     payload = {
         "command": "expand",
-        "input": {**_graph_input(ns, graph, subset), "basis": str(family)},
+        "input": {**_graph_input(ns, graph), "basis": str(family)},
         "result": {
             "subset_coefficients": subset_coeffs,
             "length_coefficients": [_rat(c) for c in exp.by_length()],
@@ -301,66 +317,62 @@ def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if reconstructs else 1
 
 
-def _graph_check_list(ns: argparse.Namespace, graph: Graph, subset: int) -> list[tuple[str, bool]]:
+# default caps of the checks that read the shared table, over its vertex count
+_TABLE_CHECK_CAPS = {
+    "binomial": BINOMIAL_CHECK_CAP,
+    "expansion": EXPAND_CAP,
+    "abel-one": CHROMATIC_EXPANSION_CAP,
+    "derivative": CHROMATIC_EXPANSION_CAP,
+    "evaluation": CHROMATIC_EXPANSION_CAP,
+    "power": POWER_CAP,
+}
+
+
+def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, bool]]:
+    """Run the selected checks on ``graph``, already restricted to the subset."""
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
-    checks: list[tuple[str, bool]] = []
     name = ns.check
+    caps = {
+        check: default if ns.cap is None else ns.cap
+        for check, default in _TABLE_CHECK_CAPS.items()
+        if name in (check, "all")
+    }
+    for check, cap in caps.items():
+        _check_cap(f"{check} check", graph.n, cap)
+    # one table, built after every cap above, for every check that reads it
+    p = chromatic_setmap(graph) if caps else None
+    checks: list[tuple[str, bool]] = []
 
     def run(label: str, fn, *args, **kw) -> None:
         checks.append((label, bool(fn(*args, **kw))))
 
-    if name in ("binomial", "expansion", "power", "all"):
-        # one table over the subset, relabelled 0..k-1, for every check that reads it
-        p = chromatic_setmap(graph.restrict(subset))
-    if name in ("binomial", "all"):
-        run("binomial-type", check_binomial_type, p, **kwargs)
-    if name in ("expansion", "all"):
+    if "binomial" in caps:
+        run("binomial-type", check_binomial_type, p, caps["binomial"])
+    if "expansion" in caps:
         families = (
             standard_families() if ns.basis is None else (family_from_string(ns.basis),)
         )
         for family in families:
-            run(f"expansion {family}", expansion_reconstructs, p, family, **kwargs)
+            run(f"expansion {family}", expansion_reconstructs, p, family, caps["expansion"])
     if name in ("rising-pairs", "all"):
-        run("rising-pairs", verify_rising_orientation_pairs, graph, subset, **kwargs)
-    if name in ("abel-one", "all"):
-        run("abel-one", verify_abel_one_expansion, graph, subset, **kwargs)
+        run("rising-pairs", verify_rising_orientation_pairs, graph, **kwargs)
+    if "abel-one" in caps:
+        # chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
+        run("abel-one", expansion_reconstructs, p, AbelPolynomials(1), caps["abel-one"])
     if name in ("stable-counts", "all"):
-        run("stable-counts", verify_stable_count_expansion, graph, subset, **kwargs)
-    if name in ("derivative", "all"):
+        run("stable-counts", verify_stable_count_expansion, graph, **kwargs)
+    if "derivative" in caps:
         a = Fraction(0) if ns.x is None else ns.x
-        run(
-            f"derivative a={a}",
-            verify_chromatic_expansion,
-            graph,
-            subset,
-            a,
-            "derivative",
-            **kwargs,
-        )
-    if name in ("evaluation", "all"):
+        run(f"derivative a={a}", expansion_reconstructs, p, AbelPolynomials(a), caps["derivative"])
+    if "evaluation" in caps:
         a = Fraction(1) if ns.x is None else ns.x
-        run(
-            f"evaluation a={a}",
-            verify_chromatic_expansion,
-            graph,
-            subset,
-            a,
-            "evaluation",
-            **kwargs,
-        )
-    if name in ("power", "all"):
+        run(f"evaluation a={a}", expansion_reconstructs, p, FallingFactorials(a), caps["evaluation"])
+    if "power" in caps:
         x0 = Fraction(2) if ns.x is None else ns.x
         y0 = 2 if ns.k is None else ns.k
-        run(
-            f"power x0={x0} y0={y0}",
-            verify_power_identity,
-            p,
-            x0,
-            y0,
-            **kwargs,
-        )
+        run(f"power x0={x0} y0={y0}", verify_power_identity, p, x0, y0, caps["power"])
     if name in ("stanley", "all"):
-        run("stanley", verify_stanley_evaluation, graph, subset)
+        run("stanley", verify_stanley_evaluation, graph, **kwargs)
     return checks
 
 
@@ -382,7 +394,7 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
         w = blocks.weight
         ks = range(1, n + 1) if ns.k is None else (ns.k,)
         for k in ks:
-            counted = count_tail_forests(blocks, k)
+            counted = count_tail_forests(blocks, k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap)
             expected = math.comb(n - 1, k - 1) * w ** (n - k)
             checks.append((f"tail-forests k={k}", counted == expected))
     return checks
@@ -391,9 +403,8 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
 def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
         graph = _load_graph(ns)
-        subset = _graph_subset(graph, ns)
-        checks = _graph_check_list(ns, graph, subset)
-        source: dict = _graph_input(ns, graph, subset)
+        checks = _graph_check_list(ns, graph.restrict(_subset(ns, graph)))
+        source: dict = _graph_input(ns, graph)
     elif ns.check in BLOCK_CHECKS:
         if ns.blocks is None:
             raise ValueError(f"check {ns.check!r} needs --blocks")
@@ -424,13 +435,12 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         if ns.k is None:
             raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
-        count = count_tail_forests(blocks, ns.k)
+        count = count_tail_forests(blocks, ns.k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap)
         source: dict = {"blocks": list(blocks.sizes), "k": ns.k}
     else:
         graph = _load_graph(ns)
-        subset = _graph_subset(graph, ns)
-        restricted = graph.restrict(subset)
-        source = {**_graph_input(ns, graph, subset)}
+        restricted = graph.restrict(_subset(ns, graph))
+        source = _graph_input(ns, graph)
         if name == "colorings":
             if ns.x is None:
                 raise ValueError("oracle colorings needs --x")

@@ -349,7 +349,11 @@ class Monomials(BinomialFamily):
 class FallingFactorials(BinomialFamily):
     """The basis (x/a)_n = (x/a)(x/a - 1)...(x/a - n + 1), a != 0.
 
-    Delta functional f -> f(a) - f(0).
+    Delta functional f -> f(a) - f(0).  Since chi_T(0) = 0 for every
+    nonempty T, expanding the chromatic set map here is the evaluation
+    expansion chi_S = sum over sigma of (x/a)_len * prod chi_T(a); a = 1
+    gives the stable-partition expansion, a = -1 the rising/orientation
+    form.
     """
 
     step: Fraction = Fraction(1)
@@ -400,7 +404,13 @@ class RisingFactorials(BinomialFamily):
 
 @dataclass(frozen=True)
 class AbelPolynomials(BinomialFamily):
-    """The basis x(x - a n)^{n-1}; delta functional f -> f'(a)."""
+    """The basis x(x - a n)^{n-1}; delta functional f -> f'(a).
+
+    Expanding the chromatic set map here is the derivative expansion
+    chi_S = sum over sigma of x(x - a len)^(len-1) * prod chi'_T(a); a = 0
+    gives the classical monomial expansion in connected-subgraph
+    derivatives, a = 1 the Abel-one check.
+    """
 
     point: Fraction = Fraction(1)
 

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import setmaps.cli as cli
+import setmaps.graphs as graphs
 from setmaps.graphs import Graph
+
+from _corpus import random_graphs
 
 GRAPHS = str(Path(__file__).resolve().parent.parent / "graphs")
 
@@ -272,15 +275,17 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 
 def spy_on_tables(monkeypatch):
-    """Record the vertex count of every chromatic table the CLI builds."""
+    """Record the vertex count of every chromatic table built, through any module."""
     sizes = []
-    build = cli.chromatic_setmap
+    build = graphs.chromatic_setmap
 
     def spy(graph):
         sizes.append(graph.n)
         return build(graph)
 
-    monkeypatch.setattr(cli, "chromatic_setmap", spy)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "setmaps" and getattr(module, "chromatic_setmap", None) is build:
+            monkeypatch.setattr(module, "chromatic_setmap", spy)
     return sizes
 
 
@@ -307,11 +312,46 @@ def test_expand_checks_its_cap_before_building_the_table(capsys, monkeypatch):
     assert sizes == []
 
 
-def test_verify_all_builds_the_full_table_once(capsys, monkeypatch):
+def test_verify_all_builds_one_shared_table_and_one_per_oracle_check(capsys, monkeypatch):
     sizes = spy_on_tables(monkeypatch)
     status, _, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/p4.txt")
     assert status == 0
-    assert sizes == [4]
+    # the shared table, then rising-pairs, stable-counts and stanley build their own
+    assert sizes == [4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("check", ["binomial", "power", "expansion", "derivative", "stanley"])
+def test_graph_checks_test_their_caps_before_any_table(capsys, monkeypatch, tmp_path, check):
+    path = tmp_path / "g16.txt"
+    path.write_text(random_graphs(16, 1, seed=0x16, p=0.3)[0].to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(path))
+    assert status == 3
+    assert out == "" and "exceeds cap" in err
+    assert sizes == []
+
+
+def test_cap_reaches_the_stanley_orientation_enumeration(capsys, tmp_path):
+    path = tmp_path / "k7.txt"
+    path.write_text(Graph.complete(7).to_text())
+    argv = ("verify", "--check", "stanley", "--graph", str(path))
+    assert run_cli(capsys, *argv)[0] == 3  # 21 edges against the default cap of 20
+    status, out, err = run_cli(capsys, *argv, "--cap", "21")
+    assert status == 0
+    assert json.loads(out)["result"]["all_pass"] is True
+    assert "2^21 = 2097152 orientations" in err
+
+
+def test_cap_reaches_the_tail_forest_enumeration(capsys):
+    blocks = ("--blocks", "1,1,1,1,1,1")
+    assert run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1")[0] == 3
+    status, out, err = run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1", "--cap", "6")
+    assert status == 0
+    assert json.loads(out)["result"]["count"] == 6**5  # C(5, 0) * 6^(6 - 1)
+    assert "9^6 = 531441 tail sets" in err
+    status, out, _ = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--cap", "6")
+    assert status == 0
+    assert json.loads(out)["result"] == {"all_pass": True, "passed": 6, "failed": 0}
 
 
 def test_verify_builds_the_table_over_the_subset_only(capsys, monkeypatch):

@@ -9,8 +9,6 @@ from setmaps.expansions import (
     check_binomial_type,
     expand,
     expansion_reconstructs,
-    verify_abel_one_expansion,
-    verify_chromatic_expansion,
     verify_power_identity,
     verify_rising_orientation_pairs,
     verify_stable_count_expansion,
@@ -73,7 +71,7 @@ def test_binomial_check_cap():
 def test_k2_monomial_coefficients_by_hand():
     # derivative-at-0 coefficients: 1 on singletons, -1 on the pair, and
     # x^2 * 1 + x * (-1) rebuilds the chromatic polynomial
-    exp = expand(chromatic_setmap(Graph.complete(2)), None, Monomials())
+    exp = expand(chromatic_setmap(Graph.complete(2)), Monomials())
     assert exp.coeffs[0b01] == 1
     assert exp.coeffs[0b10] == 1
     assert exp.coeffs[0b11] == -1
@@ -82,13 +80,13 @@ def test_k2_monomial_coefficients_by_hand():
 
 
 def test_expand_empty_subset_reconstructs_one():
-    exp = expand(chromatic_setmap(Graph.complete(2)), 0, Monomials())
-    assert exp.by_length() == (Fraction(1),)
-    assert exp.reconstruct() == Poly.one()
+    exp = expand(chromatic_setmap(Graph.complete(2)), Monomials())
+    assert exp.by_length(0) == (Fraction(1),)
+    assert exp.reconstruct(0) == Poly.one()
 
 
 def test_k2_falling_coefficients_are_stability_indicators():
-    exp = expand(chromatic_setmap(Graph.complete(2)), None, FallingFactorials(1))
+    exp = expand(chromatic_setmap(Graph.complete(2)), FallingFactorials(1))
     assert exp.coeffs[0b01] == 1 and exp.coeffs[0b10] == 1
     assert exp.coeffs[0b11] == 0  # the edge makes the pair unstable
     assert exp.by_length() == (0, 0, 1)
@@ -96,7 +94,7 @@ def test_k2_falling_coefficients_are_stability_indicators():
 
 
 def test_k2_rising_by_length():
-    exp = expand(chromatic_setmap(Graph.complete(2)), None, RisingFactorials())
+    exp = expand(chromatic_setmap(Graph.complete(2)), RisingFactorials())
     assert exp.by_length() == (0, -2, 1)
 
 
@@ -104,7 +102,7 @@ def test_top_length_coefficient_is_singleton_product():
     for g in graphs_through(3):
         p = chromatic_setmap(g)
         for fam in (Monomials(), RisingFactorials(), LogPolynomials()):
-            exp = expand(p, None, fam)
+            exp = expand(p, fam)
             cs = exp.by_length()
             prod = Fraction(1)
             for v in range(g.n):
@@ -115,12 +113,12 @@ def test_top_length_coefficient_is_singleton_product():
 def test_expand_rejects_trivial_map():
     trivial = SetMap.constant(2, Poly.zero())
     with pytest.raises(ValueError, match="nontrivial"):
-        expand(trivial, None, Monomials())
+        expand(trivial, Monomials())
 
 
 def test_expand_subset_cap():
     with pytest.raises(CapExceeded):
-        expand(monomial_type_map(4), None, Monomials(), cap=3)
+        expand(monomial_type_map(4), Monomials(), cap=3)
 
 
 def test_reconstruct_matches_direct_partition_sum():
@@ -128,7 +126,7 @@ def test_reconstruct_matches_direct_partition_sum():
     for g in (Graph.complete(3), Graph.path(4), Graph.cycle(4)):
         p = chromatic_setmap(g)
         for fam in (RisingFactorials(), AbelPolynomials(1), LogPolynomials()):
-            exp = expand(p, None, fam)
+            exp = expand(p, fam)
             direct = Poly.zero()
             for sigma in partitions_of(p.full_mask):
                 weight = Fraction(1)
@@ -141,11 +139,11 @@ def test_reconstruct_matches_direct_partition_sum():
 def test_restricted_reconstruction_shares_one_coefficient_pass():
     g = Graph.cycle(4)
     p = chromatic_setmap(g)
-    exp = expand(p, None, RisingFactorials())
+    exp = expand(p, RisingFactorials())
     for S in range(1 << g.n):
         assert exp.reconstruct(S) == p[S]
     with pytest.raises(ValueError, match="contained"):
-        expand(p, 0b0011, RisingFactorials()).by_length(0b1100)
+        exp.by_length(0b10000)
 
 
 def test_mix_reconstruction_all_families_small_corpus():
@@ -154,7 +152,7 @@ def test_mix_reconstruction_all_families_small_corpus():
     for g in corpus:
         p = chromatic_setmap(g)
         for fam in families:
-            exp = expand(p, None, fam)
+            exp = expand(p, fam)
             for S in range(1 << g.n):
                 assert exp.reconstruct(S) == p[S]
 
@@ -191,7 +189,7 @@ def test_functional_powers_count_ordered_partitions():
     for g in list(graphs_through(4))[:10] + random_graphs(5, 3, seed=0xAEC):
         p = chromatic_setmap(g)
         fam = RisingFactorials()
-        exp = expand(p, None, fam)
+        exp = expand(p, fam)
         bound = max(1, max(v.degree for v in p.table))
         A = fam.delta(bound)
         for k in range(5):
@@ -241,40 +239,54 @@ def test_rising_orientation_pairs_edgeless_and_k3():
 def test_rising_orientation_pairs_small_corpus():
     for g in graphs_through(4):
         for S in range(1 << g.n):
-            assert verify_rising_orientation_pairs(g, S)
+            assert verify_rising_orientation_pairs(g.restrict(S))
 
 
 def test_abel_one_expansion_examples():
-    assert verify_abel_one_expansion(Graph.complete(2))
-    assert verify_abel_one_expansion(Graph.complete(3))
-    assert verify_abel_one_expansion(Graph(1), 1)  # singleton: x * chi'(1)
+    for g in (Graph.complete(2), Graph.complete(3), Graph(1)):  # singleton: x * chi'(1)
+        assert expansion_reconstructs(chromatic_setmap(g), AbelPolynomials(1))
 
 
 def test_stable_count_expansion_examples():
     assert verify_stable_count_expansion(Graph.complete(2))
     assert verify_stable_count_expansion(Graph.path(3))
-    assert verify_stable_count_expansion(Graph(1), 1)
+    assert verify_stable_count_expansion(Graph(1))
 
 
 def test_chromatic_expansion_modes():
-    k2 = Graph.complete(2)
-    assert verify_chromatic_expansion(k2, None, 0, "derivative")
-    assert verify_chromatic_expansion(k2, None, 1, "evaluation")
-    k3 = Graph.complete(3)
-    assert verify_chromatic_expansion(k3, None, -1, "evaluation")
-    assert verify_chromatic_expansion(k3, None, Fraction(1, 2), "derivative")
+    # derivative at a is the Abel basis, evaluation at a the falling basis
+    k2 = chromatic_setmap(Graph.complete(2))
+    assert expansion_reconstructs(k2, AbelPolynomials(0))
+    assert expansion_reconstructs(k2, FallingFactorials(1))
+    k3 = chromatic_setmap(Graph.complete(3))
+    assert expansion_reconstructs(k3, FallingFactorials(-1))
+    assert expansion_reconstructs(k3, AbelPolynomials(Fraction(1, 2)))
 
 
 def test_chromatic_expansion_rejects_zero_evaluation_point():
     with pytest.raises(ValueError, match="nonzero"):
-        verify_chromatic_expansion(Graph.complete(2), None, 0, "evaluation")
-    with pytest.raises(ValueError, match="mode"):
-        verify_chromatic_expansion(Graph.complete(2), None, 0, "nonsense")
+        FallingFactorials(0)
 
 
 def test_stanley_verifier_small_corpus():
     for g in graphs_through(4):
         assert verify_stanley_evaluation(g)
+
+
+def test_graph_verifiers_check_their_caps_before_building_a_table(monkeypatch):
+    import setmaps.expansions as expansions
+
+    built = []
+    monkeypatch.setattr(expansions, "chromatic_setmap", built.append)
+    with pytest.raises(CapExceeded):
+        verify_rising_orientation_pairs(Graph.path(7))
+    with pytest.raises(CapExceeded):
+        verify_stable_count_expansion(Graph.path(9))
+    with pytest.raises(CapExceeded):
+        verify_stanley_evaluation(Graph.complete(7))  # 21 edges
+    with pytest.raises(CapExceeded):
+        verify_stanley_evaluation(Graph.complete(4), cap=5)
+    assert built == []
 
 
 def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
@@ -291,13 +303,14 @@ def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
 
     monkeypatch.setattr(expansions, "chromatic_setmap", corrupted)
     c4 = Graph.cycle(4)
+    p = corrupted(c4)
     assert not verify_rising_orientation_pairs(c4)
-    assert not verify_abel_one_expansion(c4)
+    assert not expansion_reconstructs(p, AbelPolynomials(1))
     assert not verify_stable_count_expansion(c4)
     for a in (0, 1, -1):
-        assert not verify_chromatic_expansion(c4, None, Fraction(a), "derivative"), a
+        assert not expansion_reconstructs(p, AbelPolynomials(a)), a
     for a in (1, -1, 2):
-        assert not verify_chromatic_expansion(c4, None, Fraction(a), "evaluation"), a
+        assert not expansion_reconstructs(p, FallingFactorials(a)), a
     assert not verify_stanley_evaluation(c4)
 
 
