@@ -49,14 +49,14 @@ def sweep_graph(graph):
     for family in standard_families():
         exp = expand(p, family)
         checks[f"mix[{family}]"] = all(exp.reconstruct(S) == p[S] for S in range(1 << graph.n))
-    checks["rising-pairs"] = verify_rising_orientation_pairs(graph)
+    checks["rising-pairs"] = verify_rising_orientation_pairs(graph, p)
     checks["abel-one"] = expansion_reconstructs(p, AbelPolynomials(1))
-    checks["stable-counts"] = verify_stable_count_expansion(graph)
+    checks["stable-counts"] = verify_stable_count_expansion(graph, p)
     for a in (0, 1, -1):
         checks[f"derivative a={a}"] = expansion_reconstructs(p, AbelPolynomials(a))
     for a in (1, -1, 2):
         checks[f"evaluation a={a}"] = expansion_reconstructs(p, FallingFactorials(a))
-    checks["stanley"] = verify_stanley_evaluation(graph)
+    checks["stanley"] = verify_stanley_evaluation(graph, p)
     checks["power"] = verify_power_identity(p, 2, 2)
     return checks
 

@@ -44,6 +44,7 @@ from .expansions import (
     BINOMIAL_CHECK_CAP,
     CHROMATIC_EXPANSION_CAP,
     EXPAND_CAP,
+    PAIR_COUNT_CAP,
     POWER_CAP,
     check_binomial_type,
     expand,
@@ -54,6 +55,7 @@ from .expansions import (
     verify_stanley_evaluation,
 )
 from .graphs import (
+    EDGE_ENUM_CAP,
     Graph,
     chromatic_poly,
     chromatic_setmap,
@@ -240,7 +242,7 @@ def _warn_cap(ns: argparse.Namespace) -> None:
         "tails": (
             f"tail-forest enumeration over {cap} blocks tries up to "
             f"{count(f'{TAIL_WEIGHT_CAP + 1}^{cap}', lambda: (TAIL_WEIGHT_CAP + 1) ** cap)} "
-            f"tail sets"
+            f"tail sets; the weight cap of {TAIL_WEIGHT_CAP} stays"
         ),
     }
     priced = [text for stage, text in costs.items() if stage in stages]
@@ -317,34 +319,38 @@ def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if reconstructs else 1
 
 
-# default caps of the checks that read the shared table, over its vertex count
-_TABLE_CHECK_CAPS = {
+# default caps of the graph checks, in run order, over the vertex count (stanley: edges)
+_GRAPH_CHECK_CAPS = {
     "binomial": BINOMIAL_CHECK_CAP,
     "expansion": EXPAND_CAP,
+    "rising-pairs": PAIR_COUNT_CAP,
     "abel-one": CHROMATIC_EXPANSION_CAP,
+    "stable-counts": CHROMATIC_EXPANSION_CAP,
     "derivative": CHROMATIC_EXPANSION_CAP,
     "evaluation": CHROMATIC_EXPANSION_CAP,
     "power": POWER_CAP,
+    "stanley": EDGE_ENUM_CAP,
 }
 
 
 def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, bool]]:
     """Run the selected checks on ``graph``, already restricted to the subset."""
-    kwargs = {} if ns.cap is None else {"cap": ns.cap}
     name = ns.check
     caps = {
         check: default if ns.cap is None else ns.cap
-        for check, default in _TABLE_CHECK_CAPS.items()
+        for check, default in _GRAPH_CHECK_CAPS.items()
         if name in (check, "all")
     }
     for check, cap in caps.items():
-        _check_cap(f"{check} check", graph.n, cap)
-    # one table, built after every cap above, for every check that reads it
-    p = chromatic_setmap(graph) if caps else None
+        size, unit = (graph.edge_count, "edges") if check == "stanley" else (graph.n, "vertices")
+        if size > cap:
+            raise CapExceeded(f"{check} check over {size} {unit} exceeds cap {cap}")
+    # one table, built after every cap above, for every check
+    p = chromatic_setmap(graph)
     checks: list[tuple[str, bool]] = []
 
-    def run(label: str, fn, *args, **kw) -> None:
-        checks.append((label, bool(fn(*args, **kw))))
+    def run(label: str, fn, *args) -> None:
+        checks.append((label, bool(fn(*args))))
 
     if "binomial" in caps:
         run("binomial-type", check_binomial_type, p, caps["binomial"])
@@ -354,13 +360,13 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         )
         for family in families:
             run(f"expansion {family}", expansion_reconstructs, p, family, caps["expansion"])
-    if name in ("rising-pairs", "all"):
-        run("rising-pairs", verify_rising_orientation_pairs, graph, **kwargs)
+    if "rising-pairs" in caps:
+        run("rising-pairs", verify_rising_orientation_pairs, graph, p, caps["rising-pairs"])
     if "abel-one" in caps:
         # chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
         run("abel-one", expansion_reconstructs, p, AbelPolynomials(1), caps["abel-one"])
-    if name in ("stable-counts", "all"):
-        run("stable-counts", verify_stable_count_expansion, graph, **kwargs)
+    if "stable-counts" in caps:
+        run("stable-counts", verify_stable_count_expansion, graph, p, caps["stable-counts"])
     if "derivative" in caps:
         a = Fraction(0) if ns.x is None else ns.x
         run(f"derivative a={a}", expansion_reconstructs, p, AbelPolynomials(a), caps["derivative"])
@@ -371,8 +377,8 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         x0 = Fraction(2) if ns.x is None else ns.x
         y0 = 2 if ns.k is None else ns.k
         run(f"power x0={x0} y0={y0}", verify_power_identity, p, x0, y0, caps["power"])
-    if name in ("stanley", "all"):
-        run("stanley", verify_stanley_evaluation, graph, **kwargs)
+    if "stanley" in caps:
+        run("stanley", verify_stanley_evaluation, graph, p, caps["stanley"])
     return checks
 
 

@@ -18,8 +18,8 @@ bases (see ``AbelPolynomials`` and ``FallingFactorials``); the verifiers
 below check the coefficient interpretations that need an oracle of their
 own (acyclic-orientation pair counts in the rising basis, stable-partition
 counts in the log basis, Stanley's evaluation at -1).  Each takes a graph
-as its whole ground set (restrict it first for a subset), checks its cap,
-and only then builds the chromatic table.
+as its whole ground set (restrict it first for a subset) next to its
+chromatic table, and checks its cap before it reads the table.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import (
-    EDGE_ENUM_CAP,
-    Graph,
-    chromatic_setmap,
-    count_acyclic_orientations,
-    count_stable_partitions,
-)
+from .graphs import EDGE_ENUM_CAP, Graph, count_acyclic_orientations, count_stable_partitions
 from .ring import CapExceeded, SetMap, block_sums, partitions_of, subsets_of
 from .umbral import BinomialFamily, LogPolynomials, Poly, RisingFactorials
 
@@ -127,18 +121,19 @@ def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = EXPAND_
     return expand(p, family, cap).reconstruct() == p[p.full_mask]
 
 
-def verify_rising_orientation_pairs(graph: Graph, cap: int = PAIR_COUNT_CAP) -> bool:
+def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = PAIR_COUNT_CAP) -> bool:
     """Check the rising-factorial coefficients against orientation-pair counts.
 
     Writing chi_S = sum_k c_k x(x+1)...(x+k-1), the claim (Brenti's) is
     that (-1)^(|S|-k) c_k counts pairs (sigma, alpha) with sigma a k-block
     partition of S and alpha an acyclic orientation of the edges lying
     inside blocks of sigma.  The pair side is brute-forced: orientations
-    of the within-block graph factor over blocks.
+    of the within-block graph factor over blocks.  ``p`` is the chromatic
+    table of ``graph``.
     """
     if graph.n > cap:
         raise CapExceeded(f"orientation-pair verification over {graph.n} vertices exceeds cap {cap}")
-    coeffs = expand(chromatic_setmap(graph), RisingFactorials()).by_length()
+    coeffs = expand(p, RisingFactorials()).by_length()
     full = graph.vertex_mask
     counts = [0] * (graph.n + 1)
     orientation_counts = {T: count_acyclic_orientations(graph.restrict(T)) for T in subsets_of(full)}
@@ -155,18 +150,20 @@ def verify_rising_orientation_pairs(graph: Graph, cap: int = PAIR_COUNT_CAP) -> 
     return True
 
 
-def verify_stable_count_expansion(graph: Graph, cap: int = CHROMATIC_EXPANSION_CAP) -> bool:
+def verify_stable_count_expansion(
+    graph: Graph, p: SetMap, cap: int = CHROMATIC_EXPANSION_CAP
+) -> bool:
     """Check the log-basis expansion with stable-partition-count coefficients.
 
-    Verifies that the basis functional B gives s_T = B chi_T, the
-    brute-force stable-partition count of the induced subgraph, for every
-    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T.
+    Verifies, on the chromatic table ``p`` of ``graph``, that the basis
+    functional B gives s_T = B chi_T, the brute-force stable-partition
+    count of the induced subgraph, for every nonempty T, and that
+    chi_S = sum over sigma of b_len(x) * prod s_T.
     B chi of the empty set is 0 by linearity, while the empty set has one
     empty stable partition, so the empty set is skipped.
     """
     if graph.n > cap:
         raise CapExceeded(f"stable-count verification over {graph.n} vertices exceeds cap {cap}")
-    p = chromatic_setmap(graph)
     exp = expand(p, LogPolynomials(), cap)
     for T in subsets_of(graph.vertex_mask):
         if T and exp.coeffs[T] != count_stable_partitions(graph.restrict(T)):
@@ -193,11 +190,11 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = POWER_CAP) -> bool:
     return power == target
 
 
-def verify_stanley_evaluation(graph: Graph, cap: int = EDGE_ENUM_CAP) -> bool:
-    """Check (-1)^|S| chi_S(-1) = number of acyclic orientations, per subset."""
+def verify_stanley_evaluation(graph: Graph, p: SetMap, cap: int = EDGE_ENUM_CAP) -> bool:
+    """Check (-1)^|S| chi_S(-1) = number of acyclic orientations, per subset,
+    on the chromatic table ``p`` of ``graph``."""
     if graph.edge_count > cap:
         raise CapExceeded(f"orientation enumeration over {graph.edge_count} edges exceeds cap {cap}")
-    p = chromatic_setmap(graph)
     for T in subsets_of(graph.vertex_mask):
         sign = 1 if T.bit_count() % 2 == 0 else -1
         if sign * p[T](-1) != count_acyclic_orientations(graph.restrict(T), cap):

@@ -5,8 +5,9 @@ deletion-contraction recursion, the edge-subset expansion
 
     chi_G(x) = sum over F subset of E of (-1)^|F| x^(components of (V, F)),
 
-and exact Newton interpolation through backtracking coloring counts.
-Their agreement is an acceptance check, so none of them may share logic.
+and exact Newton interpolation through coloring counts, found by
+backtracking over color classes.  Their agreement is an acceptance check,
+so none of them may share logic.
 
 Deletion-contraction is the production path.  It works on plain int
 coefficient tuples, lowest degree first, memoized on a degree-sorted
@@ -23,6 +24,7 @@ validate coefficient interpretations, not to be fast.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Iterator
 
@@ -273,23 +275,34 @@ def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:
 
 
 def count_proper_colorings(graph: Graph, colors: int) -> int:
-    """Number of proper colorings with the given color count, by backtracking."""
+    """Number of proper colorings with the given color count, by backtracking.
+
+    Colors are handed out in first-use order: each vertex joins a color
+    class holding none of its earlier neighbors, or opens the next class.
+    A split into k classes is then colored in colors * (colors - 1) * ...
+    * (colors - k + 1) ways, one per choice of distinct colors.
+    """
     if colors < 0:
         raise ValueError("color count must be nonnegative")
     n = graph.n
-    earlier = [[] for _ in range(n)]
+    earlier = [0] * n  # bitmask of each vertex's lower-numbered neighbors
     for u, v in graph.edges:
-        earlier[max(u, v)].append(min(u, v))
-    assigned = [0] * n
+        earlier[v] |= 1 << u
+    classes: list[int] = []
 
     def rec(v: int) -> int:
         if v == n:
-            return 1
+            return math.perm(colors, len(classes))
         total = 0
-        for c in range(colors):
-            if all(assigned[w] != c for w in earlier[v]):
-                assigned[v] = c
+        for i, members in enumerate(classes):
+            if not members & earlier[v]:
+                classes[i] = members | 1 << v
                 total += rec(v + 1)
+                classes[i] = members
+        if len(classes) < colors:
+            classes.append(1 << v)
+            total += rec(v + 1)
+            classes.pop()
         return total
 
     return rec(0)

@@ -9,13 +9,17 @@ an associative, commutative product whose unit is evaluation at 0.  A
 delta functional A has A 1 = 0 and A x != 0.
 
 A polynomial sequence a_0(x), a_1(x), ... with deg a_n = n is of binomial
-type when a_n(x+y) = sum_k C(n,k) a_k(x) a_{n-k}(y).  Every family here
-knows its associated delta functional A, characterized by
-A^k a_n = k! [n == k]; that is what turns coefficient extraction in these
-bases into a single functional application.  Shipped families: monomials
-x^n, falling factorials (x/a)_n, rising factorials x(x+1)...(x+n-1),
-Abel polynomials x(x - a n)^{n-1}, and the basis with exponential
-generating function (1 + log(1+t))^x.
+type when a_n(x+y) = sum_k C(n,k) a_k(x) a_{n-k}(y).  Such a sequence is
+fixed by its associated delta functional A, characterized by
+A^k a_n = k! [n == k] (Rota-Kahaner-Odlyzko, 1973); that is what turns
+coefficient extraction in these bases into a single functional
+application.  A family here is only its parameters and the moments m of
+A; every member is derived from them: a_0 = 1, and for n >= 1, a_n is
+the polynomial with a_n(0) = 0 and Q a_n = n a_{n-1}, where the delta
+operator is Q x^j = sum_{k=1..j} C(j, k) m_k x^(j-k).  Shipped families:
+monomials x^n, falling factorials (x/a)_n, rising factorials
+x(x+1)...(x+n-1), Abel polynomials x(x - a n)^{n-1}, and the basis with
+exponential generating function (1 + log(1+t))^x.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from .ring import bell_number
 
 _Scalar = (int, Fraction)
 
@@ -292,20 +298,32 @@ class Functional:
 # bounded; the eight standard families through degree 20 take 168 entries
 @lru_cache(maxsize=256)
 def _family_poly(family: "BinomialFamily", n: int) -> Poly:
-    return family._poly_impl(n)
+    if n == 0:
+        return Poly.one()
+    # solve Q a_n = n a_{n-1} (module docstring) for a_n = sum_j c_j x^j top down:
+    # the x^i coefficient, sum_{k>=1} C(i+k, k) m_k c_{i+k} = n [x^i] a_{n-1}, fixes c_{i+1}
+    m = family.delta(n).moments
+    steps = [k for k in range(2, n + 1) if m[k]]
+    rhs = _family_poly(family, n - 1).coeffs
+    c = [Fraction(0)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        acc = n * rhs[i]
+        for k in steps:
+            if i + k > n:
+                break
+            acc -= math.comb(i + k, k) * m[k] * c[i + k]
+        c[i + 1] = acc / ((i + 1) * m[1])
+    return Poly(c)
 
 
 class BinomialFamily:
-    """A binomial-type polynomial basis together with its delta functional."""
+    """A binomial-type polynomial basis, fixed by its delta functional."""
 
     def poly(self, n: int) -> Poly:
-        """The degree-n member of the family; a_0 = 1."""
+        """The degree-n member of the family, derived from the delta moments; a_0 = 1."""
         if n < 0:
             raise ValueError("family index must be nonnegative")
         return _family_poly(self, n)
-
-    def _poly_impl(self, n: int) -> Poly:
-        raise NotImplementedError
 
     def delta(self, bound: int) -> Functional:
         """Moment vector, up to the given degree, of the associated functional."""
@@ -334,9 +352,6 @@ class BinomialFamily:
 class Monomials(BinomialFamily):
     """The basis x^n; delta functional f -> f'(0)."""
 
-    def _poly_impl(self, n: int) -> Poly:
-        return Poly.monomial(n)
-
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
         return Functional.derivative_at(0, bound)
@@ -363,13 +378,6 @@ class FallingFactorials(BinomialFamily):
         if self.step == 0:
             raise ValueError("falling-factorial step must be nonzero")
 
-    def _poly_impl(self, n: int) -> Poly:
-        scaled = Poly((0, Fraction(1) / self.step))
-        result = Poly.one()
-        for i in range(n):
-            result = result * (scaled - i)
-        return result
-
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
         a = self.step
@@ -386,12 +394,6 @@ class RisingFactorials(BinomialFamily):
     The functional is forced by x^(n) = (-1)^n (-x)_n and is checked by the
     associated-functional property tests rather than assumed.
     """
-
-    def _poly_impl(self, n: int) -> Poly:
-        result = Poly.one()
-        for i in range(n):
-            result = result * Poly((i, 1))
-        return result
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
@@ -417,11 +419,6 @@ class AbelPolynomials(BinomialFamily):
     def __post_init__(self):
         object.__setattr__(self, "point", Fraction(self.point))
 
-    def _poly_impl(self, n: int) -> Poly:
-        if n == 0:
-            return Poly.one()
-        return Poly.x() * Poly((-self.point * n, 1)) ** (n - 1)
-
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
         return Functional.derivative_at(self.point, bound)
@@ -438,24 +435,13 @@ class LogPolynomials(BinomialFamily):
     (x)_len(sigma) * prod over blocks T of (-1)^(|T|-1) (|T|-1)!, i.e. the
     falling-factorial coefficients are signed Stirling numbers of the
     first kind.  Its delta functional B has B (x)_n = 1 for n > 0 and
-    B 1 = 0; the stored moments convert that rule to the monomial basis.
+    B 1 = 0; since x^n = sum_j S(n, j) (x)_j, its moments B x^n are the
+    Bell numbers.
     """
-
-    def _poly_impl(self, n: int) -> Poly:
-        stirling = [1]  # row m of s(m, k), by s(m+1, k) = s(m, k-1) - m s(m, k)
-        for m in range(n):
-            stirling = [a - m * b for a, b in zip([0] + stirling, stirling + [0])]
-        falling = FallingFactorials()
-        return sum((falling.poly(k) * s for k, s in enumerate(stirling)), Poly.zero())
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
-        falling = FallingFactorials()
-        moments = []
-        for k in range(bound + 1):
-            cs = falling.coefficients(Poly.monomial(k))
-            moments.append(sum(cs[1:], Fraction(0)))
-        return Functional(moments)
+        return Functional((0,) + tuple(bell_number(k) for k in range(1, bound + 1)))
 
     def __str__(self) -> str:
         return "logfamily"

@@ -312,15 +312,27 @@ def test_expand_checks_its_cap_before_building_the_table(capsys, monkeypatch):
     assert sizes == []
 
 
-def test_verify_all_builds_one_shared_table_and_one_per_oracle_check(capsys, monkeypatch):
+def test_verify_all_builds_one_shared_table(capsys, monkeypatch):
     sizes = spy_on_tables(monkeypatch)
     status, _, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/p4.txt")
     assert status == 0
-    # the shared table, then rising-pairs, stable-counts and stanley build their own
-    assert sizes == [4, 4, 4, 4]
+    assert sizes == [4]
 
 
-@pytest.mark.parametrize("check", ["binomial", "power", "expansion", "derivative", "stanley"])
+def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_path):
+    # a 7-cycle is within the binomial cap of 7 but over the rising-pairs cap of 6
+    path = tmp_path / "c7.txt"
+    path.write_text(Graph.cycle(7).to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", "all", "--graph", str(path))
+    assert status == 3
+    assert out == "" and "rising-pairs check over 7 vertices exceeds cap 6" in err
+    assert sizes == []
+
+
+@pytest.mark.parametrize(
+    "check", ["binomial", "power", "expansion", "derivative", "rising-pairs", "stable-counts", "stanley"]
+)
 def test_graph_checks_test_their_caps_before_any_table(capsys, monkeypatch, tmp_path, check):
     path = tmp_path / "g16.txt"
     path.write_text(random_graphs(16, 1, seed=0x16, p=0.3)[0].to_text())
@@ -352,6 +364,18 @@ def test_cap_reaches_the_tail_forest_enumeration(capsys):
     status, out, _ = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--cap", "6")
     assert status == 0
     assert json.loads(out)["result"] == {"all_pass": True, "passed": 6, "failed": 0}
+
+
+def test_tail_forest_cap_warning_says_the_weight_cap_stays(capsys):
+    argv = ("oracle", "tail-forests", "--blocks", "3,3,3", "--k", "1", "--cap", "9")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 3 and out == ""
+    warning, error = err.splitlines()
+    assert warning == (
+        "warning: cap override 9; tail-forest enumeration over 9 blocks tries up to "
+        "9^9 = 387420489 tail sets; the weight cap of 8 stays"
+    )
+    assert error == "error: tail-forest enumeration over weight 9 exceeds cap 8"
 
 
 def test_verify_builds_the_table_over_the_subset_only(capsys, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setmaps.expansions import (
     check_binomial_type,
@@ -222,24 +224,51 @@ def test_theta_bijection_round_trip(rng):
             assert p[0] == Poly.one()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(standard_families() + (AbelPolynomials(-1), FallingFactorials(Fraction(1, 2)))),
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=3),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    ),
+)
+def test_basis_composite_re_sums_in_every_family(source, table):
+    # p = compose((F.poly(k)), h) is of binomial type for any h with h_0 = 0;
+    # its expansion in every other family G must re-sum to p on every subset
+    n = len(table).bit_length() - 1
+    h = SetMap(n, [Fraction(0)] + table[1:])
+    p = compose([source.poly(k) for k in range(n + 1)], h)
+    for fam in standard_families():
+        exp = expand(p, fam)
+        for S in range(1 << n):
+            assert exp.reconstruct(S) == p[S], (str(source), str(fam), S)
+
+
 # ---------------------------------------------------------------------------
 # chromatic coefficient interpretations
 # ---------------------------------------------------------------------------
 
 
+def with_table(verifier, graph, **kw):
+    return verifier(graph, chromatic_setmap(graph), **kw)
+
+
 def test_rising_orientation_pairs_k2_by_hand():
-    assert verify_rising_orientation_pairs(Graph.complete(2))
+    assert with_table(verify_rising_orientation_pairs, Graph.complete(2))
 
 
 def test_rising_orientation_pairs_edgeless_and_k3():
-    assert verify_rising_orientation_pairs(Graph.edgeless(3))
-    assert verify_rising_orientation_pairs(Graph.complete(3))
+    assert with_table(verify_rising_orientation_pairs, Graph.edgeless(3))
+    assert with_table(verify_rising_orientation_pairs, Graph.complete(3))
 
 
 def test_rising_orientation_pairs_small_corpus():
     for g in graphs_through(4):
         for S in range(1 << g.n):
-            assert verify_rising_orientation_pairs(g.restrict(S))
+            assert with_table(verify_rising_orientation_pairs, g.restrict(S))
 
 
 def test_abel_one_expansion_examples():
@@ -248,9 +277,9 @@ def test_abel_one_expansion_examples():
 
 
 def test_stable_count_expansion_examples():
-    assert verify_stable_count_expansion(Graph.complete(2))
-    assert verify_stable_count_expansion(Graph.path(3))
-    assert verify_stable_count_expansion(Graph(1))
+    assert with_table(verify_stable_count_expansion, Graph.complete(2))
+    assert with_table(verify_stable_count_expansion, Graph.path(3))
+    assert with_table(verify_stable_count_expansion, Graph(1))
 
 
 def test_chromatic_expansion_modes():
@@ -270,48 +299,36 @@ def test_chromatic_expansion_rejects_zero_evaluation_point():
 
 def test_stanley_verifier_small_corpus():
     for g in graphs_through(4):
-        assert verify_stanley_evaluation(g)
+        assert with_table(verify_stanley_evaluation, g)
 
 
-def test_graph_verifiers_check_their_caps_before_building_a_table(monkeypatch):
-    import setmaps.expansions as expansions
-
-    built = []
-    monkeypatch.setattr(expansions, "chromatic_setmap", built.append)
+def test_graph_verifiers_check_their_caps_before_reading_the_table():
+    # reading the table None would raise TypeError, not CapExceeded
     with pytest.raises(CapExceeded):
-        verify_rising_orientation_pairs(Graph.path(7))
+        verify_rising_orientation_pairs(Graph.path(7), None)
     with pytest.raises(CapExceeded):
-        verify_stable_count_expansion(Graph.path(9))
+        verify_stable_count_expansion(Graph.path(9), None)
     with pytest.raises(CapExceeded):
-        verify_stanley_evaluation(Graph.complete(7))  # 21 edges
+        verify_stanley_evaluation(Graph.complete(7), None)  # 21 edges
     with pytest.raises(CapExceeded):
-        verify_stanley_evaluation(Graph.complete(4), cap=5)
-    assert built == []
+        verify_stanley_evaluation(Graph.complete(4), None, cap=5)
 
 
-def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
+def test_verifiers_reject_a_corrupted_chromatic_table():
     # x^2 on the full set breaks binomial type; c*x would not, and the
     # expansion verifiers could not see it
-    import setmaps.expansions as expansions
-
-    build = expansions.chromatic_setmap
-
-    def corrupted(graph):
-        table = list(build(graph).table)
-        table[-1] = table[-1] + Poly.monomial(2)
-        return SetMap(graph.n, table)
-
-    monkeypatch.setattr(expansions, "chromatic_setmap", corrupted)
     c4 = Graph.cycle(4)
-    p = corrupted(c4)
-    assert not verify_rising_orientation_pairs(c4)
+    table = list(chromatic_setmap(c4).table)
+    table[-1] = table[-1] + Poly.monomial(2)
+    p = SetMap(c4.n, table)
+    assert not verify_rising_orientation_pairs(c4, p)
     assert not expansion_reconstructs(p, AbelPolynomials(1))
-    assert not verify_stable_count_expansion(c4)
+    assert not verify_stable_count_expansion(c4, p)
     for a in (0, 1, -1):
         assert not expansion_reconstructs(p, AbelPolynomials(a)), a
     for a in (1, -1, 2):
         assert not expansion_reconstructs(p, FallingFactorials(a)), a
-    assert not verify_stanley_evaluation(c4)
+    assert not verify_stanley_evaluation(c4, p)
 
 
 # ---------------------------------------------------------------------------

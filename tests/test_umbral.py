@@ -201,6 +201,50 @@ def test_log_family_matches_partition_sum_definition():
         assert LogPolynomials().poly(n) == log_family_by_partitions(n), n
 
 
+def closed_form(fam, n):
+    """Member n of a shipped family by its textbook closed form, not by the
+    derivation from the delta functional that ``poly`` runs."""
+    x = Poly.x()
+    if isinstance(fam, Monomials):
+        return Poly.monomial(n)
+    if isinstance(fam, FallingFactorials):
+        result = Poly.one()
+        for i in range(n):
+            result = result * (x / fam.step - i)
+        return result
+    if isinstance(fam, RisingFactorials):
+        result = Poly.one()
+        for i in range(n):
+            result = result * (x + i)
+        return result
+    if isinstance(fam, AbelPolynomials):
+        return Poly.one() if n == 0 else x * (x - fam.point * n) ** (n - 1)
+    if isinstance(fam, LogPolynomials):
+        stirling = [1]  # row m of s(m, k), by s(m+1, k) = s(m, k-1) - m s(m, k)
+        for m in range(n):
+            stirling = [a - m * b for a, b in zip([0] + stirling, stirling + [0])]
+        falling = FallingFactorials()
+        return sum((closed_form(falling, k) * s for k, s in enumerate(stirling)), Poly.zero())
+    raise TypeError(f"no closed form for {fam}")
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=str)
+def test_derived_members_equal_the_closed_forms(fam):
+    for n in range(13):
+        assert fam.poly(n) == closed_form(fam, n), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((FallingFactorials, AbelPolynomials)),
+    fractions_st.filter(lambda a: a != 0),
+)
+def test_derived_members_equal_the_closed_forms_at_drawn_parameters(kind, a):
+    fam = kind(a)
+    for n in range(13):
+        assert fam.poly(n) == closed_form(fam, n), (str(fam), n)
+
+
 def test_falling_family_poly_and_delta():
     fam = FallingFactorials(1)
     assert fam.poly(2) == Poly((0, -1, 1))
