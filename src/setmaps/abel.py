@@ -12,6 +12,9 @@ tail forests: sets of tails (block, element) with distinct origin blocks
 whose induced digraph on blocks is a directed forest, the set-partition
 analogue of planted forests.  Only block sizes matter, so the type below
 stores nothing else; elements are addressed as (block, offset) pairs.
+The partition-sum checks of the closed form and of its coefficients of
+x^k run over all the blocks of their partition; the blocks of a subset
+form a partition of their own (``BlockPartition.restrict``).
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ class BlockPartition:
     def full_mask(self) -> int:
         return (1 << len(self.sizes)) - 1
 
+    def restrict(self, mask: int) -> "BlockPartition":
+        """The blocks selected by ``mask``, in block order, as a partition of
+        their own."""
+        if mask & ~self.full_mask:
+            raise ValueError(f"block subset {mask} outside {self.block_count} blocks")
+        return BlockPartition(tuple(s for i, s in enumerate(self.sizes) if (mask >> i) & 1))
+
     def subset_weight(self, mask: int) -> int:
         """Total element count of the blocks selected by ``mask``."""
         if mask & ~self.full_mask:
@@ -75,8 +85,6 @@ def abel_poly(blocks: BlockPartition, mask: int) -> Poly:
     """
     count = mask.bit_count()
     if count == 0:
-        if mask & ~blocks.full_mask:
-            raise ValueError("block subset outside partition")
         return Poly.one()
     w = blocks.subset_weight(mask)
     return Poly.x() * Poly((w, 1)) ** (count - 1)
@@ -118,45 +126,38 @@ def abel_general_setmap(alpha: SetMap, cap: int = ABEL_BLOCK_CAP) -> SetMap:
     return SetMap(n, table)
 
 
-def verify_closed_form_partition_sum(
-    blocks: BlockPartition, subset: Optional[int] = None, cap: int = PARTITION_SUM_CAP
-) -> bool:
-    """Check f_pi = sum over partitions gamma of pi of x^len(gamma) * prod w(rho)^(len(rho)-1).
-
-    gamma runs over set partitions of the chosen blocks; rho is a block of
-    gamma, i.e. a set of blocks, with w its total element count.
-    """
-    target = blocks.full_mask if subset is None else subset
-    if target & ~blocks.full_mask:
-        raise ValueError(f"block subset {target} outside {blocks.block_count} blocks")
-    if target.bit_count() > cap:
-        raise CapExceeded(
-            f"partition sum over {target.bit_count()} blocks exceeds cap {cap}"
-        )
-    acc = Poly.zero()
-    for gamma in partitions_of(target):
-        term = Poly.monomial(len(gamma))
+def _partition_weight_sums(blocks: BlockPartition) -> list[int]:
+    """sums[k] = sum over k-part partitions gamma of the blocks of prod
+    w(rho)^(len(rho)-1), k = 0..n; rho, a part of gamma, is a set of blocks,
+    and w(rho) their total element count."""
+    sums = [0] * (blocks.block_count + 1)
+    for gamma in partitions_of(blocks.full_mask):
+        term = 1
         for rho in gamma:
-            term = term * blocks.subset_weight(rho) ** (rho.bit_count() - 1)
-        acc = acc + term
-    return acc == abel_poly(blocks, target)
+            term *= blocks.subset_weight(rho) ** (rho.bit_count() - 1)
+        sums[len(gamma)] += term
+    return sums
+
+
+def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = PARTITION_SUM_CAP) -> bool:
+    """Check f = sum over partitions gamma of the blocks of
+    x^len(gamma) * prod w(rho)^(len(rho)-1), on all the blocks (restrict
+    them first for a subset)."""
+    if blocks.block_count > cap:
+        raise CapExceeded(f"partition sum over {blocks.block_count} blocks exceeds cap {cap}")
+    return Poly(_partition_weight_sums(blocks)) == abel_poly(blocks, blocks.full_mask)
 
 
 def verify_forest_coefficients(
-    blocks: BlockPartition,
-    subset: Optional[int] = None,
-    k: Optional[int] = None,
-    cap: int = PARTITION_SUM_CAP,
+    blocks: BlockPartition, k: Optional[int] = None, cap: int = PARTITION_SUM_CAP
 ) -> bool:
-    """Check C(n-1, k-1) w^(n-k) = sum over k-part partitions of prod w(rho)^(len(rho)-1).
+    """Check C(n-1, k-1) w^(n-k) = sum over k-part partitions of prod w(rho)^(len(rho)-1),
+    the closed form's coefficient of x^k.
 
-    n is the number of chosen blocks and w their total weight; with
-    k = None every k in 1..n is checked.
+    n is the number of blocks and w their total weight (restrict the blocks
+    first for a subset); with k = None every k in 1..n is checked.
     """
-    target = blocks.full_mask if subset is None else subset
-    if target & ~blocks.full_mask:
-        raise ValueError(f"block subset {target} outside {blocks.block_count} blocks")
-    n = target.bit_count()
+    n = blocks.block_count
     if n > cap:
         raise CapExceeded(f"partition sum over {n} blocks exceeds cap {cap}")
     if n == 0:
@@ -165,13 +166,8 @@ def verify_forest_coefficients(
     for kk in ks:
         if not 1 <= kk <= n:
             raise ValueError(f"k must be in 1..{n}, got {kk}")
-    w = blocks.subset_weight(target)
-    sums = [0] * (n + 1)
-    for gamma in partitions_of(target):
-        term = 1
-        for rho in gamma:
-            term *= blocks.subset_weight(rho) ** (rho.bit_count() - 1)
-        sums[len(gamma)] += term
+    w = blocks.weight
+    sums = _partition_weight_sums(blocks)
     return all(math.comb(n - 1, kk - 1) * w ** (n - kk) == sums[kk] for kk in ks)
 
 

@@ -341,6 +341,17 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         for check, default in _GRAPH_CHECK_CAPS.items()
         if name in (check, "all")
     }
+    # usage errors come before caps: build the families and read --x/--k first
+    if "expansion" in caps:
+        families = (
+            standard_families() if ns.basis is None else (family_from_string(ns.basis),)
+        )
+    abel_a = AbelPolynomials(Fraction(0) if ns.x is None else ns.x)
+    if "evaluation" in caps:
+        falling_a = FallingFactorials(Fraction(1) if ns.x is None else ns.x)
+    x0, y0 = (Fraction(2) if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
+    if "power" in caps and y0 < 1:
+        raise ValueError("the exponent must be a positive integer")
     for check, cap in caps.items():
         size, unit = (graph.edge_count, "edges") if check == "stanley" else (graph.n, "vertices")
         if size > cap:
@@ -355,9 +366,6 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     if "binomial" in caps:
         run("binomial-type", check_binomial_type, p, caps["binomial"])
     if "expansion" in caps:
-        families = (
-            standard_families() if ns.basis is None else (family_from_string(ns.basis),)
-        )
         for family in families:
             run(f"expansion {family}", expansion_reconstructs, p, family, caps["expansion"])
     if "rising-pairs" in caps:
@@ -368,14 +376,10 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     if "stable-counts" in caps:
         run("stable-counts", verify_stable_count_expansion, graph, p, caps["stable-counts"])
     if "derivative" in caps:
-        a = Fraction(0) if ns.x is None else ns.x
-        run(f"derivative a={a}", expansion_reconstructs, p, AbelPolynomials(a), caps["derivative"])
+        run(f"derivative a={abel_a.point}", expansion_reconstructs, p, abel_a, caps["derivative"])
     if "evaluation" in caps:
-        a = Fraction(1) if ns.x is None else ns.x
-        run(f"evaluation a={a}", expansion_reconstructs, p, FallingFactorials(a), caps["evaluation"])
+        run(f"evaluation a={falling_a.step}", expansion_reconstructs, p, falling_a, caps["evaluation"])
     if "power" in caps:
-        x0 = Fraction(2) if ns.x is None else ns.x
-        y0 = 2 if ns.k is None else ns.k
         run(f"power x0={x0} y0={y0}", verify_power_identity, p, x0, y0, caps["power"])
     if "stanley" in caps:
         run("stanley", verify_stanley_evaluation, graph, p, caps["stanley"])
@@ -383,20 +387,18 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
 
 
 def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
+    """Run the selected check on ``blocks``, already restricted to the subset."""
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     checks: list[tuple[str, bool]] = []
     name = ns.check
-    subset = blocks.full_mask if ns.subset is None else ns.subset
     if name == "closed-form":
-        checks.append(
-            ("closed-form", verify_closed_form_partition_sum(blocks, subset, **kwargs))
-        )
+        checks.append(("closed-form", verify_closed_form_partition_sum(blocks, **kwargs)))
     if name == "forest-count":
-        checks.append(
-            ("forest-count", verify_forest_coefficients(blocks, subset, ns.k, **kwargs))
-        )
+        checks.append(("forest-count", verify_forest_coefficients(blocks, ns.k, **kwargs)))
     if name == "tail-forests":
         n = blocks.block_count
+        if n == 0:
+            raise ValueError("the identity needs at least one block")
         w = blocks.weight
         ks = range(1, n + 1) if ns.k is None else (ns.k,)
         for k in ks:
@@ -404,6 +406,10 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
             expected = math.comb(n - 1, k - 1) * w ** (n - k)
             checks.append((f"tail-forests k={k}", counted == expected))
     return checks
+
+
+def _block_subset(ns: argparse.Namespace, blocks: BlockPartition) -> BlockPartition:
+    return blocks if ns.subset is None else blocks.restrict(ns.subset)
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -415,7 +421,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
         if ns.blocks is None:
             raise ValueError(f"check {ns.check!r} needs --blocks")
         blocks = BlockPartition(ns.blocks)
-        checks = _block_check_list(ns, blocks)
+        checks = _block_check_list(ns, _block_subset(ns, blocks))
         source = {"blocks": list(blocks.sizes)}
     else:
         raise ValueError(
@@ -441,7 +447,9 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         if ns.k is None:
             raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
-        count = count_tail_forests(blocks, ns.k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap)
+        count = count_tail_forests(
+            _block_subset(ns, blocks), ns.k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap
+        )
         source: dict = {"blocks": list(blocks.sizes), "k": ns.k}
     else:
         graph = _load_graph(ns)

@@ -10,9 +10,11 @@ and any binomial-type basis a with delta functional A, the map expands as
     p_S(x) = sum over set partitions sigma of S of
              a_{len(sigma)}(x) * prod over blocks T of A p_T(x),
 
-so the basis coefficients of every p_S are partition sums of functional
-applications; ``expansion_reconstructs`` checks that re-summation in any
-basis.  The chromatic set map is the headline instance.  Its derivative-
+that is, p = compose((a_k), A p) as set maps.  ``expand`` applies A once
+per subset and sums the partitions of the whole ground set by block
+count; ``expansion_reconstructs`` checks that re-summation in any basis,
+and composing the basis with the coefficients checks it on every subset
+at once.  The chromatic set map is the headline instance.  Its derivative-
 and evaluation-at-a expansions are that check in the Abel and falling
 bases (see ``AbelPolynomials`` and ``FallingFactorials``); the verifiers
 below check the coefficient interpretations that need an oracle of their
@@ -24,9 +26,8 @@ chromatic table, and checks its cap before it reads the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .graphs import EDGE_ENUM_CAP, Graph, count_acyclic_orientations, count_stable_partitions
 from .ring import CapExceeded, SetMap, block_sums, partitions_of, subsets_of
@@ -69,32 +70,26 @@ class Expansion:
 
     ``coeffs`` holds the functional application A p_T for every subset T
     (zero on the empty set, since a delta functional kills constants).
-    ``sums`` holds their block sums for every T, so one coefficient pass
-    and one kernel run serve every reconstruction.
+    ``lengths`` holds their block sums c_k over the whole ground set, from
+    one kernel run.  On every subset at once the expansion theorem is the
+    set-map identity compose((a_k), coeffs) == p.
     """
 
     family: BinomialFamily
     coeffs: SetMap
-    sums: dict = field(repr=False, compare=False)
+    lengths: tuple
 
-    def by_length(self, subset: Optional[int] = None) -> tuple:
-        """Aggregate c_k = sum over k-block partitions of the coefficient
-        product, over ``subset`` (the whole ground set by default)."""
-        full = self.coeffs.full_mask
-        if subset is None:
-            subset = full
-        elif subset & ~full:
-            raise ValueError(
-                f"subset {subset} not contained in a ground set of size {self.coeffs.n}"
-            )
-        return self.sums[subset]
+    def by_length(self) -> tuple:
+        """c_k = sum over k-block partitions of the ground set of the
+        coefficient product, for k = 0..n."""
+        return self.lengths
 
-    def reconstruct(self, subset: Optional[int] = None) -> Poly:
+    def reconstruct(self) -> Poly:
         """Re-sum the expansion: sum_k c_k a_k(x), a partition sum grouped by
         block count, exact because a partition's basis polynomial depends
         only on its block count."""
         acc = Poly.zero()
-        for k, c in enumerate(self.by_length(subset)):
+        for k, c in enumerate(self.by_length()):
             if c:
                 acc = acc + self.family.poly(k) * c
         return acc
@@ -113,7 +108,7 @@ def expand(
         raise CapExceeded(f"expansion over a {p.n}-element subset exceeds cap {cap}")
     functional = family.delta(max(1, max(q.degree for q in p.table)))
     coeffs = [functional(q) for q in p.table]
-    return Expansion(family, SetMap(p.n, coeffs), block_sums(coeffs, p.full_mask))
+    return Expansion(family, SetMap(p.n, coeffs), block_sums(coeffs)[p.full_mask])
 
 
 def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = EXPAND_CAP) -> bool:

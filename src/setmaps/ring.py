@@ -18,10 +18,11 @@ the exponential formula,
 
 and generalizes EGF composition.  Every such partition sum goes through
 one kernel, ``block_sums``, which groups the sum by block count for every
-subset at once; composition, inverse, decomposition and sequence recovery
-are sequence (EGF) algebra on top of it.  All arithmetic is exact: values
-are fractions.Fraction or int.  Polynomial values work only in sums and in
-the sequence terms of ``compose``; the product and the kernel, and so every
+subset of a table's ground set at once, in a list indexed by mask;
+composition, inverse, decomposition and sequence recovery are sequence
+(EGF) algebra on top of it.  All arithmetic is exact: values are
+fractions.Fraction or int.  Polynomial values work only in sums and in the
+sequence terms of ``compose``; the product and the kernel, and so every
 map they read, are rational, and run on ints over one common denominator.
 """
 
@@ -261,21 +262,20 @@ def _transform(a: list, op: Callable) -> list:
     return a
 
 
-def block_sums(table, subset: int) -> dict[int, tuple[Fraction, ...]]:
-    """For every submask T of ``subset``, the tuple (c_0, ..., c_|T|) with c_k
-    the sum over k-block set partitions of T of the product of the rational
-    ``table`` over the blocks (c_0 is 1 on the empty set, 0 elsewhere).
+def block_sums(table) -> list[tuple[Fraction, ...]]:
+    """A list indexed by mask T of the rational ``table``: the tuple
+    (c_0, ..., c_|T|) with c_k the sum over k-block set partitions of T of
+    the product of the table over the blocks (c_0 is 1 on the empty set).
 
     Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
     "Fourier meets Moebius", STOC 2007): c_k = f^{*k} / k!, with f^{*k} the
     k-fold disjoint product.  Zeta-transforming f rank by rank makes that
     product a polynomial product in the rank at every mask; the rank-r
     layer of the k-th power, Moebius-transformed, is f^{*k} on r-sets.
-    O(m^3 2^m) for m = |subset|, on ints over one common denominator.
+    O(m^3 2^m) for m elements, on ints over one common denominator.
     """
-    masks = sorted(subsets_of(subset))  # position t is the t-th submask in bit order
-    size, m = len(masks), subset.bit_count()
-    values = [0] + [table[T] for T in masks[1:]]
+    size, m = len(table), len(table).bit_length() - 1
+    values = [0, *table[1:]]
     f, scale = _scaled(values)
     ranks = [t.bit_count() for t in range(size)]
     by_rank = [[t for t in range(size) if ranks[t] == r] for r in range(m + 1)]
@@ -298,7 +298,7 @@ def block_sums(table, subset: int) -> dict[int, tuple[Fraction, ...]]:
             layer = _transform(list(power[r]), operator.sub)
             for t in by_rank[r]:
                 sums[t].append(Fraction(layer[t], denominator))
-    return {T: tuple(s) for T, s in zip(masks, sums)}
+    return [tuple(s) for s in sums]
 
 
 def compose(terms: Iterable, inner: SetMap) -> SetMap:
@@ -319,7 +319,7 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
             f"sequence too short: composition over ground-set size {n} needs terms 0..{n}, "
             f"got {len(seq)}"
         )
-    sums = block_sums(inner.table, inner.full_mask)
+    sums = block_sums(inner.table)
     return SetMap(n, (_weigh(seq, sums[S]) for S in range(1 << n)))
 
 
@@ -405,7 +405,7 @@ def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
     for v in range(max_n):
         if inner.table[1 << v] == 0:
             raise ValueError("recovery requires nonzero values on one-element subsets")
-    sums = block_sums(inner.table, inner.full_mask)
+    sums = block_sums(inner.table)
     terms: list = [outer.table[0]]
     for m in range(1, max_n + 1):
         lengths = sums[(1 << m) - 1]

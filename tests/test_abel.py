@@ -39,6 +39,19 @@ def test_block_partition_validation():
     assert len(bp.elements()) == 6
 
 
+def test_block_partition_restrict_keeps_block_order():
+    bp = BlockPartition((2, 1, 3, 1))
+    assert bp.restrict(0b1101).sizes == (2, 3, 1)
+    assert bp.restrict(0b0110).sizes == (1, 3)
+    assert bp.restrict(bp.full_mask) == bp
+    assert bp.restrict(0).sizes == ()
+    # the restricted closed form is the closed form at the subset
+    assert abel_poly(bp.restrict(0b1101), 0b111) == abel_poly(bp, 0b1101)
+    for mask in (0b10000, 0b10101, -1):
+        with pytest.raises(ValueError, match="outside 4 blocks"):
+            bp.restrict(mask)
+
+
 def test_single_block_gives_x():
     for size in (1, 2, 5):
         assert abel_poly(BlockPartition((size,)), 1) == Poly.x()

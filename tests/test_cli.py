@@ -416,3 +416,38 @@ def test_closed_stdout_exits_cleanly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "graph, extra",
+    [
+        (Graph.cycle(7), ("--basis", "nope")),  # over the rising-pairs cap of 6
+        (Graph.complete(6), ("--cap", "6", "--x", "0")),  # 15 edges over the stanley cap
+        (Graph.complete(6), ("--cap", "6", "--k", "0")),
+    ],
+)
+def test_usage_errors_come_before_caps(capsys, monkeypatch, tmp_path, graph, extra):
+    path = tmp_path / "g.txt"
+    path.write_text(graph.to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", "all", "--graph", str(path), *extra)
+    assert status == 2
+    assert out == "" and "exceeds cap" not in err
+    assert sizes == []
+
+
+def test_tail_forests_honour_the_subset(capsys):
+    blocks = ("--blocks", "2,1,1")
+    status, out, err = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--subset", "99")
+    assert status == 2 and out == "" and "block subset 99 outside 3 blocks" in err
+    status, out, err = run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1", "--subset", "99")
+    assert status == 2 and out == "" and "block subset 99 outside 3 blocks" in err
+    # --subset 3 keeps the blocks of sizes 2 and 1: two blocks of weight 3
+    status, out, _ = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--subset", "3")
+    payload = json.loads(out)
+    assert status == 0 and payload["input"]["blocks"] == [2, 1, 1]
+    assert [c["name"] for c in payload["checks"]] == ["tail-forests k=1", "tail-forests k=2"]
+    status, out, _ = run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1", "--subset", "3")
+    assert status == 0 and json.loads(out)["result"]["count"] == 3  # C(1, 0) * 3^1
+    status, _, err = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--subset", "0")
+    assert status == 2 and "at least one block" in err
