@@ -7,7 +7,7 @@ Usage:
 
 For each basis the table shows the per-length coefficients c_k (so that
 chi = sum_k c_k a_k) and the rebuilt polynomial, which must match the
-deletion-contraction polynomial exactly.  The chromatic table is built
+chromatic polynomial exactly.  The chromatic table is built
 once, over the submasks of the subset only.
 """
 

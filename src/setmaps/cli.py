@@ -224,8 +224,9 @@ def _warn_cap(ns: argparse.Namespace) -> None:
 
     costs = {
         "kernel": (
-            f"the chromatic table covers {count(f'2^{cap}', lambda: 2**cap)} subsets and the "
-            f"block-sum kernel takes about "
+            f"the chromatic table sums over at most "
+            f"{count(f'(3^{cap}-1)/2', lambda: (3**cap - 1) // 2)} (subset, color class) "
+            f"pairs and the block-sum kernel takes about "
             f"{count(f'2^{cap}*{cap}^3', lambda: 2**cap * cap**3)} steps"
         ),
         "partitions": (
@@ -412,6 +413,14 @@ def _block_subset(ns: argparse.Namespace, blocks: BlockPartition) -> BlockPartit
     return blocks if ns.subset is None else blocks.restrict(ns.subset)
 
 
+def _block_input(ns: argparse.Namespace, blocks: BlockPartition) -> dict:
+    """The blocks, and the subset when ``--subset`` selects some of them."""
+    source: dict = {"blocks": list(blocks.sizes)}
+    if ns.subset is not None:
+        source["subset"] = ns.subset
+    return source
+
+
 def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
         graph = _load_graph(ns)
@@ -422,7 +431,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
             raise ValueError(f"check {ns.check!r} needs --blocks")
         blocks = BlockPartition(ns.blocks)
         checks = _block_check_list(ns, _block_subset(ns, blocks))
-        source = {"blocks": list(blocks.sizes)}
+        source = _block_input(ns, blocks)
     else:
         raise ValueError(
             f"unknown check {ns.check!r}; expected one of "
@@ -450,7 +459,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         count = count_tail_forests(
             _block_subset(ns, blocks), ns.k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap
         )
-        source: dict = {"blocks": list(blocks.sizes), "k": ns.k}
+        source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
         graph = _load_graph(ns)
         restricted = graph.restrict(_subset(ns, graph))

@@ -9,12 +9,19 @@ and exact Newton interpolation through coloring counts, found by
 backtracking over color classes.  Their agreement is an acceptance check,
 so none of them may share logic.
 
-Deletion-contraction is the production path.  It works on plain int
-coefficient tuples, lowest degree first, memoized on a degree-sorted
-relabeling in a memo scoped to one call; a Poly is built once per answer.
-Before it splits an edge it peels off what the sort puts first: k
-isolated vertices give x^k times the rest, and a leaf at vertex 0 gives
-(x - 1) times the graph without it.
+Deletion-contraction builds a single polynomial (``chromatic_poly``).  It
+works on plain int coefficient tuples, lowest degree first, memoized on a
+degree-sorted relabeling in a memo scoped to one call; a Poly is built
+once per answer.  Before it splits an edge it peels off what the sort
+puts first: k isolated vertices give x^k times the rest, and a leaf at
+vertex 0 gives (x - 1) times the graph without it.
+
+The chromatic table (``chromatic_setmap``) is the paper's expansion in
+the falling-factorial basis, chi_S = sum over partitions sigma of S into
+stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
+pass over the masks counts the stable partitions of every subset by
+block count, and no induced subgraph is built; deletion-contraction is
+its test oracle.
 
 The counting oracles (proper colorings, acyclic orientations, stable
 partitions, unique-sink and sink-source orientations, per Stanley and
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from typing import Iterable, Iterator
 
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, partitions_of
@@ -231,17 +239,103 @@ def chromatic_poly(graph: Graph) -> Poly:
     return Poly(_chromatic(graph.n, graph.edges, {}))
 
 
+_SLOT = 64  # bits per packed count; s_k(S) <= Bell(20) < 2^46
+# little-endian layouts of 0..21 unsigned and signed 64-bit slots
+_UNSIGNED = [struct.Struct(f"<{w}Q") for w in range(MAX_GROUND_SIZE + 2)]
+_SIGNED = [struct.Struct(f"<{w}q") for w in range(MAX_GROUND_SIZE + 2)]
+
+
+def _slots(packed: int, width: int) -> tuple:
+    """The first ``width`` unsigned 64-bit slots of ``packed``, lowest first."""
+    return _UNSIGNED[width].unpack(packed.to_bytes(8 * width, "little"))
+
+
+def _stable_partition_counts(graph: Graph) -> list[int]:
+    """For every mask S, the counts s_k(S) of stable partitions of S into k
+    blocks, packed into one int: s_k(S) in bits 64k to 64k + 63.
+
+    With v the top vertex of S and R = S - v, the block holding v is v plus
+    an independent set I of R that avoids the neighbors of v, so
+    packed[S] = (sum of packed[R - I] over those I) << 64.  The masks with
+    top vertex v are visited as A | C | v, with C the neighbors of v in S
+    and A the rest of R, by a depth-first walk over A that extends the list
+    of independent subsets of A one vertex at a time.  When C is empty, v
+    is isolated in S, chi_S = x chi_R and s_k(S) = s_{k-1}(R) + k s_k(R),
+    which takes one pass over the slots instead of the sum.
+    """
+    n = graph.n
+    adj = [0] * n
+    for u, v in graph.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    packed = [0] * (1 << n)
+    packed[0] = 1
+    get = packed.__getitem__
+    times_k = [k << _SLOT * k for k in range(n + 1)]
+
+    def isolated(R: int) -> int:
+        counts = _slots(packed[R], R.bit_count() + 1)
+        return (packed[R] << _SLOT) + sum(map(operator.mul, counts, times_k))
+
+    for v in range(n):
+        top = 1 << v
+        near = adj[v] & (top - 1)
+        if not near:
+            packed[top : 2 * top] = map(isolated, range(top))
+            continue
+        far = [u for u in range(v) if not near >> u & 1]
+        sides = [0]
+        for u in range(v):
+            if near >> u & 1:
+                sides += [c | 1 << u for c in sides]
+        sides = sides[1:]  # the nonempty submasks of near: C when v has a neighbor in S
+
+        def visit(A: int, independent: list, start: int) -> None:
+            # independent: the independent subsets of A
+            packed[A | top] = isolated(A)
+            rests = list(map(A.__xor__, independent))
+            for C in sides:
+                packed[A | C | top] = sum(map(get, map(C.__or__, rests))) << _SLOT
+            for i in range(start, len(far)):
+                bit, blocked = 1 << far[i], adj[far[i]]
+                grown = independent + [I | bit for I in independent if not I & blocked]
+                visit(A | bit, grown, i + 1)
+
+        visit(0, [0], 0)
+    return packed
+
+
 def chromatic_setmap(graph: Graph) -> SetMap:
     """The map S -> chromatic polynomial of the induced subgraph on S.
 
-    One deletion-contraction memo serves all 2^n induced subgraphs, which
-    share most of their subproblems, and is dropped when the table is built.
+    One pass over the masks counts the stable partitions of every subset
+    by block count (``_stable_partition_counts``), and each count vector
+    becomes monomial coefficients through the signed Stirling numbers of
+    the first kind: chi_S = sum_k s_k(S) (x)_k and (x)_k = sum_j s(k, j) x^j.
+    Every Poly is built from plain ints.
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
-    memo: dict = {}
-    induced = map(graph.restrict, range(1 << graph.n))
-    return SetMap(graph.n, (Poly(_chromatic(sub.n, sub.edges, memo)) for sub in induced))
+    n = graph.n
+    packed = _stable_partition_counts(graph)
+    # (x)_k as packed monomial coefficients: the int sum_j s(k, j) 2^(64 j)
+    falling = [1]
+    for k in range(1, n + 1):
+        falling.append((falling[-1] << _SLOT) - (k - 1) * falling[-1])
+    # |chi_S coefficients| sum to |chi_S(-1)| <= |S|! < 2^63, so adding 2^63 to
+    # every slot carries nowhere, and flipping that bit back leaves each slot
+    # in two's complement
+    bias = [0]
+    for m in range(n + 1):
+        bias.append(bias[-1] | 1 << (_SLOT * m + _SLOT - 1))
+
+    def poly(S: int) -> Poly:
+        width = S.bit_count() + 1
+        mono = sum(map(operator.mul, _slots(packed[S], width), falling))
+        b = bias[width]
+        return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
+
+    return SetMap(n, map(poly, range(1 << n)))
 
 
 def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:

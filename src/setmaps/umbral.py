@@ -25,28 +25,38 @@ exponential generating function (1 + log(1+t))^x.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ring import bell_number
+from .ring import MAX_GROUND_SIZE, bell_number
 
 _Scalar = (int, Fraction)
+_KEPT = {int, Fraction}  # coefficient types a Poly stores as given
+_INT = {int}
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction; coeffs[k] multiplies x^k.
+    """Dense univariate polynomial with exact rational coefficients;
+    coeffs[k] multiplies x^k.
 
-    Normalized: no trailing zero coefficients; the zero polynomial stores
-    an empty tuple and reports degree -1 (a stand-in for minus infinity).
-    Immutable and hashable.
+    A coefficient given as an int or a Fraction is kept as it is, anything
+    else is converted with Fraction, so a polynomial built from ints (a
+    chromatic polynomial, say) keeps int coefficients; since
+    hash(Fraction(3)) == hash(3), equality and hashing do not see the
+    difference.  Arithmetic never produces a float: a quotient of
+    coefficients goes through Fraction.  Normalized: no trailing zero
+    coefficients; the zero polynomial stores an empty tuple and reports
+    degree -1 (a stand-in for minus infinity).  Immutable and hashable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not _KEPT.issuperset(map(type, cs)):
+            cs = [c if type(c) is int or isinstance(c, Fraction) else Fraction(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -220,16 +230,19 @@ class Functional:
     """Linear functional on polynomials, stored by moments on 1, x, x^2, ...
 
     Applying to a polynomial of degree above the stored bound is an error,
-    never a truncation.
+    never a truncation.  On int coefficients the application is one int
+    dot product with the moments scaled to a common denominator, and one
+    Fraction.
     """
 
-    __slots__ = ("moments",)
+    __slots__ = ("moments", "_scaled")
 
     def __init__(self, moments: Iterable):
         ms = tuple(m if isinstance(m, Fraction) else Fraction(m) for m in moments)
         if not ms:
             raise ValueError("a functional needs at least the moment on 1")
         self.moments = ms
+        self._scaled = None  # (int moments, common denominator), on first use
 
     @classmethod
     def evaluation_at(cls, point, bound: int) -> "Functional":
@@ -254,6 +267,12 @@ class Functional:
                 f"polynomial degree {f.degree} exceeds functional bound {self.bound};"
                 " refusing to truncate"
             )
+        if _INT.issuperset(map(type, f.coeffs)):
+            if self._scaled is None:
+                scale = math.lcm(*(m.denominator for m in self.moments))
+                self._scaled = ([m.numerator * (scale // m.denominator) for m in self.moments], scale)
+            ints, scale = self._scaled
+            return Fraction(sum(map(operator.mul, f.coeffs, ints)), scale)
         acc = Fraction(0)
         for c, m in zip(f.coeffs, self.moments):
             acc += c * m
@@ -295,16 +314,20 @@ class Functional:
         return f"Functional([{', '.join(str(m) for m in self.moments)}])"
 
 
-# bounded; the eight standard families through degree 20 take 168 entries
-@lru_cache(maxsize=256)
-def _family_poly(family: "BinomialFamily", n: int) -> Poly:
-    if n == 0:
-        return Poly.one()
+# bounded: members a_0..a_20 of at most 12 families, 252 entries; the eight
+# standard families through degree 20 take 168
+_CACHED_FAMILIES = 12
+_CACHED_DEGREES = MAX_GROUND_SIZE + 1
+_members: dict = {}  # family -> [a_0, a_1, ...], oldest family first
+
+
+def _next_member(family: "BinomialFamily", n: int, below: Poly) -> Poly:
+    """a_n from a_{n-1} = ``below``, for n >= 1."""
     # solve Q a_n = n a_{n-1} (module docstring) for a_n = sum_j c_j x^j top down:
     # the x^i coefficient, sum_{k>=1} C(i+k, k) m_k c_{i+k} = n [x^i] a_{n-1}, fixes c_{i+1}
     m = family.delta(n).moments
     steps = [k for k in range(2, n + 1) if m[k]]
-    rhs = _family_poly(family, n - 1).coeffs
+    rhs = below.coeffs
     c = [Fraction(0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         acc = n * rhs[i]
@@ -312,7 +335,7 @@ def _family_poly(family: "BinomialFamily", n: int) -> Poly:
             if i + k > n:
                 break
             acc -= math.comb(i + k, k) * m[k] * c[i + k]
-        c[i + 1] = acc / ((i + 1) * m[1])
+        c[i + 1] = acc / ((i + 1) * m[1])  # a Fraction: the moments are Fractions
     return Poly(c)
 
 
@@ -320,10 +343,26 @@ class BinomialFamily:
     """A binomial-type polynomial basis, fixed by its delta functional."""
 
     def poly(self, n: int) -> Poly:
-        """The degree-n member of the family, derived from the delta moments; a_0 = 1."""
+        """The degree-n member of the family, derived from the delta moments; a_0 = 1.
+
+        Members are derived bottom up from the highest one cached below n,
+        so no degree recurses.
+        """
         if n < 0:
             raise ValueError("family index must be nonnegative")
-        return _family_poly(self, n)
+        members = _members.get(self)
+        if members is None:
+            if len(_members) >= _CACHED_FAMILIES:
+                del _members[next(iter(_members))]
+            members = _members[self] = [Poly.one()]
+        if n < len(members):
+            return members[n]
+        member = members[-1]
+        for j in range(len(members), n + 1):
+            member = _next_member(self, j, member)
+            if j < _CACHED_DEGREES:
+                members.append(member)
+        return member
 
     def delta(self, bound: int) -> Functional:
         """Moment vector, up to the given degree, of the associated functional."""
@@ -338,7 +377,7 @@ class BinomialFamily:
         while remainder:
             d = remainder.degree
             basis = self.poly(d)
-            c = remainder.coeffs[d] / basis.coeffs[d]
+            c = Fraction(remainder.coeffs[d]) / basis.coeffs[d]
             out[d] = c
             remainder = remainder - basis * c
         return tuple(out)

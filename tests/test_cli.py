@@ -151,7 +151,7 @@ def test_expand_cap_warning_prices_the_kernel_not_partitions(capsys):
     status, out, err = run_cli(capsys, *argv, "--cap", "13")
     assert status == 0
     assert out == plain and quiet == ""
-    assert "2^13 = 8192 subsets" in err and "2^13*13^3" in err
+    assert "(3^13-1)/2 = 797161 (subset, color class) pairs" in err and "2^13*13^3" in err
     assert "Bell" not in err
 
 
@@ -159,7 +159,10 @@ def test_expand_cap_warning_prices_the_kernel_not_partitions(capsys):
     "argv, priced",
     [
         (("verify", "--check", "stable-counts", "--graph", f"{GRAPHS}/c5.txt"), "Bell(7) = 877"),
-        (("verify", "--check", "abel-one", "--graph", f"{GRAPHS}/c5.txt"), "2^7 = 128 subsets"),
+        (
+            ("verify", "--check", "abel-one", "--graph", f"{GRAPHS}/c5.txt"),
+            "(3^7-1)/2 = 1093 (subset, color class) pairs",
+        ),
         (("verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt"), "3^7 = 2187 pairs"),
         (("oracle", "acyclic", "--graph", f"{GRAPHS}/c5.txt"), "2^7 = 128 orientations"),
         (("oracle", "colorings", "--graph", f"{GRAPHS}/c5.txt", "--x", "3"), "no stage"),
@@ -451,3 +454,21 @@ def test_tail_forests_honour_the_subset(capsys):
     assert status == 0 and json.loads(out)["result"]["count"] == 3  # C(1, 0) * 3^1
     status, _, err = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--subset", "0")
     assert status == 2 and "at least one block" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "closed-form", "--blocks", "2,1,1"),
+        ("verify", "--check", "forest-count", "--blocks", "2,1,1", "--k", "1"),
+        ("verify", "--check", "tail-forests", "--blocks", "2,1,1"),
+        ("oracle", "tail-forests", "--blocks", "2,1,1", "--k", "1"),
+    ],
+)
+def test_block_commands_echo_the_subset_only_when_given(capsys, argv):
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0 and "subset" not in json.loads(out)["input"]
+    status, out, _ = run_cli(capsys, *argv, "--subset", "3")
+    payload = json.loads(out)
+    assert status == 0
+    assert payload["input"]["blocks"] == [2, 1, 1] and payload["input"]["subset"] == 3

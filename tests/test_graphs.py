@@ -1,5 +1,7 @@
 """Graphs, chromatic routes, and the combinatorial counting oracles."""
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +27,11 @@ from setmaps.ring import CapExceeded
 from setmaps.umbral import Poly, interpolate
 
 from _corpus import graphs_on, graphs_through, random_graphs
+
+
+def exact(poly: Poly) -> bool:
+    """Every coefficient is an int or a Fraction, never a float."""
+    return all(type(c) is int or isinstance(c, Fraction) for c in poly.coeffs)
 
 
 def chromatic_oracle(graph: Graph) -> Poly:
@@ -185,7 +192,7 @@ def reducible_graphs(draw, max_n: int, max_edges: int):
 @given(reducible_graphs(max_n=9, max_edges=14))
 def test_reduced_recursion_matches_edge_subset_expansion(g):
     poly = chromatic_poly(g)
-    assert all(isinstance(c, Fraction) for c in poly.coeffs)
+    assert exact(poly)
     assert poly == subgraph_expansion(g)
 
 
@@ -193,18 +200,68 @@ def test_reduced_recursion_matches_edge_subset_expansion(g):
 @given(reducible_graphs(max_n=9, max_edges=15))
 def test_reduced_recursion_matches_interpolation(g):
     poly = chromatic_poly(g)
-    assert all(isinstance(c, Fraction) for c in poly.coeffs)
+    assert exact(poly)
     assert poly == chromatic_by_interpolation(g)
 
 
-def test_shared_memo_table_matches_fresh_polynomials():
+def test_table_matches_fresh_polynomials():
     # a triangle and a 4-cycle sharing vertex 2, a pendant path 5-6-8 and the
-    # isolated vertex 7: induced subgraphs meet both reductions and real splits
+    # isolated vertex 7: top vertices with and without lower neighbors
     g = Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6), (6, 8)])
     table = chromatic_setmap(g)
     for S in range(1 << g.n):
         assert table[S] == chromatic_poly(g.restrict(S)), S
-        assert all(isinstance(c, Fraction) for c in table[S].coeffs)
+        assert exact(table[S])
+
+
+@st.composite
+def table_graphs(draw, max_n: int):
+    """The reducible shapes above, or a complete graph (edgeless on at most
+    one core vertex) beside isolated vertices, labels shuffled."""
+    if draw(st.booleans()):
+        return draw(reducible_graphs(max_n=max_n, max_edges=3 * max_n))
+    core = draw(st.integers(0, max_n))
+    isolated = draw(st.integers(0, max_n - core))
+    label = draw(st.permutations(range(core + isolated)))
+    return Graph(core + isolated, [(label[u], label[v]) for u, v in combinations(range(core), 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_graphs(max_n=9))
+def test_table_matches_deletion_contraction_on_every_subset(g):
+    table = chromatic_setmap(g)
+    for S in range(1 << g.n):
+        assert table[S] == chromatic_poly(g.restrict(S)), S
+
+
+def test_table_closed_forms_at_scale():
+    # edgeless: x^|S|; complete: (x)_|S|
+    powers = [Poly.monomial(k) for k in range(15)]
+    table = chromatic_setmap(Graph.edgeless(14))
+    assert all(table[S] == powers[S.bit_count()] for S in range(1 << 14))
+    falling = [Poly.one()]
+    for k in range(12):
+        falling.append(falling[-1] * Poly((-k, 1)))
+    table = chromatic_setmap(Graph.complete(12))
+    assert all(table[S] == falling[S.bit_count()] for S in range(1 << 12))
+    assert all(exact(table[S]) for S in range(1 << 12))
+
+
+# sha256 of the reprs of every table entry of the 300 graphs below, as built by
+# deletion-contraction on each induced subgraph (the table route before the
+# stable-set pass)
+TABLE_DIGEST = "c67b26a7ada0f2898b241e6b785b926d8e3187926550e546c2314ce0130d0c93"
+
+
+def test_tables_of_random_graphs_match_the_recorded_digest():
+    rng = random.Random(0x7AB1E)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        n, p = rng.randint(0, 10), rng.random()
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for poly in chromatic_setmap(g).table:
+            digest.update(repr(poly).encode())
+    assert digest.hexdigest() == TABLE_DIGEST
 
 
 # ---------------------------------------------------------------------------

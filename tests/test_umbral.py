@@ -1,10 +1,11 @@
 """Polynomials, functionals, umbral products, and binomial-type bases."""
 
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setmaps.ring import partitions_of
@@ -336,6 +337,47 @@ def test_basis_round_trip_random_polynomials(coeffs):
         for k, c in enumerate(cs):
             rebuilt = rebuilt + fam.poly(k) * c
         assert rebuilt == f
+
+
+def _exact(value) -> bool:
+    return type(value) is int or isinstance(value, Fraction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=7))
+@example([3])
+@example([])
+def test_int_polynomials_stay_exact_in_every_family(ints):
+    # a table polynomial has int coefficients; an int quotient must not become a float
+    f = Poly(ints)
+    assert all(type(c) is int for c in f.coeffs)
+    for fam in ALL_FAMILIES:
+        cs = fam.coefficients(f)
+        assert all(_exact(c) for c in cs)
+        rebuilt = Poly.zero()
+        for k, c in enumerate(cs):
+            rebuilt = rebuilt + fam.poly(k) * c
+        assert rebuilt == f
+        value = fam.delta(max(1, f.degree))(f)
+        assert _exact(value)
+
+
+def test_monomial_coefficients_of_an_int_constant():
+    assert Monomials().coefficients(Poly([3])) == (3,)
+    assert all(_exact(c) for fam in ALL_FAMILIES for c in fam.coefficients(Poly([3])))
+
+
+def test_family_members_do_not_recurse_per_degree():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        member = RisingFactorials().poly(120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert member.degree == 120 and member(1) == factorial(120)
 
 
 def test_family_parsing_round_trip():
