@@ -1,65 +1,106 @@
-"""Exact set-map algebra and umbral expansions of the chromatic polynomial."""
+"""Exact set-map algebra and umbral expansions of the chromatic polynomial.
 
-from .abel import (
-    BlockPartition,
-    abel_general_setmap,
-    abel_poly,
-    abel_setmap,
-    count_tail_forests,
-    verify_closed_form_partition_sum,
-    verify_forest_coefficients,
-)
-from .expansions import (
-    Expansion,
-    check_binomial_type,
-    expand,
-    expansion_reconstructs,
-    verify_power_identity,
-    verify_rising_orientation_pairs,
-    verify_stable_count_expansion,
-    verify_stanley_evaluation,
-)
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    chromatic_by_interpolation,
-    chromatic_poly,
-    chromatic_setmap,
-    count_acyclic_orientations,
-    count_acyclic_sink_source,
-    count_acyclic_unique_sink,
-    count_proper_colorings,
-    count_stable_partitions,
-    load_graph,
-    parse_graph,
-    subgraph_expansion,
-)
-from .ring import (
-    MAX_GROUND_SIZE,
-    PARTITION_CAP,
-    CapExceeded,
-    SetMap,
-    bell_number,
-    block_sums,
-    compose,
-    decompose,
-    partitions_of,
-    recover_sequence,
-    sequence_product,
-    subsets_of,
-)
-from .umbral import (
-    AbelPolynomials,
-    BinomialFamily,
-    FallingFactorials,
-    Functional,
-    LogPolynomials,
-    Monomials,
-    Poly,
-    RisingFactorials,
-    family_from_string,
-    interpolate,
-    standard_families,
-)
+The package is lazy (PEP 562): ``import setmaps`` loads no submodule.  A
+public name, or a submodule such as ``setmaps.graphs``, loads its
+submodule on first access, so a process pays only for the modules it
+uses; ``python -m setmaps`` loads the ones its command needs (see ``cli``).
+"""
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_SOURCES = {
+    **dict.fromkeys(
+        (
+            "BlockPartition",
+            "abel_general_setmap",
+            "abel_poly",
+            "abel_setmap",
+            "count_tail_forests",
+            "verify_closed_form_partition_sum",
+            "verify_forest_coefficients",
+        ),
+        "abel",
+    ),
+    **dict.fromkeys(
+        (
+            "Expansion",
+            "check_binomial_type",
+            "expand",
+            "expansion_reconstructs",
+            "verify_power_identity",
+            "verify_rising_orientation_pairs",
+            "verify_stable_count_expansion",
+            "verify_stanley_evaluation",
+        ),
+        "expansions",
+    ),
+    **dict.fromkeys(
+        (
+            "Graph",
+            "GraphFormatError",
+            "chromatic_by_interpolation",
+            "chromatic_poly",
+            "chromatic_setmap",
+            "count_acyclic_orientations",
+            "count_acyclic_sink_source",
+            "count_acyclic_unique_sink",
+            "count_proper_colorings",
+            "count_stable_partitions",
+            "load_graph",
+            "parse_graph",
+            "subgraph_expansion",
+        ),
+        "graphs",
+    ),
+    **dict.fromkeys(
+        (
+            "MAX_GROUND_SIZE",
+            "PARTITION_CAP",
+            "CapExceeded",
+            "SetMap",
+            "bell_number",
+            "block_sums",
+            "compose",
+            "decompose",
+            "partitions_of",
+            "recover_sequence",
+            "sequence_product",
+            "subsets_of",
+        ),
+        "ring",
+    ),
+    **dict.fromkeys(
+        (
+            "AbelPolynomials",
+            "BinomialFamily",
+            "FallingFactorials",
+            "Functional",
+            "LogPolynomials",
+            "Monomials",
+            "Poly",
+            "RisingFactorials",
+            "family_from_string",
+            "interpolate",
+            "standard_families",
+        ),
+        "umbral",
+    ),
+}
+_SUBMODULES = ("abel", "cli", "expansions", "graphs", "ring", "umbral")
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name in _SOURCES or name in _SUBMODULES:
+        # importlib itself is loaded only here, on the first lazy access
+        import importlib
+
+        module = importlib.import_module(f".{_SOURCES.get(name, name)}", __name__)
+        return module if name in _SUBMODULES else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -20,10 +20,8 @@ form a partition of their own (``BlockPartition.restrict``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
 
 from .ring import CapExceeded, SetMap, partitions_of
 from .umbral import Poly
@@ -34,18 +32,29 @@ TAIL_BLOCK_CAP = 5
 TAIL_WEIGHT_CAP = 8
 
 
-@dataclass(frozen=True)
 class BlockPartition:
     """Block sizes of a set partition; the ground set for the induced algebra
-    is the set of blocks."""
+    is the set of blocks.  A value: equal sizes give equal, equally hashed
+    partitions, and the sizes never change after ``__init__``."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes):
+        sizes = tuple(int(s) for s in sizes)
         if any(s < 1 for s in sizes):
             raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
+        self.sizes = sizes
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self) -> int:
+        return hash(self.sizes)
+
+    def __repr__(self) -> str:
+        return f"BlockPartition(sizes={self.sizes!r})"
 
     @property
     def block_count(self) -> int:
@@ -149,7 +158,7 @@ def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = PARTITIO
 
 
 def verify_forest_coefficients(
-    blocks: BlockPartition, k: Optional[int] = None, cap: int = PARTITION_SUM_CAP
+    blocks: BlockPartition, k: int | None = None, cap: int = PARTITION_SUM_CAP
 ) -> bool:
     """Check C(n-1, k-1) w^(n-k) = sum over k-part partitions of prod w(rho)^(len(rho)-1),
     the closed form's coefficient of x^k.

@@ -19,6 +19,14 @@ Exit codes: 0 success / all checks pass, 1 a verification failed,
 2 usage or parse error, 3 a size cap was exceeded, 141 standard output
 was closed before the result was written (128 + SIGPIPE, the status a
 shell reports for a pipeline stage ended by a broken pipe).
+
+Each process compiles and runs only the engine modules its command uses:
+importing this module loads ``ring`` alone (for ``CapExceeded``), and
+each command imports the rest when it runs.  ``chromatic`` and the graph
+oracles load ``umbral`` and ``graphs``; ``expand`` and the graph checks
+add ``expansions``; the block checks, ``oracle tail-forests`` and
+``abel`` load ``umbral`` and ``abel``.  A ``--cap`` warning loads
+``abel`` for its tail-forest weight cap.
 """
 
 from __future__ import annotations
@@ -29,45 +37,11 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
-from .abel import (
-    TAIL_BLOCK_CAP,
-    TAIL_WEIGHT_CAP,
-    BlockPartition,
-    abel_poly,
-    count_tail_forests,
-    verify_closed_form_partition_sum,
-    verify_forest_coefficients,
-)
-from .expansions import (
-    BINOMIAL_CHECK_CAP,
-    CHROMATIC_EXPANSION_CAP,
-    EXPAND_CAP,
-    PAIR_COUNT_CAP,
-    POWER_CAP,
-    check_binomial_type,
-    expand,
-    expansion_reconstructs,
-    verify_power_identity,
-    verify_rising_orientation_pairs,
-    verify_stable_count_expansion,
-    verify_stanley_evaluation,
-)
-from .graphs import (
-    EDGE_ENUM_CAP,
-    Graph,
-    chromatic_poly,
-    chromatic_setmap,
-    count_acyclic_orientations,
-    count_acyclic_sink_source,
-    count_acyclic_unique_sink,
-    count_proper_colorings,
-    count_stable_partitions,
-    load_graph,
-)
-from .ring import CapExceeded, bell_number, subsets_of
-from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
+from .ring import CapExceeded
+
+# engine modules are imported inside the commands (module docstring); the
+# annotations that name their classes are never evaluated (PEP 563)
 
 GRAPH_CHECKS = (
     "binomial",
@@ -211,6 +185,9 @@ def _warn_cap(ns: argparse.Namespace) -> None:
     """Price a cap override by the work of each stage it governs."""
     if getattr(ns, "cap", None) is None:  # chromatic and abel take no --cap
         return
+    from .abel import TAIL_WEIGHT_CAP
+    from .ring import bell_number
+
     cap = ns.cap
     if ns.command == "verify":
         names = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
@@ -254,6 +231,8 @@ def _warn_cap(ns: argparse.Namespace) -> None:
 
 
 def _load_graph(ns: argparse.Namespace) -> Graph:
+    from .graphs import load_graph
+
     if ns.graph is None:
         raise ValueError("this command needs --graph")
     return load_graph(ns.graph)
@@ -278,6 +257,8 @@ def _check_cap(what: str, size: int, cap: int) -> None:
 
 
 def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .graphs import chromatic_poly
+
     graph = _load_graph(ns)
     poly = chromatic_poly(graph.restrict(_subset(ns, graph)))
     payload = {
@@ -294,6 +275,11 @@ def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .expansions import EXPAND_CAP, expand
+    from .graphs import chromatic_setmap
+    from .ring import subsets_of
+    from .umbral import family_from_string
+
     graph = _load_graph(ns)
     cap = EXPAND_CAP if ns.cap is None else ns.cap
     subset = _subset(ns, graph)
@@ -320,26 +306,40 @@ def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if reconstructs else 1
 
 
-# default caps of the graph checks, in run order, over the vertex count (stanley: edges)
-_GRAPH_CHECK_CAPS = {
-    "binomial": BINOMIAL_CHECK_CAP,
-    "expansion": EXPAND_CAP,
-    "rising-pairs": PAIR_COUNT_CAP,
-    "abel-one": CHROMATIC_EXPANSION_CAP,
-    "stable-counts": CHROMATIC_EXPANSION_CAP,
-    "derivative": CHROMATIC_EXPANSION_CAP,
-    "evaluation": CHROMATIC_EXPANSION_CAP,
-    "power": POWER_CAP,
-    "stanley": EDGE_ENUM_CAP,
-}
-
-
 def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, bool]]:
     """Run the selected checks on ``graph``, already restricted to the subset."""
+    from .expansions import (
+        BINOMIAL_CHECK_CAP,
+        CHROMATIC_EXPANSION_CAP,
+        EXPAND_CAP,
+        PAIR_COUNT_CAP,
+        POWER_CAP,
+        check_binomial_type,
+        expansion_reconstructs,
+        verify_power_identity,
+        verify_rising_orientation_pairs,
+        verify_stable_count_expansion,
+        verify_stanley_evaluation,
+    )
+    from .graphs import EDGE_ENUM_CAP, chromatic_setmap
+    from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
+
+    # default caps of the graph checks, in run order, over the vertex count (stanley: edges)
+    default_caps = {
+        "binomial": BINOMIAL_CHECK_CAP,
+        "expansion": EXPAND_CAP,
+        "rising-pairs": PAIR_COUNT_CAP,
+        "abel-one": CHROMATIC_EXPANSION_CAP,
+        "stable-counts": CHROMATIC_EXPANSION_CAP,
+        "derivative": CHROMATIC_EXPANSION_CAP,
+        "evaluation": CHROMATIC_EXPANSION_CAP,
+        "power": POWER_CAP,
+        "stanley": EDGE_ENUM_CAP,
+    }
     name = ns.check
     caps = {
         check: default if ns.cap is None else ns.cap
-        for check, default in _GRAPH_CHECK_CAPS.items()
+        for check, default in default_caps.items()
         if name in (check, "all")
     }
     # usage errors come before caps: build the families and read --x/--k first
@@ -389,6 +389,13 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
 
 def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
     """Run the selected check on ``blocks``, already restricted to the subset."""
+    from .abel import (
+        TAIL_BLOCK_CAP,
+        count_tail_forests,
+        verify_closed_form_partition_sum,
+        verify_forest_coefficients,
+    )
+
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     checks: list[tuple[str, bool]] = []
     name = ns.check
@@ -427,6 +434,8 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
         checks = _graph_check_list(ns, graph.restrict(_subset(ns, graph)))
         source: dict = _graph_input(ns, graph)
     elif ns.check in BLOCK_CHECKS:
+        from .abel import BlockPartition  # here, so that graph checks do not load abel
+
         if ns.blocks is None:
             raise ValueError(f"check {ns.check!r} needs --blocks")
         blocks = BlockPartition(ns.blocks)
@@ -451,6 +460,8 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     name = ns.oracle
     if name == "tail-forests":
+        from .abel import TAIL_BLOCK_CAP, BlockPartition, count_tail_forests
+
         if ns.blocks is None:
             raise ValueError("oracle tail-forests needs --blocks")
         if ns.k is None:
@@ -461,6 +472,14 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         )
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
+        from .graphs import (
+            count_acyclic_orientations,
+            count_acyclic_sink_source,
+            count_acyclic_unique_sink,
+            count_proper_colorings,
+            count_stable_partitions,
+        )
+
         graph = _load_graph(ns)
         restricted = graph.restrict(_subset(ns, graph))
         source = _graph_input(ns, graph)
@@ -498,6 +517,8 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .abel import BlockPartition, abel_poly
+
     blocks = BlockPartition(ns.blocks)
     subset = blocks.full_mask if ns.subset is None else ns.subset
     poly = abel_poly(blocks, subset)
@@ -546,7 +567,7 @@ _DISPATCH = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

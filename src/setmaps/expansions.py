@@ -26,7 +26,6 @@ chromatic table, and checks its cap before it reads the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import EDGE_ENUM_CAP, Graph, count_acyclic_orientations, count_stable_partitions
@@ -64,7 +63,6 @@ def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Expansion:
     """Basis coefficients of a map's polynomials in a binomial-type basis.
 
@@ -75,9 +73,12 @@ class Expansion:
     set-map identity compose((a_k), coeffs) == p.
     """
 
-    family: BinomialFamily
-    coeffs: SetMap
-    lengths: tuple
+    __slots__ = ("family", "coeffs", "lengths")
+
+    def __init__(self, family: BinomialFamily, coeffs: SetMap, lengths: tuple):
+        self.family = family
+        self.coeffs = coeffs
+        self.lengths = lengths
 
     def by_length(self) -> tuple:
         """c_k = sum over k-block partitions of the ground set of the

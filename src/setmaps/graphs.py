@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, partitions_of
 from .umbral import Poly, interpolate

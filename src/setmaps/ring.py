@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
 
 MAX_GROUND_SIZE = 20
 PARTITION_CAP = 14

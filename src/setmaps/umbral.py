@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .ring import MAX_GROUND_SIZE, bell_number
 
@@ -321,11 +320,11 @@ _CACHED_DEGREES = MAX_GROUND_SIZE + 1
 _members: dict = {}  # family -> [a_0, a_1, ...], oldest family first
 
 
-def _next_member(family: "BinomialFamily", n: int, below: Poly) -> Poly:
-    """a_n from a_{n-1} = ``below``, for n >= 1."""
+def _next_member(m: tuple, n: int, below: Poly) -> Poly:
+    """a_n from a_{n-1} = ``below`` and the delta moments ``m`` (at least
+    m_0..m_n), for n >= 1."""
     # solve Q a_n = n a_{n-1} (module docstring) for a_n = sum_j c_j x^j top down:
     # the x^i coefficient, sum_{k>=1} C(i+k, k) m_k c_{i+k} = n [x^i] a_{n-1}, fixes c_{i+1}
-    m = family.delta(n).moments
     steps = [k for k in range(2, n + 1) if m[k]]
     rhs = below.coeffs
     c = [Fraction(0)] * (n + 1)
@@ -340,13 +339,37 @@ def _next_member(family: "BinomialFamily", n: int, below: Poly) -> Poly:
 
 
 class BinomialFamily:
-    """A binomial-type polynomial basis, fixed by its delta functional."""
+    """A binomial-type polynomial basis, fixed by its delta functional.
+
+    A family is a value: its parameters are the slots of its class, set
+    once in ``__init__`` and never changed.  Two families are equal, and
+    hash alike, when they are of the same class with equal parameters, so
+    the member cache holds one entry per family.
+    """
+
+    __slots__ = ()
+
+    def _params(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash(self._params())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def poly(self, n: int) -> Poly:
         """The degree-n member of the family, derived from the delta moments; a_0 = 1.
 
         Members are derived bottom up from the highest one cached below n,
-        so no degree recurses.
+        so no degree recurses; the moments are read once per call, since
+        moment k does not depend on the bound.
         """
         if n < 0:
             raise ValueError("family index must be nonnegative")
@@ -357,9 +380,10 @@ class BinomialFamily:
             members = _members[self] = [Poly.one()]
         if n < len(members):
             return members[n]
+        moments = self.delta(n).moments
         member = members[-1]
         for j in range(len(members), n + 1):
-            member = _next_member(self, j, member)
+            member = _next_member(moments, j, member)
             if j < _CACHED_DEGREES:
                 members.append(member)
         return member
@@ -387,9 +411,10 @@ class BinomialFamily:
             raise ValueError("a delta functional needs a degree bound of at least 1")
 
 
-@dataclass(frozen=True)
 class Monomials(BinomialFamily):
     """The basis x^n; delta functional f -> f'(0)."""
+
+    __slots__ = ()
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
@@ -399,7 +424,6 @@ class Monomials(BinomialFamily):
         return "monomial"
 
 
-@dataclass(frozen=True)
 class FallingFactorials(BinomialFamily):
     """The basis (x/a)_n = (x/a)(x/a - 1)...(x/a - n + 1), a != 0.
 
@@ -410,10 +434,10 @@ class FallingFactorials(BinomialFamily):
     form.
     """
 
-    step: Fraction = Fraction(1)
+    __slots__ = ("step",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "step", Fraction(self.step))
+    def __init__(self, step=1):
+        self.step = Fraction(step)
         if self.step == 0:
             raise ValueError("falling-factorial step must be nonzero")
 
@@ -426,13 +450,14 @@ class FallingFactorials(BinomialFamily):
         return f"falling:{self.step}"
 
 
-@dataclass(frozen=True)
 class RisingFactorials(BinomialFamily):
     """The basis x(x+1)...(x+n-1); delta functional f -> f(0) - f(-1).
 
     The functional is forced by x^(n) = (-1)^n (-x)_n and is checked by the
     associated-functional property tests rather than assumed.
     """
+
+    __slots__ = ()
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
@@ -443,7 +468,6 @@ class RisingFactorials(BinomialFamily):
         return "rising"
 
 
-@dataclass(frozen=True)
 class AbelPolynomials(BinomialFamily):
     """The basis x(x - a n)^{n-1}; delta functional f -> f'(a).
 
@@ -453,10 +477,10 @@ class AbelPolynomials(BinomialFamily):
     derivatives, a = 1 the Abel-one check.
     """
 
-    point: Fraction = Fraction(1)
+    __slots__ = ("point",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", Fraction(self.point))
+    def __init__(self, point=1):
+        self.point = Fraction(point)
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
@@ -466,7 +490,6 @@ class AbelPolynomials(BinomialFamily):
         return f"abel:{self.point}"
 
 
-@dataclass(frozen=True)
 class LogPolynomials(BinomialFamily):
     """The basis with EGF (1 + log(1+t))^x.
 
@@ -477,6 +500,8 @@ class LogPolynomials(BinomialFamily):
     B 1 = 0; since x^n = sum_j S(n, j) (x)_j, its moments B x^n are the
     Bell numbers.
     """
+
+    __slots__ = ()
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)

@@ -39,6 +39,13 @@ def test_block_partition_validation():
     assert len(bp.elements()) == 6
 
 
+def test_block_partitions_are_values():
+    assert BlockPartition((2, 1)) == BlockPartition([2, 1])
+    assert len({BlockPartition((2, 1)), BlockPartition([2, 1])}) == 1
+    assert BlockPartition((2, 1)) != BlockPartition((1, 2))
+    assert BlockPartition(["2", 1.0]).sizes == (2, 1)
+
+
 def test_block_partition_restrict_keeps_block_order():
     bp = BlockPartition((2, 1, 3, 1))
     assert bp.restrict(0b1101).sizes == (2, 3, 1)

@@ -122,7 +122,7 @@ def test_verify_unknown_selector(capsys):
 
 
 def test_verify_failure_exit_code_via_fault_injection(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_stanley_evaluation", lambda *a, **kw: False)
+    monkeypatch.setattr("setmaps.expansions.verify_stanley_evaluation", lambda *a, **kw: False)
     status, out, _ = run_cli(capsys, "verify", "--check", "stanley", "--graph", f"{GRAPHS}/k2.txt")
     assert status == 1
     payload = json.loads(out)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import setmaps.umbral as umbral
 from setmaps.ring import partitions_of
 from setmaps.umbral import (
     AbelPolynomials,
@@ -378,6 +379,33 @@ def test_family_members_do_not_recurse_per_degree():
     finally:
         sys.setrecursionlimit(limit)
     assert member.degree == 120 and member(1) == factorial(120)
+
+
+def test_poly_reads_the_delta_moments_once_per_call(monkeypatch):
+    calls = []
+    delta = FallingFactorials.delta
+    monkeypatch.setattr(
+        FallingFactorials, "delta", lambda self, bound: calls.append(bound) or delta(self, bound)
+    )
+    family = FallingFactorials(Fraction(7, 3))
+    monkeypatch.delitem(umbral._members, family, raising=False)  # a cold family
+    assert family.poly(20).degree == 20
+    assert calls == [20]
+
+
+def test_families_are_values():
+    one, fraction_one = FallingFactorials(1), FallingFactorials(Fraction(1))
+    assert one == fraction_one and hash(one) == hash(fraction_one)
+    assert type(one.step) is Fraction and AbelPolynomials(2).point == Fraction(2)
+    assert FallingFactorials("1/2") == FallingFactorials(Fraction(2, 4))
+    one.poly(5)
+    assert umbral._members[fraction_one] is umbral._members[one]
+    assert len(umbral._members[fraction_one]) >= 6
+    assert one != AbelPolynomials(1) and len({one, AbelPolynomials(1)}) == 2
+    assert Monomials() != RisingFactorials() and Monomials() == Monomials()
+    assert len({Monomials(), RisingFactorials(), LogPolynomials(), Monomials()}) == 3
+    assert repr(FallingFactorials(-1)) == "FallingFactorials(step=Fraction(-1, 1))"
+    assert repr(Monomials()) == "Monomials()"
 
 
 def test_family_parsing_round_trip():
