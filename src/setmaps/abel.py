@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from .ring import CapExceeded, SetMap, partitions_of
+from .ring import CapExceeded, SetMap, full_block_sums
 from .umbral import Poly
 
 ABEL_BLOCK_CAP = 12
@@ -135,17 +135,15 @@ def abel_general_setmap(alpha: SetMap, cap: int = ABEL_BLOCK_CAP) -> SetMap:
     return SetMap(n, table)
 
 
-def _partition_weight_sums(blocks: BlockPartition) -> list[int]:
+def _partition_weight_sums(blocks: BlockPartition) -> tuple[int, ...]:
     """sums[k] = sum over k-part partitions gamma of the blocks of prod
     w(rho)^(len(rho)-1), k = 0..n; rho, a part of gamma, is a set of blocks,
-    and w(rho) their total element count."""
-    sums = [0] * (blocks.block_count + 1)
-    for gamma in partitions_of(blocks.full_mask):
-        term = 1
-        for rho in gamma:
-            term *= blocks.subset_weight(rho) ** (rho.bit_count() - 1)
-        sums[len(gamma)] += term
-    return sums
+    and w(rho) their total element count.  The full-set readout of the
+    block-sum kernel on the int table rho -> w(rho)^(len(rho)-1)."""
+    weights = [0]
+    for size in blocks.sizes:
+        weights += [w + size for w in weights]
+    return full_block_sums([w ** (rho.bit_count() - 1) if rho else 0 for rho, w in enumerate(weights)])
 
 
 def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = PARTITION_SUM_CAP) -> bool:

@@ -26,7 +26,7 @@ each command imports the rest when it runs.  ``chromatic`` and the graph
 oracles load ``umbral`` and ``graphs``; ``expand`` and the graph checks
 add ``expansions``; the block checks, ``oracle tail-forests`` and
 ``abel`` load ``umbral`` and ``abel``.  A ``--cap`` warning loads
-``abel`` for its tail-forest weight cap.
+``abel`` only to price the tail-forest stage, for its weight cap.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ ORACLES = (
 
 
 def _rat(value) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
 def _coeff_strings(poly) -> list[str]:
@@ -159,25 +159,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the stage a --cap override raises, per command, check or oracle; the rest read no cap
+# the stages a --cap override raises, per command, check or oracle; the rest read no cap
+_EXPANSION = ("table", "kernel")
 _CAP_STAGES = {
-    "expand": "kernel",
-    "binomial": "pairs",
-    "power": "pairs",
-    "expansion": "kernel",
-    "abel-one": "kernel",
-    "derivative": "kernel",
-    "evaluation": "kernel",
-    "rising-pairs": "partitions",
-    "stable-counts": "partitions",
-    "closed-form": "partitions",
-    "forest-count": "partitions",
-    "stable-partitions": "partitions",
-    "acyclic": "orientations",
-    "unique-sink": "orientations",
-    "sink-source": "orientations",
-    "stanley": "orientations",
-    "tail-forests": "tails",
+    "expand": _EXPANSION,
+    "binomial": ("pairs",),
+    "power": ("pairs",),
+    "expansion": _EXPANSION,
+    "abel-one": _EXPANSION,
+    "derivative": _EXPANSION,
+    "evaluation": _EXPANSION,
+    "rising-pairs": ("partitions",),
+    "stable-counts": ("partitions",),
+    "closed-form": ("kernel",),
+    "forest-count": ("kernel",),
+    "stable-partitions": ("partitions",),
+    "acyclic": ("orientations",),
+    "unique-sink": ("orientations",),
+    "sink-source": ("orientations",),
+    "stanley": ("orientations",),
+    "tail-forests": ("tails",),
 }
 
 
@@ -185,7 +186,6 @@ def _warn_cap(ns: argparse.Namespace) -> None:
     """Price a cap override by the work of each stage it governs."""
     if getattr(ns, "cap", None) is None:  # chromatic and abel take no --cap
         return
-    from .abel import TAIL_WEIGHT_CAP
     from .ring import bell_number
 
     cap = ns.cap
@@ -193,18 +193,20 @@ def _warn_cap(ns: argparse.Namespace) -> None:
         names = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
     else:
         names = (ns.oracle if ns.command == "oracle" else ns.command,)
-    stages = {_CAP_STAGES[name] for name in names if name in _CAP_STAGES}
+    stages = {stage for name in names for stage in _CAP_STAGES.get(name, ())}
 
     def count(form: str, value) -> str:
         # evaluated only for caps small enough to print
         return f"{form} = {value()}" if 0 <= cap <= 25 else form
 
     costs = {
-        "kernel": (
+        "table": (
             f"the chromatic table sums over at most "
-            f"{count(f'(3^{cap}-1)/2', lambda: (3**cap - 1) // 2)} (subset, color class) "
-            f"pairs and the block-sum kernel takes about "
-            f"{count(f'2^{cap}*{cap}^3', lambda: 2**cap * cap**3)} steps"
+            f"{count(f'(3^{cap}-1)/2', lambda: (3**cap - 1) // 2)} (subset, color class) pairs"
+        ),
+        "kernel": (
+            f"the block-sum kernel takes about "
+            f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
         ),
         "partitions": (
             f"a partition oracle enumerates "
@@ -215,14 +217,17 @@ def _warn_cap(ns: argparse.Namespace) -> None:
             f"orientation enumeration over {cap} edges touches up to "
             f"{count(f'2^{cap}', lambda: 2**cap)} orientations"
         ),
+    }
+    if "tails" in stages:
+        from .abel import TAIL_WEIGHT_CAP
+
         # n - k tails over n blocks, each aimed at one of at most w elements:
         # sum_k C(n, k) w^(n-k) = (1 + w)^n with w <= TAIL_WEIGHT_CAP
-        "tails": (
+        costs["tails"] = (
             f"tail-forest enumeration over {cap} blocks tries up to "
             f"{count(f'{TAIL_WEIGHT_CAP + 1}^{cap}', lambda: (TAIL_WEIGHT_CAP + 1) ** cap)} "
             f"tail sets; the weight cap of {TAIL_WEIGHT_CAP} stays"
-        ),
-    }
+        )
     priced = [text for stage, text in costs.items() if stage in stages]
     print(
         f"warning: cap override {cap}; {'; '.join(priced or ['no stage of this command reads it'])}",

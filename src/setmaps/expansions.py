@@ -12,9 +12,10 @@ and any binomial-type basis a with delta functional A, the map expands as
 
 that is, p = compose((a_k), A p) as set maps.  ``expand`` applies A once
 per subset and sums the partitions of the whole ground set by block
-count; ``expansion_reconstructs`` checks that re-summation in any basis,
-and composing the basis with the coefficients checks it on every subset
-at once.  The chromatic set map is the headline instance.  Its derivative-
+count, through the kernel's full-set readout (``ring.full_block_sums``);
+``expansion_reconstructs`` checks that re-summation in any basis, and
+composing the basis with the coefficients checks it on every subset at
+once.  The chromatic set map is the headline instance.  Its derivative-
 and evaluation-at-a expansions are that check in the Abel and falling
 bases (see ``AbelPolynomials`` and ``FallingFactorials``); the verifiers
 below check the coefficient interpretations that need an oracle of their
@@ -29,11 +30,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import EDGE_ENUM_CAP, Graph, count_acyclic_orientations, count_stable_partitions
-from .ring import CapExceeded, SetMap, block_sums, partitions_of, subsets_of
+from .ring import CapExceeded, SetMap, full_block_sums, partitions_of, subsets_of
 from .umbral import BinomialFamily, LogPolynomials, Poly, RisingFactorials
 
 BINOMIAL_CHECK_CAP = 7
-EXPAND_CAP = 12
+EXPAND_CAP = 17
 PAIR_COUNT_CAP = 6
 CHROMATIC_EXPANSION_CAP = 8
 POWER_CAP = 7
@@ -109,7 +110,7 @@ def expand(
         raise CapExceeded(f"expansion over a {p.n}-element subset exceeds cap {cap}")
     functional = family.delta(max(1, max(q.degree for q in p.table)))
     coeffs = [functional(q) for q in p.table]
-    return Expansion(family, SetMap(p.n, coeffs), block_sums(coeffs)[p.full_mask])
+    return Expansion(family, SetMap(p.n, coeffs), full_block_sums(coeffs))
 
 
 def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = EXPAND_CAP) -> bool:

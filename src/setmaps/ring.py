@@ -1,29 +1,19 @@
 """The commutative ring of set maps on a finite ground set.
 
-A set map assigns a value to every subset of {0, ..., n-1}.  Subsets are
-machine-word bitmasks and tables are dense, indexed by mask, so a map on
-n elements stores 2**n entries.  The product is convolution over ordered
-disjoint decompositions,
+A set map assigns a value to every subset of {0, ..., n-1}; a table on n
+elements stores 2**n entries indexed by bitmask.  The product is
+convolution over ordered disjoint decompositions, (g * h)_S = sum of
+g_T h_U over T | U = S, T & U = 0, and generalizes the product of
+exponential generating functions.  Composition is the set-map form of
+the exponential formula: (a o h)_S sums a_{len(sigma)} times the product
+of h over the blocks, over the set partitions sigma of S.
 
-    (g * h)_S = sum over (T, U) with T | U = S, T & U = 0 of g_T * h_U,
-
-with unit the indicator of the empty set.  Maps that are constant on
-cardinality are sequences in disguise; the product then reduces to the
-binomial convolution, i.e. multiplication of exponential generating
-functions.  Composing a sequence with a set map is the set-map form of
-the exponential formula,
-
-    (a o h)_S = sum over set partitions sigma of S of
-                a_{len(sigma)} * prod over blocks T of h_T,
-
-and generalizes EGF composition.  Every such partition sum goes through
-one kernel, ``block_sums``, which groups the sum by block count for every
-subset of a table's ground set at once, in a list indexed by mask;
-composition, inverse, decomposition and sequence recovery are sequence
-(EGF) algebra on top of it.  All arithmetic is exact: values are
-fractions.Fraction or int.  Polynomial values work only in sums and in the
-sequence terms of ``compose``; the product and the kernel, and so every
-map they read, are rational, and run on ints over one common denominator.
+Both run on one kernel, each mask's rank polynomial packed into one int
+and zeta-transformed once, read out by the product, by ``block_sums`` for
+every subset and by ``full_block_sums`` for the full set alone; the
+composition, inverse, decomposition and recovery are EGF algebra on
+``block_sums``.  All arithmetic is exact (Fraction or int); polynomial
+values work only in sums and in the terms of ``compose``.
 """
 
 from __future__ import annotations
@@ -72,10 +62,9 @@ def partitions_of(mask: int, cap: int = PARTITION_CAP) -> Iterator[tuple[int, ..
     if k <= 1:
         yield (mask,) if k else ()
         return
-    # Restricted growth strings: element i joins one of the blocks opened by
-    # elements before it, or opens the next one.  The prefix (all but the
-    # last element) advances like an odometer; the last element runs in the
-    # inner loop.
+    # Restricted growth strings: element i joins a block opened before it or
+    # opens the next; the prefix (all but the last element) advances like an
+    # odometer, and the last element runs in the inner loop.
     m = k - 1
     bits = [1 << e for e in elements]
     last = bits[m]
@@ -154,11 +143,7 @@ class SetMap:
     @classmethod
     def from_sequence(cls, n: int, terms: Iterable) -> "SetMap":
         """Cardinality-constant map a_S = a_{|S|}; needs terms 0..n."""
-        seq = tuple(terms)
-        if len(seq) < n + 1:
-            raise ValueError(
-                f"sequence too short: ground-set size {n} needs terms 0..{n}, got {len(seq)}"
-            )
+        seq = _terms(terms, n, "")
         return cls(n, (seq[mask.bit_count()] for mask in range(1 << n)))
 
     @property
@@ -198,51 +183,28 @@ class SetMap:
         return SetMap(self.n, (-a for a in self.table))
 
     def __mul__(self, other):
-        """Convolution over ordered disjoint decompositions of each subset,
-        for rational maps; the result's values are Fractions."""
+        """Convolution of rational maps: the packed ranked transform
+        (``_packed``) of a product of two factors."""
         if not isinstance(other, SetMap):
             return NotImplemented
         self._same_ground(other)
-        g, g_scale = _scaled(self.table)
-        h, h_scale = _scaled(other.table)
-        denominator = g_scale * h_scale
-        out = []
-        for S in range(1 << self.n):
-            acc = 0
-            sub = S
-            while True:
-                acc += g[sub] * h[S ^ sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & S
-            out.append(Fraction(acc, denominator))
-        return SetMap(self.n, out)
+        # lam^0 cannot clear a denominator on the empty set, so clear it first
+        c, d = self.table[0].denominator, other.table[0].denominator
+        tables = [x * c for x in self.table], [x * d for x in other.table]
+        n, w, mask, lam, ranks, (g, h) = _packed(tables, 2)
+        layer = _transform([a * b & mask for a, b in zip(g, h)], operator.sub)
+        return SetMap(n, (_slot(x, w, r, c * d * lam**r) for x, r in zip(layer, ranks)))
 
     def map_values(self, fn: Callable) -> "SetMap":
         return SetMap(self.n, (fn(v) for v in self.table))
 
     def inverse(self) -> "SetMap":
-        """Multiplicative inverse of a rational map with value 1 on the empty set.
-
-        With g = h - unit, the closed partition formula
-
-            inv_S = sum over sigma of S of (-1)^len(sigma) len(sigma)!
-                    * prod over blocks W of g_W
-
-        is the composition of the EGF 1/(1+t) with g, and h * inv = unit.
-        """
+        """Multiplicative inverse of a rational map with value 1 on the empty
+        set: the EGF 1/(1+t), terms (-1)^k k!, composed with h - unit."""
         if self.table[0] != 1:
             raise ValueError("inverse requires value 1 on the empty set")
         terms = [(-1) ** k * math.factorial(k) for k in range(self.n + 1)]
         return compose(terms, self - SetMap.unit(self.n))
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Rational ``values`` as ints over one common denominator, and that
-    denominator; a polynomial value raises TypeError."""
-    fractions = [Fraction(x) for x in values]
-    scale = math.lcm(*(x.denominator for x in fractions))
-    return [x.numerator * (scale // x.denominator) for x in fractions], scale
 
 
 def _transform(a: list, op: Callable) -> list:
@@ -262,65 +224,116 @@ def _transform(a: list, op: Callable) -> list:
     return a
 
 
-def block_sums(table) -> list[tuple[Fraction, ...]]:
+def _packed(tables, k: int | None = None) -> tuple:
+    """Kronecker-pack rational tables: n, the slot width w, the mask
+    2^(w(n+1)) - 1, the scale lam, the ranks, and per table the zeta
+    transform of T -> f_T lam^|T| 2^(w|T|), one int per mask.  lam is the
+    least int making every f_T lam^|T| integral (by trial division; what is
+    left past 2^10 is taken whole).  A slot of a product of at most k
+    factors (n by default) is at most a coefficient of (sum of |f_T| lam^|T|
+    z^|T|)^j, j <= k, below z^(n+1); w is 2 bits more than the largest."""
+    n = len(tables[0]).bit_length() - 1
+    ranks = [0]
+    for _ in range(n):
+        ranks += [r + 1 for r in ranks]
+    lam, by_rank = 1, [1] * (n + 1)
+    for table in tables:
+        for x, r in zip(table, ranks):
+            by_rank[r] = math.lcm(by_rank[r], x.denominator)
+    for r, d in enumerate(by_rank):
+        p = 2
+        while d > 1:
+            p = d if p * p > d or p > 1024 else p
+            e = 0
+            while d % p == 0:
+                d, e = d // p, e + 1
+            lam, p = math.lcm(lam, p ** -(-e // r)), p + 1
+    scale = [lam**r for r in range(n + 1)]
+    ints = [[x.numerator * (scale[r] // x.denominator) for x, r in zip(t, ranks)] for t in tables]
+    weight = [0] * (n + 1)
+    for g in ints:
+        for a, r in zip(g, ranks):
+            weight[r] += abs(a)
+    bound, power = 0, weight
+    for _ in range(n if k is None else k):
+        bound = max(bound, *power)
+        power = [sum(power[i] * weight[j - i] for i in range(j + 1)) for j in range(n + 1)]
+    w = bound.bit_length() + 2
+    zetas = [_transform([a << w * r for a, r in zip(g, ranks)], operator.add) for g in ints]
+    return n, w, (1 << w * (n + 1)) - 1, lam, ranks, zetas
+
+
+def _slot(packed: int, w: int, r: int, scale: int):
+    """Slot r of ``packed``, read balanced mod 2^w, over ``scale``."""
+    half = 1 << (w - 1)
+    q = ((packed >> w * r) + half & 2 * half - 1) - half
+    c, rem = divmod(q, scale)
+    return Fraction(q, scale) if rem else c
+
+
+def block_sums(table) -> list[tuple]:
     """A list indexed by mask T of the rational ``table``: the tuple
-    (c_0, ..., c_|T|) with c_k the sum over k-block set partitions of T of
-    the product of the table over the blocks (c_0 is 1 on the empty set).
+    (c_0, ..., c_|T|), c_k the sum over k-block set partitions of T of the
+    product of the table over the blocks (c_0 is 1 on the empty set).
 
     Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
-    "Fourier meets Moebius", STOC 2007): c_k = f^{*k} / k!, with f^{*k} the
-    k-fold disjoint product.  Zeta-transforming f rank by rank makes that
-    product a polynomial product in the rank at every mask; the rank-r
-    layer of the k-th power, Moebius-transformed, is f^{*k} on r-sets.
-    O(m^3 2^m) for m elements, on ints over one common denominator.
+    "Fourier meets Moebius", STOC 2007), Kronecker-packed (``_packed``):
+    k! c_k is the k-fold disjoint product.  No block is empty, so a packed
+    mask divides by z and its k-th power over z^k is one int product kept
+    to n + 1 - k slots; the Moebius transform of that power holds
+    k! c_k(T) lam^|T| in slot |T| - k at mask T, zeros below.
     """
-    size, m = len(table), len(table).bit_length() - 1
-    values = [0, *table[1:]]
-    f, scale = _scaled(values)
-    ranks = [t.bit_count() for t in range(size)]
-    by_rank = [[t for t in range(size) if ranks[t] == r] for r in range(m + 1)]
-    zeta = [[]] + [
-        _transform([x if ranks[t] == r else 0 for t, x in enumerate(f)], operator.add)
-        for r in range(1, m + 1)
-    ]
-    sums = [[Fraction(1)]] + [[Fraction(0), Fraction(x)] for x in values[1:]]
-    power = zeta  # power[r]: rank-r layer of f^{*k}, zeta-transformed; k = 1 here
-    for k in range(2, m + 1):
-        nxt = [[]] * (m + 1)
-        for r in range(k, m + 1):
-            acc = list(map(operator.mul, power[k - 1], zeta[r - k + 1]))
-            for i in range(k, r):
-                acc = list(map(operator.add, acc, map(operator.mul, power[i], zeta[r - i])))
-            nxt[r] = acc
-        power = nxt
-        denominator = math.factorial(k) * scale**k
-        for r in range(k, m + 1):
-            layer = _transform(list(power[r]), operator.sub)
-            for t in by_rank[r]:
-                sums[t].append(Fraction(layer[t], denominator))
+    n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])])
+    zeta = [x >> w for x in zeta]
+    sums, power = [[1]] + [[0] for _ in ranks[1:]], zeta
+    for k in range(1, n + 1):
+        if k > 1:
+            power = [a * b & mask >> w * k for a, b in zip(power, zeta)]
+        layer = _transform(list(power), operator.sub)
+        for T, r in enumerate(ranks):
+            if r >= k:
+                sums[T].append(_slot(layer[T], w, r - k, math.factorial(k) * lam**r))
     return [tuple(s) for s in sums]
+
+
+def full_block_sums(table) -> tuple:
+    """``block_sums(table)`` at the full set alone, from n 2^n int products:
+    the Moebius transform there is the sum over masks X of (-1)^(n-|X|)
+    times the power at X, so the masks split in two lists by sign.  No
+    disjoint k-tuple short of n elements covers the full set, so the slots
+    below n are 0 and slot n is k! c_k lam^n (slot n - k over z^k)."""
+    n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])])
+    plus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2 == 0]
+    minus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2]
+    sums, pp, mp = [int(n == 0)], plus, minus
+    for k in range(1, n + 1):
+        if k > 1:
+            pp = [a * b & mask >> w * k for a, b in zip(pp, plus)]
+            mp = [a * b & mask >> w * k for a, b in zip(mp, minus)]
+        sums.append(_slot(sum(pp) - sum(mp), w, n - k, math.factorial(k) * lam**n))
+    return tuple(sums)
 
 
 def compose(terms: Iterable, inner: SetMap) -> SetMap:
     """Compose a sequence with a rational set map vanishing on the empty set.
 
-    (a o h)_S sums a_{len(sigma)} * prod h_T over all set partitions sigma
-    of S, i.e. sum_k a_k c_k(S) with c the block sums of h; the empty set
-    gets a_0 (empty-product convention).  The terms may be polynomials.
-    The sequence must supply terms 0..n; shortfalls are a hard error,
-    never padding.
+    (a o h)_S = sum_k a_k c_k(S) with c the block sums of h; the empty set
+    gets a_0 (empty product).  The terms, 0..n, may be polynomials.
     """
     n = inner.n
     if inner.table[0] != 0:
         raise ValueError("composition requires value 0 on the empty set")
-    seq = tuple(terms)
-    if len(seq) < n + 1:
-        raise ValueError(
-            f"sequence too short: composition over ground-set size {n} needs terms 0..{n}, "
-            f"got {len(seq)}"
-        )
+    seq = _terms(terms, n, "composition over ")
     sums = block_sums(inner.table)
     return SetMap(n, (_weigh(seq, sums[S]) for S in range(1 << n)))
+
+
+def _terms(terms: Iterable, n: int, what: str) -> tuple:
+    """The sequence as a tuple, which must cover indices 0..n; never padded."""
+    seq = tuple(terms)
+    if len(seq) < n + 1:
+        raise ValueError(f"sequence too short: {what}ground-set size {n} needs terms 0..{n}, got {len(seq)}")
+    return seq
 
 
 def _weigh(terms: tuple, lengths: tuple):
@@ -335,23 +348,16 @@ def sequence_product(a: Iterable, b: Iterable) -> tuple:
     i.e. multiplication of exponential generating functions.
     """
     sa, sb = tuple(a), tuple(b)
-    length = min(len(sa), len(sb))
-    out = []
-    for m in range(length):
-        acc = None
-        for k in range(m + 1):
-            term = (sa[k] * sb[m - k]) * math.comb(m, k)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        sum((sa[k] * sb[m - k] * math.comb(m, k) for k in range(1, m + 1)), sa[0] * sb[m])
+        for m in range(min(len(sa), len(sb)))
+    )
 
 
 def _revert(terms: tuple) -> list[Fraction]:
-    """EGF terms b of the compositional inverse of sum_{k>=1} terms[k] t^k / k!.
-
-    b_0 = 0 and b_m is solved from the degree-m coefficient of
-    sum_k terms[k] B^k / k! = t, in which only k = 1 involves b_m.
-    """
+    """EGF terms b of the compositional inverse of sum_{k>=1} terms[k] t^k / k!:
+    b_0 = 0, and b_m solves the degree-m coefficient of sum_k terms[k] B^k / k!
+    = t, in which only k = 1 involves b_m."""
     b = [Fraction(0)] * len(terms)
     for m in range(1, len(terms)):
         acc = Fraction(int(m == 1))
@@ -371,12 +377,7 @@ def decompose(outer: SetMap, terms: Iterable) -> SetMap:
     the EGF reversion of a - a_0 composed with it.
     """
     n = outer.n
-    seq = tuple(terms)
-    if len(seq) < n + 1:
-        raise ValueError(
-            f"sequence too short: decomposition over ground-set size {n} needs terms 0..{n}, "
-            f"got {len(seq)}"
-        )
+    seq = _terms(terms, n, "decomposition over ")
     if seq[0] != outer.table[0]:
         raise ValueError("terms[0] must equal the empty-set value of the map")
     if seq[1] == 0:
@@ -387,11 +388,10 @@ def decompose(outer: SetMap, terms: Iterable) -> SetMap:
 def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
     """Recover terms 0..max_n of a with compose(a, inner) == outer.
 
-    The inner map must be rational, vanish on the empty set and be nonzero
-    on the one-element subsets used by the induction (elements
-    0..max_n-1); term m is solved on the subset {0, ..., m-1}, where the
-    all-singletons partition isolates a_m.  A final pass over every subset
-    of size <= max_n rejects maps that are not compositions with ``inner``.
+    ``inner`` is rational, 0 on the empty set and nonzero on the singletons
+    0..max_n-1.  Term m is solved on {0, ..., m-1}, where the all-singletons
+    partition isolates a_m; a final pass over the subsets of size <= max_n
+    rejects maps that are not compositions with ``inner``.
     """
     n = outer.n
     if inner.n != n:
@@ -409,7 +409,7 @@ def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
     terms: list = [outer.table[0]]
     for m in range(1, max_n + 1):
         lengths = sums[(1 << m) - 1]
-        terms.append((outer.table[(1 << m) - 1] - _weigh(terms, lengths)) / lengths[m])
+        terms.append((outer.table[(1 << m) - 1] - _weigh(terms, lengths)) / Fraction(lengths[m]))
     for S in range(1 << n):
         if S.bit_count() <= max_n and _weigh(terms, sums[S]) != outer.table[S]:
             raise ValueError("map is not a composition of any sequence with the inner map")

@@ -6,8 +6,11 @@ from math import comb
 
 import pytest
 
+import random
+
 from setmaps.abel import (
     BlockPartition,
+    _partition_weight_sums,
     abel_general_setmap,
     abel_poly,
     abel_setmap,
@@ -16,7 +19,7 @@ from setmaps.abel import (
     verify_forest_coefficients,
 )
 from setmaps.expansions import check_binomial_type
-from setmaps.ring import CapExceeded, SetMap
+from setmaps.ring import CapExceeded, SetMap, partitions_of
 from setmaps.umbral import AbelPolynomials, Poly
 
 
@@ -156,6 +159,20 @@ def test_closed_form_partition_sum_two_singletons_by_hand():
 def test_closed_form_partition_sum_sweep():
     for sizes in size_vectors(7, 3):
         assert verify_closed_form_partition_sum(BlockPartition(sizes))
+
+
+def test_partition_weight_sums_match_bell_enumeration():
+    # the kernel's full-set readout against every partition of up to 10 blocks
+    rng = random.Random(10)
+    for count in range(11):
+        blocks = BlockPartition(rng.randint(1, 4) for _ in range(count))
+        sums = [0] * (count + 1)
+        for gamma in partitions_of(blocks.full_mask):
+            term = 1
+            for rho in gamma:
+                term *= blocks.subset_weight(rho) ** (rho.bit_count() - 1)
+            sums[len(gamma)] += term
+        assert _partition_weight_sums(blocks) == tuple(sums), blocks
 
 
 def test_forest_coefficients_hand_values():

@@ -151,8 +151,16 @@ def test_expand_cap_warning_prices_the_kernel_not_partitions(capsys):
     status, out, err = run_cli(capsys, *argv, "--cap", "13")
     assert status == 0
     assert out == plain and quiet == ""
-    assert "(3^13-1)/2 = 797161 (subset, color class) pairs" in err and "2^13*13^3" in err
+    assert "(3^13-1)/2 = 797161 (subset, color class) pairs" in err
+    assert "2^13*13 = 106496 int products" in err
     assert "Bell" not in err
+
+
+@pytest.mark.parametrize("check", ["closed-form", "forest-count"])
+def test_block_partition_sums_are_priced_as_the_kernel(capsys, check):
+    status, _, err = run_cli(capsys, "verify", "--check", check, "--blocks", "2,1,1", "--cap", "7")
+    assert status == 0
+    assert err == "warning: cap override 7; the block-sum kernel takes about 2^7*7 = 896 int products\n"
 
 
 @pytest.mark.parametrize(
@@ -337,8 +345,9 @@ def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_p
     "check", ["binomial", "power", "expansion", "derivative", "rising-pairs", "stable-counts", "stanley"]
 )
 def test_graph_checks_test_their_caps_before_any_table(capsys, monkeypatch, tmp_path, check):
-    path = tmp_path / "g16.txt"
-    path.write_text(random_graphs(16, 1, seed=0x16, p=0.3)[0].to_text())
+    # 18 vertices: over every graph check's cap, the expansion cap of 17 included
+    path = tmp_path / "g18.txt"
+    path.write_text(random_graphs(18, 1, seed=0x16, p=0.3)[0].to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(path))
     assert status == 3

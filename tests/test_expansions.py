@@ -26,6 +26,7 @@ from setmaps.umbral import (
     Monomials,
     Poly,
     RisingFactorials,
+    family_from_string,
     standard_families,
 )
 
@@ -136,6 +137,21 @@ def test_reconstruct_matches_direct_partition_sum():
                     weight *= exp.coeffs[block]
                 direct = direct + fam.poly(len(sigma)) * weight
             assert exp.reconstruct() == direct
+
+
+@pytest.fixture(scope="module")
+def gnp_tables():
+    """Chromatic tables of one seeded G(n, .3) per n, past brute force."""
+    return {n: chromatic_setmap(random_graphs(n, 1, seed=n, p=0.3)[0]) for n in (13, 14)}
+
+
+@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("basis", ["rising", "logfamily", "abel:3/4", "falling:-2/3"])
+def test_full_set_lengths_are_the_basis_coefficients_of_the_full_polynomial(gnp_tables, n, basis):
+    # p_S = sum_k c_k a_k(x) with c_k = A^k p_S / k! (Rota-Kahaner-Odlyzko):
+    # an oracle for the kernel's full-set readout that needs no partitions
+    p, family = gnp_tables[n], family_from_string(basis)
+    assert expand(p, family, cap=n).by_length() == family.coefficients(p[p.full_mask])
 
 
 def basis_composite(exp):

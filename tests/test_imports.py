@@ -64,6 +64,11 @@ def test_expand_does_not_load_abel():
     assert "setmaps.abel" not in modules
 
 
+def test_cap_warning_loads_abel_only_to_price_tail_forests():
+    argv = ("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "rising", "--cap", "9")
+    assert "setmaps.abel" not in loaded_after(run_main(*argv))
+
+
 def test_block_checks_do_not_load_graphs_or_expansions():
     for argv in (
         ("verify", "--check", "closed-form", "--blocks", "2,1,1"),

@@ -13,6 +13,7 @@ from setmaps.ring import (
     block_sums,
     compose,
     decompose,
+    full_block_sums,
     partitions_of,
     recover_sequence,
     sequence_product,
@@ -168,13 +169,29 @@ def kernel_tables(draw):
 @example([Fraction(5)])
 @example([Fraction(7), Fraction(2), Fraction(0), Fraction(5, 6)])
 def test_block_sums_match_partition_enumeration(table):
-    assert block_sums(table) == brute_block_sums(table)
+    # both readouts of the packed kernel: every mask, and the full set alone
+    brute = brute_block_sums(table)
+    assert block_sums(table) == brute
+    assert full_block_sums(table) == brute[-1]
 
 
 def test_block_sums_full_nine_element_set(rng):
     table = [Fraction(0)] + [random_fraction(rng) for _ in range((1 << 9) - 1)]
     table[0b11] = Fraction(0)
-    assert block_sums(table) == brute_block_sums(table)
+    brute = brute_block_sums(table)
+    assert block_sums(table) == brute
+    assert full_block_sums(table) == brute[-1]
+
+
+def test_block_sums_scale_each_rank_by_its_own_root():
+    # denominators 3^|T| need lam = 3 only, and a prime past the trial
+    # division bound is taken whole; integral results come back as ints
+    table = [0, Fraction(1, 3), Fraction(2, 3), Fraction(5, 9)]
+    assert full_block_sums(table) == (0, Fraction(5, 9), Fraction(2, 9))
+    big = [0, Fraction(1, 1031**2), Fraction(1, 1031), 1]
+    assert block_sums(big) == brute_block_sums(big)
+    assert block_sums([0, 2, 3, 4]) == [(1,), (0, 2), (0, 3), (0, 4, 6)]
+    assert all(type(c) is int for c in full_block_sums([0, 2, 3, 4]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +220,20 @@ def test_add_ground_size_one_example():
 def test_add_ground_mismatch_rejected():
     with pytest.raises(ValueError, match="ground-set mismatch"):
         SetMap.constant(2, Fraction(1)) + SetMap.constant(3, Fraction(1))
+
+
+def brute_product(g, h):
+    """(g * h)_S straight from the submasks T of S."""
+    return tuple(sum(g[T] * h[S ^ T] for T in subsets_of(S)) for S in range(len(g)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: st.tuples(tables_st(n), tables_st(n))))
+@example(([Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 3), Fraction(-5, 2)]))
+def test_product_matches_submask_sums(tables):
+    g, h = tables
+    n = len(g).bit_length() - 1
+    assert (SetMap(n, g) * SetMap(n, h)).table == brute_product(g, h)
 
 
 def test_mul_unit_is_identity(rng):
