@@ -248,8 +248,8 @@ def _packed(tables, k: int | None = None) -> tuple:
             while d % p == 0:
                 d, e = d // p, e + 1
             lam, p = math.lcm(lam, p ** -(-e // r)), p + 1
-    scale = [lam**r for r in range(n + 1)]
-    ints = [[x.numerator * (scale[r] // x.denominator) for x, r in zip(t, ranks)] for t in tables]
+    ints = [[x.numerator * (lam**r // x.denominator) for x, r in zip(t, ranks)]
+            if lam > 1 else [x.numerator for x in t] for t in tables]
     weight = [0] * (n + 1)
     for g in ints:
         for a, r in zip(g, ranks):
