@@ -190,7 +190,7 @@ class SetMap:
         self._same_ground(other)
         # lam^0 cannot clear a denominator on the empty set, so clear it first
         c, d = self.table[0].denominator, other.table[0].denominator
-        tables = [x * c for x in self.table], [x * d for x in other.table]
+        tables = [t if e == 1 else [x * e for x in t] for t, e in ((self.table, c), (other.table, d))]
         n, w, mask, lam, ranks, (g, h) = _packed(tables, 2)
         layer = _transform([a * b & mask for a, b in zip(g, h)], operator.sub)
         return SetMap(n, (_slot(x, w, r, c * d * lam**r) for x, r in zip(layer, ranks)))
@@ -254,10 +254,10 @@ def _packed(tables, k: int | None = None) -> tuple:
     for g in ints:
         for a, r in zip(g, ranks):
             weight[r] += abs(a)
-    bound, power = 0, weight
-    for _ in range(n if k is None else k):
-        bound = max(bound, *power)
+    bound, power = max(weight), weight
+    for _ in range(1, n if k is None else k):
         power = [sum(power[i] * weight[j - i] for i in range(j + 1)) for j in range(n + 1)]
+        bound = max(bound, *power)
     w = bound.bit_length() + 2
     zetas = [_transform([a << w * r for a, r in zip(g, ranks)], operator.add) for g in ints]
     return n, w, (1 << w * (n + 1)) - 1, lam, ranks, zetas
