@@ -63,6 +63,7 @@ _SOURCES = {
             "block_sums",
             "compose",
             "decompose",
+            "full_block_sums",
             "partitions_of",
             "recover_sequence",
             "sequence_product",

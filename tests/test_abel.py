@@ -1,12 +1,11 @@
 """Abel-type set maps on blocks, partition sums, and tail forests."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-
-import random
 
 from setmaps.abel import (
     BlockPartition,
