@@ -19,6 +19,7 @@ _SOURCES = {
             "count_tail_forests",
             "verify_closed_form_partition_sum",
             "verify_forest_coefficients",
+            "verify_tail_forests",
         ),
         "abel",
     ),

@@ -178,6 +178,23 @@ def verify_forest_coefficients(
     return all(math.comb(n - 1, kk - 1) * w ** (n - kk) == sums[kk] for kk in ks)
 
 
+def verify_tail_forests(
+    blocks: BlockPartition, k: int | None = None, cap: int = TAIL_BLOCK_CAP
+) -> dict[int, bool]:
+    """Check the tail-forest count against C(n-1, k-1) w^(n-k), the closed
+    form's coefficient of x^k: one verdict per k, every k in 1..n when k is
+    None (restrict the blocks first for a subset)."""
+    n = blocks.block_count
+    if n == 0:
+        raise ValueError("the identity needs at least one block")
+    w = blocks.weight
+    # counted first: count_tail_forests checks the caps and k
+    return {
+        kk: count_tail_forests(blocks, kk, cap) == math.comb(n - 1, kk - 1) * w ** (n - kk)
+        for kk in (range(1, n + 1) if k is None else (k,))
+    }
+
+
 def _forest_acyclic(n: int, successor: dict[int, int]) -> bool:
     """Cycle test for a digraph with out-degree at most one per block."""
     state = [0] * n  # 0 unseen, 1 on current walk, 2 done
@@ -200,7 +217,7 @@ def _forest_acyclic(n: int, successor: dict[int, int]) -> bool:
 def count_tail_forests(
     blocks: BlockPartition,
     k: int,
-    block_cap: int = TAIL_BLOCK_CAP,
+    cap: int = TAIL_BLOCK_CAP,
     weight_cap: int = TAIL_WEIGHT_CAP,
 ) -> int:
     """Count tail forests with k components by exhaustive enumeration.
@@ -212,8 +229,8 @@ def count_tail_forests(
     own origin block induces a self-loop and is never acyclic.
     """
     n = blocks.block_count
-    if n > block_cap:
-        raise CapExceeded(f"tail-forest enumeration over {n} blocks exceeds cap {block_cap}")
+    if n > cap:
+        raise CapExceeded(f"tail-forest enumeration over {n} blocks exceeds cap {cap}")
     if blocks.weight > weight_cap:
         raise CapExceeded(
             f"tail-forest enumeration over weight {blocks.weight} exceeds cap {weight_cap}"

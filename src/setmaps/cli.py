@@ -27,13 +27,17 @@ oracles load ``umbral`` and ``graphs``; ``expand`` and the graph checks
 add ``expansions``; the block checks, ``oracle tail-forests`` and
 ``abel`` load ``umbral`` and ``abel``.  A ``--cap`` warning loads
 ``abel`` only to price the tail-forest stage, for its weight cap.
+
+Checks and oracles are named once, in one ordered table per kind
+(``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
+the stages a ``--cap`` override raises; the parser, the ``--check`` help,
+the cost warning and ``verify`` read them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -43,34 +47,38 @@ from .ring import CapExceeded
 # engine modules are imported inside the commands (module docstring); the
 # annotations that name their classes are never evaluated (PEP 563)
 
-GRAPH_CHECKS = (
-    "binomial",
-    "expansion",
-    "rising-pairs",
-    "abel-one",
-    "stable-counts",
-    "derivative",
-    "evaluation",
-    "power",
-    "stanley",
-)
-BLOCK_CHECKS = ("closed-form", "forest-count", "tail-forests")
-ORACLES = (
-    "colorings",
-    "acyclic",
-    "stable-partitions",
-    "unique-sink",
-    "sink-source",
-    "tail-forests",
-)
+# each name, in run order -> the stages a --cap override raises (none: reads no cap)
+_EXPANSION = ("table", "kernel")
+GRAPH_CHECKS = {
+    "binomial": ("pairs",),
+    "expansion": _EXPANSION,
+    "rising-pairs": ("partitions",),
+    "abel-one": _EXPANSION,
+    "stable-counts": ("partitions",),
+    "derivative": _EXPANSION,
+    "evaluation": _EXPANSION,
+    "power": ("pairs",),
+    "stanley": ("orientations",),
+}
+BLOCK_CHECKS = {"closed-form": ("kernel",), "forest-count": ("kernel",), "tail-forests": ("tails",)}
+ORACLES = {
+    "colorings": (),
+    "acyclic": ("orientations",),
+    "stable-partitions": ("partitions",),
+    "unique-sink": ("orientations",),
+    "sink-source": ("orientations",),
+    "tail-forests": ("tails",),
+}
+_CHECK_NAMES = ", ".join([*GRAPH_CHECKS, *BLOCK_CHECKS])
 
 
 def _rat(value) -> str:
     return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
-def _coeff_strings(poly) -> list[str]:
-    return [_rat(c) for c in poly.coeffs] if poly.coeffs else ["0"]
+def _poly_result(poly) -> dict:
+    coeffs = [_rat(c) for c in poly.coeffs] if poly.coeffs else ["0"]
+    return {"coefficients": coeffs, "degree": poly.degree, "polynomial": str(poly)}
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
@@ -129,11 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="run a named identity suite")
-    p.add_argument("--check", required=True, help=f"one of {', '.join(GRAPH_CHECKS + BLOCK_CHECKS)}")
+    p.add_argument("--check", required=True, help=f"one of {_CHECK_NAMES}")
     p.add_argument("--graph", default=None, help="path to a graph file (graph checks)")
-    p.add_argument(
-        "--blocks", type=_parse_blocks, default=None, help="block sizes (block checks)"
-    )
+    p.add_argument("--blocks", type=_parse_blocks, default=None, help="block sizes (block checks)")
     p.add_argument("--basis", default=None, help="restrict the expansion check to one basis")
     p.add_argument("--subset", type=int, default=None)
     p.add_argument("--x", type=_parse_rational, default=None, help="expansion parameter / base point")
@@ -159,29 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the stages a --cap override raises, per command, check or oracle; the rest read no cap
-_EXPANSION = ("table", "kernel")
-_CAP_STAGES = {
-    "expand": _EXPANSION,
-    "binomial": ("pairs",),
-    "power": ("pairs",),
-    "expansion": _EXPANSION,
-    "abel-one": _EXPANSION,
-    "derivative": _EXPANSION,
-    "evaluation": _EXPANSION,
-    "rising-pairs": ("partitions",),
-    "stable-counts": ("partitions",),
-    "closed-form": ("kernel",),
-    "forest-count": ("kernel",),
-    "stable-partitions": ("partitions",),
-    "acyclic": ("orientations",),
-    "unique-sink": ("orientations",),
-    "sink-source": ("orientations",),
-    "stanley": ("orientations",),
-    "tail-forests": ("tails",),
-}
-
-
 def _warn_cap(ns: argparse.Namespace) -> None:
     """Price a cap override by the work of each stage it governs."""
     if getattr(ns, "cap", None) is None:  # chromatic and abel take no --cap
@@ -190,10 +173,11 @@ def _warn_cap(ns: argparse.Namespace) -> None:
 
     cap = ns.cap
     if ns.command == "verify":
-        names = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
+        checks = {**GRAPH_CHECKS, **BLOCK_CHECKS}
+        rows = GRAPH_CHECKS.values() if ns.check == "all" else [checks.get(ns.check, ())]
     else:
-        names = (ns.oracle if ns.command == "oracle" else ns.command,)
-    stages = {stage for name in names for stage in _CAP_STAGES.get(name, ())}
+        rows = [ORACLES[ns.oracle] if ns.command == "oracle" else _EXPANSION]
+    stages = {stage for row in rows for stage in row}
 
     def count(form: str, value) -> str:
         # evaluated only for caps small enough to print
@@ -228,11 +212,8 @@ def _warn_cap(ns: argparse.Namespace) -> None:
             f"{count(f'{TAIL_WEIGHT_CAP + 1}^{cap}', lambda: (TAIL_WEIGHT_CAP + 1) ** cap)} "
             f"tail sets; the weight cap of {TAIL_WEIGHT_CAP} stays"
         )
-    priced = [text for stage, text in costs.items() if stage in stages]
-    print(
-        f"warning: cap override {cap}; {'; '.join(priced or ['no stage of this command reads it'])}",
-        file=sys.stderr,
-    )
+    priced = "; ".join(text for stage, text in costs.items() if stage in stages)
+    print(f"warning: cap override {cap}; {priced or 'no stage of this command reads it'}", file=sys.stderr)
 
 
 def _load_graph(ns: argparse.Namespace) -> Graph:
@@ -256,27 +237,17 @@ def _graph_input(ns: argparse.Namespace, graph: Graph) -> dict:
     }
 
 
-def _check_cap(what: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise CapExceeded(f"{what} over {size} vertices exceeds cap {cap}")
-
-
 def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
     from .graphs import chromatic_poly
 
     graph = _load_graph(ns)
     poly = chromatic_poly(graph.restrict(_subset(ns, graph)))
-    payload = {
+    return {
         "command": "chromatic",
         "input": _graph_input(ns, graph),
-        "result": {
-            "coefficients": _coeff_strings(poly),
-            "degree": poly.degree,
-            "polynomial": str(poly),
-        },
+        "result": _poly_result(poly),
         "checks": [],
-    }
-    return payload, 0
+    }, 0
 
 
 def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -290,7 +261,8 @@ def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     subset = _subset(ns, graph)
     # the table covers only the subset, its vertices relabelled 0..k-1 in order
     local = graph.restrict(subset)
-    _check_cap("expansion", local.n, cap)
+    if local.n > cap:
+        raise CapExceeded(f"expansion over {local.n} vertices exceeds cap {cap}")
     family = family_from_string(ns.basis)
     p = chromatic_setmap(local)
     exp = expand(p, family, cap)
@@ -329,96 +301,74 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     from .graphs import EDGE_ENUM_CAP, chromatic_setmap
     from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
 
-    # default caps of the graph checks, in run order, over the vertex count (stanley: edges)
-    default_caps = {
-        "binomial": BINOMIAL_CHECK_CAP,
-        "expansion": EXPAND_CAP,
-        "rising-pairs": PAIR_COUNT_CAP,
-        "abel-one": CHROMATIC_EXPANSION_CAP,
-        "stable-counts": CHROMATIC_EXPANSION_CAP,
-        "derivative": CHROMATIC_EXPANSION_CAP,
-        "evaluation": CHROMATIC_EXPANSION_CAP,
-        "power": POWER_CAP,
-        "stanley": EDGE_ENUM_CAP,
-    }
-    name = ns.check
-    caps = {
-        check: default if ns.cap is None else ns.cap
-        for check, default in default_caps.items()
-        if name in (check, "all")
-    }
+    selected = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
     # usage errors come before caps: build the families and read --x/--k first
-    if "expansion" in caps:
-        families = (
-            standard_families() if ns.basis is None else (family_from_string(ns.basis),)
-        )
+    if "expansion" in selected:
+        families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
     abel_a = AbelPolynomials(Fraction(0) if ns.x is None else ns.x)
-    if "evaluation" in caps:
+    if "evaluation" in selected:
         falling_a = FallingFactorials(Fraction(1) if ns.x is None else ns.x)
     x0, y0 = (Fraction(2) if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
-    if "power" in caps and y0 < 1:
+    if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
-    for check, cap in caps.items():
+    # one row per graph check, in run order: its default cap, over the vertex
+    # count (stanley: the edge count), and its labelled runs on the shared table p
+    rows = {
+        "binomial": (BINOMIAL_CHECK_CAP, lambda p, cap: {"binomial-type": check_binomial_type(p, cap)}),
+        "expansion": (
+            EXPAND_CAP,
+            lambda p, cap: {f"expansion {f}": expansion_reconstructs(p, f, cap) for f in families},
+        ),
+        "rising-pairs": (
+            PAIR_COUNT_CAP,
+            lambda p, cap: {"rising-pairs": verify_rising_orientation_pairs(graph, p, cap)},
+        ),
+        # chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
+        "abel-one": (
+            CHROMATIC_EXPANSION_CAP,
+            lambda p, cap: {"abel-one": expansion_reconstructs(p, AbelPolynomials(1), cap)},
+        ),
+        "stable-counts": (
+            CHROMATIC_EXPANSION_CAP,
+            lambda p, cap: {"stable-counts": verify_stable_count_expansion(graph, p, cap)},
+        ),
+        "derivative": (
+            CHROMATIC_EXPANSION_CAP,
+            lambda p, cap: {f"derivative a={abel_a.point}": expansion_reconstructs(p, abel_a, cap)},
+        ),
+        "evaluation": (
+            CHROMATIC_EXPANSION_CAP,
+            lambda p, cap: {f"evaluation a={falling_a.step}": expansion_reconstructs(p, falling_a, cap)},
+        ),
+        "power": (
+            POWER_CAP,
+            lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
+        ),
+        "stanley": (EDGE_ENUM_CAP, lambda p, cap: {"stanley": verify_stanley_evaluation(graph, p, cap)}),
+    }
+    runs = []
+    for check in selected:
+        default, run = rows[check]
+        cap = default if ns.cap is None else ns.cap
         size, unit = (graph.edge_count, "edges") if check == "stanley" else (graph.n, "vertices")
         if size > cap:
             raise CapExceeded(f"{check} check over {size} {unit} exceeds cap {cap}")
+        runs.append((run, cap))
     # one table, built after every cap above, for every check
     p = chromatic_setmap(graph)
-    checks: list[tuple[str, bool]] = []
-
-    def run(label: str, fn, *args) -> None:
-        checks.append((label, bool(fn(*args))))
-
-    if "binomial" in caps:
-        run("binomial-type", check_binomial_type, p, caps["binomial"])
-    if "expansion" in caps:
-        for family in families:
-            run(f"expansion {family}", expansion_reconstructs, p, family, caps["expansion"])
-    if "rising-pairs" in caps:
-        run("rising-pairs", verify_rising_orientation_pairs, graph, p, caps["rising-pairs"])
-    if "abel-one" in caps:
-        # chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
-        run("abel-one", expansion_reconstructs, p, AbelPolynomials(1), caps["abel-one"])
-    if "stable-counts" in caps:
-        run("stable-counts", verify_stable_count_expansion, graph, p, caps["stable-counts"])
-    if "derivative" in caps:
-        run(f"derivative a={abel_a.point}", expansion_reconstructs, p, abel_a, caps["derivative"])
-    if "evaluation" in caps:
-        run(f"evaluation a={falling_a.step}", expansion_reconstructs, p, falling_a, caps["evaluation"])
-    if "power" in caps:
-        run(f"power x0={x0} y0={y0}", verify_power_identity, p, x0, y0, caps["power"])
-    if "stanley" in caps:
-        run("stanley", verify_stanley_evaluation, graph, p, caps["stanley"])
-    return checks
+    return [(label, bool(ok)) for run, cap in runs for label, ok in run(p, cap).items()]
 
 
 def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
     """Run the selected check on ``blocks``, already restricted to the subset."""
-    from .abel import (
-        TAIL_BLOCK_CAP,
-        count_tail_forests,
-        verify_closed_form_partition_sum,
-        verify_forest_coefficients,
-    )
+    from .abel import verify_closed_form_partition_sum, verify_forest_coefficients, verify_tail_forests
 
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
-    checks: list[tuple[str, bool]] = []
-    name = ns.check
-    if name == "closed-form":
-        checks.append(("closed-form", verify_closed_form_partition_sum(blocks, **kwargs)))
-    if name == "forest-count":
-        checks.append(("forest-count", verify_forest_coefficients(blocks, ns.k, **kwargs)))
-    if name == "tail-forests":
-        n = blocks.block_count
-        if n == 0:
-            raise ValueError("the identity needs at least one block")
-        w = blocks.weight
-        ks = range(1, n + 1) if ns.k is None else (ns.k,)
-        for k in ks:
-            counted = count_tail_forests(blocks, k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap)
-            expected = math.comb(n - 1, k - 1) * w ** (n - k)
-            checks.append((f"tail-forests k={k}", counted == expected))
-    return checks
+    if ns.check == "closed-form":
+        return [("closed-form", verify_closed_form_partition_sum(blocks, **kwargs))]
+    if ns.check == "forest-count":
+        return [("forest-count", verify_forest_coefficients(blocks, ns.k, **kwargs))]
+    return [(f"tail-forests k={k}", ok) for k, ok in verify_tail_forests(blocks, ns.k, **kwargs).items()]
 
 
 def _block_subset(ns: argparse.Namespace, blocks: BlockPartition) -> BlockPartition:
@@ -448,8 +398,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
         source = _block_input(ns, blocks)
     else:
         raise ValueError(
-            f"unknown check {ns.check!r}; expected one of "
-            f"{', '.join(GRAPH_CHECKS + BLOCK_CHECKS)} (or 'all' with --graph)"
+            f"unknown check {ns.check!r}; expected one of {_CHECK_NAMES} (or 'all' with --graph)"
         )
     failed = sum(1 for _, ok in checks if not ok)
     payload = {
@@ -465,16 +414,14 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     name = ns.oracle
     if name == "tail-forests":
-        from .abel import TAIL_BLOCK_CAP, BlockPartition, count_tail_forests
+        from .abel import BlockPartition, count_tail_forests
 
         if ns.blocks is None:
             raise ValueError("oracle tail-forests needs --blocks")
         if ns.k is None:
             raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
-        count = count_tail_forests(
-            _block_subset(ns, blocks), ns.k, TAIL_BLOCK_CAP if ns.cap is None else ns.cap
-        )
+        count = count_tail_forests(_block_subset(ns, blocks), ns.k, **kwargs)
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
         from .graphs import (
@@ -504,21 +451,17 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
                 raise ValueError("oracle unique-sink needs --sink")
             count = count_acyclic_unique_sink(restricted, ns.sink, **kwargs)
             source["sink"] = ns.sink
-        elif name == "sink-source":
+        else:  # sink-source; the parser admits no other name
             if ns.source is None or ns.sink is None:
                 raise ValueError("oracle sink-source needs --source and --sink")
             count = count_acyclic_sink_source(restricted, ns.source, ns.sink, **kwargs)
-            source["source"] = ns.source
-            source["sink"] = ns.sink
-        else:
-            raise ValueError(f"unknown oracle {name!r}")
-    payload = {
+            source.update(source=ns.source, sink=ns.sink)
+    return {
         "command": "oracle",
         "input": {**source, "oracle": name},
         "result": {"count": count},
         "checks": [],
-    }
-    return payload, 0
+    }, 0
 
 
 def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -527,17 +470,12 @@ def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
     blocks = BlockPartition(ns.blocks)
     subset = blocks.full_mask if ns.subset is None else ns.subset
     poly = abel_poly(blocks, subset)
-    payload = {
+    return {
         "command": "abel",
         "input": {"blocks": list(blocks.sizes), "subset": subset},
-        "result": {
-            "coefficients": _coeff_strings(poly),
-            "degree": poly.degree,
-            "polynomial": str(poly),
-        },
+        "result": _poly_result(poly),
         "checks": [],
-    }
-    return payload, 0
+    }, 0
 
 
 def _table_value(value) -> str:

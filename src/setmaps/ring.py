@@ -372,15 +372,15 @@ def _revert(terms: tuple) -> list[Fraction]:
 def decompose(outer: SetMap, terms: Iterable) -> SetMap:
     """Solve compose(terms, h) == outer for the unique h with h_empty = 0.
 
-    Requires a rational map, terms[0] == its value on the empty set and
-    terms[1] != 0.  Then outer - terms[0] * unit is (a - a_0) o h, so h is
-    the EGF reversion of a - a_0 composed with it.
+    Requires a rational map, terms[0] == its value on the empty set and,
+    on a nonempty ground set, terms[1] != 0.  Then outer - terms[0] * unit
+    is (a - a_0) o h, so h is the EGF reversion of a - a_0 composed with it.
     """
     n = outer.n
     seq = _terms(terms, n, "decomposition over ")
     if seq[0] != outer.table[0]:
         raise ValueError("terms[0] must equal the empty-set value of the map")
-    if seq[1] == 0:
+    if n >= 1 and seq[1] == 0:
         raise ValueError("terms[1] must be nonzero")
     return compose(_revert(seq[: n + 1]), outer - SetMap.unit(n, seq[0]))
 

@@ -33,7 +33,6 @@ from .ring import MAX_GROUND_SIZE, bell_number
 
 _Scalar = (int, Fraction)
 _KEPT = {int, Fraction}  # coefficient types a Poly stores as given
-_INT = {int}
 
 
 class Poly:
@@ -144,7 +143,7 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -229,9 +228,9 @@ class Functional:
     """Linear functional on polynomials, stored by moments on 1, x, x^2, ...
 
     Applying to a polynomial of degree above the stored bound is an error,
-    never a truncation.  On int coefficients the application is one int
-    dot product with the moments scaled to a common denominator, and one
-    Fraction.
+    never a truncation.  The application is one dot product of the
+    coefficients with the moments scaled to a common denominator, divided by
+    it only when it is not 1: int coefficients under int moments give an int.
     """
 
     __slots__ = ("moments", "_scaled")
@@ -260,22 +259,18 @@ class Functional:
     def is_delta(self) -> bool:
         return self.moments[0] == 0 and len(self.moments) > 1 and self.moments[1] != 0
 
-    def __call__(self, f: Poly) -> Fraction:
+    def __call__(self, f: Poly) -> int | Fraction:
         if f.degree > self.bound:
             raise ValueError(
                 f"polynomial degree {f.degree} exceeds functional bound {self.bound};"
                 " refusing to truncate"
             )
-        if _INT.issuperset(map(type, f.coeffs)):
-            if self._scaled is None:
-                scale = math.lcm(*(m.denominator for m in self.moments))
-                self._scaled = ([m.numerator * (scale // m.denominator) for m in self.moments], scale)
-            ints, scale = self._scaled
-            return Fraction(sum(map(operator.mul, f.coeffs, ints)), scale)
-        acc = Fraction(0)
-        for c, m in zip(f.coeffs, self.moments):
-            acc += c * m
-        return acc
+        if self._scaled is None:
+            scale = math.lcm(*(m.denominator for m in self.moments))
+            self._scaled = ([m.numerator * (scale // m.denominator) for m in self.moments], scale)
+        ints, scale = self._scaled
+        total = sum(map(operator.mul, f.coeffs, ints))
+        return total if scale == 1 else Fraction(total, scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Functional):

@@ -16,6 +16,7 @@ from setmaps.abel import (
     count_tail_forests,
     verify_closed_form_partition_sum,
     verify_forest_coefficients,
+    verify_tail_forests,
 )
 from setmaps.expansions import check_binomial_type
 from setmaps.ring import CapExceeded, SetMap, partitions_of
@@ -74,6 +75,12 @@ def test_two_singleton_blocks_full_set():
 def test_sizes_two_one_full_set():
     # x(x + 3) at weight 3, two blocks
     assert abel_poly(BlockPartition((2, 1)), 0b11) == Poly((0, 3, 1))
+
+
+def test_abel_poly_keeps_int_coefficients():
+    poly = abel_poly(BlockPartition((2, 1, 1)), 0b111)
+    assert poly == Poly((0, 16, 8, 1))  # x(x + 4)^2
+    assert {type(c) for c in poly.coeffs} == {int}
 
 
 def test_empty_subset_value_is_one():
@@ -247,3 +254,19 @@ def test_tail_forest_caps_and_validation():
         count_tail_forests(BlockPartition((9,)), 1)
     with pytest.raises(ValueError):
         count_tail_forests(BlockPartition((1, 1)), 0)
+
+
+def test_tail_forest_cap_keyword():
+    assert count_tail_forests(BlockPartition((1,) * 6), 5, cap=6) == 30  # C(5, 4) * 6^1
+
+
+def test_verify_tail_forests_gives_one_verdict_per_k():
+    assert verify_tail_forests(BlockPartition((2, 1, 1))) == {1: True, 2: True, 3: True}
+    assert verify_tail_forests(BlockPartition((2, 1)), 2) == {2: True}
+    assert verify_tail_forests(BlockPartition((1,) * 6), 5, cap=6) == {5: True}
+    with pytest.raises(CapExceeded):
+        verify_tail_forests(BlockPartition((1,) * 6))
+    with pytest.raises(ValueError, match="component count"):
+        verify_tail_forests(BlockPartition((1, 1)), 3)
+    with pytest.raises(ValueError, match="at least one block"):
+        verify_tail_forests(BlockPartition(()))

@@ -481,3 +481,66 @@ def test_block_commands_echo_the_subset_only_when_given(capsys, argv):
     payload = json.loads(out)
     assert status == 0
     assert payload["input"]["blocks"] == [2, 1, 1] and payload["input"]["subset"] == 3
+
+
+@pytest.mark.parametrize(
+    "extra, a, x0, y0",
+    [((), ("0", "1"), "2", "2"), (("--x", "3/2", "--k", "3"), ("3/2", "3/2"), "3/2", "3")],
+)
+def test_verify_all_runs_every_graph_check_in_order(capsys, extra, a, x0, y0):
+    status, out, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/c5.txt", *extra)
+    assert status == 0
+    families = ("monomial", "falling:1", "falling:-1", "falling:2", "rising", "abel:0", "abel:1", "logfamily")
+    assert [check["name"] for check in json.loads(out)["checks"]] == [
+        "binomial-type",
+        *(f"expansion {family}" for family in families),
+        "rising-pairs",
+        "abel-one",
+        "stable-counts",
+        f"derivative a={a[0]}",
+        f"evaluation a={a[1]}",
+        f"power x0={x0} y0={y0}",
+        "stanley",
+    ]
+
+
+# what a --cap 7 warning says of each stage it prices
+_TABLE = "the chromatic table sums over at most (3^7-1)/2 = 1093 (subset, color class) pairs"
+_KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
+_PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
+_PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
+_ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
+_TAILS = "tail-forest enumeration over 7 blocks tries up to 9^7 = 4782969 tail sets; the weight cap of 8 stays"
+_C5 = ("--graph", f"{GRAPHS}/c5.txt")
+_BLOCKS = ("--blocks", "2,1,1")
+
+
+@pytest.mark.parametrize(
+    "argv, priced",
+    [
+        (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
+        (("verify", "--check", "binomial", *_C5), (_PAIRS,)),
+        (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL)),
+        (("verify", "--check", "rising-pairs", *_C5), (_PARTITIONS,)),
+        (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
+        (("verify", "--check", "stable-counts", *_C5), (_PARTITIONS,)),
+        (("verify", "--check", "derivative", *_C5), (_TABLE, _KERNEL)),
+        (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
+        (("verify", "--check", "power", *_C5), (_PAIRS,)),
+        (("verify", "--check", "stanley", *_C5), (_ORIENTATIONS,)),
+        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _PARTITIONS, _PAIRS, _ORIENTATIONS)),
+        (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
+        (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
+        (("verify", "--check", "tail-forests", *_BLOCKS), (_TAILS,)),
+        (("oracle", "colorings", *_C5, "--x", "3"), ("no stage of this command reads it",)),
+        (("oracle", "acyclic", *_C5), (_ORIENTATIONS,)),
+        (("oracle", "stable-partitions", *_C5), (_PARTITIONS,)),
+        (("oracle", "unique-sink", *_C5, "--sink", "0"), (_ORIENTATIONS,)),
+        (("oracle", "sink-source", *_C5, "--source", "0", "--sink", "1"), (_ORIENTATIONS,)),
+        (("oracle", "tail-forests", *_BLOCKS, "--k", "1"), (_TAILS,)),
+    ],
+)
+def test_cap_warning_lines_are_pinned(capsys, argv, priced):
+    status, _, err = run_cli(capsys, *argv, "--cap", "7")
+    assert status == 0
+    assert err == f"warning: cap override 7; {'; '.join(priced)}\n"

@@ -393,6 +393,13 @@ def test_decompose_unit_gives_zero_map():
     assert decompose(SetMap.unit(n), terms) == SetMap.constant(n, Fraction(0))
 
 
+def test_decompose_on_the_empty_ground_set():
+    outer = SetMap(0, [Fraction(1)])
+    h = decompose(outer, [1])
+    assert h == SetMap(0, [0])
+    assert compose([1], h) == outer
+
+
 @settings(max_examples=25, deadline=None)
 @given(tables_st(3), st.lists(fractions_st, min_size=4, max_size=4))
 def test_decompose_round_trip(table, terms):

@@ -65,6 +65,11 @@ def test_poly_product_evaluates_pointwise(a, b):
         assert (p + q)(point) == p(point) + q(point)
 
 
+def test_int_products_keep_int_coefficients():
+    assert [type(c) for c in (Poly((1, 1)) * Poly((1, 1))).coeffs] == [int, int, int]
+    assert Poly((1, Fraction(1, 2))) * Poly((2, 1)) == Poly((2, 2, Fraction(1, 2)))
+
+
 def test_interpolate_recovers_polynomial():
     p = Poly((1, Fraction(-1, 2), 0, 2))
     points = [(i, p(i)) for i in range(5)]
@@ -114,6 +119,16 @@ def test_apply_rejects_degree_overflow():
     L = Functional((0, 1))
     with pytest.raises(ValueError, match="degree"):
         L(Poly.monomial(2))
+
+
+def test_functional_values_keep_their_type_on_one_path():
+    p = Poly((3, -1, 4, 1, -5))
+    for family in (RisingFactorials(), Monomials()):
+        assert type(family.delta(4)(p)) is int
+    for family in (FallingFactorials(Fraction(1, 2)), AbelPolynomials(Fraction(3, 4)), RisingFactorials()):
+        L = family.delta(4)
+        for q in (p, p / 3):
+            assert L(q) == sum(c * m for c, m in zip(q.coeffs, L.moments))
 
 
 def test_umbral_unit_is_evaluation_at_zero():
