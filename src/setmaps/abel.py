@@ -14,20 +14,19 @@ analogue of planted forests.  Only block sizes matter, so the type below
 stores nothing else; elements are addressed as (block, offset) pairs.
 The partition-sum checks of the closed form and of its coefficients of
 x^k run over all the blocks of their partition; the blocks of a subset
-form a partition of their own (``BlockPartition.restrict``).
+form a partition of their own (``BlockPartition.restrict``).  They are
+one run of the block-sum kernel, capped as it is (``ring.BLOCK_SUM_CAP``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, product
 
-from .ring import CapExceeded, SetMap, full_block_sums
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums
 from .umbral import Poly
 
 ABEL_BLOCK_CAP = 12
-PARTITION_SUM_CAP = 10
 TAIL_BLOCK_CAP = 5
 TAIL_WEIGHT_CAP = 8
 
@@ -100,11 +99,12 @@ def abel_poly(blocks: BlockPartition, mask: int) -> Poly:
 
 
 def abel_setmap(blocks: BlockPartition, cap: int = ABEL_BLOCK_CAP) -> SetMap:
-    """The full table of abel_poly over all subsets of the blocks."""
+    """The full table of abel_poly over all subsets of the blocks: the
+    general map of the additive weight map T -> w(T)."""
     n = blocks.block_count
     if n > cap:
         raise CapExceeded(f"Abel set map over {n} blocks exceeds cap {cap}")
-    return SetMap(n, (abel_poly(blocks, mask) for mask in range(1 << n)))
+    return abel_general_setmap(SetMap.from_function(n, blocks.subset_weight), cap)
 
 
 def abel_general_setmap(alpha: SetMap, cap: int = ABEL_BLOCK_CAP) -> SetMap:
@@ -118,12 +118,9 @@ def abel_general_setmap(alpha: SetMap, cap: int = ABEL_BLOCK_CAP) -> SetMap:
     n = alpha.n
     if n > cap:
         raise CapExceeded(f"Abel set map over ground size {n} exceeds cap {cap}")
+    # additive: zero on the empty set, and alpha_S = alpha_{S - min S} + alpha_{min S}
     for S in range(1 << n):
-        expected = Fraction(0)
-        for v in range(n):
-            if (S >> v) & 1:
-                expected += alpha[1 << v]
-        if alpha[S] != expected:
+        if alpha[S] != (alpha[S & (S - 1)] + alpha[S & -S] if S else 0):
             raise ValueError(f"alpha is not additive at subset {S}")
     table = []
     for S in range(1 << n):
@@ -146,7 +143,7 @@ def _partition_weight_sums(blocks: BlockPartition) -> tuple[int, ...]:
     return full_block_sums([w ** (rho.bit_count() - 1) if rho else 0 for rho, w in enumerate(weights)])
 
 
-def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = PARTITION_SUM_CAP) -> bool:
+def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = BLOCK_SUM_CAP) -> bool:
     """Check f = sum over partitions gamma of the blocks of
     x^len(gamma) * prod w(rho)^(len(rho)-1), on all the blocks (restrict
     them first for a subset)."""
@@ -156,7 +153,7 @@ def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = PARTITIO
 
 
 def verify_forest_coefficients(
-    blocks: BlockPartition, k: int | None = None, cap: int = PARTITION_SUM_CAP
+    blocks: BlockPartition, k: int | None = None, cap: int = BLOCK_SUM_CAP
 ) -> bool:
     """Check C(n-1, k-1) w^(n-k) = sum over k-part partitions of prod w(rho)^(len(rho)-1),
     the closed form's coefficient of x^k.

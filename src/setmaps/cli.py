@@ -31,7 +31,9 @@ add ``expansions``; the block checks, ``oracle tail-forests`` and
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
 the stages a ``--cap`` override raises; the parser, the ``--check`` help,
-the cost warning and ``verify`` read them.
+the cost warning and ``verify`` read them.  A command prints that warning
+after its own usage checks and before its first cap.  ``expand`` and the
+checks on the block-sum kernel share its cap, ``ring.BLOCK_SUM_CAP``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .ring import CapExceeded
 
@@ -165,19 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_cap(ns: argparse.Namespace) -> None:
+def _warn_cap(cap: int | None, stages) -> None:
     """Price a cap override by the work of each stage it governs."""
-    if getattr(ns, "cap", None) is None:  # chromatic and abel take no --cap
+    if cap is None:
         return
     from .ring import bell_number
-
-    cap = ns.cap
-    if ns.command == "verify":
-        checks = {**GRAPH_CHECKS, **BLOCK_CHECKS}
-        rows = GRAPH_CHECKS.values() if ns.check == "all" else [checks.get(ns.check, ())]
-    else:
-        rows = [ORACLES[ns.oracle] if ns.command == "oracle" else _EXPANSION]
-    stages = {stage for row in rows for stage in row}
 
     def count(form: str, value) -> str:
         # evaluated only for caps small enough to print
@@ -251,19 +246,20 @@ def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
-    from .expansions import EXPAND_CAP, expand
+    from .expansions import expand
     from .graphs import chromatic_setmap
-    from .ring import subsets_of
+    from .ring import BLOCK_SUM_CAP, subsets_of
     from .umbral import family_from_string
 
     graph = _load_graph(ns)
-    cap = EXPAND_CAP if ns.cap is None else ns.cap
+    cap = BLOCK_SUM_CAP if ns.cap is None else ns.cap
     subset = _subset(ns, graph)
     # the table covers only the subset, its vertices relabelled 0..k-1 in order
     local = graph.restrict(subset)
+    family = family_from_string(ns.basis)  # usage errors come before caps
+    _warn_cap(ns.cap, _EXPANSION)
     if local.n > cap:
         raise CapExceeded(f"expansion over {local.n} vertices exceeds cap {cap}")
-    family = family_from_string(ns.basis)
     p = chromatic_setmap(local)
     exp = expand(p, family, cap)
     reconstructs = exp.reconstruct() == p[p.full_mask]
@@ -287,10 +283,9 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     """Run the selected checks on ``graph``, already restricted to the subset."""
     from .expansions import (
         BINOMIAL_CHECK_CAP,
-        CHROMATIC_EXPANSION_CAP,
-        EXPAND_CAP,
         PAIR_COUNT_CAP,
         POWER_CAP,
+        STABLE_COUNT_CAP,
         check_binomial_type,
         expansion_reconstructs,
         verify_power_identity,
@@ -299,46 +294,38 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         verify_stanley_evaluation,
     )
     from .graphs import EDGE_ENUM_CAP, chromatic_setmap
+    from .ring import BLOCK_SUM_CAP
     from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
 
     selected = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
-    # usage errors come before caps: build the families and read --x/--k first
+    # usage errors come before caps: build the bases and read --x/--k first;
+    # abel-one: chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
+    abel_a = AbelPolynomials(Fraction(0) if ns.x is None else ns.x)
+    bases = {
+        "abel-one": [("abel-one", AbelPolynomials(1))],
+        "derivative": [(f"derivative a={abel_a.point}", abel_a)],
+    }
     if "expansion" in selected:
         families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
-    abel_a = AbelPolynomials(Fraction(0) if ns.x is None else ns.x)
+        bases["expansion"] = [(f"expansion {f}", f) for f in families]
     if "evaluation" in selected:
         falling_a = FallingFactorials(Fraction(1) if ns.x is None else ns.x)
+        bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
     x0, y0 = (Fraction(2) if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
-    # one row per graph check, in run order: its default cap, over the vertex
-    # count (stanley: the edge count), and its labelled runs on the shared table p
+    _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check]})
+    # one row per graph check: its default cap, over the vertex count
+    # (stanley: the edge count), and its labelled runs on the shared table p
     rows = {
         "binomial": (BINOMIAL_CHECK_CAP, lambda p, cap: {"binomial-type": check_binomial_type(p, cap)}),
-        "expansion": (
-            EXPAND_CAP,
-            lambda p, cap: {f"expansion {f}": expansion_reconstructs(p, f, cap) for f in families},
-        ),
         "rising-pairs": (
             PAIR_COUNT_CAP,
             lambda p, cap: {"rising-pairs": verify_rising_orientation_pairs(graph, p, cap)},
         ),
-        # chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
-        "abel-one": (
-            CHROMATIC_EXPANSION_CAP,
-            lambda p, cap: {"abel-one": expansion_reconstructs(p, AbelPolynomials(1), cap)},
-        ),
         "stable-counts": (
-            CHROMATIC_EXPANSION_CAP,
+            STABLE_COUNT_CAP,
             lambda p, cap: {"stable-counts": verify_stable_count_expansion(graph, p, cap)},
-        ),
-        "derivative": (
-            CHROMATIC_EXPANSION_CAP,
-            lambda p, cap: {f"derivative a={abel_a.point}": expansion_reconstructs(p, abel_a, cap)},
-        ),
-        "evaluation": (
-            CHROMATIC_EXPANSION_CAP,
-            lambda p, cap: {f"evaluation a={falling_a.step}": expansion_reconstructs(p, falling_a, cap)},
         ),
         "power": (
             POWER_CAP,
@@ -346,6 +333,11 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         ),
         "stanley": (EDGE_ENUM_CAP, lambda p, cap: {"stanley": verify_stanley_evaluation(graph, p, cap)}),
     }
+    for check, pairs in bases.items():  # the expansion checks share one run
+        rows[check] = (
+            BLOCK_SUM_CAP,
+            lambda p, cap, pairs=pairs: {label: expansion_reconstructs(p, f, cap) for label, f in pairs},
+        )
     runs = []
     for check in selected:
         default, run = rows[check]
@@ -364,6 +356,7 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
     from .abel import verify_closed_form_partition_sum, verify_forest_coefficients, verify_tail_forests
 
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
+    _warn_cap(ns.cap, BLOCK_CHECKS[ns.check])
     if ns.check == "closed-form":
         return [("closed-form", verify_closed_form_partition_sum(blocks, **kwargs))]
     if ns.check == "forest-count":
@@ -421,7 +414,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         if ns.k is None:
             raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
-        count = count_tail_forests(_block_subset(ns, blocks), ns.k, **kwargs)
+        run = partial(count_tail_forests, _block_subset(ns, blocks), ns.k, **kwargs)
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
         from .graphs import (
@@ -440,22 +433,24 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
                 raise ValueError("oracle colorings needs --x")
             if ns.x.denominator != 1 or ns.x < 0:
                 raise ValueError("color count must be a nonnegative integer")
-            count = count_proper_colorings(restricted, int(ns.x))
+            run = partial(count_proper_colorings, restricted, int(ns.x))
             source["x"] = int(ns.x)
         elif name == "acyclic":
-            count = count_acyclic_orientations(restricted, **kwargs)
+            run = partial(count_acyclic_orientations, restricted, **kwargs)
         elif name == "stable-partitions":
-            count = count_stable_partitions(restricted, **kwargs)
+            run = partial(count_stable_partitions, restricted, **kwargs)
         elif name == "unique-sink":
             if ns.sink is None:
                 raise ValueError("oracle unique-sink needs --sink")
-            count = count_acyclic_unique_sink(restricted, ns.sink, **kwargs)
+            run = partial(count_acyclic_unique_sink, restricted, ns.sink, **kwargs)
             source["sink"] = ns.sink
         else:  # sink-source; the parser admits no other name
             if ns.source is None or ns.sink is None:
                 raise ValueError("oracle sink-source needs --source and --sink")
-            count = count_acyclic_sink_source(restricted, ns.source, ns.sink, **kwargs)
+            run = partial(count_acyclic_sink_source, restricted, ns.source, ns.sink, **kwargs)
             source.update(source=ns.source, sink=ns.sink)
+    _warn_cap(ns.cap, ORACLES[name])  # after the usage checks above
+    count = run()
     return {
         "command": "oracle",
         "input": {**source, "oracle": name},
@@ -516,7 +511,6 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code is None else int(exc.code)
-    _warn_cap(ns)
     try:
         payload, status = _DISPATCH[ns.command](ns)
     except CapExceeded as exc:

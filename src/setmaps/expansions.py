@@ -22,7 +22,8 @@ below check the coefficient interpretations that need an oracle of their
 own (acyclic-orientation pair counts in the rising basis, stable-partition
 counts in the log basis, Stanley's evaluation at -1).  Each takes a graph
 as its whole ground set (restrict it first for a subset) next to its
-chromatic table, and checks its cap before it reads the table.
+chromatic table, and checks its cap before it reads the table.  ``expand``
+takes the kernel's cap, ``ring.BLOCK_SUM_CAP``; the oracles keep smaller ones.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import EDGE_ENUM_CAP, Graph, count_acyclic_orientations, count_stable_partitions
-from .ring import CapExceeded, SetMap, full_block_sums, partitions_of, subsets_of
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums, partitions_of, subsets_of
 from .umbral import BinomialFamily, LogPolynomials, Poly, RisingFactorials
 
 BINOMIAL_CHECK_CAP = 7
-EXPAND_CAP = 17
 PAIR_COUNT_CAP = 6
-CHROMATIC_EXPANSION_CAP = 8
+STABLE_COUNT_CAP = 8
 POWER_CAP = 7
 
 
@@ -56,7 +56,7 @@ def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
     for S in range(1 << p.n):
         for x in points:
             for y in points:
-                rhs = Fraction(0)
+                rhs = 0
                 for T in subsets_of(S):
                     rhs += evals[T][x] * evals[S ^ T][y]
                 if evals[S][x + y] != rhs:
@@ -98,7 +98,7 @@ class Expansion:
 
 
 def expand(
-    p: SetMap, family: BinomialFamily = RisingFactorials(), cap: int = EXPAND_CAP
+    p: SetMap, family: BinomialFamily = RisingFactorials(), cap: int = BLOCK_SUM_CAP
 ) -> Expansion:
     """Expansion coefficients A p_T of a nontrivial binomial-type map.
 
@@ -113,7 +113,7 @@ def expand(
     return Expansion(family, SetMap(p.n, coeffs), full_block_sums(coeffs))
 
 
-def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = EXPAND_CAP) -> bool:
+def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = BLOCK_SUM_CAP) -> bool:
     """True iff the expansion of p re-sums to p exactly on the whole ground set."""
     return expand(p, family, cap).reconstruct() == p[p.full_mask]
 
@@ -147,9 +147,7 @@ def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = PAIR_COU
     return True
 
 
-def verify_stable_count_expansion(
-    graph: Graph, p: SetMap, cap: int = CHROMATIC_EXPANSION_CAP
-) -> bool:
+def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = STABLE_COUNT_CAP) -> bool:
     """Check the log-basis expansion with stable-partition-count coefficients.
 
     Verifies, on the chromatic table ``p`` of ``graph``, that the basis

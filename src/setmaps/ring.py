@@ -296,6 +296,12 @@ def block_sums(table) -> list[tuple]:
     return [tuple(s) for s in sums]
 
 
+# the default cap of every caller whose work is this kernel: the largest n under
+# 10 s and 512 MiB for a cold `expand` on G(n, .3) seeded random.Random(1) in
+# rising and abel:3/4 (Python 3.11, 2 cores); it bounds n, not the values' size
+BLOCK_SUM_CAP = 17
+
+
 def full_block_sums(table) -> tuple:
     """``block_sums(table)`` at the full set alone, from n 2^n int products:
     the Moebius transform there is the sum over masks X of (-1)^(n-|X|)

@@ -171,9 +171,10 @@ class Poly:
             e >>= 1
         return result
 
-    def __call__(self, point) -> Fraction:
-        x = point if isinstance(point, Fraction) else Fraction(point)
-        acc = Fraction(0)
+    def __call__(self, point) -> int | Fraction:
+        """The exact value; an int or Fraction point is used as it is."""
+        x = point if type(point) in _KEPT else Fraction(point)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

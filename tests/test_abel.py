@@ -148,6 +148,18 @@ def test_general_map_rejects_non_additive_alpha():
         abel_general_setmap(SetMap(3, table))
 
 
+def test_general_map_names_the_first_non_additive_subset():
+    singles = {1: Fraction(1, 2), 2: Fraction(-3), 4: Fraction(2)}
+    alpha = [sum(v for b, v in singles.items() if S & b) for S in range(8)]
+    assert abel_general_setmap(SetMap(3, alpha))[7] == Poly.x() * Poly((Fraction(-1, 2), 1)) ** 2
+    with pytest.raises(ValueError, match="at subset 0$"):
+        abel_general_setmap(SetMap(3, [1, *alpha[1:]]))
+    alpha[5] += 1
+    alpha[6] -= 1
+    with pytest.raises(ValueError, match="at subset 5$"):
+        abel_general_setmap(SetMap(3, alpha))
+
+
 # ---------------------------------------------------------------------------
 # partition-sum identities
 # ---------------------------------------------------------------------------
@@ -215,7 +227,24 @@ def test_forest_coefficients_rejects_bad_k():
 
 def test_partition_sum_cap():
     with pytest.raises(CapExceeded):
-        verify_closed_form_partition_sum(BlockPartition((1,) * 11))
+        verify_closed_form_partition_sum(BlockPartition((1,) * 18))
+
+
+def test_partition_sums_run_past_the_bell_era_cap():
+    # 11 blocks: over the old cap of 10, well inside the block-sum kernel's
+    blocks = BlockPartition(random.Random(11).randint(1, 3) for _ in range(11))
+    assert verify_closed_form_partition_sum(blocks)
+    assert verify_forest_coefficients(blocks)
+
+
+@pytest.mark.parametrize("verify", [verify_closed_form_partition_sum, verify_forest_coefficients])
+def test_partition_sums_check_the_kernel_cap_first(monkeypatch, verify):
+    def kernel(blocks):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr("setmaps.abel._partition_weight_sums", kernel)
+    with pytest.raises(CapExceeded, match="18 blocks exceeds cap 17"):
+        verify(BlockPartition((1,) * 18))
 
 
 # ---------------------------------------------------------------------------

@@ -544,3 +544,42 @@ def test_cap_warning_lines_are_pinned(capsys, argv, priced):
     status, _, err = run_cli(capsys, *argv, "--cap", "7")
     assert status == 0
     assert err == f"warning: cap override 7; {'; '.join(priced)}\n"
+
+
+@pytest.mark.parametrize("check", ["abel-one", "derivative", "evaluation"])
+def test_expansion_checks_run_to_the_block_sum_cap(capsys, tmp_path, check):
+    # 9 vertices: over the old cap of 8; 18: over the block-sum kernel's cap of 17
+    paths = {}
+    for n in (9, 18):
+        paths[n] = tmp_path / f"g{n}.txt"
+        paths[n].write_text(random_graphs(n, 1, seed=n, p=0.3)[0].to_text())
+    status, out, _ = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[9]))
+    assert status == 0 and json.loads(out)["result"]["all_pass"] is True
+    status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[18]))
+    assert status == 3 and out == "" and f"{check} check over 18 vertices exceeds cap 17" in err
+
+
+def test_expand_parses_the_basis_before_its_cap(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "g18.txt"
+    path.write_text(random_graphs(18, 1, seed=0x16, p=0.3)[0].to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "expand", "--graph", str(path), "--basis", "nope")
+    assert status == 2
+    assert out == "" and err.startswith("error: ") and "exceeds cap" not in err
+    assert sizes == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "all", "--blocks", "2,1"),
+        ("verify", "--check", "closed-form", *_C5),
+        ("expand", *_C5, "--basis", "nope"),
+        ("oracle", "unique-sink", *_C5),
+        ("verify", "--check", "power", *_C5, "--k", "0"),
+    ],
+)
+def test_usage_errors_come_before_the_cap_warning(capsys, argv):
+    status, out, err = run_cli(capsys, *argv, "--cap", "5")
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

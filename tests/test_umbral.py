@@ -70,6 +70,18 @@ def test_int_products_keep_int_coefficients():
     assert Poly((1, Fraction(1, 2))) * Poly((2, 1)) == Poly((2, 2, Fraction(1, 2)))
 
 
+def test_evaluation_keeps_the_point_exact_type():
+    p = Poly((3, -2, 1))  # x^2 - 2x + 3
+    value = p(5)
+    assert type(value) is int and value == 18
+    value = p(Fraction(1, 2))
+    assert type(value) is Fraction and value == Fraction(9, 4)
+    value = p(0.5)  # a float point is read as the exact Fraction it holds
+    assert type(value) is Fraction and value == Fraction(9, 4)
+    value = Poly((Fraction(1, 2), 1))(3)
+    assert type(value) is Fraction and value == Fraction(7, 2)
+
+
 def test_interpolate_recovers_polynomial():
     p = Poly((1, Fraction(-1, 2), 0, 2))
     points = [(i, p(i)) for i in range(5)]
