@@ -33,7 +33,10 @@ Checks and oracles are named once, in one ordered table per kind
 the stages a ``--cap`` override raises; the parser, the ``--check`` help,
 the cost warning and ``verify`` read them.  A command prints that warning
 after its own usage checks and before its first cap.  ``expand`` and the
-checks on the block-sum kernel share its cap, ``ring.BLOCK_SUM_CAP``.
+checks on the block-sum kernel share its cap, ``ring.BLOCK_SUM_CAP``,
+except the ``expansion`` check without ``--basis``, which runs the kernel
+once per standard basis and has a cap of its own,
+``expansions.EXPANSION_CHECK_CAP``.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ from .ring import CapExceeded
 _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
     "binomial": ("pairs",),
-    "expansion": _EXPANSION,
+    "expansion": (*_EXPANSION, "bases"),
     "rising-pairs": ("partitions",),
     "abel-one": _EXPANSION,
     "stable-counts": ("partitions",),
     "derivative": _EXPANSION,
     "evaluation": _EXPANSION,
-    "power": ("pairs",),
+    "power": ("power",),
     "stanley": ("orientations",),
 }
 BLOCK_CHECKS = {"closed-form": ("kernel",), "forest-count": ("kernel",), "tail-forests": ("tails",)}
@@ -187,11 +190,16 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"the block-sum kernel takes about "
             f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
         ),
+        "bases": "the expansion check runs that kernel once per basis, eight times without --basis",
         "partitions": (
             f"a partition oracle enumerates "
             f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
         ),
         "pairs": f"subset-pair sums touch {count(f'3^{cap}', lambda: 3**cap)} pairs",
+        "power": (
+            f"the power check makes {count(f'2*2^{cap}', lambda: 2 * 2**cap)} table evaluations "
+            f"and --k minus 1 set-map products of 2^{cap} int products each"
+        ),
         "orientations": (
             f"orientation enumeration over {cap} edges touches up to "
             f"{count(f'2^{cap}', lambda: 2**cap)} orientations"
@@ -283,6 +291,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     """Run the selected checks on ``graph``, already restricted to the subset."""
     from .expansions import (
         BINOMIAL_CHECK_CAP,
+        EXPANSION_CHECK_CAP,
         PAIR_COUNT_CAP,
         POWER_CAP,
         STABLE_COUNT_CAP,
@@ -335,7 +344,8 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     }
     for check, pairs in bases.items():  # the expansion checks share one run
         rows[check] = (
-            BLOCK_SUM_CAP,
+            # several bases are several kernel runs, under the expansion check's cap
+            EXPANSION_CHECK_CAP if len(pairs) > 1 else BLOCK_SUM_CAP,
             lambda p, cap, pairs=pairs: {label: expansion_reconstructs(p, f, cap) for label, f in pairs},
         )
     runs = []

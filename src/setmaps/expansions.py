@@ -38,6 +38,12 @@ BINOMIAL_CHECK_CAP = 7
 PAIR_COUNT_CAP = 6
 STABLE_COUNT_CAP = 8
 POWER_CAP = 7
+# without --basis, the CLI's `expansion` check runs one expansion per standard
+# basis, eight in all, so it gets a cap of its own by the rule that set
+# ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB for a cold
+# `verify --check expansion` on G(n, .3) seeded random.Random(1) (Python 3.11,
+# 2 cores)
+EXPANSION_CHECK_CAP = 15
 
 
 def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:

@@ -21,7 +21,8 @@ the falling-factorial basis, chi_S = sum over partitions sigma of S into
 stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
 block count, and no induced subgraph is built; deletion-contraction is
-its test oracle.
+its test oracle.  The table keeps those packed counts and builds a
+polynomial only when it is read.
 
 The counting oracles (proper colorings, acyclic orientations, stable
 partitions, unique-sink and sink-source orientations, per Stanley and
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, partitions_of
 from .umbral import Poly, interpolate
@@ -305,14 +306,48 @@ def _stable_partition_counts(graph: Graph) -> list[int]:
     return packed
 
 
+class _CountTable(SetMap):
+    """A set map kept as a function of the mask until its whole table is read.
+
+    ``table[S]`` calls ``value(S)`` and keeps nothing.  The ``table`` tuple,
+    which equality, the arithmetic and ``map_values`` read, is built once on
+    first use; ``value`` and what it holds are then let go.
+    """
+
+    __slots__ = ("_value", "_built")
+
+    def __init__(self, n: int, value: Callable[[int], object]):
+        self.n = n
+        self._value = value
+        self._built = None
+
+    @property
+    def table(self) -> tuple:
+        built, value = self._built, self._value
+        if built is None and value is not None:
+            built = self._built = tuple(map(value, range(1 << self.n)))
+            self._value = None
+        # a reader in another thread may have built it after the first read
+        return self._built if built is None else built
+
+    def __getitem__(self, mask: int):
+        if not 0 <= mask < 1 << self.n:
+            raise IndexError(f"mask {mask} outside ground set of size {self.n}")
+        value = self._value
+        return self.table[mask] if value is None else value(mask)
+
+
 def chromatic_setmap(graph: Graph) -> SetMap:
     """The map S -> chromatic polynomial of the induced subgraph on S.
 
     One pass over the masks counts the stable partitions of every subset
-    by block count (``_stable_partition_counts``), and each count vector
+    by block count (``_stable_partition_counts``), and the map keeps those
+    packed counts.  A value is built when it is read: its count vector
     becomes monomial coefficients through the signed Stirling numbers of
-    the first kind: chi_S = sum_k s_k(S) (x)_k and (x)_k = sum_j s(k, j) x^j.
-    Every Poly is built from plain ints.
+    the first kind, chi_S = sum_k s_k(S) (x)_k and (x)_k = sum_j s(k, j) x^j,
+    and the Poly is built from plain ints.  ``table[S]`` builds the one
+    value of S, each time it is read; the whole ``table``, which equality,
+    the arithmetic and ``expand`` read, is built once and then kept.
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
@@ -335,7 +370,7 @@ def chromatic_setmap(graph: Graph) -> SetMap:
         b = bias[width]
         return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
 
-    return SetMap(n, map(poly, range(1 << n)))
+    return _CountTable(n, poly)
 
 
 def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:

@@ -229,9 +229,14 @@ def _packed(tables, k: int | None = None) -> tuple:
     2^(w(n+1)) - 1, the scale lam, the ranks, and per table the zeta
     transform of T -> f_T lam^|T| 2^(w|T|), one int per mask.  lam is the
     least int making every f_T lam^|T| integral (by trial division; what is
-    left past 2^10 is taken whole).  A slot of a product of at most k
-    factors (n by default) is at most a coefficient of (sum of |f_T| lam^|T|
-    z^|T|)^j, j <= k, below z^(n+1); w is 2 bits more than the largest."""
+    left past 2^10 is taken whole).  Every slot that is read holds a sum over
+    ordered disjoint j-tuples of sets covering a mask of r elements, j <= k
+    (n by default), of the product of the scaled values g_T = f_T lam^|T|;
+    the slots below it are 0, so only its own size matters.  It is at most
+    the coefficient of z^r in (sum of |g_T| z^|T|)^j, which counts every
+    j-tuple, and at most r! [z^r] (sum over r' of M_r' z^r' / r'!)^j with
+    M_r' the largest |g_T| at |T| = r', which counts the ordered set
+    compositions; w is 2 bits more than the largest of the smaller bounds."""
     n = len(tables[0]).bit_length() - 1
     ranks = [0]
     for _ in range(n):
@@ -250,14 +255,18 @@ def _packed(tables, k: int | None = None) -> tuple:
             lam, p = math.lcm(lam, p ** -(-e // r)), p + 1
     ints = [[x.numerator * (lam**r // x.denominator) for x, r in zip(t, ranks)]
             if lam > 1 else [x.numerator for x in t] for t in tables]
-    weight = [0] * (n + 1)
+    weight, top = [0] * (n + 1), [0] * (n + 1)
     for g in ints:
         for a, r in zip(g, ranks):
-            weight[r] += abs(a)
-    bound, power = max(weight), weight
+            a = abs(a)
+            weight[r] += a
+            if a > top[r]:
+                top[r] = a
+    bound, power, compositions = max(top), weight, top
     for _ in range(1, n if k is None else k):
         power = [sum(power[i] * weight[j - i] for i in range(j + 1)) for j in range(n + 1)]
-        bound = max(bound, *power)
+        compositions = sequence_product(compositions, top)
+        bound = max(bound, *map(min, power, compositions))
     w = bound.bit_length() + 2
     zetas = [_transform([a << w * r for a, r in zip(g, ranks)], operator.add) for g in ints]
     return n, w, (1 << w * (n + 1)) - 1, lam, ranks, zetas

@@ -10,6 +10,8 @@ import pytest
 
 import setmaps.cli as cli
 import setmaps.graphs as graphs
+import setmaps.expansions as expansions
+from setmaps.expansions import EXPANSION_CHECK_CAP
 from setmaps.graphs import Graph
 
 from _corpus import random_graphs
@@ -171,7 +173,7 @@ def test_block_partition_sums_are_priced_as_the_kernel(capsys, check):
             ("verify", "--check", "abel-one", "--graph", f"{GRAPHS}/c5.txt"),
             "(3^7-1)/2 = 1093 (subset, color class) pairs",
         ),
-        (("verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt"), "3^7 = 2187 pairs"),
+        (("verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt"), "2*2^7 = 256 table evaluations"),
         (("oracle", "acyclic", "--graph", f"{GRAPHS}/c5.txt"), "2^7 = 128 orientations"),
         (("oracle", "colorings", "--graph", f"{GRAPHS}/c5.txt", "--x", "3"), "no stage"),
     ],
@@ -508,7 +510,12 @@ def test_verify_all_runs_every_graph_check_in_order(capsys, extra, a, x0, y0):
 _TABLE = "the chromatic table sums over at most (3^7-1)/2 = 1093 (subset, color class) pairs"
 _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
+_BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
 _PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
+_POWER = (
+    "the power check makes 2*2^7 = 256 table evaluations and --k minus 1 set-map products"
+    " of 2^7 int products each"
+)
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
 _TAILS = "tail-forest enumeration over 7 blocks tries up to 9^7 = 4782969 tail sets; the weight cap of 8 stays"
 _C5 = ("--graph", f"{GRAPHS}/c5.txt")
@@ -520,15 +527,18 @@ _BLOCKS = ("--blocks", "2,1,1")
     [
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
         (("verify", "--check", "binomial", *_C5), (_PAIRS,)),
-        (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL)),
+        (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
         (("verify", "--check", "rising-pairs", *_C5), (_PARTITIONS,)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "stable-counts", *_C5), (_PARTITIONS,)),
         (("verify", "--check", "derivative", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
-        (("verify", "--check", "power", *_C5), (_PAIRS,)),
+        (("verify", "--check", "power", *_C5), (_POWER,)),
         (("verify", "--check", "stanley", *_C5), (_ORIENTATIONS,)),
-        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _PARTITIONS, _PAIRS, _ORIENTATIONS)),
+        (
+            ("verify", "--check", "all", *_C5),
+            (_TABLE, _KERNEL, _BASES, _PARTITIONS, _PAIRS, _POWER, _ORIENTATIONS),
+        ),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "tail-forests", *_BLOCKS), (_TAILS,)),
@@ -557,6 +567,29 @@ def test_expansion_checks_run_to_the_block_sum_cap(capsys, tmp_path, check):
     assert status == 0 and json.loads(out)["result"]["all_pass"] is True
     status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[18]))
     assert status == 3 and out == "" and f"{check} check over 18 vertices exceeds cap 17" in err
+
+
+def test_expansion_check_has_a_cap_for_its_eight_runs(capsys, monkeypatch, tmp_path):
+    n = EXPANSION_CHECK_CAP + 1
+    path = tmp_path / f"g{n}.txt"
+    path.write_text(random_graphs(n, 1, seed=n, p=0.3)[0].to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", "expansion", "--graph", str(path))
+    assert status == 3 and out == ""
+    assert err == f"error: expansion check over {n} vertices exceeds cap {EXPANSION_CHECK_CAP}\n"
+    assert sizes == []  # the cap comes before the table
+    # --cap still governs the row
+    c8 = ("verify", "--check", "expansion", "--graph", f"{GRAPHS}/c8.txt")
+    status, out, err = run_cli(capsys, *c8, "--cap", "7")
+    assert status == 3 and out == "" and err.endswith("error: expansion check over 8 vertices exceeds cap 7\n")
+    status, out, _ = run_cli(capsys, *c8)
+    assert status == 0 and json.loads(out)["result"]["passed"] == 8
+    # one basis is one kernel run, under the kernel's own cap
+    monkeypatch.setattr(expansions, "EXPANSION_CHECK_CAP", 7)
+    status, out, err = run_cli(capsys, *c8)
+    assert status == 3 and err.endswith("error: expansion check over 8 vertices exceeds cap 7\n")
+    status, out, _ = run_cli(capsys, *c8, "--basis", "rising")
+    assert status == 0 and json.loads(out)["result"]["passed"] == 1
 
 
 def test_expand_parses_the_basis_before_its_cap(capsys, monkeypatch, tmp_path):

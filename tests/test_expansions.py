@@ -142,7 +142,7 @@ def test_reconstruct_matches_direct_partition_sum():
 @pytest.fixture(scope="module")
 def gnp_tables():
     """Chromatic tables of one seeded G(n, .3) per n, past brute force."""
-    return {n: chromatic_setmap(random_graphs(n, 1, seed=n, p=0.3)[0]) for n in (13, 14)}
+    return {n: chromatic_setmap(random_graphs(n, 1, seed=n, p=0.3)[0]) for n in (13, 14, 15)}
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -152,6 +152,14 @@ def test_full_set_lengths_are_the_basis_coefficients_of_the_full_polynomial(gnp_
     # an oracle for the kernel's full-set readout that needs no partitions
     p, family = gnp_tables[n], family_from_string(basis)
     assert expand(p, family, cap=n).by_length() == family.coefficients(p[p.full_mask])
+
+
+@pytest.mark.parametrize("basis", ["rising", "abel:3/4", "falling:-2/3"])
+def test_full_set_lengths_at_fifteen_vertices(gnp_tables, basis):
+    # the slot width counts ordered set compositions there, 12-17 bits
+    # narrower than a count of all k-tuples of subsets
+    p, family = gnp_tables[15], family_from_string(basis)
+    assert expand(p, family).by_length() == family.coefficients(p[p.full_mask])
 
 
 def basis_composite(exp):

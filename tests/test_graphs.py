@@ -23,7 +23,8 @@ from setmaps.graphs import (
     parse_graph,
     subgraph_expansion,
 )
-from setmaps.ring import CapExceeded
+import setmaps.graphs as graphs
+from setmaps.ring import CapExceeded, SetMap
 from setmaps.umbral import Poly, interpolate
 
 from _corpus import graphs_on, graphs_through, random_graphs
@@ -290,6 +291,76 @@ def test_chromatic_at_one_detects_edges():
         for S in range(1 << g.n):
             expected = 1 if g.restrict(S).edge_count == 0 else 0
             assert p[S](1) == expected
+
+
+def count_polys(monkeypatch) -> list:
+    """Record every Poly that the graphs module builds."""
+    built = []
+
+    def spy(coeffs):
+        built.append(coeffs)
+        return Poly(coeffs)
+
+    monkeypatch.setattr(graphs, "Poly", spy)
+    return built
+
+
+def test_reading_a_few_values_builds_only_those(monkeypatch):
+    g = random_graphs(16, 1, seed=16, p=0.3)[0]
+    masks = [0, 0b101, g.vertex_mask, 0xF0F0]
+    expected = [chromatic_poly(g.restrict(S)) for S in masks]
+    built = count_polys(monkeypatch)
+    table = chromatic_setmap(g)
+    assert [table[S] for S in masks] == expected
+    assert len(built) == len(masks)
+    # a value is built again on each read, and nothing is kept for it
+    assert table[0b101] == expected[1] and len(built) == len(masks) + 1
+
+
+def test_the_whole_table_is_built_once_on_first_use(monkeypatch):
+    g = Graph.cycle(5)
+    expected = tuple(chromatic_poly(g.restrict(S)) for S in range(32))
+    built = count_polys(monkeypatch)
+    table = chromatic_setmap(g)
+    assert built == []
+    whole = table.table
+    assert len(built) == 32 and table.table is whole
+    assert table[7] is whole[7] and len(built) == 32
+    assert whole == expected
+
+
+@pytest.mark.parametrize("built", [False, True])
+@pytest.mark.parametrize("mask", [-1, 8, 1 << 40])
+def test_a_mask_outside_the_table_is_refused(built, mask):
+    table = chromatic_setmap(Graph.complete(3))
+    if built:
+        table.table
+    with pytest.raises(IndexError, match="outside ground set of size 3"):
+        table[mask]
+
+
+def test_whole_table_operations_match_an_eager_table():
+    g, h = Graph.cycle(4), Graph.path(4)
+    eager = SetMap(4, [chromatic_poly(g.restrict(S)) for S in range(16)])
+    other = SetMap(4, [chromatic_poly(h.restrict(S)) for S in range(16)])
+    assert chromatic_setmap(g) == eager and eager == chromatic_setmap(g)
+    assert chromatic_setmap(g) != chromatic_setmap(h) and chromatic_setmap(h) == other
+    assert chromatic_setmap(g) + chromatic_setmap(h) == eager + other
+    assert eager + chromatic_setmap(h) == eager + other
+    assert chromatic_setmap(g) - other == eager - other
+    assert chromatic_setmap(g).map_values(lambda q: q(3)) == eager.map_values(lambda q: q(3))
+    assert repr(chromatic_setmap(g)) == repr(eager)
+
+
+def test_products_match_an_eager_table():
+    # the lazy class on rational values: products need rational maps
+    values = [Fraction(S * S - 3, S + 1) for S in range(16)]
+    eager = SetMap(4, values)
+    lazy = graphs._CountTable(4, values.__getitem__)
+    assert lazy * eager == eager * eager
+    assert eager * graphs._CountTable(4, values.__getitem__) == eager * eager
+    assert graphs._CountTable(4, values.__getitem__) * lazy == eager * eager
+    assert lazy == eager and lazy.table == eager.table
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Set-map ring: product, composition, inverse, decomposition, recovery."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from setmaps.ring import (
     block_sums,
     compose,
     decompose,
+    _packed,
     full_block_sums,
     partitions_of,
     recover_sequence,
@@ -181,6 +183,38 @@ def test_block_sums_full_nine_element_set(rng):
     brute = brute_block_sums(table)
     assert block_sums(table) == brute
     assert full_block_sums(table) == brute[-1]
+
+
+@st.composite
+def level_tables(draw):
+    """Tables whose values all share one size, up to sign: the ordered set
+    compositions then reach the slot-width bound, so a slot one bit too
+    narrow would wrap."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    size = draw(st.sampled_from([Fraction(1), Fraction(7), Fraction(2**40 + 1), Fraction(5, 3)]))
+    signs = st.sampled_from([1, -1]) if draw(st.booleans()) else st.just(1)
+    return [size * draw(signs) for _ in range(1 << n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(level_tables())
+def test_kernel_is_exact_where_the_width_bound_is_tight(table):
+    brute = brute_block_sums([0, *table[1:]])
+    assert block_sums([0, *table[1:]]) == brute
+    assert full_block_sums([0, *table[1:]]) == brute[-1]
+    g = SetMap(len(table).bit_length() - 1, table)
+    assert (g * g).table == brute_product(table, table)
+
+
+def test_slot_width_counts_ordered_set_compositions():
+    # an all-ones table: k! c_k on j elements counts the ordered partitions
+    # into k blocks, the surjections onto k, far below what (sum_T z^|T|)^k
+    # counts
+    n = 10
+    _, w, *_ = _packed([[0] + [1] * ((1 << n) - 1)])
+    onto = [sum((-1) ** i * comb(k, i) * (k - i) ** j for i in range(k + 1))
+            for j in range(n + 1) for k in range(n + 1)]
+    assert w == max(onto).bit_length() + 2
 
 
 def test_block_sums_scale_each_rank_by_its_own_root():

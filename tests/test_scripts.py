@@ -1,6 +1,9 @@
 """Smoke tests: the experiment scripts run to the end and report success."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +40,19 @@ def test_expansion_atlas_builds_one_table_over_the_subset(capsys, monkeypatch):
     assert "subset=63" in out
     assert "chromatic polynomial: x^6 - 5*x^5 + 10*x^4 - 10*x^3 + 5*x^2 - x\n" in out
     assert "all bases rebuild the chromatic polynomial" in out
+
+
+def test_table_at_cap_checks_its_reads_under_its_own_limits():
+    # its own process: the script limits the address space of whatever runs it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "table_at_cap.py")
+
+    def run(*args):
+        return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True)
+
+    done = run("--n", "11", "--p", "0.4")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("PASS ") == 8 and "FAIL" not in done.stdout
+    # a bound below what the process uses fails the run
+    done = run("--n", "6", "--max-rss-mib", "1")
+    assert done.returncode == 1 and "FAIL peak RSS" in done.stdout
