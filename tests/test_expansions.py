@@ -145,21 +145,15 @@ def gnp_tables():
     return {n: chromatic_setmap(random_graphs(n, 1, seed=n, p=0.3)[0]) for n in (13, 14, 15)}
 
 
-@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("n", [13, 14, 15])
 @pytest.mark.parametrize("basis", ["rising", "logfamily", "abel:3/4", "falling:-2/3"])
 def test_full_set_lengths_are_the_basis_coefficients_of_the_full_polynomial(gnp_tables, n, basis):
     # p_S = sum_k c_k a_k(x) with c_k = A^k p_S / k! (Rota-Kahaner-Odlyzko):
-    # an oracle for the kernel's full-set readout that needs no partitions
+    # an oracle for the kernel's full-set readout that needs no partitions;
+    # at n = 15 the slot width counts ordered set compositions, 12-17 bits
+    # narrower than a count of all k-tuples of subsets
     p, family = gnp_tables[n], family_from_string(basis)
     assert expand(p, family, cap=n).by_length() == family.coefficients(p[p.full_mask])
-
-
-@pytest.mark.parametrize("basis", ["rising", "abel:3/4", "falling:-2/3"])
-def test_full_set_lengths_at_fifteen_vertices(gnp_tables, basis):
-    # the slot width counts ordered set compositions there, 12-17 bits
-    # narrower than a count of all k-tuples of subsets
-    p, family = gnp_tables[15], family_from_string(basis)
-    assert expand(p, family).by_length() == family.coefficients(p[p.full_mask])
 
 
 def basis_composite(exp):
