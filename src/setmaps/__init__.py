@@ -40,20 +40,26 @@ _SOURCES = {
         (
             "Graph",
             "GraphFormatError",
-            "chromatic_by_interpolation",
             "chromatic_poly",
             "chromatic_setmap",
+            "load_graph",
+            "parse_graph",
+        ),
+        "graphs",
+    ),
+    **dict.fromkeys(
+        (
+            "chromatic_by_interpolation",
             "count_acyclic_orientations",
             "count_acyclic_sink_source",
             "count_acyclic_unique_sink",
             "count_proper_colorings",
             "count_stable_partitions",
-            "load_graph",
-            "parse_graph",
             "subgraph_expansion",
         ),
-        "graphs",
+        "oracles",
     ),
+    **dict.fromkeys(("Poly", "interpolate"), "poly"),
     **dict.fromkeys(
         (
             "MAX_GROUND_SIZE",
@@ -80,16 +86,14 @@ _SOURCES = {
             "Functional",
             "LogPolynomials",
             "Monomials",
-            "Poly",
             "RisingFactorials",
             "family_from_string",
-            "interpolate",
             "standard_families",
         ),
         "umbral",
     ),
 }
-_SUBMODULES = ("abel", "cli", "expansions", "graphs", "ring", "umbral")
+_SUBMODULES = ("abel", "cli", "expansions", "graphs", "oracles", "poly", "ring", "umbral")
 
 __all__ = list(_SOURCES)
 

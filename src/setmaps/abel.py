@@ -24,7 +24,7 @@ import math
 from itertools import combinations, product
 
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums
-from .umbral import Poly
+from .poly import Poly
 
 ABEL_BLOCK_CAP = 12
 TAIL_BLOCK_CAP = 5

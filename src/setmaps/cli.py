@@ -22,11 +22,14 @@ shell reports for a pipeline stage ended by a broken pipe).
 
 Each process compiles and runs only the engine modules its command uses:
 importing this module loads ``ring`` alone (for ``CapExceeded``), and
-each command imports the rest when it runs.  ``chromatic`` and the graph
-oracles load ``umbral`` and ``graphs``; ``expand`` and the graph checks
-add ``expansions``; the block checks, ``oracle tail-forests`` and
-``abel`` load ``umbral`` and ``abel``.  A ``--cap`` warning loads
-``abel`` only to price the tail-forest stage, for its weight cap.
+each command imports the rest when it runs.  ``chromatic`` loads
+``graphs`` and ``poly``; the graph oracles add ``oracles``; ``expand`` and
+the graph checks add ``umbral`` and ``expansions``, and the checks that
+count orientations or stable partitions (``rising-pairs``,
+``stable-counts``, ``stanley``) add ``oracles`` when they run.  The block
+checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``.
+A ``--cap`` warning loads ``abel`` only to price the tail-forest stage,
+for its weight cap.
 
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
@@ -427,7 +430,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         run = partial(count_tail_forests, _block_subset(ns, blocks), ns.k, **kwargs)
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
-        from .graphs import (
+        from .oracles import (
             count_acyclic_orientations,
             count_acyclic_sink_source,
             count_acyclic_unique_sink,

@@ -20,19 +20,22 @@ and evaluation-at-a expansions are that check in the Abel and falling
 bases (see ``AbelPolynomials`` and ``FallingFactorials``); the verifiers
 below check the coefficient interpretations that need an oracle of their
 own (acyclic-orientation pair counts in the rising basis, stable-partition
-counts in the log basis, Stanley's evaluation at -1).  Each takes a graph
-as its whole ground set (restrict it first for a subset) next to its
-chromatic table, and checks its cap before it reads the table.  ``expand``
-takes the kernel's cap, ``ring.BLOCK_SUM_CAP``; the oracles keep smaller ones.
+counts in the log basis, Stanley's evaluation at -1).  They import those
+counts from ``oracles`` when they run, so that ``expand`` does not load
+the oracles.  Each takes a graph as its whole ground set (restrict it
+first for a subset) next to its chromatic table, and checks its cap
+before it reads the table.  ``expand`` takes the kernel's cap,
+``ring.BLOCK_SUM_CAP``; the oracles keep smaller ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import EDGE_ENUM_CAP, Graph, count_acyclic_orientations, count_stable_partitions
+from .graphs import EDGE_ENUM_CAP, Graph
+from .poly import Poly
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums, partitions_of, subsets_of
-from .umbral import BinomialFamily, LogPolynomials, Poly, RisingFactorials
+from .umbral import BinomialFamily, LogPolynomials, RisingFactorials
 
 BINOMIAL_CHECK_CAP = 7
 PAIR_COUNT_CAP = 6
@@ -134,6 +137,8 @@ def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = PAIR_COU
     of the within-block graph factor over blocks.  ``p`` is the chromatic
     table of ``graph``.
     """
+    from .oracles import count_acyclic_orientations
+
     if graph.n > cap:
         raise CapExceeded(f"orientation-pair verification over {graph.n} vertices exceeds cap {cap}")
     coeffs = expand(p, RisingFactorials()).by_length()
@@ -163,6 +168,8 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = STABLE_COU
     B chi of the empty set is 0 by linearity, while the empty set has one
     empty stable partition, so the empty set is skipped.
     """
+    from .oracles import count_stable_partitions
+
     if graph.n > cap:
         raise CapExceeded(f"stable-count verification over {graph.n} vertices exceeds cap {cap}")
     exp = expand(p, LogPolynomials(), cap)
@@ -176,13 +183,16 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = POWER_CAP) -> bool:
     """Check the integer-power identity for a binomial-type map.
 
     Evaluating the table at x0 and raising it to the y0-th set-map power
-    must equal the table evaluated at x0*y0.
+    must equal the table evaluated at x0*y0.  A whole-number x0 is used as
+    an int, so that the 2 * 2^n evaluations of an int table run on ints.
     """
     if not isinstance(y0, int) or y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     if p.n > cap:
         raise CapExceeded(f"power identity over ground size {p.n} exceeds cap {cap}")
     x0 = Fraction(x0)
+    if x0.denominator == 1:
+        x0 = x0.numerator
     base = p.map_values(lambda q: q(x0))
     target = p.map_values(lambda q: q(x0 * y0))
     power = base
@@ -194,6 +204,8 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = POWER_CAP) -> bool:
 def verify_stanley_evaluation(graph: Graph, p: SetMap, cap: int = EDGE_ENUM_CAP) -> bool:
     """Check (-1)^|S| chi_S(-1) = number of acyclic orientations, per subset,
     on the chromatic table ``p`` of ``graph``."""
+    from .oracles import count_acyclic_orientations
+
     if graph.edge_count > cap:
         raise CapExceeded(f"orientation enumeration over {graph.edge_count} edges exceeds cap {cap}")
     for T in subsets_of(graph.vertex_mask):

@@ -19,8 +19,9 @@ from setmaps.abel import (
     verify_tail_forests,
 )
 from setmaps.expansions import check_binomial_type
+from setmaps.poly import Poly
 from setmaps.ring import CapExceeded, SetMap, partitions_of
-from setmaps.umbral import AbelPolynomials, Poly
+from setmaps.umbral import AbelPolynomials
 
 
 def size_vectors(max_blocks, max_size):

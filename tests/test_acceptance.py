@@ -24,12 +24,8 @@ from setmaps.expansions import (
     verify_stable_count_expansion,
     verify_stanley_evaluation,
 )
-from setmaps.graphs import (
-    chromatic_by_interpolation,
-    chromatic_poly,
-    chromatic_setmap,
-    subgraph_expansion,
-)
+from setmaps.graphs import chromatic_poly, chromatic_setmap
+from setmaps.oracles import chromatic_by_interpolation, subgraph_expansion
 from setmaps.ring import SetMap, compose, decompose, partitions_of, recover_sequence, sequence_product
 from setmaps.umbral import AbelPolynomials, FallingFactorials, standard_families
 

@@ -17,6 +17,7 @@ from setmaps.expansions import (
     verify_stanley_evaluation,
 )
 from setmaps.graphs import Graph, chromatic_poly, chromatic_setmap
+from setmaps.poly import Poly
 from setmaps.ring import CapExceeded, SetMap, compose, partitions_of
 from setmaps.umbral import (
     AbelPolynomials,
@@ -24,7 +25,6 @@ from setmaps.umbral import (
     Functional,
     LogPolynomials,
     Monomials,
-    Poly,
     RisingFactorials,
     family_from_string,
     standard_families,
@@ -374,6 +374,31 @@ def test_power_identity_rejects_bad_exponent():
     p = chromatic_setmap(Graph.complete(2))
     with pytest.raises(ValueError):
         verify_power_identity(p, 2, 0)
+
+
+@pytest.mark.parametrize("x0", [2, Fraction(2), Fraction(-6, 3)])
+def test_power_identity_evaluates_a_whole_point_at_an_int(monkeypatch, x0):
+    tables = []  # every value table that map_values returns
+    map_values = SetMap.map_values
+
+    def spy(self, fn):
+        out = map_values(self, fn)
+        tables.append(out.table)
+        return out
+
+    monkeypatch.setattr(SetMap, "map_values", spy)
+    assert verify_power_identity(chromatic_setmap(Graph.cycle(5)), x0, 3)
+    assert len(tables) == 2  # at x0 and at 3 x0
+    assert all(type(v) is int for table in tables for v in table)
+
+
+@pytest.mark.parametrize("x0", [2, Fraction(3), Fraction(1, 2)])
+def test_power_identity_rejects_one_perturbed_value(x0):
+    p = chromatic_setmap(Graph.cycle(5))
+    table = list(p.table)
+    table[0b10110] = table[0b10110] + Poly.x()
+    assert verify_power_identity(p, x0, 2)
+    assert not verify_power_identity(SetMap(p.n, table), x0, 2)
 
 
 def test_power_identity_cap():

@@ -9,23 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmaps.graphs import (
-    Graph,
-    GraphFormatError,
+from setmaps.graphs import Graph, GraphFormatError, chromatic_poly, chromatic_setmap, parse_graph
+import setmaps.graphs as graphs
+from setmaps.oracles import (
     chromatic_by_interpolation,
-    chromatic_poly,
-    chromatic_setmap,
     count_acyclic_orientations,
     count_acyclic_sink_source,
     count_acyclic_unique_sink,
     count_proper_colorings,
     count_stable_partitions,
-    parse_graph,
     subgraph_expansion,
 )
-import setmaps.graphs as graphs
+from setmaps.poly import Poly, interpolate
 from setmaps.ring import CapExceeded, SetMap
-from setmaps.umbral import Poly, interpolate
 
 from _corpus import graphs_on, graphs_through, random_graphs
 

@@ -60,8 +60,19 @@ def test_import_cli_loads_only_ring():
 
 def test_expand_does_not_load_abel():
     modules = loaded_after(run_main("expand", "--graph", str(GRAPHS / "c5.txt"), "--basis", "rising"))
-    assert "setmaps.expansions" in modules and "setmaps.graphs" in modules
-    assert "setmaps.abel" not in modules
+    assert {"setmaps.expansions", "setmaps.graphs", "setmaps.poly"} <= modules
+    assert not modules & {"setmaps.abel", "setmaps.oracles"}
+
+
+def test_a_table_read_loads_neither_umbral_nor_the_oracles():
+    code = "\n".join(
+        [
+            "from setmaps.graphs import chromatic_setmap, load_graph",
+            f"table = chromatic_setmap(load_graph({str(GRAPHS / 'c8.txt')!r}))",
+            "assert table[table.full_mask].degree == 8",
+        ]
+    )
+    assert engine(loaded_after(code)) == {"setmaps.graphs", "setmaps.poly", "setmaps.ring"}
 
 
 def test_cap_warning_loads_abel_only_to_price_tail_forests():
@@ -75,8 +86,8 @@ def test_block_checks_do_not_load_graphs_or_expansions():
         ("abel", "--blocks", "2,1"),
     ):
         modules = loaded_after(run_main(*argv))
-        assert "setmaps.abel" in modules
-        assert not engine(modules) & {"setmaps.graphs", "setmaps.expansions"}, argv
+        # Poly without the functionals and bases of umbral
+        assert engine(modules) == {"setmaps.abel", "setmaps.cli", "setmaps.poly", "setmaps.ring"}, argv
 
 
 def test_graph_checks_do_not_load_abel():
@@ -84,6 +95,40 @@ def test_graph_checks_do_not_load_abel():
         run_main("verify", "--check", "all", "--graph", str(GRAPHS / "c5.txt"))
     )
     assert "setmaps.abel" not in modules
+    assert "setmaps.oracles" in modules  # the stanley, rising-pairs and stable-counts checks
+
+
+@pytest.mark.parametrize(
+    "argv, oracles",
+    [
+        (("verify", "--check", "binomial", "--graph", str(GRAPHS / "c5.txt")), False),
+        (("verify", "--check", "stanley", "--graph", str(GRAPHS / "c5.txt")), True),
+        (("oracle", "acyclic", "--graph", str(GRAPHS / "c5.txt")), True),
+        (("chromatic", "--graph", str(GRAPHS / "c5.txt")), False),
+    ],
+)
+def test_graph_commands_load_the_oracles_only_to_count(argv, oracles):
+    assert ("setmaps.oracles" in loaded_after(run_main(*argv))) == oracles, argv
+
+
+def module_level_imports(node: ast.AST):
+    """The modules an import statement outside every function body names."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs only when called
+        if isinstance(child, ast.ImportFrom):
+            yield child.module or ""
+            if not child.module:  # from . import name
+                yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        yield from module_level_imports(child)
+
+
+@pytest.mark.parametrize("name", ["ring", "poly", "umbral", "graphs", "expansions", "abel"])
+def test_no_engine_module_imports_the_oracles_at_module_level(name):
+    tree = ast.parse((ROOT / "src" / "setmaps" / f"{name}.py").read_text(encoding="utf-8"))
+    assert not {"oracles", "setmaps.oracles"} & set(module_level_imports(tree)), name
 
 
 def test_submodules_resolve_after_a_bare_import():

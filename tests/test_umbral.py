@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import setmaps.umbral as umbral
+from setmaps.poly import Poly, interpolate
 from setmaps.ring import partitions_of
 from setmaps.umbral import (
     AbelPolynomials,
@@ -16,10 +17,8 @@ from setmaps.umbral import (
     Functional,
     LogPolynomials,
     Monomials,
-    Poly,
     RisingFactorials,
     family_from_string,
-    interpolate,
     standard_families,
 )
 
