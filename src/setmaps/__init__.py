@@ -63,7 +63,6 @@ _SOURCES = {
     **dict.fromkeys(
         (
             "MAX_GROUND_SIZE",
-            "PARTITION_CAP",
             "CapExceeded",
             "SetMap",
             "bell_number",

@@ -35,11 +35,13 @@ Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
 the stages a ``--cap`` override raises; the parser, the ``--check`` help,
 the cost warning and ``verify`` read them.  A command prints that warning
-after its own usage checks and before its first cap.  ``expand`` and the
-checks on the block-sum kernel share its cap, ``ring.BLOCK_SUM_CAP``,
-except the ``expansion`` check without ``--basis``, which runs the kernel
-once per standard basis and has a cap of its own,
-``expansions.EXPANSION_CHECK_CAP``.
+after its own usage checks and before its first cap.  A check's cap, or
+its ``--cap`` override, governs every stage the check runs.  ``expand``
+and the checks on the block-sum kernel (the expansion checks and
+``power``, whose set-map products run on it) share its cap,
+``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
+``--basis``, which runs the kernel once per standard basis and has a cap
+of its own, ``expansions.EXPANSION_CHECK_CAP``.
 """
 
 from __future__ import annotations
@@ -296,7 +298,6 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         BINOMIAL_CHECK_CAP,
         EXPANSION_CHECK_CAP,
         PAIR_COUNT_CAP,
-        POWER_CAP,
         STABLE_COUNT_CAP,
         check_binomial_type,
         expansion_reconstructs,
@@ -340,7 +341,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
             lambda p, cap: {"stable-counts": verify_stable_count_expansion(graph, p, cap)},
         ),
         "power": (
-            POWER_CAP,
+            BLOCK_SUM_CAP,
             lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
         ),
         "stanley": (EDGE_ENUM_CAP, lambda p, cap: {"stanley": verify_stanley_evaluation(graph, p, cap)}),

@@ -24,8 +24,11 @@ counts in the log basis, Stanley's evaluation at -1).  They import those
 counts from ``oracles`` when they run, so that ``expand`` does not load
 the oracles.  Each takes a graph as its whole ground set (restrict it
 first for a subset) next to its chromatic table, and checks its cap
-before it reads the table.  ``expand`` takes the kernel's cap,
-``ring.BLOCK_SUM_CAP``; the oracles keep smaller ones.
+before it reads the table.  A check's cap is the only cap on the work it
+runs: it passes the cap on to the ``expand`` and the oracle it calls.
+``expand`` and the power check, whose products run on the kernel, take
+the kernel's cap, ``ring.BLOCK_SUM_CAP``; the checks that enumerate keep
+smaller ones.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .umbral import BinomialFamily, LogPolynomials, RisingFactorials
 BINOMIAL_CHECK_CAP = 7
 PAIR_COUNT_CAP = 6
 STABLE_COUNT_CAP = 8
-POWER_CAP = 7
 # without --basis, the CLI's `expansion` check runs one expansion per standard
 # basis, eight in all, so it gets a cap of its own by the rule that set
 # ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB for a cold
@@ -141,10 +143,13 @@ def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = PAIR_COU
 
     if graph.n > cap:
         raise CapExceeded(f"orientation-pair verification over {graph.n} vertices exceeds cap {cap}")
-    coeffs = expand(p, RisingFactorials()).by_length()
+    coeffs = expand(p, RisingFactorials(), cap).by_length()
     full = graph.vertex_mask
     counts = [0] * (graph.n + 1)
-    orientation_counts = {T: count_acyclic_orientations(graph.restrict(T)) for T in subsets_of(full)}
+    # no edge cap of their own: the vertex cap bounds the graph, whose edges bound every T's
+    orientation_counts = {
+        T: count_acyclic_orientations(graph.restrict(T), graph.edge_count) for T in subsets_of(full)
+    }
     for sigma in partitions_of(full):
         prod = 1
         for block in sigma:
@@ -174,12 +179,12 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = STABLE_COU
         raise CapExceeded(f"stable-count verification over {graph.n} vertices exceeds cap {cap}")
     exp = expand(p, LogPolynomials(), cap)
     for T in subsets_of(graph.vertex_mask):
-        if T and exp.coeffs[T] != count_stable_partitions(graph.restrict(T)):
+        if T and exp.coeffs[T] != count_stable_partitions(graph.restrict(T), cap):
             return False
     return exp.reconstruct() == p[graph.vertex_mask]
 
 
-def verify_power_identity(p: SetMap, x0, y0: int, cap: int = POWER_CAP) -> bool:
+def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> bool:
     """Check the integer-power identity for a binomial-type map.
 
     Evaluating the table at x0 and raising it to the y0-th set-map power

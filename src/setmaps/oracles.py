@@ -28,7 +28,8 @@ from .graphs import EDGE_ENUM_CAP, Graph
 from .poly import Poly, interpolate
 from .ring import CapExceeded, partitions_of
 
-STABLE_PARTITION_CAP = 12
+# caps the one Bell-order enumeration here, over a graph's vertices
+BELL_ENUM_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +222,13 @@ def _edgeless_table(graph: Graph) -> list[bool]:
     return table
 
 
-def count_stable_partitions(graph: Graph, cap: int = STABLE_PARTITION_CAP) -> int:
+def count_stable_partitions(graph: Graph, cap: int = BELL_ENUM_CAP) -> int:
     """Number of vertex partitions all of whose blocks induce no edges."""
     if graph.n > cap:
         raise CapExceeded(f"stable-partition counting over {graph.n} vertices exceeds cap {cap}")
     stable = _edgeless_table(graph)
     total = 0
-    for sigma in partitions_of(graph.vertex_mask, cap=max(graph.n, 1)):
+    for sigma in partitions_of(graph.vertex_mask):
         if all(stable[block] for block in sigma):
             total += 1
     return total

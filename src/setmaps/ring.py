@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 MAX_GROUND_SIZE = 20
-PARTITION_CAP = 14
 
 
 class CapExceeded(RuntimeError):
@@ -42,7 +41,7 @@ def subsets_of(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def partitions_of(mask: int, cap: int = PARTITION_CAP) -> Iterator[tuple[int, ...]]:
+def partitions_of(mask: int) -> Iterator[tuple[int, ...]]:
     """Yield every set partition of the subset ``mask`` exactly once.
 
     A partition is a tuple of pairwise disjoint nonempty block masks whose
@@ -50,15 +49,11 @@ def partitions_of(mask: int, cap: int = PARTITION_CAP) -> Iterator[tuple[int, ..
     has exactly one partition, the empty tuple.  Enumeration follows
     restricted growth strings over the elements of ``mask`` in increasing
     index order, so Bell(popcount) partitions come out in a fixed,
-    reproducible order.  ``cap`` bounds the popcount.
+    reproducible order.  The stream is lazy and has no cap of its own: a
+    caller that would drain it checks its own cap before it draws.
     """
     elements = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
     k = len(elements)
-    if k > cap:
-        raise CapExceeded(
-            f"set-partition enumeration over {k} elements exceeds cap {cap} "
-            f"(Bell({k}) = {bell_number(k)} partitions)"
-        )
     if k <= 1:
         yield (mask,) if k else ()
         return

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .poly import Poly
-from .ring import MAX_GROUND_SIZE, bell_number
+from .ring import MAX_GROUND_SIZE, bell_number, sequence_product
 
 
 class Functional:
@@ -98,13 +98,7 @@ class Functional:
             return NotImplemented
         if len(self.moments) != len(other.moments):
             raise ValueError("umbral product requires matching degree bounds")
-        out = []
-        for m in range(len(self.moments)):
-            acc = Fraction(0)
-            for k in range(m + 1):
-                acc += math.comb(m, k) * self.moments[k] * other.moments[m - k]
-            out.append(acc)
-        return Functional(out)
+        return Functional(sequence_product(self.moments, other.moments))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

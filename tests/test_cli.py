@@ -368,6 +368,28 @@ def test_cap_reaches_the_stanley_orientation_enumeration(capsys, tmp_path):
     assert "2^21 = 2097152 orientations" in err
 
 
+def test_cap_reaches_every_stage_of_the_rising_pairs_check(capsys, tmp_path):
+    # K7: the vertex cap of 7 admits 21 edges, over the edge enumeration's 20
+    path = tmp_path / "k7.txt"
+    path.write_text(Graph.complete(7).to_text())
+    status, out, _ = run_cli(capsys, "verify", "--check", "rising-pairs", "--graph", str(path), "--cap", "7")
+    assert status == 0
+    assert json.loads(out)["result"]["passed"] == 1
+
+
+def test_power_check_takes_the_kernel_cap(capsys, monkeypatch, tmp_path):
+    status, out, _ = run_cli(capsys, "verify", "--check", "power", "--graph", f"{GRAPHS}/c8.txt")
+    assert status == 0
+    assert json.loads(out)["result"]["all_pass"] is True
+    path = tmp_path / "g18.txt"
+    path.write_text(random_graphs(18, 1, seed=0x16, p=0.3)[0].to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", "power", "--graph", str(path))
+    assert status == 3
+    assert out == "" and "power check over 18 vertices exceeds cap 17" in err
+    assert sizes == []
+
+
 def test_cap_reaches_the_tail_forest_enumeration(capsys):
     blocks = ("--blocks", "1,1,1,1,1,1")
     assert run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1")[0] == 3

@@ -330,6 +330,21 @@ def test_graph_verifiers_check_their_caps_before_reading_the_table():
         verify_stanley_evaluation(Graph.complete(4), None, cap=5)
 
 
+def test_stable_count_check_hands_its_cap_to_the_oracle(monkeypatch):
+    import setmaps.oracles as oracles
+
+    caps = []
+    count = oracles.count_stable_partitions
+
+    def spy(graph, *cap):
+        caps.append(cap)
+        return count(graph, *cap)
+
+    monkeypatch.setattr(oracles, "count_stable_partitions", spy)
+    assert with_table(verify_stable_count_expansion, Graph.path(3), cap=13)
+    assert caps == [(13,)] * 7  # one call per nonempty subset
+
+
 def test_verifiers_reject_a_corrupted_chromatic_table():
     # x^2 on the full set breaks binomial type; c*x would not, and the
     # expansion verifiers could not see it
@@ -402,5 +417,6 @@ def test_power_identity_rejects_one_perturbed_value(x0):
 
 
 def test_power_identity_cap():
+    # the products run on the block-sum kernel, under its cap of 17
     with pytest.raises(CapExceeded):
-        verify_power_identity(monomial_type_map(8), 1, 2)
+        verify_power_identity(monomial_type_map(18), 1, 2)
