@@ -18,17 +18,16 @@ import sys
 import time
 from itertools import combinations, permutations
 
-from setmaps.expansions import (
+from setmaps.algebra import compose
+from setmaps.checks import (
     check_binomial_type,
-    expand,
-    expansion_reconstructs,
     verify_power_identity,
     verify_rising_orientation_pairs,
     verify_stable_count_expansion,
     verify_stanley_evaluation,
 )
+from setmaps.expansions import expand, expansion_reconstructs
 from setmaps.graphs import Graph, chromatic_setmap
-from setmaps.ring import compose
 from setmaps.umbral import AbelPolynomials, FallingFactorials, standard_families
 
 

@@ -23,19 +23,18 @@ _SOURCES = {
         ),
         "abel",
     ),
+    **dict.fromkeys(("block_sums", "compose", "decompose", "recover_sequence"), "algebra"),
     **dict.fromkeys(
         (
-            "Expansion",
             "check_binomial_type",
-            "expand",
-            "expansion_reconstructs",
             "verify_power_identity",
             "verify_rising_orientation_pairs",
             "verify_stable_count_expansion",
             "verify_stanley_evaluation",
         ),
-        "expansions",
+        "checks",
     ),
+    **dict.fromkeys(("Expansion", "expand", "expansion_reconstructs"), "expansions"),
     **dict.fromkeys(
         (
             "Graph",
@@ -66,12 +65,8 @@ _SOURCES = {
             "CapExceeded",
             "SetMap",
             "bell_number",
-            "block_sums",
-            "compose",
-            "decompose",
             "full_block_sums",
             "partitions_of",
-            "recover_sequence",
             "sequence_product",
             "subsets_of",
         ),
@@ -92,7 +87,19 @@ _SOURCES = {
         "umbral",
     ),
 }
-_SUBMODULES = ("abel", "cli", "expansions", "graphs", "oracles", "poly", "ring", "umbral")
+_SUBMODULES = (
+    "abel",
+    "algebra",
+    "checks",
+    "cli",
+    "cli_checks",
+    "expansions",
+    "graphs",
+    "oracles",
+    "poly",
+    "ring",
+    "umbral",
+)
 
 __all__ = list(_SOURCES)
 

@@ -20,14 +20,18 @@ Exit codes: 0 success / all checks pass, 1 a verification failed,
 was closed before the result was written (128 + SIGPIPE, the status a
 shell reports for a pipeline stage ended by a broken pipe).
 
-Each process compiles and runs only the engine modules its command uses:
+Each process compiles and runs only the modules its command uses:
 importing this module loads ``ring`` alone (for ``CapExceeded``), and
-each command imports the rest when it runs.  ``chromatic`` loads
-``graphs`` and ``poly``; the graph oracles add ``oracles``; ``expand`` and
-the graph checks add ``umbral`` and ``expansions``, and the checks that
-count orientations or stable partitions (``rising-pairs``,
+each command imports the rest when it runs.  This module holds the parser
+and the ``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
+``abel`` live in ``cli_checks``, which ``_DISPATCH`` imports the first
+time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
+the graph oracles add ``oracles``; ``expand`` adds ``umbral`` and
+``expansions``.  The graph checks load those and ``checks``, and the
+checks that count orientations or stable partitions (``rising-pairs``,
 ``stable-counts``, ``stanley``) add ``oracles`` when they run.  The block
 checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``.
+No command loads ``algebra``, the composition behind ``SetMap.inverse``.
 A ``--cap`` warning loads ``abel`` only to price the tail-forest stage,
 for its weight cap.
 
@@ -41,7 +45,7 @@ and the checks on the block-sum kernel (the expansion checks and
 ``power``, whose set-map products run on it) share its cap,
 ``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
 ``--basis``, which runs the kernel once per standard basis and has a cap
-of its own, ``expansions.EXPANSION_CHECK_CAP``.
+of its own, ``checks.EXPANSION_CHECK_CAP``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .ring import CapExceeded
 
@@ -63,9 +66,9 @@ _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
     "binomial": ("pairs",),
     "expansion": (*_EXPANSION, "bases"),
-    "rising-pairs": ("partitions",),
+    "rising-pairs": ("orientation-pairs",),
     "abel-one": _EXPANSION,
-    "stable-counts": ("partitions",),
+    "stable-counts": ("stable-counts",),
     "derivative": _EXPANSION,
     "evaluation": _EXPANSION,
     "power": ("power",),
@@ -200,6 +203,16 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"a partition oracle enumerates "
             f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
         ),
+        "orientation-pairs": (
+            f"the orientation-pair check counts the acyclic orientations of "
+            f"{count(f'2^{cap}', lambda: 2**cap)} induced subgraphs and sums over "
+            f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
+        ),
+        # sum_k C(N, k) Bell(k) = Bell(N + 1): the stable partitions of every induced subgraph
+        "stable-counts": (
+            f"the stable-count check enumerates the set partitions of every induced subgraph, "
+            f"{count(f'Bell({cap + 1})', lambda: bell_number(cap + 1))} in all"
+        ),
         "pairs": f"subset-pair sums touch {count(f'3^{cap}', lambda: 3**cap)} pairs",
         "power": (
             f"the power check makes {count(f'2*2^{cap}', lambda: 2 * 2**cap)} table evaluations "
@@ -292,201 +305,6 @@ def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if reconstructs else 1
 
 
-def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, bool]]:
-    """Run the selected checks on ``graph``, already restricted to the subset."""
-    from .expansions import (
-        BINOMIAL_CHECK_CAP,
-        EXPANSION_CHECK_CAP,
-        PAIR_COUNT_CAP,
-        STABLE_COUNT_CAP,
-        check_binomial_type,
-        expansion_reconstructs,
-        verify_power_identity,
-        verify_rising_orientation_pairs,
-        verify_stable_count_expansion,
-        verify_stanley_evaluation,
-    )
-    from .graphs import EDGE_ENUM_CAP, chromatic_setmap
-    from .ring import BLOCK_SUM_CAP
-    from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
-
-    selected = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
-    # usage errors come before caps: build the bases and read --x/--k first;
-    # abel-one: chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
-    abel_a = AbelPolynomials(Fraction(0) if ns.x is None else ns.x)
-    bases = {
-        "abel-one": [("abel-one", AbelPolynomials(1))],
-        "derivative": [(f"derivative a={abel_a.point}", abel_a)],
-    }
-    if "expansion" in selected:
-        families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
-        bases["expansion"] = [(f"expansion {f}", f) for f in families]
-    if "evaluation" in selected:
-        falling_a = FallingFactorials(Fraction(1) if ns.x is None else ns.x)
-        bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
-    x0, y0 = (Fraction(2) if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
-    if "power" in selected and y0 < 1:
-        raise ValueError("the exponent must be a positive integer")
-    _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check]})
-    # one row per graph check: its default cap, over the vertex count
-    # (stanley: the edge count), and its labelled runs on the shared table p
-    rows = {
-        "binomial": (BINOMIAL_CHECK_CAP, lambda p, cap: {"binomial-type": check_binomial_type(p, cap)}),
-        "rising-pairs": (
-            PAIR_COUNT_CAP,
-            lambda p, cap: {"rising-pairs": verify_rising_orientation_pairs(graph, p, cap)},
-        ),
-        "stable-counts": (
-            STABLE_COUNT_CAP,
-            lambda p, cap: {"stable-counts": verify_stable_count_expansion(graph, p, cap)},
-        ),
-        "power": (
-            BLOCK_SUM_CAP,
-            lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
-        ),
-        "stanley": (EDGE_ENUM_CAP, lambda p, cap: {"stanley": verify_stanley_evaluation(graph, p, cap)}),
-    }
-    for check, pairs in bases.items():  # the expansion checks share one run
-        rows[check] = (
-            # several bases are several kernel runs, under the expansion check's cap
-            EXPANSION_CHECK_CAP if len(pairs) > 1 else BLOCK_SUM_CAP,
-            lambda p, cap, pairs=pairs: {label: expansion_reconstructs(p, f, cap) for label, f in pairs},
-        )
-    runs = []
-    for check in selected:
-        default, run = rows[check]
-        cap = default if ns.cap is None else ns.cap
-        size, unit = (graph.edge_count, "edges") if check == "stanley" else (graph.n, "vertices")
-        if size > cap:
-            raise CapExceeded(f"{check} check over {size} {unit} exceeds cap {cap}")
-        runs.append((run, cap))
-    # one table, built after every cap above, for every check
-    p = chromatic_setmap(graph)
-    return [(label, bool(ok)) for run, cap in runs for label, ok in run(p, cap).items()]
-
-
-def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
-    """Run the selected check on ``blocks``, already restricted to the subset."""
-    from .abel import verify_closed_form_partition_sum, verify_forest_coefficients, verify_tail_forests
-
-    kwargs = {} if ns.cap is None else {"cap": ns.cap}
-    _warn_cap(ns.cap, BLOCK_CHECKS[ns.check])
-    if ns.check == "closed-form":
-        return [("closed-form", verify_closed_form_partition_sum(blocks, **kwargs))]
-    if ns.check == "forest-count":
-        return [("forest-count", verify_forest_coefficients(blocks, ns.k, **kwargs))]
-    return [(f"tail-forests k={k}", ok) for k, ok in verify_tail_forests(blocks, ns.k, **kwargs).items()]
-
-
-def _block_subset(ns: argparse.Namespace, blocks: BlockPartition) -> BlockPartition:
-    return blocks if ns.subset is None else blocks.restrict(ns.subset)
-
-
-def _block_input(ns: argparse.Namespace, blocks: BlockPartition) -> dict:
-    """The blocks, and the subset when ``--subset`` selects some of them."""
-    source: dict = {"blocks": list(blocks.sizes)}
-    if ns.subset is not None:
-        source["subset"] = ns.subset
-    return source
-
-
-def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
-    if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
-        graph = _load_graph(ns)
-        checks = _graph_check_list(ns, graph.restrict(_subset(ns, graph)))
-        source: dict = _graph_input(ns, graph)
-    elif ns.check in BLOCK_CHECKS:
-        from .abel import BlockPartition  # here, so that graph checks do not load abel
-
-        if ns.blocks is None:
-            raise ValueError(f"check {ns.check!r} needs --blocks")
-        blocks = BlockPartition(ns.blocks)
-        checks = _block_check_list(ns, _block_subset(ns, blocks))
-        source = _block_input(ns, blocks)
-    else:
-        raise ValueError(
-            f"unknown check {ns.check!r}; expected one of {_CHECK_NAMES} (or 'all' with --graph)"
-        )
-    failed = sum(1 for _, ok in checks if not ok)
-    payload = {
-        "command": "verify",
-        "input": {**source, "check": ns.check},
-        "result": {"all_pass": failed == 0, "passed": len(checks) - failed, "failed": failed},
-        "checks": [{"name": label, "pass": ok} for label, ok in checks],
-    }
-    return payload, 0 if failed == 0 else 1
-
-
-def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
-    kwargs = {} if ns.cap is None else {"cap": ns.cap}
-    name = ns.oracle
-    if name == "tail-forests":
-        from .abel import BlockPartition, count_tail_forests
-
-        if ns.blocks is None:
-            raise ValueError("oracle tail-forests needs --blocks")
-        if ns.k is None:
-            raise ValueError("oracle tail-forests needs --k")
-        blocks = BlockPartition(ns.blocks)
-        run = partial(count_tail_forests, _block_subset(ns, blocks), ns.k, **kwargs)
-        source: dict = {**_block_input(ns, blocks), "k": ns.k}
-    else:
-        from .oracles import (
-            count_acyclic_orientations,
-            count_acyclic_sink_source,
-            count_acyclic_unique_sink,
-            count_proper_colorings,
-            count_stable_partitions,
-        )
-
-        graph = _load_graph(ns)
-        restricted = graph.restrict(_subset(ns, graph))
-        source = _graph_input(ns, graph)
-        if name == "colorings":
-            if ns.x is None:
-                raise ValueError("oracle colorings needs --x")
-            if ns.x.denominator != 1 or ns.x < 0:
-                raise ValueError("color count must be a nonnegative integer")
-            run = partial(count_proper_colorings, restricted, int(ns.x))
-            source["x"] = int(ns.x)
-        elif name == "acyclic":
-            run = partial(count_acyclic_orientations, restricted, **kwargs)
-        elif name == "stable-partitions":
-            run = partial(count_stable_partitions, restricted, **kwargs)
-        elif name == "unique-sink":
-            if ns.sink is None:
-                raise ValueError("oracle unique-sink needs --sink")
-            run = partial(count_acyclic_unique_sink, restricted, ns.sink, **kwargs)
-            source["sink"] = ns.sink
-        else:  # sink-source; the parser admits no other name
-            if ns.source is None or ns.sink is None:
-                raise ValueError("oracle sink-source needs --source and --sink")
-            run = partial(count_acyclic_sink_source, restricted, ns.source, ns.sink, **kwargs)
-            source.update(source=ns.source, sink=ns.sink)
-    _warn_cap(ns.cap, ORACLES[name])  # after the usage checks above
-    count = run()
-    return {
-        "command": "oracle",
-        "input": {**source, "oracle": name},
-        "result": {"count": count},
-        "checks": [],
-    }, 0
-
-
-def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
-    from .abel import BlockPartition, abel_poly
-
-    blocks = BlockPartition(ns.blocks)
-    subset = blocks.full_mask if ns.subset is None else ns.subset
-    poly = abel_poly(blocks, subset)
-    return {
-        "command": "abel",
-        "input": {"blocks": list(blocks.sizes), "subset": subset},
-        "result": _poly_result(poly),
-        "checks": [],
-    }, 0
-
-
 def _table_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -510,12 +328,17 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _check_command(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .cli_checks import COMMANDS
+
+    return COMMANDS[ns.command](ns)
+
+
 _DISPATCH = {
     "chromatic": cmd_chromatic,
     "expand": cmd_expand,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "abel": cmd_abel,
+    # their module is compiled only by the processes that run them
+    **dict.fromkeys(("verify", "oracle", "abel"), _check_command),
 }
 
 

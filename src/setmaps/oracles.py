@@ -14,9 +14,9 @@ The counting oracles (proper colorings, acyclic orientations, stable
 partitions, unique-sink and sink-source orientations, per Stanley and
 Greene-Zaslavsky) are deliberately naive enumerations; they exist to
 validate coefficient interpretations, not to be fast.  No engine module
-imports this one at module level: the verifiers in ``expansions`` that
-need a count import it when they run, so that ``expand`` and the
-chromatic table never compile it.
+imports this one at module level: the verifiers in ``checks`` that need
+a count import it when they run, so that ``expand``, the chromatic table
+and the checks that count nothing never compile it.
 """
 
 from __future__ import annotations

@@ -4,16 +4,15 @@ A set map assigns a value to every subset of {0, ..., n-1}; a table on n
 elements stores 2**n entries indexed by bitmask.  The product is
 convolution over ordered disjoint decompositions, (g * h)_S = sum of
 g_T h_U over T | U = S, T & U = 0, and generalizes the product of
-exponential generating functions.  Composition is the set-map form of
-the exponential formula: (a o h)_S sums a_{len(sigma)} times the product
-of h over the blocks, over the set partitions sigma of S.
+exponential generating functions.
 
-Both run on one kernel, each mask's rank polynomial packed into one int
-and zeta-transformed once, read out by the product, by ``block_sums`` for
-every subset and by ``full_block_sums`` for the full set alone; the
-composition, inverse, decomposition and recovery are EGF algebra on
-``block_sums``.  All arithmetic is exact (Fraction or int); polynomial
-values work only in sums and in the terms of ``compose``.
+The product runs on one kernel, each mask's rank polynomial packed into
+one int and zeta-transformed once (``_packed``).  ``full_block_sums``
+reads the same transform at the full set alone, the partition sums of
+``expand`` and the Abel closed form.  Composition, which reads every mask
+(``block_sums``), and the inverse, decomposition and recovery built on it
+live in ``algebra``, which a process loads only when it composes.  All
+arithmetic is exact (Fraction or int).
 """
 
 from __future__ import annotations
@@ -138,6 +137,8 @@ class SetMap:
     @classmethod
     def from_sequence(cls, n: int, terms: Iterable) -> "SetMap":
         """Cardinality-constant map a_S = a_{|S|}; needs terms 0..n."""
+        from .algebra import _terms
+
         seq = _terms(terms, n, "")
         return cls(n, (seq[mask.bit_count()] for mask in range(1 << n)))
 
@@ -198,6 +199,8 @@ class SetMap:
         set: the EGF 1/(1+t), terms (-1)^k k!, composed with h - unit."""
         if self.table[0] != 1:
             raise ValueError("inverse requires value 1 on the empty set")
+        from .algebra import compose
+
         terms = [(-1) ** k * math.factorial(k) for k in range(self.n + 1)]
         return compose(terms, self - SetMap.unit(self.n))
 
@@ -275,31 +278,6 @@ def _slot(packed: int, w: int, r: int, scale: int):
     return Fraction(q, scale) if rem else c
 
 
-def block_sums(table) -> list[tuple]:
-    """A list indexed by mask T of the rational ``table``: the tuple
-    (c_0, ..., c_|T|), c_k the sum over k-block set partitions of T of the
-    product of the table over the blocks (c_0 is 1 on the empty set).
-
-    Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
-    "Fourier meets Moebius", STOC 2007), Kronecker-packed (``_packed``):
-    k! c_k is the k-fold disjoint product.  No block is empty, so a packed
-    mask divides by z and its k-th power over z^k is one int product kept
-    to n + 1 - k slots; the Moebius transform of that power holds
-    k! c_k(T) lam^|T| in slot |T| - k at mask T, zeros below.
-    """
-    n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])])
-    zeta = [x >> w for x in zeta]
-    sums, power = [[1]] + [[0] for _ in ranks[1:]], zeta
-    for k in range(1, n + 1):
-        if k > 1:
-            power = [a * b & mask >> w * k for a, b in zip(power, zeta)]
-        layer = _transform(list(power), operator.sub)
-        for T, r in enumerate(ranks):
-            if r >= k:
-                sums[T].append(_slot(layer[T], w, r - k, math.factorial(k) * lam**r))
-    return [tuple(s) for s in sums]
-
-
 # the default cap of every caller whose work is this kernel: the largest n under
 # 10 s and 512 MiB for a cold `expand` on G(n, .3) seeded random.Random(1) in
 # rising and abel:3/4 (Python 3.11, 2 cores); it bounds n, not the values' size
@@ -307,7 +285,7 @@ BLOCK_SUM_CAP = 17
 
 
 def full_block_sums(table) -> tuple:
-    """``block_sums(table)`` at the full set alone, from n 2^n int products:
+    """``algebra.block_sums(table)`` at the full set alone, from n 2^n int products:
     the Moebius transform there is the sum over masks X of (-1)^(n-|X|)
     times the power at X, so the masks split in two lists by sign.  No
     disjoint k-tuple short of n elements covers the full set, so the slots
@@ -324,33 +302,6 @@ def full_block_sums(table) -> tuple:
     return tuple(sums)
 
 
-def compose(terms: Iterable, inner: SetMap) -> SetMap:
-    """Compose a sequence with a rational set map vanishing on the empty set.
-
-    (a o h)_S = sum_k a_k c_k(S) with c the block sums of h; the empty set
-    gets a_0 (empty product).  The terms, 0..n, may be polynomials.
-    """
-    n = inner.n
-    if inner.table[0] != 0:
-        raise ValueError("composition requires value 0 on the empty set")
-    seq = _terms(terms, n, "composition over ")
-    sums = block_sums(inner.table)
-    return SetMap(n, (_weigh(seq, sums[S]) for S in range(1 << n)))
-
-
-def _terms(terms: Iterable, n: int, what: str) -> tuple:
-    """The sequence as a tuple, which must cover indices 0..n; never padded."""
-    seq = tuple(terms)
-    if len(seq) < n + 1:
-        raise ValueError(f"sequence too short: {what}ground-set size {n} needs terms 0..{n}, got {len(seq)}")
-    return seq
-
-
-def _weigh(terms: tuple, lengths: tuple):
-    """sum_k terms[k] * lengths[k] over the block counts of one subset."""
-    return sum(a * c for a, c in zip(terms, lengths))
-
-
 def sequence_product(a: Iterable, b: Iterable) -> tuple:
     """Binomial convolution (a . b)_m = sum_k C(m,k) a_k b_{m-k}.
 
@@ -362,65 +313,3 @@ def sequence_product(a: Iterable, b: Iterable) -> tuple:
         sum((sa[k] * sb[m - k] * math.comb(m, k) for k in range(1, m + 1)), sa[0] * sb[m])
         for m in range(min(len(sa), len(sb)))
     )
-
-
-def _revert(terms: tuple) -> list[Fraction]:
-    """EGF terms b of the compositional inverse of sum_{k>=1} terms[k] t^k / k!:
-    b_0 = 0, and b_m solves the degree-m coefficient of sum_k terms[k] B^k / k!
-    = t, in which only k = 1 involves b_m."""
-    b = [Fraction(0)] * len(terms)
-    for m in range(1, len(terms)):
-        acc = Fraction(int(m == 1))
-        power = b
-        for k in range(2, m + 1):
-            power = sequence_product(power, b)
-            acc -= terms[k] * power[m] / math.factorial(k)
-        b[m] = acc / terms[1]
-    return b
-
-
-def decompose(outer: SetMap, terms: Iterable) -> SetMap:
-    """Solve compose(terms, h) == outer for the unique h with h_empty = 0.
-
-    Requires a rational map, terms[0] == its value on the empty set and,
-    on a nonempty ground set, terms[1] != 0.  Then outer - terms[0] * unit
-    is (a - a_0) o h, so h is the EGF reversion of a - a_0 composed with it.
-    """
-    n = outer.n
-    seq = _terms(terms, n, "decomposition over ")
-    if seq[0] != outer.table[0]:
-        raise ValueError("terms[0] must equal the empty-set value of the map")
-    if n >= 1 and seq[1] == 0:
-        raise ValueError("terms[1] must be nonzero")
-    return compose(_revert(seq[: n + 1]), outer - SetMap.unit(n, seq[0]))
-
-
-def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
-    """Recover terms 0..max_n of a with compose(a, inner) == outer.
-
-    ``inner`` is rational, 0 on the empty set and nonzero on the singletons
-    0..max_n-1.  Term m is solved on {0, ..., m-1}, where the all-singletons
-    partition isolates a_m; a final pass over the subsets of size <= max_n
-    rejects maps that are not compositions with ``inner``.
-    """
-    n = outer.n
-    if inner.n != n:
-        raise ValueError(f"ground-set mismatch: {n} != {inner.n}")
-    if inner.table[0] != 0:
-        raise ValueError("recovery requires inner value 0 on the empty set")
-    if max_n > n:
-        raise ValueError(f"ground set of size {n} cannot determine terms beyond index {n}")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    for v in range(max_n):
-        if inner.table[1 << v] == 0:
-            raise ValueError("recovery requires nonzero values on one-element subsets")
-    sums = block_sums(inner.table)
-    terms: list = [outer.table[0]]
-    for m in range(1, max_n + 1):
-        lengths = sums[(1 << m) - 1]
-        terms.append((outer.table[(1 << m) - 1] - _weigh(terms, lengths)) / Fraction(lengths[m]))
-    for S in range(1 << n):
-        if S.bit_count() <= max_n and _weigh(terms, sums[S]) != outer.table[S]:
-            raise ValueError("map is not a composition of any sequence with the inner map")
-    return tuple(terms)

@@ -18,7 +18,7 @@ from setmaps.abel import (
     verify_forest_coefficients,
     verify_tail_forests,
 )
-from setmaps.expansions import check_binomial_type
+from setmaps.checks import check_binomial_type
 from setmaps.poly import Poly
 from setmaps.ring import CapExceeded, SetMap, partitions_of
 from setmaps.umbral import AbelPolynomials

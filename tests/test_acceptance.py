@@ -15,18 +15,18 @@ from pathlib import Path
 
 import setmaps.cli as cli
 from setmaps.abel import BlockPartition, count_tail_forests, verify_closed_form_partition_sum, verify_forest_coefficients
-from setmaps.expansions import (
+from setmaps.algebra import compose, decompose, recover_sequence
+from setmaps.checks import (
     check_binomial_type,
-    expand,
-    expansion_reconstructs,
     verify_power_identity,
     verify_rising_orientation_pairs,
     verify_stable_count_expansion,
     verify_stanley_evaluation,
 )
+from setmaps.expansions import expand, expansion_reconstructs
 from setmaps.graphs import chromatic_poly, chromatic_setmap
 from setmaps.oracles import chromatic_by_interpolation, subgraph_expansion
-from setmaps.ring import SetMap, compose, decompose, partitions_of, recover_sequence, sequence_product
+from setmaps.ring import SetMap, partitions_of, sequence_product
 from setmaps.umbral import AbelPolynomials, FallingFactorials, standard_families
 
 from _corpus import graphs_through, labeled_graphs, random_graphs

@@ -10,8 +10,8 @@ import pytest
 
 import setmaps.cli as cli
 import setmaps.graphs as graphs
-import setmaps.expansions as expansions
-from setmaps.expansions import EXPANSION_CHECK_CAP
+import setmaps.checks as checks
+from setmaps.checks import EXPANSION_CHECK_CAP
 from setmaps.graphs import Graph
 
 from _corpus import random_graphs
@@ -124,7 +124,7 @@ def test_verify_unknown_selector(capsys):
 
 
 def test_verify_failure_exit_code_via_fault_injection(capsys, monkeypatch):
-    monkeypatch.setattr("setmaps.expansions.verify_stanley_evaluation", lambda *a, **kw: False)
+    monkeypatch.setattr("setmaps.checks.verify_stanley_evaluation", lambda *a, **kw: False)
     status, out, _ = run_cli(capsys, "verify", "--check", "stanley", "--graph", f"{GRAPHS}/k2.txt")
     assert status == 1
     payload = json.loads(out)
@@ -168,7 +168,7 @@ def test_block_partition_sums_are_priced_as_the_kernel(capsys, check):
 @pytest.mark.parametrize(
     "argv, priced",
     [
-        (("verify", "--check", "stable-counts", "--graph", f"{GRAPHS}/c5.txt"), "Bell(7) = 877"),
+        (("verify", "--check", "stable-counts", "--graph", f"{GRAPHS}/c5.txt"), "Bell(8) = 4140"),
         (
             ("verify", "--check", "abel-one", "--graph", f"{GRAPHS}/c5.txt"),
             "(3^7-1)/2 = 1093 (subset, color class) pairs",
@@ -532,6 +532,12 @@ def test_verify_all_runs_every_graph_check_in_order(capsys, extra, a, x0, y0):
 _TABLE = "the chromatic table sums over at most (3^7-1)/2 = 1093 (subset, color class) pairs"
 _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
+_ORIENTATION_PAIRS = (
+    "the orientation-pair check counts the acyclic orientations of 2^7 = 128 induced subgraphs"
+    " and sums over Bell(7) = 877 set partitions"
+)
+# sum_k C(7, k) Bell(k) = Bell(8): every induced subgraph's partitions
+_STABLE_COUNTS = "the stable-count check enumerates the set partitions of every induced subgraph, Bell(8) = 4140 in all"
 _BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
 _PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
 _POWER = (
@@ -550,16 +556,16 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
         (("verify", "--check", "binomial", *_C5), (_PAIRS,)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
-        (("verify", "--check", "rising-pairs", *_C5), (_PARTITIONS,)),
+        (("verify", "--check", "rising-pairs", *_C5), (_ORIENTATION_PAIRS,)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
-        (("verify", "--check", "stable-counts", *_C5), (_PARTITIONS,)),
+        (("verify", "--check", "stable-counts", *_C5), (_STABLE_COUNTS,)),
         (("verify", "--check", "derivative", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "power", *_C5), (_POWER,)),
         (("verify", "--check", "stanley", *_C5), (_ORIENTATIONS,)),
         (
             ("verify", "--check", "all", *_C5),
-            (_TABLE, _KERNEL, _BASES, _PARTITIONS, _PAIRS, _POWER, _ORIENTATIONS),
+            (_TABLE, _KERNEL, _BASES, _ORIENTATION_PAIRS, _STABLE_COUNTS, _PAIRS, _POWER, _ORIENTATIONS),
         ),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
@@ -607,7 +613,7 @@ def test_expansion_check_has_a_cap_for_its_eight_runs(capsys, monkeypatch, tmp_p
     status, out, _ = run_cli(capsys, *c8)
     assert status == 0 and json.loads(out)["result"]["passed"] == 8
     # one basis is one kernel run, under the kernel's own cap
-    monkeypatch.setattr(expansions, "EXPANSION_CHECK_CAP", 7)
+    monkeypatch.setattr(checks, "EXPANSION_CHECK_CAP", 7)
     status, out, err = run_cli(capsys, *c8)
     assert status == 3 and err.endswith("error: expansion check over 8 vertices exceeds cap 7\n")
     status, out, _ = run_cli(capsys, *c8, "--basis", "rising")

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmaps.expansions import (
+from setmaps.algebra import compose
+from setmaps.checks import (
     check_binomial_type,
-    expand,
-    expansion_reconstructs,
     verify_power_identity,
     verify_rising_orientation_pairs,
     verify_stable_count_expansion,
     verify_stanley_evaluation,
 )
+from setmaps.expansions import expand, expansion_reconstructs
 from setmaps.graphs import Graph, chromatic_poly, chromatic_setmap
 from setmaps.poly import Poly
-from setmaps.ring import CapExceeded, SetMap, compose, partitions_of
+from setmaps.ring import CapExceeded, SetMap, partitions_of
 from setmaps.umbral import (
     AbelPolynomials,
     FallingFactorials,

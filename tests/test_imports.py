@@ -19,6 +19,8 @@ import setmaps
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ROOT / "graphs"
 HEAVY = {"dataclasses", "inspect", "typing"}
+# the composition algebra, the graph checks and the verify/oracle/abel commands
+MOVED = {"setmaps.algebra", "setmaps.checks", "setmaps.cli_checks"}
 
 
 def loaded_after(code: str) -> set[str]:
@@ -62,6 +64,7 @@ def test_expand_does_not_load_abel():
     modules = loaded_after(run_main("expand", "--graph", str(GRAPHS / "c5.txt"), "--basis", "rising"))
     assert {"setmaps.expansions", "setmaps.graphs", "setmaps.poly"} <= modules
     assert not modules & {"setmaps.abel", "setmaps.oracles"}
+    assert not modules & MOVED
 
 
 def test_a_table_read_loads_neither_umbral_nor_the_oracles():
@@ -87,7 +90,13 @@ def test_block_checks_do_not_load_graphs_or_expansions():
     ):
         modules = loaded_after(run_main(*argv))
         # Poly without the functionals and bases of umbral
-        assert engine(modules) == {"setmaps.abel", "setmaps.cli", "setmaps.poly", "setmaps.ring"}, argv
+        assert engine(modules) == {
+            "setmaps.abel",
+            "setmaps.cli",
+            "setmaps.cli_checks",
+            "setmaps.poly",
+            "setmaps.ring",
+        }, argv
 
 
 def test_graph_checks_do_not_load_abel():
@@ -125,10 +134,23 @@ def module_level_imports(node: ast.AST):
         yield from module_level_imports(child)
 
 
-@pytest.mark.parametrize("name", ["ring", "poly", "umbral", "graphs", "expansions", "abel"])
+@pytest.mark.parametrize("name", ["ring", "poly", "umbral", "graphs", "expansions", "abel", "oracles", "cli"])
 def test_no_engine_module_imports_the_oracles_at_module_level(name):
+    """Nor the algebra, the checks or the check commands, which ``cli`` imports on use."""
     tree = ast.parse((ROOT / "src" / "setmaps" / f"{name}.py").read_text(encoding="utf-8"))
-    assert not {"oracles", "setmaps.oracles"} & set(module_level_imports(tree)), name
+    lazy = {"setmaps.oracles", *MOVED}
+    assert not {*lazy, *(m.removeprefix("setmaps.") for m in lazy)} & set(module_level_imports(tree)), name
+
+
+def test_set_map_inverse_loads_the_algebra_when_it_runs():
+    code = "\n".join(
+        [
+            "from setmaps.ring import SetMap",
+            "h = SetMap.from_sequence(3, [1, 2, 0, 0])",
+            "assert h * h.inverse() == SetMap.unit(3)",
+        ]
+    )
+    assert engine(loaded_after(code)) == {"setmaps.algebra", "setmaps.ring"}
 
 
 def test_submodules_resolve_after_a_bare_import():

@@ -7,16 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from setmaps.algebra import block_sums, compose, decompose, recover_sequence
 from setmaps.ring import (
     SetMap,
     bell_number,
-    block_sums,
-    compose,
-    decompose,
     _packed,
     full_block_sums,
     partitions_of,
-    recover_sequence,
     sequence_product,
     subsets_of,
 )
