@@ -32,8 +32,8 @@ checks that count orientations or stable partitions (``rising-pairs``,
 ``stable-counts``, ``stanley``) add ``oracles`` when they run.  The block
 checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``.
 No command loads ``algebra``, the composition behind ``SetMap.inverse``.
-A ``--cap`` warning loads ``abel`` only to price the tail-forest stage,
-for its weight cap.
+A ``--cap`` warning loads no engine module: it prices each stage from
+the override alone.
 
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
@@ -61,7 +61,7 @@ from .ring import CapExceeded
 # engine modules are imported inside the commands (module docstring); the
 # annotations that name their classes are never evaluated (PEP 563)
 
-# each name, in run order -> the stages a --cap override raises (none: reads no cap)
+# each name, in run order -> the stages a --cap override raises
 _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
     "binomial": ("pairs",),
@@ -76,7 +76,7 @@ GRAPH_CHECKS = {
 }
 BLOCK_CHECKS = {"closed-form": ("kernel",), "forest-count": ("kernel",), "tail-forests": ("tails",)}
 ORACLES = {
-    "colorings": (),
+    "colorings": ("partitions",),
     "acyclic": ("orientations",),
     "stable-partitions": ("partitions",),
     "unique-sink": ("orientations",),
@@ -222,19 +222,15 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"orientation enumeration over {cap} edges touches up to "
             f"{count(f'2^{cap}', lambda: 2**cap)} orientations"
         ),
-    }
-    if "tails" in stages:
-        from .abel import TAIL_WEIGHT_CAP
-
-        # n - k tails over n blocks, each aimed at one of at most w elements:
-        # sum_k C(n, k) w^(n-k) = (1 + w)^n with w <= TAIL_WEIGHT_CAP
-        costs["tails"] = (
+        # n - k tails over n blocks, each aimed at one of n blocks:
+        # sum_k C(n, k) n^(n-k) = (n + 1)^n
+        "tails": (
             f"tail-forest enumeration over {cap} blocks tries up to "
-            f"{count(f'{TAIL_WEIGHT_CAP + 1}^{cap}', lambda: (TAIL_WEIGHT_CAP + 1) ** cap)} "
-            f"tail sets; the weight cap of {TAIL_WEIGHT_CAP} stays"
-        )
+            f"{count(f'{cap + 1}^{cap}', lambda: (cap + 1) ** cap)} tail sets"
+        ),
+    }
     priced = "; ".join(text for stage, text in costs.items() if stage in stages)
-    print(f"warning: cap override {cap}; {priced or 'no stage of this command reads it'}", file=sys.stderr)
+    print(f"warning: cap override {cap}; {priced}", file=sys.stderr)
 
 
 def _load_graph(ns: argparse.Namespace) -> Graph:

@@ -184,7 +184,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
                 raise ValueError("oracle colorings needs --x")
             if ns.x.denominator != 1 or ns.x < 0:
                 raise ValueError("color count must be a nonnegative integer")
-            run = partial(count_proper_colorings, restricted, int(ns.x))
+            run = partial(count_proper_colorings, restricted, int(ns.x), **kwargs)
             source["x"] = int(ns.x)
         elif name == "acyclic":
             run = partial(count_acyclic_orientations, restricted, **kwargs)

@@ -28,7 +28,7 @@ from .graphs import EDGE_ENUM_CAP, Graph
 from .poly import Poly, interpolate
 from .ring import CapExceeded, partitions_of
 
-# caps the one Bell-order enumeration here, over a graph's vertices
+# caps the Bell-order enumerations here (stable partitions, color-class splits), over vertices
 BELL_ENUM_CAP = 12
 
 
@@ -67,17 +67,20 @@ def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:
     return Poly(coeff)
 
 
-def count_proper_colorings(graph: Graph, colors: int) -> int:
+def count_proper_colorings(graph: Graph, colors: int, cap: int = BELL_ENUM_CAP) -> int:
     """Number of proper colorings with the given color count, by backtracking.
 
     Colors are handed out in first-use order: each vertex joins a color
     class holding none of its earlier neighbors, or opens the next class.
     A split into k classes is then colored in colors * (colors - 1) * ...
-    * (colors - k + 1) ways, one per choice of distinct colors.
+    * (colors - k + 1) ways, one per choice of distinct colors.  There are
+    up to Bell(n) splits, so the vertex count is capped.
     """
     if colors < 0:
         raise ValueError("color count must be nonnegative")
     n = graph.n
+    if n > cap:
+        raise CapExceeded(f"coloring count over {n} vertices exceeds cap {cap}")
     earlier = [0] * n  # bitmask of each vertex's lower-numbered neighbors
     for u, v in graph.edges:
         earlier[v] |= 1 << u

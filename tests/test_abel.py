@@ -6,6 +6,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setmaps.abel import (
     BlockPartition,
@@ -40,7 +42,6 @@ def test_block_partition_validation():
     bp = BlockPartition((2, 1, 3))
     assert bp.block_count == 3 and bp.weight == 6
     assert bp.subset_weight(0b101) == 5
-    assert len(bp.elements()) == 6
 
 
 def test_block_partitions_are_values():
@@ -135,6 +136,7 @@ def test_general_map_reproduces_block_map():
     bp = BlockPartition(sizes)
     p = abel_general_setmap(additive_map(len(sizes), sizes))
     assert p == abel_setmap(bp)
+    assert all(p[mask] == abel_poly(bp, mask) for mask in range(1 << bp.block_count))
 
 
 def test_general_map_is_binomial_type():
@@ -279,11 +281,20 @@ def test_tail_forest_counts_match_closed_form():
 
 def test_tail_forest_caps_and_validation():
     with pytest.raises(CapExceeded):
-        count_tail_forests(BlockPartition((1,) * 6), 1)
-    with pytest.raises(CapExceeded):
-        count_tail_forests(BlockPartition((9,)), 1)
+        count_tail_forests(BlockPartition((1,) * 8), 1)
+    # the one cap counts blocks: a block heavier than any cap still counts
+    assert count_tail_forests(BlockPartition((9,)), 1) == 1
     with pytest.raises(ValueError):
         count_tail_forests(BlockPartition((1, 1)), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=5))
+def test_tail_forest_counts_match_closed_form_on_heavy_blocks(sizes):
+    bp = BlockPartition(sizes)
+    n, w = bp.block_count, bp.weight
+    for k in range(1, n + 1):
+        assert count_tail_forests(bp, k) == comb(n - 1, k - 1) * w ** (n - k), k
 
 
 def test_tail_forest_cap_keyword():
@@ -295,7 +306,7 @@ def test_verify_tail_forests_gives_one_verdict_per_k():
     assert verify_tail_forests(BlockPartition((2, 1)), 2) == {2: True}
     assert verify_tail_forests(BlockPartition((1,) * 6), 5, cap=6) == {5: True}
     with pytest.raises(CapExceeded):
-        verify_tail_forests(BlockPartition((1,) * 6))
+        verify_tail_forests(BlockPartition((1,) * 8))
     with pytest.raises(ValueError, match="component count"):
         verify_tail_forests(BlockPartition((1, 1)), 3)
     with pytest.raises(ValueError, match="at least one block"):

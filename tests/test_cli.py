@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import setmaps.cli as cli
 import setmaps.graphs as graphs
 import setmaps.checks as checks
+import setmaps.oracles as oracles
 from setmaps.checks import EXPANSION_CHECK_CAP
 from setmaps.graphs import Graph
 
@@ -175,7 +177,7 @@ def test_block_partition_sums_are_priced_as_the_kernel(capsys, check):
         ),
         (("verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt"), "2*2^7 = 256 table evaluations"),
         (("oracle", "acyclic", "--graph", f"{GRAPHS}/c5.txt"), "2^7 = 128 orientations"),
-        (("oracle", "colorings", "--graph", f"{GRAPHS}/c5.txt", "--x", "3"), "no stage"),
+        (("oracle", "colorings", "--graph", f"{GRAPHS}/c5.txt", "--x", "3"), "Bell(7) = 877"),
     ],
 )
 def test_cap_warning_names_the_governed_stage(capsys, argv, priced):
@@ -210,6 +212,23 @@ def test_oracle_stable_partitions_k2(capsys, k2_file):
 def test_oracle_colorings_zero_colors(capsys):
     _, out, _ = run_cli(capsys, "oracle", "colorings", "--graph", f"{GRAPHS}/c5.txt", "--x", "0")
     assert json.loads(out)["result"]["count"] == 0
+
+
+def test_oracle_colorings_has_a_cap(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "edgeless13.txt"
+    path.write_text("13 0\n")
+    splits = []
+    perm = oracles.math.perm
+    # each color-class split the backtracking reaches is priced by one math.perm
+    monkeypatch.setattr(oracles, "math", SimpleNamespace(perm=lambda *a: splits.append(a) or perm(*a)))
+    status, out, err = run_cli(capsys, "oracle", "colorings", "--graph", str(path), "--x", "13")
+    assert status == 3 and out == ""
+    assert err == "error: coloring count over 13 vertices exceeds cap 12\n"
+    assert splits == []
+    status, out, err = run_cli(capsys, "oracle", "colorings", "--graph", str(path), "--x", "2", "--cap", "13")
+    assert status == 0
+    assert json.loads(out)["result"]["count"] == 2**13
+    assert "Bell(13) = 27644437 set partitions" in err
 
 
 def test_oracle_colorings_requires_integer(capsys):
@@ -391,27 +410,30 @@ def test_power_check_takes_the_kernel_cap(capsys, monkeypatch, tmp_path):
 
 
 def test_cap_reaches_the_tail_forest_enumeration(capsys):
-    blocks = ("--blocks", "1,1,1,1,1,1")
-    assert run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1")[0] == 3
-    status, out, err = run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "1", "--cap", "6")
+    # 8 blocks, one over the cap; k = 6 and 7 keep the raised runs small
+    blocks = ("--blocks", "1,1,1,1,1,1,1,1")
+    status, out, err = run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "6")
+    assert status == 3 and out == ""
+    assert err == "error: tail-forest enumeration over 8 blocks exceeds cap 7\n"
+    status, out, err = run_cli(capsys, "oracle", "tail-forests", *blocks, "--k", "6", "--cap", "8")
     assert status == 0
-    assert json.loads(out)["result"]["count"] == 6**5  # C(5, 0) * 6^(6 - 1)
-    assert "9^6 = 531441 tail sets" in err
-    status, out, _ = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--cap", "6")
+    assert json.loads(out)["result"]["count"] == 21 * 8**2  # C(7, 5) * 8^(8 - 6)
+    assert "9^8 = 43046721 tail sets" in err
+    status, out, _ = run_cli(capsys, "verify", "--check", "tail-forests", *blocks, "--k", "7", "--cap", "8")
     assert status == 0
-    assert json.loads(out)["result"] == {"all_pass": True, "passed": 6, "failed": 0}
+    assert json.loads(out)["result"] == {"all_pass": True, "passed": 1, "failed": 0}
 
 
-def test_tail_forest_cap_warning_says_the_weight_cap_stays(capsys):
+def test_tail_forest_cap_warning_prices_blocks_alone(capsys):
+    # weight 9: no cap reads the weight, and the warning prices blocks alone
     argv = ("oracle", "tail-forests", "--blocks", "3,3,3", "--k", "1", "--cap", "9")
     status, out, err = run_cli(capsys, *argv)
-    assert status == 3 and out == ""
-    warning, error = err.splitlines()
-    assert warning == (
+    assert status == 0
+    assert json.loads(out)["result"]["count"] == 9**2  # C(2, 0) * 9^(3 - 1)
+    assert err == (
         "warning: cap override 9; tail-forest enumeration over 9 blocks tries up to "
-        "9^9 = 387420489 tail sets; the weight cap of 8 stays"
+        "10^9 = 1000000000 tail sets\n"
     )
-    assert error == "error: tail-forest enumeration over weight 9 exceeds cap 8"
 
 
 def test_verify_builds_the_table_over_the_subset_only(capsys, monkeypatch):
@@ -545,7 +567,7 @@ _POWER = (
     " of 2^7 int products each"
 )
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
-_TAILS = "tail-forest enumeration over 7 blocks tries up to 9^7 = 4782969 tail sets; the weight cap of 8 stays"
+_TAILS = "tail-forest enumeration over 7 blocks tries up to 8^7 = 2097152 tail sets"
 _C5 = ("--graph", f"{GRAPHS}/c5.txt")
 _BLOCKS = ("--blocks", "2,1,1")
 
@@ -570,7 +592,7 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "tail-forests", *_BLOCKS), (_TAILS,)),
-        (("oracle", "colorings", *_C5, "--x", "3"), ("no stage of this command reads it",)),
+        (("oracle", "colorings", *_C5, "--x", "3"), (_PARTITIONS,)),
         (("oracle", "acyclic", *_C5), (_ORIENTATIONS,)),
         (("oracle", "stable-partitions", *_C5), (_PARTITIONS,)),
         (("oracle", "unique-sink", *_C5, "--sink", "0"), (_ORIENTATIONS,)),

@@ -78,9 +78,20 @@ def test_a_table_read_loads_neither_umbral_nor_the_oracles():
     assert engine(loaded_after(code)) == {"setmaps.graphs", "setmaps.poly", "setmaps.ring"}
 
 
-def test_cap_warning_loads_abel_only_to_price_tail_forests():
+def test_no_cap_warning_loads_abel():
     argv = ("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "rising", "--cap", "9")
     assert "setmaps.abel" not in loaded_after(run_main(*argv))
+    # every stage of every check and oracle, the tail forests among them
+    code = "\n".join(
+        [
+            "import setmaps.cli as cli",
+            "tables = (cli.GRAPH_CHECKS, cli.BLOCK_CHECKS, cli.ORACLES)",
+            "stages = {stage for table in tables for run in table.values() for stage in run}",
+            "assert 'tails' in stages",
+            "cli._warn_cap(7, stages)",
+        ]
+    )
+    assert engine(loaded_after(code)) == {"setmaps.cli", "setmaps.ring"}
 
 
 def test_block_checks_do_not_load_graphs_or_expansions():
