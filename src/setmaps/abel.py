@@ -31,6 +31,11 @@ ABEL_BLOCK_CAP = 12
 # for a cold `verify --check tail-forests`, every k, on n seeded blocks of size
 # 1-3 (2.2-2.8 s and 16 MiB at 7 blocks, 65 s at 8; Python 3.11, 2 cores)
 TAIL_BLOCK_CAP = 7
+# by the same rule, for a cold `setmaps abel` on n unit blocks: 4.2 s at 1000,
+# 4.5-5.1 s and 32 MiB at 1200, 6.8-10.1 s at 1300 (Python 3.11, 2 cores).  It
+# bounds the block count alone, not the values, as BLOCK_SUM_CAP does: heavier
+# blocks make longer ints in the power (x + w)^(n-1)
+ABEL_POLY_CAP = 1200
 
 
 class BlockPartition:
@@ -83,16 +88,19 @@ class BlockPartition:
         return sum(self.sizes[i] for i in range(len(self.sizes)) if (mask >> i) & 1)
 
 
-def abel_poly(blocks: BlockPartition, mask: int) -> Poly:
+def abel_poly(blocks: BlockPartition, mask: int, cap: int = ABEL_POLY_CAP) -> Poly:
     """The polynomial x(x + w)^(len-1) attached to a subset of the blocks.
 
     The empty subset gets 1, the only value consistent with a nontrivial
-    binomial-type map.
+    binomial-type map.  More than ``cap`` selected blocks raise
+    ``CapExceeded`` before the power is taken.
     """
     count = mask.bit_count()
     if count == 0:
         return Poly.one()
     w = blocks.subset_weight(mask)
+    if count > cap:
+        raise CapExceeded(f"Abel polynomial over {count} blocks exceeds cap {cap}")
     return Poly.x() * Poly((w, 1)) ** (count - 1)
 
 
@@ -153,7 +161,7 @@ def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = BLOCK_SU
     them first for a subset)."""
     if blocks.block_count > cap:
         raise CapExceeded(f"partition sum over {blocks.block_count} blocks exceeds cap {cap}")
-    return Poly(_partition_weight_sums(blocks)) == abel_poly(blocks, blocks.full_mask)
+    return Poly(_partition_weight_sums(blocks)) == abel_poly(blocks, blocks.full_mask, cap)
 
 
 def verify_forest_coefficients(

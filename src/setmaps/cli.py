@@ -21,8 +21,12 @@ was closed before the result was written (128 + SIGPIPE, the status a
 shell reports for a pipeline stage ended by a broken pipe).
 
 Each process compiles and runs only the modules its command uses:
-importing this module loads ``ring`` alone (for ``CapExceeded``), and
-each command imports the rest when it runs.  This module holds the parser
+importing this module loads no engine module, and of the standard library
+only ``os`` and ``sys``.  ``argparse`` waits for ``build_parser``,
+``json`` for ``render`` and ``fractions`` for a rational that is parsed or
+printed, so ``--help`` and usage errors load no engine module either.
+Once the arguments parse, ``main`` loads ``ring`` (for ``CapExceeded``),
+and each command imports the rest when it runs.  This module holds the parser
 and the ``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
 ``abel`` live in ``cli_checks``, which ``_DISPATCH`` imports the first
 time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
@@ -32,8 +36,8 @@ checks that count orientations or stable partitions (``rising-pairs``,
 ``stable-counts``, ``stanley``) add ``oracles`` when they run.  The block
 checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``.
 No command loads ``algebra``, the composition behind ``SetMap.inverse``.
-A ``--cap`` warning loads no engine module: it prices each stage from
-the override alone.
+A ``--cap`` warning loads no engine module beyond ``ring``: it prices
+each stage from the override alone.
 
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
@@ -45,21 +49,18 @@ and the checks on the block-sum kernel (the expansion checks and
 ``power``, whose set-map products run on it) share its cap,
 ``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
 ``--basis``, which runs the kernel once per standard basis and has a cap
-of its own, ``checks.EXPANSION_CHECK_CAP``.
+of its own, ``checks.EXPANSION_CHECK_CAP``.  ``chromatic`` caps the
+vertices of its induced subgraph at ``graphs.CHROMATIC_POLY_CAP``, and
+``abel`` the selected blocks at ``abel.ABEL_POLY_CAP``, each before any
+work.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from .ring import CapExceeded
-
-# engine modules are imported inside the commands (module docstring); the
-# annotations that name their classes are never evaluated (PEP 563)
+# engine modules, and the stdlib modules only a command needs, are imported
+# inside the functions that use them (module docstring), so the annotations
+# that name their classes are strings; a __future__ import would load a module
 
 # each name, in run order -> the stages a --cap override raises
 _EXPANSION = ("table", "kernel")
@@ -87,7 +88,11 @@ _CHECK_NAMES = ", ".join([*GRAPH_CHECKS, *BLOCK_CHECKS])
 
 
 def _rat(value) -> str:
-    return str(value if type(value) in (int, Fraction) else Fraction(value))
+    if type(value) is int:  # most values: no import on each call
+        return str(value)
+    from fractions import Fraction
+
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def _poly_result(poly) -> dict:
@@ -96,6 +101,8 @@ def _poly_result(poly) -> dict:
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
+    import argparse
+
     try:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -105,14 +112,19 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> "Fraction":
+    import argparse
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="setmaps",
         description="Exact chromatic-polynomial expansions in binomial-type bases.",
@@ -137,18 +149,22 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("json", "table"), default="json")
 
+    def cap(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=None,
+            help="override the command's governing size cap (prints a cost warning)",
+        )
+
     p = sub.add_parser("chromatic", help="chromatic polynomial of an induced subgraph")
     common(p, graph=True)
+    cap(p)
 
     p = sub.add_parser("expand", help="expansion coefficients in a binomial-type basis")
     common(p, graph=True)
     p.add_argument("--basis", required=True, help="monomial | falling:a | rising | abel:a | logfamily")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help="override the command's governing size cap (prints a cost warning)",
-    )
+    cap(p)
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("--check", required=True, help=f"one of {_CHECK_NAMES}")
@@ -175,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abel", help="Abel-type polynomial of a subset of blocks")
     common(p, blocks=True)
+    cap(p)
 
     return parser
 
@@ -228,12 +245,22 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"tail-forest enumeration over {cap} blocks tries up to "
             f"{count(f'{cap + 1}^{cap}', lambda: (cap + 1) ** cap)} tail sets"
         ),
+        # each split of an edge is a deletion and a contraction; the memo cuts the repeats
+        "deletion-contraction": (
+            f"deletion-contraction over {cap} vertices splits up to 2^E graphs on E edges, E at most "
+            f"{count(f'{cap}*{cap - 1}/2', lambda: cap * (cap - 1) // 2)}"
+        ),
+        # squaring dense polynomials of degree up to N - 1
+        "abel": (
+            f"the Abel polynomial over {cap} blocks raises x + w to the power {cap - 1} "
+            f"in about {count(f'{cap}^2', lambda: cap**2)} int products"
+        ),
     }
     priced = "; ".join(text for stage, text in costs.items() if stage in stages)
     print(f"warning: cap override {cap}; {priced}", file=sys.stderr)
 
 
-def _load_graph(ns: argparse.Namespace) -> Graph:
+def _load_graph(ns: "argparse.Namespace") -> "Graph":
     from .graphs import load_graph
 
     if ns.graph is None:
@@ -241,11 +268,11 @@ def _load_graph(ns: argparse.Namespace) -> Graph:
     return load_graph(ns.graph)
 
 
-def _subset(ns: argparse.Namespace, graph: Graph) -> int:
+def _subset(ns: "argparse.Namespace", graph: "Graph") -> int:
     return graph.vertex_mask if ns.subset is None else ns.subset
 
 
-def _graph_input(ns: argparse.Namespace, graph: Graph) -> dict:
+def _graph_input(ns: "argparse.Namespace", graph: "Graph") -> dict:
     return {
         "graph": ns.graph,
         "vertices": graph.n,
@@ -254,11 +281,14 @@ def _graph_input(ns: argparse.Namespace, graph: Graph) -> dict:
     }
 
 
-def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
+def cmd_chromatic(ns: "argparse.Namespace") -> tuple[dict, int]:
     from .graphs import chromatic_poly
 
+    kwargs = {} if ns.cap is None else {"cap": ns.cap}
     graph = _load_graph(ns)
-    poly = chromatic_poly(graph.restrict(_subset(ns, graph)))
+    local = graph.restrict(_subset(ns, graph))
+    _warn_cap(ns.cap, ("deletion-contraction",))
+    poly = chromatic_poly(local, **kwargs)
     return {
         "command": "chromatic",
         "input": _graph_input(ns, graph),
@@ -267,10 +297,10 @@ def cmd_chromatic(ns: argparse.Namespace) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_expand(ns: argparse.Namespace) -> tuple[dict, int]:
+def cmd_expand(ns: "argparse.Namespace") -> tuple[dict, int]:
     from .expansions import expand
     from .graphs import chromatic_setmap
-    from .ring import BLOCK_SUM_CAP, subsets_of
+    from .ring import BLOCK_SUM_CAP, CapExceeded, subsets_of
     from .umbral import family_from_string
 
     graph = _load_graph(ns)
@@ -313,6 +343,8 @@ def _table_value(value) -> str:
 
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2)
     lines = [f"command: {payload['command']}"]
     for key, value in payload["input"].items():
@@ -324,7 +356,7 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _check_command(ns: argparse.Namespace) -> tuple[dict, int]:
+def _check_command(ns: "argparse.Namespace") -> tuple[dict, int]:
     from .cli_checks import COMMANDS
 
     return COMMANDS[ns.command](ns)
@@ -344,6 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code is None else int(exc.code)
+    from .ring import CapExceeded
+
     try:
         payload, status = _DISPATCH[ns.command](ns)
     except CapExceeded as exc:

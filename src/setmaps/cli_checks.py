@@ -213,9 +213,12 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
 def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
     from .abel import BlockPartition, abel_poly
 
+    kwargs = {} if ns.cap is None else {"cap": ns.cap}
     blocks = BlockPartition(ns.blocks)
+    selected = _block_subset(ns, blocks)  # a subset outside the blocks errs before the warning
+    _warn_cap(ns.cap, ("abel",))
+    poly = abel_poly(selected, selected.full_mask, **kwargs)
     subset = blocks.full_mask if ns.subset is None else ns.subset
-    poly = abel_poly(blocks, subset)
     return {
         "command": "abel",
         "input": {"blocks": list(blocks.sizes), "subset": subset},

@@ -12,7 +12,9 @@ works on plain int coefficient tuples, lowest degree first, memoized on a
 degree-sorted relabeling in a memo scoped to one call; a Poly is built
 once per answer.  Before it splits an edge it peels off what the sort
 puts first: k isolated vertices give x^k times the rest, and a leaf at
-vertex 0 gives (x - 1) times the graph without it.
+vertex 0 gives (x - 1) times the graph without it.  Its cost grows with
+the edges, so it checks a vertex cap of its own (``CHROMATIC_POLY_CAP``)
+before the first split.
 
 The chromatic table (``chromatic_setmap``) is the paper's expansion in
 the falling-factorial basis, chi_S = sum over partitions sigma of S into
@@ -226,10 +228,19 @@ def _chromatic(n: int, edges: tuple, memo: dict) -> tuple:
     return result
 
 
-def chromatic_poly(graph: Graph) -> Poly:
-    """Chromatic polynomial by deletion-contraction, memoized for this call."""
-    if graph.n > MAX_GROUND_SIZE:
-        raise CapExceeded(f"chromatic polynomial capped at {MAX_GROUND_SIZE} vertices")
+# by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
+# for a cold `setmaps chromatic` on G(n, p) drawn by scripts/table_at_cap.gnp_edges
+# with random.Random(1), p = .3, .35, .4, .45, .5, .6.  At 17: 0.9-4.4 s and
+# 71-225 MiB, the worst at p = .6.  At 18: 2.7 s and 147 MiB at p = .3, 6.9 s and
+# 367 MiB at .35, and 13-18 s and 736-809 MiB from .4 on (Python 3.11, 2 cores)
+CHROMATIC_POLY_CAP = 17
+
+
+def chromatic_poly(graph: Graph, cap: int = CHROMATIC_POLY_CAP) -> Poly:
+    """Chromatic polynomial by deletion-contraction, memoized for this call;
+    more than ``cap`` vertices raise ``CapExceeded`` before the first split."""
+    if graph.n > cap:
+        raise CapExceeded(f"deletion-contraction over {graph.n} vertices exceeds cap {cap}")
     return Poly(_chromatic(graph.n, graph.edges, {}))
 
 

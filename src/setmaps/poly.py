@@ -149,8 +149,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the square after the top bit is never read
+                base = base * base
         return result
 
     def __call__(self, point) -> int | Fraction:

@@ -13,8 +13,10 @@ import setmaps.cli as cli
 import setmaps.graphs as graphs
 import setmaps.checks as checks
 import setmaps.oracles as oracles
+from setmaps.abel import ABEL_POLY_CAP
 from setmaps.checks import EXPANSION_CHECK_CAP
-from setmaps.graphs import Graph
+from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
+from setmaps.poly import Poly
 
 from _corpus import random_graphs
 
@@ -191,11 +193,81 @@ def test_cap_warning_names_the_governed_stage(capsys, argv, priced):
     "argv",
     [("chromatic", "--graph", f"{GRAPHS}/k3.txt"), ("abel", "--blocks", "2,1")],
 )
-def test_cap_is_rejected_where_no_cap_governs(capsys, argv):
+def test_cap_override_reaches_chromatic_and_abel(capsys, argv):
+    _, plain, _ = run_cli(capsys, *argv)
     status, out, err = run_cli(capsys, *argv, "--cap", "3")
-    assert status == 2
-    assert out == ""
-    assert "--cap" in err
+    assert status == 0
+    assert out == plain
+    assert err.startswith("warning: cap override 3; ") and err.count("\n") == 1
+
+
+def test_chromatic_checks_its_cap_before_any_split(capsys, monkeypatch, tmp_path):
+    n = CHROMATIC_POLY_CAP + 1
+    path = tmp_path / f"g{n}.txt"
+    path.write_text(random_graphs(n, 1, seed=n, p=0.3)[0].to_text())
+    splits = []
+    monkeypatch.setattr(graphs, "_chromatic", lambda *a: splits.append(a))
+    status, out, err = run_cli(capsys, "chromatic", "--graph", str(path))
+    assert status == 3 and out == ""
+    assert err == f"error: deletion-contraction over {n} vertices exceeds cap {CHROMATIC_POLY_CAP}\n"
+    assert splits == []
+    # the cap reads the induced subgraph of --subset
+    monkeypatch.undo()
+    status, out, _ = run_cli(capsys, "chromatic", "--graph", str(path), "--subset", str((1 << 8) - 1))
+    assert status == 0 and json.loads(out)["result"]["degree"] == 8
+
+
+def test_cap_override_lets_deletion_contraction_run(capsys, tmp_path):
+    n = CHROMATIC_POLY_CAP + 1
+    path = tmp_path / f"p{n}.txt"
+    path.write_text(Graph.path(n).to_text())
+    argv = ("chromatic", "--graph", str(path))
+    assert run_cli(capsys, *argv)[0] == 3
+    status, out, err = run_cli(capsys, *argv, "--cap", str(n))
+    assert status == 0
+    # a tree on n vertices: x(x - 1)^(n - 1)
+    expected = Poly.x() * Poly((-1, 1)) ** (n - 1)
+    assert json.loads(out)["result"]["coefficients"] == [str(c) for c in expected.coeffs]
+    assert err == (
+        f"warning: cap override {n}; deletion-contraction over {n} vertices splits up to 2^E graphs"
+        f" on E edges, E at most {n}*{n - 1}/2 = {n * (n - 1) // 2}\n"
+    )
+
+
+def test_abel_checks_its_cap_before_the_power(capsys, monkeypatch):
+    n = ABEL_POLY_CAP + 1
+    blocks = ("--blocks", ",".join(["1"] * n))
+    powers = []
+    monkeypatch.setattr(Poly, "__pow__", lambda self, e: powers.append(e))
+    status, out, err = run_cli(capsys, "abel", *blocks)
+    assert status == 3 and out == ""
+    assert err == f"error: Abel polynomial over {n} blocks exceeds cap {ABEL_POLY_CAP}\n"
+    assert powers == []
+    # the cap counts the selected blocks: x(x + 3)^2
+    monkeypatch.undo()
+    status, out, _ = run_cli(capsys, "abel", *blocks, "--subset", "7")
+    assert status == 0 and json.loads(out)["result"]["coefficients"] == ["0", "9", "6", "1"]
+
+
+def test_cap_override_lets_the_abel_polynomial_run(capsys, monkeypatch):
+    argv = ("abel", "--blocks", "2,1,1")
+    status, out, err = run_cli(capsys, *argv, "--cap", "2")
+    assert status == 3 and out == ""
+    assert err.endswith("error: Abel polynomial over 3 blocks exceeds cap 2\n")
+    status, out, err = run_cli(capsys, *argv, "--cap", "3")
+    assert status == 0
+    assert json.loads(out)["result"]["coefficients"] == ["0", "16", "8", "1"]  # x(x + 4)^2
+    assert err == (
+        "warning: cap override 3; the Abel polynomial over 3 blocks raises x + w to the power 2"
+        " in about 3^2 = 9 int products\n"
+    )
+    # past the default cap; the power itself, seconds of work, is stubbed
+    n = ABEL_POLY_CAP + 1
+    powers = []
+    monkeypatch.setattr(Poly, "__pow__", lambda self, e: powers.append(e) or Poly.one())
+    status, out, err = run_cli(capsys, "abel", "--blocks", ",".join(["1"] * n), "--cap", str(n))
+    assert status == 0 and powers == [n - 1]
+    assert err.startswith(f"warning: cap override {n}; the Abel polynomial over {n} blocks")
 
 
 def test_oracle_acyclic_k3(capsys):
@@ -568,6 +640,8 @@ _POWER = (
 )
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
 _TAILS = "tail-forest enumeration over 7 blocks tries up to 8^7 = 2097152 tail sets"
+_DELETION_CONTRACTION = "deletion-contraction over 7 vertices splits up to 2^E graphs on E edges, E at most 7*6/2 = 21"
+_ABEL = "the Abel polynomial over 7 blocks raises x + w to the power 6 in about 7^2 = 49 int products"
 _C5 = ("--graph", f"{GRAPHS}/c5.txt")
 _BLOCKS = ("--blocks", "2,1,1")
 
@@ -598,6 +672,8 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("oracle", "unique-sink", *_C5, "--sink", "0"), (_ORIENTATIONS,)),
         (("oracle", "sink-source", *_C5, "--source", "0", "--sink", "1"), (_ORIENTATIONS,)),
         (("oracle", "tail-forests", *_BLOCKS, "--k", "1"), (_TAILS,)),
+        (("chromatic", *_C5), (_DELETION_CONTRACTION,)),
+        (("abel", *_BLOCKS), (_ABEL,)),
     ],
 )
 def test_cap_warning_lines_are_pinned(capsys, argv, priced):
@@ -660,6 +736,8 @@ def test_expand_parses_the_basis_before_its_cap(capsys, monkeypatch, tmp_path):
         ("expand", *_C5, "--basis", "nope"),
         ("oracle", "unique-sink", *_C5),
         ("verify", "--check", "power", *_C5, "--k", "0"),
+        ("chromatic", *_C5, "--subset", "32"),
+        ("abel", *_BLOCKS, "--subset", "8"),
     ],
 )
 def test_usage_errors_come_before_the_cap_warning(capsys, argv):

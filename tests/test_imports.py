@@ -54,10 +54,17 @@ def test_import_setmaps_loads_no_submodule():
     assert not modules & HEAVY
 
 
-def test_import_cli_loads_only_ring():
+def test_import_cli_loads_no_engine_or_parser_module():
     modules = loaded_after("import setmaps.cli")
-    assert engine(modules) == {"setmaps.cli", "setmaps.ring"}
-    assert not modules & HEAVY
+    # of the standard library, os (with what it imports) and nothing else
+    assert modules - loaded_after("import os") == {"setmaps", "setmaps.cli"}
+    assert not modules & {"argparse", "json", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["chromatic"], 2), (["expand", "--cap", "x"], 2)])
+def test_help_and_usage_errors_load_no_engine_module(argv, status):
+    modules = loaded_after(f"import setmaps.cli; assert setmaps.cli.main({argv!r}) == {status}")
+    assert engine(modules) == {"setmaps.cli"}
 
 
 def test_expand_does_not_load_abel():

@@ -55,6 +55,19 @@ def test_poly_pow_rejects_negative():
         Poly.x() ** -1
 
 
+def test_poly_pow_squares_only_the_bits_it_reads(monkeypatch):
+    base, expected = Poly((3, 1)), Poly.one()
+    mul = Poly.__mul__
+    for e in range(18):
+        products = []
+        monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        assert base**e == expected, e
+        # one product per set bit and one square per bit below the top
+        assert len(products) == e.bit_count() + max(e.bit_length() - 1, 0), e
+        monkeypatch.undo()
+        expected *= base
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(fractions_st, max_size=6), st.lists(fractions_st, max_size=6))
 def test_poly_product_evaluates_pointwise(a, b):
