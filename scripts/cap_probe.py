@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Run each capped command that CI exercises at its cap, and once past it.
+
+Usage:
+    python scripts/cap_probe.py
+
+A cap promises a cold run within 10 s and 512 MiB.  Each row of ``rows()`` is a
+command, the seeded input its cap was measured on and a check of its answer.  A
+run is a child under a 512 MiB address space that reports its peak RSS (VmHWM,
+which exec resets, unlike a parent's rusage).  At n = cap it must exit 0 with a
+right answer within the row's RSS bound, at cap + 1 exit 3 and print nothing.
+Time is printed, not gated: the caps were measured on one host.
+"""
+
+import json
+import math
+import os
+import random
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+
+SEED = 1
+ADDRESS_SPACE_MIB = 512
+# args: n, a directory for input files -> the child's arguments; answer: its JSON -> right?
+Row = namedtuple("Row", "name cap args answer max_rss_mib", defaults=(ADDRESS_SPACE_MIB,))
+# a child runs ``child`` of this file, on the import path of this process
+CHILD = "import runpy, sys; runpy.run_path(sys.argv[1])['child'](sys.argv[2:])"
+
+
+def gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of G(n, p): each pair u < v, in order, kept with probability p."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def rows() -> tuple[Row, ...]:
+    from setmaps.abel import ABEL_POLY_CAP, TAIL_BLOCK_CAP
+    from setmaps.checks import EXPANSION_CHECK_CAP
+    from setmaps.graphs import CHROMATIC_POLY_CAP
+    from setmaps.ring import BLOCK_SUM_CAP, MAX_GROUND_SIZE
+
+    def on_graph(p, *command):  # G(n, p) seeded random.Random(SEED), in a graph file
+        def args(n, directory):
+            edges, path = gnp_edges(n, p, random.Random(SEED)), os.path.join(directory, f"{n}-{p}.txt")
+            with open(path, "w") as fh:
+                fh.write(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+            return [*command, "--graph", path]
+        return args
+
+    rng = random.Random(SEED)  # block sizes in 1..3, drawn after G(BLOCK_SUM_CAP, .3) in one stream
+    gnp_edges(BLOCK_SUM_CAP, 0.3, rng)
+    sizes = [str(rng.randint(1, 3)) for _ in range(max(BLOCK_SUM_CAP, TAIL_BLOCK_CAP) + 1)]
+
+    def passes(out):
+        return out["result"]["all_pass"] is True
+
+    def chromatic(out):  # chi on n vertices and m edges: x^n - m x^(n-1) + ..., no constant term
+        c, n, m = out["result"]["coefficients"], out["input"]["vertices"], out["input"]["edges"]
+        return len(c) == n + 1 and c[-2:] == [str(-m), "1"] and c[0] == "0"
+
+    def abel(out):  # x(x + n)^(n - 1) on n unit blocks: C(n - 1, k - 1) n^(n - k) at x^k
+        n = len(out["input"]["blocks"])
+        right = (str(math.comb(n - 1, k - 1) * n ** (n - k)) for k in range(1, n + 1))
+        return out["result"]["coefficients"] == ["0", *right]
+
+    return (
+        Row("expand --basis rising", BLOCK_SUM_CAP, on_graph(0.3, "expand", "--basis", "rising"),
+            lambda out: out["result"]["reconstructs"] is True),
+        Row("verify --check power", BLOCK_SUM_CAP, on_graph(0.3, "verify", "--check", "power"), passes),
+        Row("verify --check closed-form", BLOCK_SUM_CAP,
+            lambda n, _: ["verify", "--check", "closed-form", "--blocks", ",".join(sizes[:n])], passes),
+        Row("verify --check tail-forests", TAIL_BLOCK_CAP,
+            lambda n, _: ["verify", "--check", "tail-forests", "--blocks", ",".join(sizes[:n])], passes),
+        Row("chromatic on G(n, .6)", CHROMATIC_POLY_CAP, on_graph(0.6, "chromatic"), chromatic),
+        Row("abel on unit blocks", ABEL_POLY_CAP, lambda n, _: ["abel", "--blocks", ",".join("1" * n)], abel),
+        Row("verify --check expansion", EXPANSION_CHECK_CAP, on_graph(0.3, "verify", "--check", "expansion"),
+            lambda out: passes(out) and out["result"]["passed"] == 8),
+        # 142-146 MiB measured on Python 3.10-3.13
+        Row("chromatic table and reads", MAX_GROUND_SIZE, lambda n, _: ["table", str(n)], passes, 200),
+    )
+
+
+def child(args: list[str]) -> None:
+    """A run: the command line on ``args`` or, on ``table n``, the table row; then its peak RSS in KiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_MIB << 20, ADDRESS_SPACE_MIB << 20))
+    from setmaps.cli import main as command_line
+    from setmaps.ring import CapExceeded
+
+    try:
+        if args[0] != "table":
+            sys.exit(command_line(args))
+        from setmaps.graphs import Graph, chromatic_poly, chromatic_setmap
+        # G(n, .5): four seeded reads of at most 12 vertices by deletion-contraction; the full set's top
+        n, rng = int(args[1]), random.Random(SEED)
+        graph = Graph(n, gnp_edges(n, 0.5, rng))
+        table = chromatic_setmap(graph)
+        reads = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(n, 12)))) for _ in range(4)]
+        full = table[graph.vertex_mask]
+        ok = all(table[S] == chromatic_poly(graph.restrict(S)) for S in reads) and full.degree == n
+        ok = ok and full.coeffs[-1] == 1 and (n == 0 or full.coeffs[n - 1] == -graph.edge_count)
+        print(json.dumps({"result": {"all_pass": ok}}))
+    except CapExceeded as exc:  # the table's; the command line exits 3 itself
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    finally:
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+
+
+def check(row: Row, n: int) -> bool:
+    """Run ``row`` at n, print one line, and say whether the run passed."""
+    with tempfile.TemporaryDirectory() as directory:
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-c", CHILD, __file__, *row.args(n, directory)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        seconds = time.perf_counter() - start
+    *errors, peak = run.stderr.splitlines() or [""]
+    rss = int(peak) / 1024 if peak.isdigit() else math.inf
+    if n > row.cap:
+        ok, verdict = run.returncode == 3 and not run.stdout, f"past cap {row.cap}"
+    else:
+        right = run.returncode == 0 and row.answer(json.loads(run.stdout))
+        ok, verdict = right and rss <= row.max_rss_mib, f"answer {'right' if right else 'wrong'}"
+    print(f"{'PASS' if ok else 'FAIL'} {row.name} at n = {n}, {verdict}: exit {run.returncode}, "
+          f"{seconds:.2f} s, peak RSS {rss:.0f} MiB of {row.max_rss_mib}")
+    if not ok and errors:
+        print(f"  {errors[-1]}")
+    return ok
+
+
+def probe(points) -> int:
+    """Check every (row, n) of ``points``; 0 when all pass, else 1."""
+    return 0 if all([check(row, n) for row, n in points]) else 1
+
+
+def main() -> int:
+    return probe([(row, n) for row in rows() for n in (row.cap, row.cap + 1)])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,7 +34,8 @@ TAIL_BLOCK_CAP = 7
 # by the same rule, for a cold `setmaps abel` on n unit blocks: 4.2 s at 1000,
 # 4.5-5.1 s and 32 MiB at 1200, 6.8-10.1 s at 1300 (Python 3.11, 2 cores).  It
 # bounds the block count alone, not the values, as BLOCK_SUM_CAP does: heavier
-# blocks make longer ints in the power (x + w)^(n-1)
+# blocks make longer ints in the power (x + w)^(n-1), which the command line
+# refuses before the power when it could not print them (``max_digits``)
 ABEL_POLY_CAP = 1200
 
 
@@ -88,12 +89,14 @@ class BlockPartition:
         return sum(self.sizes[i] for i in range(len(self.sizes)) if (mask >> i) & 1)
 
 
-def abel_poly(blocks: BlockPartition, mask: int, cap: int = ABEL_POLY_CAP) -> Poly:
+def abel_poly(blocks: BlockPartition, mask: int, cap: int = ABEL_POLY_CAP, max_digits: int = 0) -> Poly:
     """The polynomial x(x + w)^(len-1) attached to a subset of the blocks.
 
     The empty subset gets 1, the only value consistent with a nontrivial
     binomial-type map.  More than ``cap`` selected blocks raise
-    ``CapExceeded`` before the power is taken.
+    ``CapExceeded`` before the power is taken, and so, when ``max_digits``
+    is not 0, does a bound on the largest coefficient's decimal digits
+    (``coefficient_digits``) above it.
     """
     count = mask.bit_count()
     if count == 0:
@@ -101,7 +104,21 @@ def abel_poly(blocks: BlockPartition, mask: int, cap: int = ABEL_POLY_CAP) -> Po
     w = blocks.subset_weight(mask)
     if count > cap:
         raise CapExceeded(f"Abel polynomial over {count} blocks exceeds cap {cap}")
+    digits = coefficient_digits(count, w)
+    if max_digits and digits > max_digits:
+        raise CapExceeded(
+            f"Abel polynomial over {count} blocks of weight {w} has coefficients of up to "
+            f"{digits} digits, over the limit of {max_digits} digits on printing an int "
+            "(sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)"
+        )
     return Poly.x() * Poly((w, 1)) ** (count - 1)
+
+
+def coefficient_digits(count: int, w: int) -> int:
+    """A bound on the decimal digits of the largest coefficient of x(x + w)^(count-1):
+    each, C(count-1, k-1) w^(count-k), is below their sum (w + 1)^(count-1).  The
+    float logarithm is raised by a relative 1e-12, far past its rounding error."""
+    return int((count - 1) * math.log10(w + 1) * (1 + 1e-12)) + 1
 
 
 def abel_setmap(blocks: BlockPartition, cap: int = ABEL_BLOCK_CAP) -> SetMap:

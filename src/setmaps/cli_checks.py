@@ -10,6 +10,7 @@ tables, the cost warning and the graph helpers from ``cli``.
 from __future__ import annotations
 
 import argparse
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -217,7 +218,9 @@ def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
     blocks = BlockPartition(ns.blocks)
     selected = _block_subset(ns, blocks)  # a subset outside the blocks errs before the warning
     _warn_cap(ns.cap, ("abel",))
-    poly = abel_poly(selected, selected.full_mask, **kwargs)
+    # refuse before the power what could not be printed; before Python 3.10.7 there is no limit (0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    poly = abel_poly(selected, selected.full_mask, max_digits=limit, **kwargs)
     subset = blocks.full_mask if ns.subset is None else ns.subset
     return {
         "command": "abel",

@@ -229,10 +229,11 @@ def _chromatic(n: int, edges: tuple, memo: dict) -> tuple:
 
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
-# for a cold `setmaps chromatic` on G(n, p) drawn by scripts/table_at_cap.gnp_edges
+# for a cold `setmaps chromatic` on G(n, p) drawn by scripts/cap_probe.gnp_edges
 # with random.Random(1), p = .3, .35, .4, .45, .5, .6.  At 17: 0.9-4.4 s and
-# 71-225 MiB, the worst at p = .6.  At 18: 2.7 s and 147 MiB at p = .3, 6.9 s and
-# 367 MiB at .35, and 13-18 s and 736-809 MiB from .4 on (Python 3.11, 2 cores)
+# 71-225 MiB, the worst at p = .6, the density of the probe's row.  At 18: 2.7 s
+# and 147 MiB at p = .3, 6.9 s and 367 MiB at .35, and 13-18 s and 736-809 MiB
+# from .4 on (Python 3.11, 2 cores)
 CHROMATIC_POLY_CAP = 17
 
 

@@ -225,12 +225,13 @@ def _transform(a: list, op: Callable) -> list:
 def _packed(tables, k: int | None = None) -> tuple:
     """Kronecker-pack rational tables: n, the slot width w, the mask
     2^(w(n+1)) - 1, the scale lam, the ranks, and per table the zeta
-    transform of T -> f_T lam^|T| 2^(w|T|), one int per mask.  lam is the
-    least int making every f_T lam^|T| integral (by trial division; what is
-    left past 2^10 is taken whole).  Every slot that is read holds a sum over
-    ordered disjoint j-tuples of sets covering a mask of r elements, j <= k
-    (n by default), of the product of the scaled values g_T = f_T lam^|T|;
-    the slots below it are 0, so only its own size matters.  It is at most
+    transform of T -> f_T lam^|T| 2^(w|T|), one int per mask.  lam makes
+    every f_T lam^|T| integral: its least power of each prime up to 2^10
+    comes by trial division, its factor over the primes past that from
+    ``_large_scale``.  Every slot that is read holds a sum over ordered
+    disjoint j-tuples of sets covering a mask of r elements, j <= k (n by
+    default), of the product of the scaled values g_T = f_T lam^|T|; the
+    slots below it are 0, so only its own size matters.  It is at most
     the coefficient of z^r in (sum of |g_T| z^|T|)^j, which counts every
     j-tuple, and at most r! [z^r] (sum over r' of M_r' z^r' / r'!)^j with
     M_r' the largest |g_T| at |T| = r', which counts the ordered set
@@ -243,14 +244,18 @@ def _packed(tables, k: int | None = None) -> tuple:
     for table in tables:
         for x, r in zip(table, ranks):
             by_rank[r] = math.lcm(by_rank[r], x.denominator)
+    rest = []  # by rank, the part of the denominators' lcm with no prime up to 2^10
     for r, d in enumerate(by_rank):
         p = 2
-        while d > 1:
-            p = d if p * p > d or p > 1024 else p
+        while d > 1 and p <= 1024:
+            p = d if p * p > d else p
             e = 0
             while d % p == 0:
                 d, e = d // p, e + 1
             lam, p = math.lcm(lam, p ** -(-e // r)), p + 1
+        rest.append(d)
+    if any(d > 1 for d in rest):
+        lam = math.lcm(lam, _large_scale(tables, ranks, rest))
     ints = [[x.numerator * (lam**r // x.denominator) for x, r in zip(t, ranks)]
             if lam > 1 else [x.numerator for x in t] for t in tables]
     weight, top = [0] * (n + 1), [0] * (n + 1)
@@ -268,6 +273,63 @@ def _packed(tables, k: int | None = None) -> tuple:
     w = bound.bit_length() + 2
     zetas = [_transform([a << w * r for a, r in zip(g, ranks)], operator.add) for g in ints]
     return n, w, (1 << w * (n + 1)) - 1, lam, ranks, zetas
+
+
+def _large_scale(tables, ranks: list, rest: list) -> int:
+    """The factor of lam over the primes past trial division, whose parts
+    ``rest[r]`` of the rank-r denominators' lcm it cannot factor.  A gcd
+    refinement (Bach, Driscoll, Shallit, "Factor refinement", J. Algorithms
+    1993) splits those parts of the single denominators into a coprime base,
+    each element b a product of them; b^e_r(b) divides rest[r] exactly.  A
+    base element that is a perfect power a^k gives its root a, at exponent
+    k e_r(b), and a enters lam at the largest ceil(k e_r(b) / r).  That is
+    the least factor when every root is squarefree, as it is for prime powers
+    and for products of distinct primes; otherwise it still clears every
+    denominator and never exceeds taking each part whole."""
+    parts = {math.gcd(x.denominator, rest[r]) for t in tables for x, r in zip(t, ranks)}
+    todo, base = [g for g in parts if g > 1], []
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:  # the product of the parts falls, so this ends
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    scale = 1
+    for b in base:
+        a, k, top = b, 1, 0
+        j = 2
+        while 1 << j <= a:  # a prime j at a time, and again after a root
+            root = _iroot(a, j)
+            if root**j == a:
+                a, k = root, k * j
+            else:
+                j += 1
+                while any(j % i == 0 for i in range(2, math.isqrt(j) + 1)):
+                    j += 1
+        for r, d in enumerate(rest):
+            e = 0
+            while d % b == 0:
+                d, e = d // b, e + 1
+            if e:
+                top = max(top, -(-k * e // r))
+        scale *= a**top
+    return scale
+
+
+def _iroot(a: int, j: int) -> int:
+    """floor(a^(1/j)) for a >= 1, by Newton's method from above: from a float
+    estimate, raised past its rounding error, while the root fits a float."""
+    bits = a.bit_length()
+    x = int(2 ** (math.log2(a) / j) * (1 + 1e-12)) + 1 if bits < 1000 * j else 1 << -(-bits // j)
+    while True:
+        y = ((j - 1) * x + a // x ** (j - 1)) // j
+        if y >= x:
+            return x
+        x = y
 
 
 def _slot(packed: int, w: int, r: int, scale: int):

@@ -124,19 +124,24 @@ _members: dict = {}  # family -> [a_0, a_1, ...], oldest family first
 
 def _next_member(m: tuple, n: int, below: Poly) -> Poly:
     """a_n from a_{n-1} = ``below`` and the delta moments ``m`` (at least
-    m_0..m_n), for n >= 1."""
+    m_0..m_n), for n >= 1.  Over int moments a coefficient is an int, and a
+    Fraction only where its division leaves a remainder."""
     # solve Q a_n = n a_{n-1} (module docstring) for a_n = sum_j c_j x^j top down:
     # the x^i coefficient, sum_{k>=1} C(i+k, k) m_k c_{i+k} = n [x^i] a_{n-1}, fixes c_{i+1}
     steps = [k for k in range(2, n + 1) if m[k]]
     rhs = below.coeffs
-    c = [Fraction(0)] * (n + 1)
+    c = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         acc = n * rhs[i]
         for k in steps:
             if i + k > n:
                 break
             acc -= math.comb(i + k, k) * m[k] * c[i + k]
-        c[i + 1] = acc / ((i + 1) * m[1])  # a Fraction: the moments are Fractions
+        d = (i + 1) * m[1]
+        if type(acc) is int and type(d) is int:
+            c[i + 1] = acc // d if acc % d == 0 else Fraction(acc, d)
+        else:
+            c[i + 1] = acc / d  # a Fraction
     return Poly(c)
 
 
@@ -183,6 +188,8 @@ class BinomialFamily:
         if n < len(members):
             return members[n]
         moments = self.delta(n).moments
+        if all(m.denominator == 1 for m in moments):  # integral: members in ints (_next_member)
+            moments = [m.numerator for m in moments]
         member = members[-1]
         for j in range(len(members), n + 1):
             member = _next_member(moments, j, member)

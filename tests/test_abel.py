@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setmaps.abel import (
+    ABEL_POLY_CAP,
     BlockPartition,
     _partition_weight_sums,
     abel_general_setmap,
     abel_poly,
     abel_setmap,
+    coefficient_digits,
     count_tail_forests,
     verify_closed_form_partition_sum,
     verify_forest_coefficients,
@@ -311,3 +313,14 @@ def test_verify_tail_forests_gives_one_verdict_per_k():
         verify_tail_forests(BlockPartition((1, 1)), 3)
     with pytest.raises(ValueError, match="at least one block"):
         verify_tail_forests(BlockPartition(()))
+
+
+def test_coefficient_digits_bound_the_largest_coefficient():
+    # at most about log10(count) digits over the largest coefficient, never under
+    for count in (1, 2, 3, 10, 57, 300):
+        for w in (count, 2 * count + 1, 10**6):
+            top = max(comb(count - 1, k - 1) * w ** (count - k) for k in range(1, count + 1))
+            digits = len(str(top))
+            assert digits <= coefficient_digits(count, w) <= digits + len(str(count))
+    # the cap's own run prints under the default limit of 4300 digits
+    assert coefficient_digits(ABEL_POLY_CAP, ABEL_POLY_CAP) < 4300

@@ -270,6 +270,28 @@ def test_cap_override_lets_the_abel_polynomial_run(capsys, monkeypatch):
     assert err.startswith(f"warning: cap override {n}; the Abel polynomial over {n} blocks")
 
 
+def test_abel_refuses_coefficients_it_could_not_print(capsys, monkeypatch):
+    # past the interpreter's limit on printing an int, abel exits 3 before the
+    # power is taken and names the limit; Python lets the limit go down to 640
+    limit = sys.get_int_max_str_digits()
+    powers = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda self, e: powers.append(e) or power(self, e))
+    sys.set_int_max_str_digits(640)
+    try:
+        # x(x + 300)^299: coefficients of up to about 740 digits
+        status, out, err = run_cli(capsys, "abel", "--blocks", ",".join(["1"] * 300))
+        assert status == 3 and out == "" and powers == []
+        assert err.startswith("error: Abel polynomial over 300 blocks of weight 300 has coefficients of up to")
+        assert "over the limit of 640 digits" in err
+        # x(x + 200)^199, up to about 460 digits, prints
+        status, out, _ = run_cli(capsys, "abel", "--blocks", ",".join(["1"] * 200))
+        assert status == 0 and powers == [199]
+        assert json.loads(out)["result"]["coefficients"][1] == str(200**199)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_oracle_acyclic_k3(capsys):
     status, out, _ = run_cli(capsys, "oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt")
     assert status == 0

@@ -1,7 +1,7 @@
 """Set-map ring: product, composition, inverse, decomposition, recovery."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -211,14 +211,57 @@ def test_slot_width_counts_ordered_set_compositions():
 
 
 def test_block_sums_scale_each_rank_by_its_own_root():
-    # denominators 3^|T| need lam = 3 only, and a prime past the trial
-    # division bound is taken whole; integral results come back as ints
+    # denominators 3^|T| need lam = 3 only, and 1031^2 on one element needs
+    # 1031^2, past the trial division bound; integral results come back as ints
     table = [0, Fraction(1, 3), Fraction(2, 3), Fraction(5, 9)]
     assert full_block_sums(table) == (0, Fraction(5, 9), Fraction(2, 9))
     big = [0, Fraction(1, 1031**2), Fraction(1, 1031), 1]
+    assert _packed([big])[3] == 1031**2
     assert block_sums(big) == brute_block_sums(big)
     assert block_sums([0, 2, 3, 4]) == [(1,), (0, 2), (0, 3), (0, 4, 6)]
     assert all(type(c) is int for c in full_block_sums([0, 2, 3, 4]))
+
+
+# primes past the trial division bound, 2^10: just past it, and of 17 and 20 bits
+LARGE_PRIMES = (1031, 1033, 65537, 1000003)
+
+
+@st.composite
+def large_denominator_tables(draw):
+    """Tables, and the factorisation of each value's denominator: a power of a
+    prime past trial division, or a power of a product of two such primes,
+    times 2^a 3^b."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    large = st.one_of(
+        st.tuples(st.sampled_from(LARGE_PRIMES), st.integers(0, 4)).map(lambda qe: {qe[0]: qe[1]}),
+        st.tuples(st.lists(st.sampled_from(LARGE_PRIMES), min_size=2, max_size=2, unique=True),
+                  st.integers(1, 2)).map(lambda qse: dict.fromkeys(*qse)),
+    )
+    table, factors = [Fraction(0)], [{}]
+    for _ in range((1 << n) - 1):
+        f = {**draw(large), 2: draw(st.integers(0, 2)), 3: draw(st.integers(0, 1))}
+        numerator = draw(st.integers(-9, 9).filter(lambda a: a % 2 and a % 3))
+        table.append(Fraction(numerator, prod(q**e for q, e in f.items())))
+        factors.append(f)
+    return table, factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_denominator_tables())
+@example(([Fraction(1, 1000003 ** T.bit_count()) if T else 0 for T in range(16)],
+          [{1000003: T.bit_count()} for T in range(16)]))
+def test_scale_is_the_least_past_trial_division(drawn):
+    # lam = prod over primes q of q^max ceil(v_q(denominator of f_T) / |T|); the
+    # example's ranks r hold 1000003^r, which 1000003 clears at every rank
+    table, factors = drawn
+    least = prod(q ** max(-(-f.get(q, 0) // T.bit_count()) for T, f in enumerate(factors) if T)
+                 for q in (2, 3, *LARGE_PRIMES))
+    assert _packed([table])[3] == least
+    brute = brute_block_sums(table)
+    assert block_sums(table) == brute
+    assert full_block_sums(table) == brute[-1]
+    g = SetMap(len(table).bit_length() - 1, table)
+    assert (g * g).table == brute_product(table, table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,6 @@
 """Smoke tests: the experiment scripts run to the end and report success."""
 
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,17 +39,21 @@ def test_expansion_atlas_builds_one_table_over_the_subset(capsys, monkeypatch):
     assert "all bases rebuild the chromatic polynomial" in out
 
 
-def test_table_at_cap_checks_its_reads_under_its_own_limits():
-    # its own process: the script limits the address space of whatever runs it
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    script = str(ROOT / "scripts" / "table_at_cap.py")
-
-    def run(*args):
-        return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True)
-
-    done = run("--n", "11", "--p", "0.4")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("PASS ") == 8 and "FAIL" not in done.stdout
-    # a bound below what the process uses fails the run
-    done = run("--n", "6", "--max-rss-mib", "1")
-    assert done.returncode == 1 and "FAIL peak RSS" in done.stdout
+def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
+    # the function main calls, at small n: every child limits its own address space
+    probe = load_script("cap_probe")
+    rows = {row.name: row for row in probe.rows()}
+    small = {"verify --check tail-forests": 3, "abel on unit blocks": 5, "chromatic table and reads": 11}
+    assert probe.probe([(row, small.get(name, 6)) for name, row in rows.items()]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS ") == len(rows) == 8 and "FAIL" not in out
+    assert "PASS chromatic table and reads at n = 11, answer right: exit 0" in out
+    # past a lowered cap the command exits 3 before any work
+    chromatic = rows["chromatic on G(n, .6)"]
+    lowered = chromatic._replace(cap=4, args=lambda n, d: [*chromatic.args(n, d), "--cap", "4"])
+    assert probe.check(lowered, 5)
+    assert capsys.readouterr().out.startswith("PASS chromatic on G(n, .6) at n = 5, past cap 4: exit 3")
+    # a bound below what a run uses fails it
+    table = rows["chromatic table and reads"]._replace(max_rss_mib=1)
+    assert probe.probe([(table, 6)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL chromatic table and reads at n = 6, answer right: exit 0")

@@ -293,6 +293,15 @@ def test_falling_family_poly_and_delta():
     assert FallingFactorials(2).poly(1) == Poly((0, Fraction(1, 2)))
 
 
+def test_integral_families_derive_int_members():
+    # exact divisions stay in ints; one that leaves a remainder gives a Fraction
+    integral = (Monomials(), FallingFactorials(1), FallingFactorials(-1), RisingFactorials(),
+                LogPolynomials(), AbelPolynomials(1), AbelPolynomials(-1))
+    for fam in integral:
+        assert all(type(c) is int for n in range(11) for c in fam.poly(n).coeffs), fam
+    assert [type(c) for c in FallingFactorials(2).poly(1).coeffs] == [int, Fraction]
+
+
 def test_falling_step_must_be_nonzero():
     with pytest.raises(ValueError):
         FallingFactorials(0)
