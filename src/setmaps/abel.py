@@ -15,18 +15,19 @@ stores nothing else, and the count enumerates target blocks, not elements.
 The partition-sum checks of the closed form and of its coefficients of
 x^k run over all the blocks of their partition; the blocks of a subset
 form a partition of their own (``BlockPartition.restrict``).  They are
-one run of the block-sum kernel, capped as it is (``ring.BLOCK_SUM_CAP``).
+one run of the block-sum kernel, and share its cap (``ring.BLOCK_SUM_CAP``)
+with the set maps, whose values feed it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import combinations, product
 
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums
 from .poly import Poly
 
-ABEL_BLOCK_CAP = 12
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
 # for a cold `verify --check tail-forests`, every k, on n seeded blocks of size
 # 1-3 (2.2-2.8 s and 16 MiB at 7 blocks, 65 s at 8; Python 3.11, 2 cores)
@@ -104,13 +105,7 @@ def abel_poly(blocks: BlockPartition, mask: int, cap: int = ABEL_POLY_CAP, max_d
     w = blocks.subset_weight(mask)
     if count > cap:
         raise CapExceeded(f"Abel polynomial over {count} blocks exceeds cap {cap}")
-    digits = coefficient_digits(count, w)
-    if max_digits and digits > max_digits:
-        raise CapExceeded(
-            f"Abel polynomial over {count} blocks of weight {w} has coefficients of up to "
-            f"{digits} digits, over the limit of {max_digits} digits on printing an int "
-            "(sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)"
-        )
+    _check_digits("Abel polynomial", count, w, max_digits)
     return Poly.x() * Poly((w, 1)) ** (count - 1)
 
 
@@ -121,16 +116,24 @@ def coefficient_digits(count: int, w: int) -> int:
     return int((count - 1) * math.log10(w + 1) * (1 + 1e-12)) + 1
 
 
-def abel_setmap(blocks: BlockPartition, cap: int = ABEL_BLOCK_CAP) -> SetMap:
-    """The full table of abel_poly over all subsets of the blocks: the
-    general map of the additive weight map T -> w(T)."""
-    n = blocks.block_count
-    if n > cap:
-        raise CapExceeded(f"Abel set map over {n} blocks exceeds cap {cap}")
-    return abel_general_setmap(SetMap(n, _subset_weights(blocks)), cap)
+def _check_digits(what: str, count: int, w: int, max_digits: int) -> None:
+    """Unless ``max_digits`` is 0, refuse x(x + w)^(count-1) when ``coefficient_digits`` passes it."""
+    digits = coefficient_digits(count, w)
+    if max_digits and digits > max_digits:
+        raise CapExceeded(
+            f"{what} over {count} blocks of weight {w} has coefficients of up to "
+            f"{digits} digits, over the limit of {max_digits} digits on printing an int "
+            "(sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)"
+        )
 
 
-def abel_general_setmap(alpha: SetMap, cap: int = ABEL_BLOCK_CAP) -> SetMap:
+def abel_setmap(blocks: BlockPartition, cap: int = BLOCK_SUM_CAP) -> SetMap:
+    """The full table of abel_poly over all subsets of the blocks: the general map of
+    T -> w(T); ``SetMap`` checks MAX_GROUND_SIZE before the weights are drawn."""
+    return abel_general_setmap(SetMap(blocks.block_count, _subset_weights(blocks)), cap)
+
+
+def abel_general_setmap(alpha: SetMap, cap: int = BLOCK_SUM_CAP) -> SetMap:
     """The map S -> x(x + alpha_S)^(|S|-1) for an additive rational map alpha.
 
     Additivity (alpha_S equals the sum of alpha over the singletons of S)
@@ -155,12 +158,12 @@ def abel_general_setmap(alpha: SetMap, cap: int = ABEL_BLOCK_CAP) -> SetMap:
     return SetMap(n, table)
 
 
-def _subset_weights(blocks: BlockPartition) -> list[int]:
-    """w(mask) for every mask of the blocks, in mask order, in one doubling pass."""
+def _subset_weights(blocks: BlockPartition) -> Iterator[int]:
+    """w(mask) for every mask of the blocks, in mask order, by one doubling pass at the first draw."""
     weights = [0]
     for size in blocks.sizes:
         weights += [w + size for w in weights]
-    return weights
+    yield from weights
 
 
 def _partition_weight_sums(blocks: BlockPartition) -> tuple[int, ...]:
@@ -240,7 +243,7 @@ def _forest_acyclic(n: int, successor: dict[int, int]) -> bool:
     return True
 
 
-def count_tail_forests(blocks: BlockPartition, k: int, cap: int = TAIL_BLOCK_CAP) -> int:
+def count_tail_forests(blocks: BlockPartition, k: int, cap: int = TAIL_BLOCK_CAP, max_digits: int = 0) -> int:
     """Count tail forests with k components by exhaustive enumeration.
 
     A tail is a pair (origin block, target element); a tail forest is a
@@ -250,12 +253,14 @@ def count_tail_forests(blocks: BlockPartition, k: int, cap: int = TAIL_BLOCK_CAP
     own origin block induces a self-loop and is never acyclic.  Acyclicity
     reads target blocks alone, so each acyclic choice of them adds the
     product of their sizes: C(n, k) n^(n-k) choices, whatever the weight.
+    The count is a coefficient of x(x + w)^(n-1): ``max_digits`` refuses it as ``abel_poly`` does.
     """
     n = blocks.block_count
     if n > cap:
         raise CapExceeded(f"tail-forest enumeration over {n} blocks exceeds cap {cap}")
     if not 1 <= k <= n:
         raise ValueError(f"component count must be in 1..{n}, got {k}")
+    _check_digits("tail-forest closed form", n, blocks.weight, max_digits)
     total = 0
     for origins in combinations(range(n), n - k):
         for targets in product(range(n), repeat=n - k):

@@ -49,7 +49,8 @@ and the checks on the block-sum kernel (the expansion checks and
 ``power``, whose set-map products run on it) share its cap,
 ``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
 ``--basis``, which runs the kernel once per standard basis and has a cap
-of its own, ``checks.EXPANSION_CHECK_CAP``.  ``chromatic`` caps the
+of its own, ``checks.EXPANSION_CHECK_CAP``.  Every graph check caps
+vertices.  ``chromatic`` caps the
 vertices of its induced subgraph at ``graphs.CHROMATIC_POLY_CAP``, and
 ``abel`` the selected blocks at ``abel.ABEL_POLY_CAP``, each before any
 work.
@@ -67,13 +68,13 @@ _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
     "binomial": ("pairs",),
     "expansion": (*_EXPANSION, "bases"),
-    "rising-pairs": ("orientation-pairs",),
+    "rising-pairs": ("orientation-table", "partitions"),
     "abel-one": _EXPANSION,
     "stable-counts": ("stable-counts",),
     "derivative": _EXPANSION,
     "evaluation": _EXPANSION,
     "power": ("power",),
-    "stanley": ("orientations",),
+    "stanley": ("orientation-table",),
 }
 BLOCK_CHECKS = {"closed-form": ("kernel",), "forest-count": ("kernel",), "tail-forests": ("tails",)}
 ORACLES = {
@@ -200,6 +201,8 @@ def _warn_cap(cap: int | None, stages) -> None:
     """Price a cap override by the work of each stage it governs."""
     if cap is None:
         return
+    import math
+
     from .ring import bell_number
 
     def count(form: str, value) -> str:
@@ -216,13 +219,14 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
         ),
         "bases": "the expansion check runs that kernel once per basis, eight times without --basis",
+        # each acyclic orientation of k vertices comes from one of the k! vertex orders
+        "orientation-table": (
+            f"the orientation table counts the acyclic orientations of "
+            f"{count(f'2^{cap}', lambda: 2**cap)} induced subgraphs, up to "
+            f"{count(f'{cap}!', lambda: math.factorial(cap))} each"
+        ),
         "partitions": (
             f"a partition oracle enumerates "
-            f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
-        ),
-        "orientation-pairs": (
-            f"the orientation-pair check counts the acyclic orientations of "
-            f"{count(f'2^{cap}', lambda: 2**cap)} induced subgraphs and sums over "
             f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
         ),
         # sum_k C(N, k) Bell(k) = Bell(N + 1): the stable partitions of every induced subgraph
@@ -378,16 +382,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     from .ring import CapExceeded
 
-    try:
+    try:  # rendering too: an int past sys.get_int_max_str_digits() raises ValueError
         payload, status = _DISPATCH[ns.command](ns)
+        text = render(payload, ns.format)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        print(render(payload, ns.format))
+    try:  # not above: a BrokenPipeError is an OSError, with a status of its own
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # nobody reads the output; keep the interpreter's exit flush quiet too

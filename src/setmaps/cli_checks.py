@@ -27,6 +27,9 @@ from .cli import (
 )
 from .ring import CapExceeded
 
+# the most digits an int may print, or 0, no limit, before Python 3.10.7
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 # the annotations that name engine classes are never evaluated (PEP 563)
 
 
@@ -35,7 +38,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     from .checks import (
         BINOMIAL_CHECK_CAP,
         EXPANSION_CHECK_CAP,
-        PAIR_COUNT_CAP,
+        ORIENTATION_TABLE_CAP,
         STABLE_COUNT_CAP,
         check_binomial_type,
         verify_power_identity,
@@ -44,7 +47,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         verify_stanley_evaluation,
     )
     from .expansions import expansion_reconstructs
-    from .graphs import EDGE_ENUM_CAP, chromatic_setmap
+    from .graphs import chromatic_setmap
     from .ring import BLOCK_SUM_CAP
     from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
 
@@ -66,24 +69,21 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check]})
-    # one row per graph check: its default cap, over the vertex count
-    # (stanley: the edge count), and its labelled runs on the shared table p
+    # one row per graph check: its default cap, over the vertex count, and its
+    # labelled runs on the shared table p
     rows = {
         "binomial": (BINOMIAL_CHECK_CAP, lambda p, cap: {"binomial-type": check_binomial_type(p, cap)}),
-        "rising-pairs": (
-            PAIR_COUNT_CAP,
-            lambda p, cap: {"rising-pairs": verify_rising_orientation_pairs(graph, p, cap)},
-        ),
-        "stable-counts": (
-            STABLE_COUNT_CAP,
-            lambda p, cap: {"stable-counts": verify_stable_count_expansion(graph, p, cap)},
-        ),
         "power": (
             BLOCK_SUM_CAP,
             lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
         ),
-        "stanley": (EDGE_ENUM_CAP, lambda p, cap: {"stanley": verify_stanley_evaluation(graph, p, cap)}),
     }
+    for check, default, verify in (  # the checks against counts of the graph's own
+        ("rising-pairs", ORIENTATION_TABLE_CAP, verify_rising_orientation_pairs),
+        ("stable-counts", STABLE_COUNT_CAP, verify_stable_count_expansion),
+        ("stanley", ORIENTATION_TABLE_CAP, verify_stanley_evaluation),
+    ):
+        rows[check] = (default, lambda p, cap, check=check, verify=verify: {check: verify(graph, p, cap)})
     for check, pairs in bases.items():  # the expansion checks share one run
         rows[check] = (
             # several bases are several kernel runs, under the expansion check's cap
@@ -94,9 +94,8 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     for check in selected:
         default, run = rows[check]
         cap = default if ns.cap is None else ns.cap
-        size, unit = (graph.edge_count, "edges") if check == "stanley" else (graph.n, "vertices")
-        if size > cap:
-            raise CapExceeded(f"{check} check over {size} {unit} exceeds cap {cap}")
+        if graph.n > cap:
+            raise CapExceeded(f"{check} check over {graph.n} vertices exceeds cap {cap}")
         runs.append((run, cap))
     # one table, built after every cap above, for every check
     p = chromatic_setmap(graph)
@@ -166,7 +165,8 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
         if ns.k is None:
             raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
-        run = partial(count_tail_forests, _block_subset(ns, blocks), ns.k, **kwargs)
+        selected = _block_subset(ns, blocks)
+        run = partial(count_tail_forests, selected, ns.k, max_digits=_digit_limit(), **kwargs)
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
         from .oracles import (
@@ -218,9 +218,7 @@ def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
     blocks = BlockPartition(ns.blocks)
     selected = _block_subset(ns, blocks)  # a subset outside the blocks errs before the warning
     _warn_cap(ns.cap, ("abel",))
-    # refuse before the power what could not be printed; before Python 3.10.7 there is no limit (0)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    poly = abel_poly(selected, selected.full_mask, max_digits=limit, **kwargs)
+    poly = abel_poly(selected, selected.full_mask, max_digits=_digit_limit(), **kwargs)
     subset = blocks.full_mask if ns.subset is None else ns.subset
     return {
         "command": "abel",

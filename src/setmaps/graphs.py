@@ -34,10 +34,6 @@ from collections.abc import Callable, Iterable
 from .poly import Poly
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap
 
-# caps the edge enumerations in ``oracles``; it stays here because ``checks``
-# reads it when it defines ``verify_stanley_evaluation``, and must not load oracles
-EDGE_ENUM_CAP = 20
-
 
 class GraphFormatError(ValueError):
     """Malformed graph file."""

@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .graphs import EDGE_ENUM_CAP, Graph
+from .graphs import Graph
 from .poly import Poly, interpolate
-from .ring import CapExceeded, partitions_of
+from .ring import BELL_ENUM_CAP, CapExceeded, partitions_of
 
-# caps the Bell-order enumerations here (stable partitions, color-class splits), over vertices
-BELL_ENUM_CAP = 12
+# caps the edge enumerations here (spanning subgraphs, acyclic orientations), over edges
+EDGE_ENUM_CAP = 20
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,19 @@ def test_abel_setmap_is_binomial_type():
 
 
 def test_abel_setmap_cap():
-    with pytest.raises(CapExceeded):
-        abel_setmap(BlockPartition((1,) * 13))
+    # the set maps feed the block-sum kernel and take its cap of 17, checked before any power
+    with pytest.raises(CapExceeded, match="ground size 18 exceeds cap 17"):
+        abel_setmap(BlockPartition((1,) * 18))
+    with pytest.raises(CapExceeded, match="ground size 4 exceeds cap 3"):
+        abel_setmap(BlockPartition((1,) * 4), cap=3)
+
+
+def test_abel_setmap_admits_blocks_past_the_old_cap():
+    # 13 blocks: over the former cap of 12
+    bp = BlockPartition((1, 2, 3) * 4 + (2,))
+    p = abel_setmap(bp)
+    assert p.n == 13
+    assert p[p.full_mask] == abel_poly(bp, bp.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +308,16 @@ def test_tail_forest_counts_match_closed_form_on_heavy_blocks(sizes):
     n, w = bp.block_count, bp.weight
     for k in range(1, n + 1):
         assert count_tail_forests(bp, k) == comb(n - 1, k - 1) * w ** (n - k), k
+
+
+def test_tail_forest_count_refuses_what_it_could_not_print_before_enumerating():
+    # three blocks of weight 3 * 10^2200: the k = 1 count (3 * 10^2200)^2 has 4401 digits
+    bp = BlockPartition((10**2200,) * 3)
+    with pytest.raises(CapExceeded, match="over the limit of 4300 digits"):
+        count_tail_forests(bp, 1, max_digits=4300)
+    with pytest.raises(CapExceeded, match="enumeration over 8 blocks exceeds cap 7"):
+        count_tail_forests(BlockPartition((10**2200,) * 8), 1, max_digits=4300)  # the cap first
+    assert count_tail_forests(bp, 3, max_digits=4401) == 1
 
 
 def test_tail_forest_cap_keyword():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,39 @@ def test_abel_refuses_coefficients_it_could_not_print(capsys, monkeypatch):
         sys.set_int_max_str_digits(limit)
 
 
+def test_an_unprintable_count_exits_2_with_one_error_line(capsys):
+    # the count x(x - 1) of K2 at x = 10^400 has 800 digits, past a limit of 640:
+    # rendering raises, inside main's error handling, not as a traceback
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ("oracle", "colorings", "--graph", f"{GRAPHS}/k2.txt", "--x", f"{10**400}")
+        status, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit (640 digits)") and err.count("\n") == 1
+
+
+def test_tail_forest_oracle_refuses_an_unprintable_count_before_enumerating(capsys, monkeypatch):
+    # three blocks of 10^400: the count at k = 1, (3 * 10^400)^2, has 801 digits
+    import setmaps.abel as abel
+
+    walks = []
+    acyclic = abel._forest_acyclic
+    monkeypatch.setattr(abel, "_forest_acyclic", lambda *a: walks.append(a) or acyclic(*a))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        blocks = ",".join([f"{10**400}"] * 3)
+        status, out, err = run_cli(capsys, "oracle", "tail-forests", "--blocks", blocks, "--k", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status == 3 and out == "" and walks == []
+    assert err.startswith("error: tail-forest closed form over 3 blocks of weight ") and err.count("\n") == 1
+    assert "has coefficients of up to 801 digits, over the limit of 640 digits" in err
+
+
 def test_oracle_acyclic_k3(capsys):
     status, out, _ = run_cli(capsys, "oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt")
     assert status == 0
@@ -446,13 +480,15 @@ def test_verify_all_builds_one_shared_table(capsys, monkeypatch):
 
 
 def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_path):
-    # a 7-cycle is within the binomial cap of 7 but over the rising-pairs cap of 6
-    path = tmp_path / "c7.txt"
-    path.write_text(Graph.cycle(7).to_text())
+    # with the binomial cap, the smallest, raised to 9, a 9-cycle passes the first
+    # check's cap and meets the orientation checks' cap of 8
+    monkeypatch.setattr(checks, "BINOMIAL_CHECK_CAP", 9)
+    path = tmp_path / "c9.txt"
+    path.write_text(Graph.cycle(9).to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", "all", "--graph", str(path))
     assert status == 3
-    assert out == "" and "rising-pairs check over 7 vertices exceeds cap 6" in err
+    assert out == "" and "rising-pairs check over 9 vertices exceeds cap 8" in err
     assert sizes == []
 
 
@@ -471,14 +507,48 @@ def test_graph_checks_test_their_caps_before_any_table(capsys, monkeypatch, tmp_
 
 
 def test_cap_reaches_the_stanley_orientation_enumeration(capsys, tmp_path):
-    path = tmp_path / "k7.txt"
-    path.write_text(Graph.complete(7).to_text())
+    path = tmp_path / "k5.txt"
+    path.write_text(Graph.complete(5).to_text())
     argv = ("verify", "--check", "stanley", "--graph", str(path))
-    assert run_cli(capsys, *argv)[0] == 3  # 21 edges against the default cap of 20
-    status, out, err = run_cli(capsys, *argv, "--cap", "21")
+    status, out, err = run_cli(capsys, *argv, "--cap", "4")
+    assert status == 3 and out == "" and "stanley check over 5 vertices exceeds cap 4" in err
+    status, out, err = run_cli(capsys, *argv, "--cap", "5")
     assert status == 0
     assert json.loads(out)["result"]["all_pass"] is True
-    assert "2^21 = 2097152 orientations" in err
+    assert "2^5 = 32 induced subgraphs, up to 5! = 120 each" in err
+
+
+def test_stanley_caps_vertices_not_edges(capsys, monkeypatch, tmp_path):
+    # 14 vertices and 20 edges: within the old edge cap of 20, an enumeration of
+    # seconds per induced subgraph; over the vertex cap of 8 before any table
+    pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
+    path = tmp_path / "g14.txt"
+    path.write_text(Graph(14, sorted(random.Random(1).sample(pairs, 20))).to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", "stanley", "--graph", str(path))
+    assert status == 3
+    assert out == "" and err == "error: stanley check over 14 vertices exceeds cap 8\n"
+    assert sizes == []
+
+
+@pytest.mark.parametrize("check", ["rising-pairs", "stanley"])
+def test_orientation_checks_share_one_vertex_cap(capsys, monkeypatch, tmp_path, check):
+    path = tmp_path / "c9.txt"
+    path.write_text(Graph.cycle(9).to_text())
+    sizes = spy_on_tables(monkeypatch)
+    status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(path))
+    assert status == 3
+    assert out == "" and err == f"error: {check} check over 9 vertices exceeds cap 8\n"
+    assert sizes == []
+
+
+def test_stable_count_check_admits_nine_vertices(capsys, tmp_path):
+    # over the former cap of 8; the cap is now the Bell cap less one, 11
+    path = tmp_path / "g9.txt"
+    path.write_text(random_graphs(9, 1, seed=9, p=0.3)[0].to_text())
+    status, out, _ = run_cli(capsys, "verify", "--check", "stable-counts", "--graph", str(path))
+    assert status == 0
+    assert json.loads(out)["result"] == {"all_pass": True, "passed": 1, "failed": 0}
 
 
 def test_cap_reaches_every_stage_of_the_rising_pairs_check(capsys, tmp_path):
@@ -573,8 +643,8 @@ def test_closed_stdout_exits_cleanly():
 @pytest.mark.parametrize(
     "graph, extra",
     [
-        (Graph.cycle(7), ("--basis", "nope")),  # over the rising-pairs cap of 6
-        (Graph.complete(6), ("--cap", "6", "--x", "0")),  # 15 edges over the stanley cap
+        (Graph.cycle(9), ("--basis", "nope")),  # over the binomial and orientation caps
+        (Graph.complete(7), ("--cap", "6", "--x", "0")),  # over every check's lowered cap
         (Graph.complete(6), ("--cap", "6", "--k", "0")),
     ],
 )
@@ -648,9 +718,9 @@ def test_verify_all_runs_every_graph_check_in_order(capsys, extra, a, x0, y0):
 _TABLE = "the chromatic table sums over at most (3^7-1)/2 = 1093 (subset, color class) pairs"
 _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
-_ORIENTATION_PAIRS = (
-    "the orientation-pair check counts the acyclic orientations of 2^7 = 128 induced subgraphs"
-    " and sums over Bell(7) = 877 set partitions"
+_ORIENTATION_TABLE = (
+    "the orientation table counts the acyclic orientations of 2^7 = 128 induced subgraphs,"
+    " up to 7! = 5040 each"
 )
 # sum_k C(7, k) Bell(k) = Bell(8): every induced subgraph's partitions
 _STABLE_COUNTS = "the stable-count check enumerates the set partitions of every induced subgraph, Bell(8) = 4140 in all"
@@ -674,16 +744,16 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
         (("verify", "--check", "binomial", *_C5), (_PAIRS,)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
-        (("verify", "--check", "rising-pairs", *_C5), (_ORIENTATION_PAIRS,)),
+        (("verify", "--check", "rising-pairs", *_C5), (_ORIENTATION_TABLE, _PARTITIONS)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "stable-counts", *_C5), (_STABLE_COUNTS,)),
         (("verify", "--check", "derivative", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "power", *_C5), (_POWER,)),
-        (("verify", "--check", "stanley", *_C5), (_ORIENTATIONS,)),
+        (("verify", "--check", "stanley", *_C5), (_ORIENTATION_TABLE,)),
         (
             ("verify", "--check", "all", *_C5),
-            (_TABLE, _KERNEL, _BASES, _ORIENTATION_PAIRS, _STABLE_COUNTS, _PAIRS, _POWER, _ORIENTATIONS),
+            (_TABLE, _KERNEL, _BASES, _ORIENTATION_TABLE, _PARTITIONS, _STABLE_COUNTS, _PAIRS, _POWER),
         ),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),

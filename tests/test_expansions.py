@@ -320,14 +320,14 @@ def test_stanley_verifier_small_corpus():
 
 def test_graph_verifiers_check_their_caps_before_reading_the_table():
     # reading the table None would raise TypeError, not CapExceeded
+    with pytest.raises(CapExceeded, match="over 9 vertices exceeds cap 8"):
+        verify_rising_orientation_pairs(Graph.path(9), None)
+    with pytest.raises(CapExceeded, match="over 12 vertices exceeds cap 11"):
+        verify_stable_count_expansion(Graph.path(12), None)
+    with pytest.raises(CapExceeded, match="over 9 vertices exceeds cap 8"):
+        verify_stanley_evaluation(Graph.path(9), None)  # 8 edges: the cap counts vertices
     with pytest.raises(CapExceeded):
-        verify_rising_orientation_pairs(Graph.path(7), None)
-    with pytest.raises(CapExceeded):
-        verify_stable_count_expansion(Graph.path(9), None)
-    with pytest.raises(CapExceeded):
-        verify_stanley_evaluation(Graph.complete(7), None)  # 21 edges
-    with pytest.raises(CapExceeded):
-        verify_stanley_evaluation(Graph.complete(4), None, cap=5)
+        verify_stanley_evaluation(Graph.complete(4), None, cap=3)
 
 
 def test_stable_count_check_hands_its_cap_to_the_oracle(monkeypatch):
