@@ -38,7 +38,7 @@ def gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
 
 def rows() -> tuple[Row, ...]:
     from setmaps.abel import ABEL_POLY_CAP, TAIL_BLOCK_CAP
-    from setmaps.checks import EXPANSION_CHECK_CAP
+    from setmaps.checks import EXPANSION_CHECK_CAP, ORIENTATION_TABLE_CAP, STABLE_COUNT_CAP
     from setmaps.graphs import CHROMATIC_POLY_CAP
     from setmaps.ring import BLOCK_SUM_CAP, MAX_GROUND_SIZE
 
@@ -78,6 +78,13 @@ def rows() -> tuple[Row, ...]:
         Row("abel on unit blocks", ABEL_POLY_CAP, lambda n, _: ["abel", "--blocks", ",".join("1" * n)], abel),
         Row("verify --check expansion", EXPANSION_CHECK_CAP, on_graph(0.3, "verify", "--check", "expansion"),
             lambda out: passes(out) and out["result"]["passed"] == 8),
+        # the worst case of the orientation checks is K_n, of the stable counts the edgeless graph
+        Row("verify --check stanley on K_n", ORIENTATION_TABLE_CAP, on_graph(1.0, "verify", "--check", "stanley"),
+            passes),
+        Row("verify --check rising-pairs on K_n", ORIENTATION_TABLE_CAP,
+            on_graph(1.0, "verify", "--check", "rising-pairs"), passes),
+        Row("verify --check stable-counts, edgeless", STABLE_COUNT_CAP,
+            on_graph(0.0, "verify", "--check", "stable-counts"), passes),
         # 142-146 MiB measured on Python 3.10-3.13
         Row("chromatic table and reads", MAX_GROUND_SIZE, lambda n, _: ["table", str(n)], passes, 200),
     )

@@ -117,14 +117,24 @@ def coefficient_digits(count: int, w: int) -> int:
 
 
 def _check_digits(what: str, count: int, w: int, max_digits: int) -> None:
-    """Unless ``max_digits`` is 0, refuse x(x + w)^(count-1) when ``coefficient_digits`` passes it."""
+    """Unless ``max_digits`` is 0, refuse x(x + w)^(count-1) when ``coefficient_digits`` passes it.
+    w may be past the limit too: it is named by a power of ten above it, the bound for x(x + w)."""
     digits = coefficient_digits(count, w)
     if max_digits and digits > max_digits:
         raise CapExceeded(
-            f"{what} over {count} blocks of weight {w} has coefficients of up to "
-            f"{digits} digits, over the limit of {max_digits} digits on printing an int "
+            f"{what} over {count} blocks of weight under 10^{coefficient_digits(2, w)} has coefficients "
+            f"of up to {digits} digits, over the limit of {max_digits} digits on printing an int "
             "(sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)"
         )
+
+
+def component_counts(n: int, k: int | None) -> tuple[int, ...]:
+    """The component counts checked on n blocks: k, or every k in 1..n when k is
+    None.  No blocks, or a k outside 1..n, is one usage error, raised before any cap."""
+    if n < 1 or (k is not None and not 1 <= k <= n):
+        got = "every k" if k is None else f"k = {k}"
+        raise ValueError(f"the component count k must be in 1..n on at least one block: got {got} on n = {n}")
+    return tuple(range(1, n + 1)) if k is None else (k,)
 
 
 def abel_setmap(blocks: BlockPartition, cap: int = BLOCK_SUM_CAP) -> SetMap:
@@ -194,14 +204,9 @@ def verify_forest_coefficients(
     first for a subset); with k = None every k in 1..n is checked.
     """
     n = blocks.block_count
+    ks = component_counts(n, k)
     if n > cap:
         raise CapExceeded(f"partition sum over {n} blocks exceeds cap {cap}")
-    if n == 0:
-        raise ValueError("the identity needs at least one block")
-    ks = range(1, n + 1) if k is None else (k,)
-    for kk in ks:
-        if not 1 <= kk <= n:
-            raise ValueError(f"k must be in 1..{n}, got {kk}")
     w = blocks.weight
     sums = _partition_weight_sums(blocks)
     return all(math.comb(n - 1, kk - 1) * w ** (n - kk) == sums[kk] for kk in ks)
@@ -213,14 +218,11 @@ def verify_tail_forests(
     """Check the tail-forest count against C(n-1, k-1) w^(n-k), the closed
     form's coefficient of x^k: one verdict per k, every k in 1..n when k is
     None (restrict the blocks first for a subset)."""
-    n = blocks.block_count
-    if n == 0:
-        raise ValueError("the identity needs at least one block")
-    w = blocks.weight
-    # counted first: count_tail_forests checks the cap and k
+    n, w = blocks.block_count, blocks.weight
+    # counted first: count_tail_forests checks the cap
     return {
         kk: count_tail_forests(blocks, kk, cap) == math.comb(n - 1, kk - 1) * w ** (n - kk)
-        for kk in (range(1, n + 1) if k is None else (k,))
+        for kk in component_counts(n, k)
     }
 
 
@@ -256,10 +258,9 @@ def count_tail_forests(blocks: BlockPartition, k: int, cap: int = TAIL_BLOCK_CAP
     The count is a coefficient of x(x + w)^(n-1): ``max_digits`` refuses it as ``abel_poly`` does.
     """
     n = blocks.block_count
+    component_counts(n, k)
     if n > cap:
         raise CapExceeded(f"tail-forest enumeration over {n} blocks exceeds cap {cap}")
-    if not 1 <= k <= n:
-        raise ValueError(f"component count must be in 1..{n}, got {k}")
     _check_digits("tail-forest closed form", n, blocks.weight, max_digits)
     total = 0
     for origins in combinations(range(n), n - k):

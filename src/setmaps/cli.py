@@ -16,9 +16,10 @@ Every rational in the output is rendered canonically as p/q (or p when
 q = 1); coefficient arrays are low-degree-first.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed,
-2 usage or parse error, 3 a size cap was exceeded, 141 standard output
-was closed before the result was written (128 + SIGPIPE, the status a
-shell reports for a pipeline stage ended by a broken pipe).
+2 usage or parse error, 3 a size cap was exceeded or memory ran out,
+141 standard output was closed before the result was written (128 +
+SIGPIPE, the status a shell reports for a pipeline stage ended by a
+broken pipe).
 
 Each process compiles and runs only the modules its command uses:
 importing this module loads no engine module, and of the standard library
@@ -387,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
         text = render(payload, ns.format)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # a size no cap priced; its message is mostly empty
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

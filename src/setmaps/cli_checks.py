@@ -104,9 +104,12 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
 
 def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
     """Run the selected check on ``blocks``, already restricted to the subset."""
-    from .abel import verify_closed_form_partition_sum, verify_forest_coefficients, verify_tail_forests
+    from .abel import component_counts, verify_forest_coefficients, verify_tail_forests
+    from .abel import verify_closed_form_partition_sum
 
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
+    if ns.check != "closed-form":  # usage errors come before the warning and the caps
+        component_counts(blocks.block_count, ns.k)
     _warn_cap(ns.cap, BLOCK_CHECKS[ns.check])
     if ns.check == "closed-form":
         return [("closed-form", verify_closed_form_partition_sum(blocks, **kwargs))]
@@ -158,7 +161,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     name = ns.oracle
     if name == "tail-forests":
-        from .abel import BlockPartition, count_tail_forests
+        from .abel import BlockPartition, component_counts, count_tail_forests
 
         if ns.blocks is None:
             raise ValueError("oracle tail-forests needs --blocks")
@@ -166,6 +169,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
             raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
         selected = _block_subset(ns, blocks)
+        component_counts(selected.block_count, ns.k)
         run = partial(count_tail_forests, selected, ns.k, max_digits=_digit_limit(), **kwargs)
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:

@@ -37,7 +37,7 @@ class Expansion:
     (zero on the empty set, since a delta functional kills constants).
     ``lengths`` holds their block sums c_k over the whole ground set, from
     one kernel run.  On every subset at once the expansion theorem is the
-    set-map identity compose((a_k), coeffs) == p.
+    set-map identity compose(family.members(n), coeffs) == p.
     """
 
     __slots__ = ("family", "coeffs", "lengths")
@@ -56,10 +56,11 @@ class Expansion:
         """Re-sum the expansion: sum_k c_k a_k(x), a partition sum grouped by
         block count, exact because a partition's basis polynomial depends
         only on its block count."""
+        lengths = self.by_length()
         acc = Poly.zero()
-        for k, c in enumerate(self.by_length()):
+        for a, c in zip(self.family.members(len(lengths) - 1), lengths):
             if c:
-                acc = acc + self.family.poly(k) * c
+                acc = acc + a * c
         return acc
 
 

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .poly import Poly
-from .ring import MAX_GROUND_SIZE, bell_number, sequence_product
+from .ring import bell_number, sequence_product
 
 
 class Functional:
@@ -115,13 +115,6 @@ class Functional:
         return f"Functional([{', '.join(str(m) for m in self.moments)}])"
 
 
-# bounded: members a_0..a_20 of at most 12 families, 252 entries; the eight
-# standard families through degree 20 take 168
-_CACHED_FAMILIES = 12
-_CACHED_DEGREES = MAX_GROUND_SIZE + 1
-_members: dict = {}  # family -> [a_0, a_1, ...], oldest family first
-
-
 def _next_member(m: tuple, n: int, below: Poly) -> Poly:
     """a_n from a_{n-1} = ``below`` and the delta moments ``m`` (at least
     m_0..m_n), for n >= 1.  Over int moments a coefficient is an int, and a
@@ -150,8 +143,9 @@ class BinomialFamily:
 
     A family is a value: its parameters are the slots of its class, set
     once in ``__init__`` and never changed.  Two families are equal, and
-    hash alike, when they are of the same class with equal parameters, so
-    the member cache holds one entry per family.
+    hash alike, when they are of the same class with equal parameters.  A
+    family keeps no state between calls: each call derives the members it
+    returns, so one family serves any number of threads.
     """
 
     __slots__ = ()
@@ -171,31 +165,23 @@ class BinomialFamily:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def poly(self, n: int) -> Poly:
-        """The degree-n member of the family, derived from the delta moments; a_0 = 1.
-
-        Members are derived bottom up from the highest one cached below n,
-        so no degree recurses; the moments are read once per call, since
-        moment k does not depend on the bound.
-        """
+    def members(self, n: int) -> list[Poly]:
+        """The members a_0..a_n, derived bottom up from one read of the delta
+        moments (module docstring): moment k does not depend on the bound, and
+        no degree recurses."""
         if n < 0:
             raise ValueError("family index must be nonnegative")
-        members = _members.get(self)
-        if members is None:
-            if len(_members) >= _CACHED_FAMILIES:
-                del _members[next(iter(_members))]
-            members = _members[self] = [Poly.one()]
-        if n < len(members):
-            return members[n]
-        moments = self.delta(n).moments
+        moments = self.delta(n).moments if n else ()  # a_0 = 1 needs none
         if all(m.denominator == 1 for m in moments):  # integral: members in ints (_next_member)
             moments = [m.numerator for m in moments]
-        member = members[-1]
-        for j in range(len(members), n + 1):
-            member = _next_member(moments, j, member)
-            if j < _CACHED_DEGREES:
-                members.append(member)
-        return member
+        members = [Poly.one()]
+        for j in range(1, n + 1):
+            members.append(_next_member(moments, j, members[-1]))
+        return members
+
+    def poly(self, n: int) -> Poly:
+        """The degree-n member of the family; a_0 = 1."""
+        return self.members(n)[n]
 
     def delta(self, bound: int) -> Functional:
         """Moment vector, up to the given degree, of the associated functional."""
@@ -206,13 +192,13 @@ class BinomialFamily:
         if not f:
             return ()
         out = [Fraction(0)] * (f.degree + 1)
+        members = self.members(f.degree)
         remainder = f
         while remainder:
             d = remainder.degree
-            basis = self.poly(d)
-            c = Fraction(remainder.coeffs[d]) / basis.coeffs[d]
+            c = Fraction(remainder.coeffs[d]) / members[d].coeffs[d]
             out[d] = c
-            remainder = remainder - basis * c
+            remainder = remainder - members[d] * c
         return tuple(out)
 
     def _check_bound(self, bound: int) -> None:

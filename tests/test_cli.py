@@ -283,7 +283,7 @@ def test_abel_refuses_coefficients_it_could_not_print(capsys, monkeypatch):
         # x(x + 300)^299: coefficients of up to about 740 digits
         status, out, err = run_cli(capsys, "abel", "--blocks", ",".join(["1"] * 300))
         assert status == 3 and out == "" and powers == []
-        assert err.startswith("error: Abel polynomial over 300 blocks of weight 300 has coefficients of up to")
+        assert err.startswith("error: Abel polynomial over 300 blocks of weight under 10^3 has coefficients of up to")
         assert "over the limit of 640 digits" in err
         # x(x + 200)^199, up to about 460 digits, prints
         status, out, _ = run_cli(capsys, "abel", "--blocks", ",".join(["1"] * 200))
@@ -322,8 +322,36 @@ def test_tail_forest_oracle_refuses_an_unprintable_count_before_enumerating(caps
     finally:
         sys.set_int_max_str_digits(limit)
     assert status == 3 and out == "" and walks == []
-    assert err.startswith("error: tail-forest closed form over 3 blocks of weight ") and err.count("\n") == 1
+    assert err.startswith("error: tail-forest closed form over 3 blocks of weight under 10^401 ")
+    assert err.count("\n") == 1
     assert "has coefficients of up to 801 digits, over the limit of 640 digits" in err
+
+
+def test_digit_refusals_name_the_weight_by_its_digit_count(capsys):
+    # a weight past the limit itself: the refusal may not print it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        status, out, err = run_cli(capsys, "abel", "--blocks", ",".join(["9" * 4299] * 11))
+        assert status == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: Abel polynomial over 11 blocks of weight under 10^4301 ")
+        assert "over the limit of 4300 digits" in err
+        # seven blocks of 10^800 make a printable weight of 801 digits, named by its count
+        blocks = ",".join([f"{10**800}"] * 7)
+        status, out, err = run_cli(capsys, "oracle", "tail-forests", "--blocks", blocks, "--k", "1")
+        assert status == 3 and out == "" and err.count("\n") == 1 and len(err) < 300
+        assert err.startswith("error: tail-forest closed form over 7 blocks of weight under 10^801 ")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_running_out_of_memory_exits_3_with_one_error_line(capsys, monkeypatch):
+    def exhausted(ns):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._DISPATCH, "chromatic", exhausted)
+    status, out, err = run_cli(capsys, "chromatic", "--graph", f"{GRAPHS}/k2.txt")
+    assert status == 3 and out == "" and err == "error: out of memory\n"
 
 
 def test_oracle_acyclic_k3(capsys):
@@ -836,3 +864,20 @@ def test_usage_errors_come_before_the_cap_warning(capsys, argv):
     status, out, err = run_cli(capsys, *argv, "--cap", "5")
     assert status == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "forest-count", "--blocks", "2,1", "--k", "5", "--cap", "3"),
+        ("verify", "--check", "tail-forests", "--blocks", "2,1", "--k", "0", "--cap", "3"),
+        ("oracle", "tail-forests", "--blocks", "2,1", "--k", "9", "--cap", "3"),
+        # past the default caps: the k is refused first
+        ("verify", "--check", "tail-forests", "--blocks", ",".join(["1"] * 8), "--k", "0"),
+        ("verify", "--check", "forest-count", "--blocks", ",".join(["1"] * 18), "--k", "99"),
+    ],
+)
+def test_block_commands_refuse_k_before_the_cap(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: the component count k must be in 1..n on at least one block: got k = ")

@@ -139,6 +139,18 @@ def test_reconstruct_matches_direct_partition_sum():
             assert exp.reconstruct() == direct
 
 
+def test_reconstruct_and_coefficients_read_the_delta_once(monkeypatch):
+    p = chromatic_setmap(Graph.cycle(5))
+    exp = expand(p, LogPolynomials())
+    calls = []
+    delta = LogPolynomials.delta
+    monkeypatch.setattr(LogPolynomials, "delta", lambda self, bound: calls.append(bound) or delta(self, bound))
+    assert exp.reconstruct() == p[p.full_mask]
+    assert calls == [5]
+    assert LogPolynomials().coefficients(p[p.full_mask]) == exp.by_length()
+    assert calls == [5, 5]
+
+
 @pytest.fixture(scope="module")
 def gnp_tables():
     """Chromatic tables of one seeded G(n, .3) per n, past brute force."""
@@ -158,8 +170,7 @@ def test_full_set_lengths_are_the_basis_coefficients_of_the_full_polynomial(gnp_
 
 def basis_composite(exp):
     """compose((a_k), A p): the expansion theorem re-summed on every subset."""
-    n = exp.coeffs.n
-    return compose([exp.family.poly(k) for k in range(n + 1)], exp.coeffs)
+    return compose(exp.family.members(exp.coeffs.n), exp.coeffs)
 
 
 def test_restricted_reconstruction_shares_one_coefficient_pass():

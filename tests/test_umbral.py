@@ -1,6 +1,7 @@
 """Polynomials, functionals, umbral products, and binomial-type bases."""
 
 import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import setmaps.umbral as umbral
 from setmaps.poly import Poly, interpolate
 from setmaps.ring import partitions_of
 from setmaps.umbral import (
@@ -436,9 +436,48 @@ def test_poly_reads_the_delta_moments_once_per_call(monkeypatch):
         FallingFactorials, "delta", lambda self, bound: calls.append(bound) or delta(self, bound)
     )
     family = FallingFactorials(Fraction(7, 3))
-    monkeypatch.delitem(umbral._members, family, raising=False)  # a cold family
     assert family.poly(20).degree == 20
     assert calls == [20]
+    assert family.poly(20).degree == 20  # no member is kept: a second call reads once more
+    assert calls == [20, 20]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    standard_families() + (AbelPolynomials(Fraction(3, 4)), FallingFactorials(Fraction(-2, 3))),
+    ids=str,
+)
+def test_members_are_the_polys_from_one_delta_read(fam, monkeypatch):
+    calls = []
+    delta = type(fam).delta
+    monkeypatch.setattr(type(fam), "delta", lambda self, bound: calls.append(bound) or delta(self, bound))
+    members = fam.members(20)
+    assert calls == [20]
+    assert members == [fam.poly(k) for k in range(21)]
+    assert fam.members(0) == [Poly.one()]
+
+
+def test_threads_share_a_family():
+    # four threads read one cold family, switching as often as the interpreter allows
+    expected = FallingFactorials(Fraction(5, 7)).members(12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            family, reads = FallingFactorials(Fraction(5, 7)), []
+
+            def read():
+                reads.extend((k, family.poly(k)) for k in (3, 12, 7, 1, 9))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(reads) == 20 and all(member == expected[k] for k, member in reads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_families_are_values():
@@ -446,9 +485,6 @@ def test_families_are_values():
     assert one == fraction_one and hash(one) == hash(fraction_one)
     assert type(one.step) is Fraction and AbelPolynomials(2).point == Fraction(2)
     assert FallingFactorials("1/2") == FallingFactorials(Fraction(2, 4))
-    one.poly(5)
-    assert umbral._members[fraction_one] is umbral._members[one]
-    assert len(umbral._members[fraction_one]) >= 6
     assert one != AbelPolynomials(1) and len({one, AbelPolynomials(1)}) == 2
     assert Monomials() != RisingFactorials() and Monomials() == Monomials()
     assert len({Monomials(), RisingFactorials(), LogPolynomials(), Monomials()}) == 3
