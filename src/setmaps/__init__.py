@@ -54,6 +54,7 @@ _SOURCES = {
             "count_acyclic_unique_sink",
             "count_proper_colorings",
             "count_stable_partitions",
+            "deletion_contraction",
             "subgraph_expansion",
         ),
         "oracles",

@@ -43,7 +43,11 @@ each stage from the override alone.
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
 the stages a ``--cap`` override raises; the parser, the ``--check`` help,
-the cost warning and ``verify`` read them.  A command prints that warning
+the cost warning and ``verify`` read them.  Beside them, ``READS`` names
+the flags among ``--k``, ``--x`` and ``--basis`` that each name reads:
+``verify`` and ``oracle`` refuse any other as a usage error, and
+``--check all`` takes a flag that one of its checks reads.  A negative
+``--cap`` is refused while parsing.  A command prints that warning
 after its own usage checks and before its first cap.  A check's cap, or
 its ``--cap`` override, governs every stage the check runs.  ``expand``
 and the checks on the block-sum kernel (the expansion checks and
@@ -51,10 +55,10 @@ and the checks on the block-sum kernel (the expansion checks and
 ``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
 ``--basis``, which runs the kernel once per standard basis and has a cap
 of its own, ``checks.EXPANSION_CHECK_CAP``.  Every graph check caps
-vertices.  ``chromatic`` caps the
-vertices of its induced subgraph at ``graphs.CHROMATIC_POLY_CAP``, and
-``abel`` the selected blocks at ``abel.ABEL_POLY_CAP``, each before any
-work.
+vertices.  ``chromatic`` prints the chromatic table's value at the full
+set of its induced subgraph, and caps that subgraph's vertices at
+``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
+``abel.ABEL_POLY_CAP``, each before any work.
 """
 
 import os
@@ -85,6 +89,17 @@ ORACLES = {
     "unique-sink": ("orientations",),
     "sink-source": ("orientations",),
     "tail-forests": ("tails",),
+}
+# each name -> the flags among --k, --x and --basis that it reads (a name that
+# reads none is left out); any other of the three is a usage error for it
+READS = {
+    "expansion": ("basis",),
+    "derivative": ("x",),
+    "evaluation": ("x",),
+    "power": ("x", "k"),
+    "forest-count": ("k",),
+    "tail-forests": ("k",),  # the check and the oracle
+    "colorings": ("x",),
 }
 _CHECK_NAMES = ", ".join([*GRAPH_CHECKS, *BLOCK_CHECKS])
 
@@ -124,6 +139,18 @@ def _parse_rational(text: str) -> "Fraction":
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
+def _parse_cap(text: str) -> int:
+    import argparse
+
+    try:
+        cap = int(text)
+    except ValueError:  # argparse's own text for a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cap must be nonnegative, got {cap}")
+    return cap
+
+
 def build_parser() -> "argparse.ArgumentParser":
     import argparse
 
@@ -154,7 +181,7 @@ def build_parser() -> "argparse.ArgumentParser":
     def cap(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--cap",
-            type=int,
+            type=_parse_cap,
             default=None,
             help="override the command's governing size cap (prints a cost warning)",
         )
@@ -177,7 +204,7 @@ def build_parser() -> "argparse.ArgumentParser":
     p.add_argument("--x", type=_parse_rational, default=None, help="expansion parameter / base point")
     p.add_argument("--k", type=int, default=None, help="component count / power exponent")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_parse_cap, default=None)
 
     p = sub.add_parser("oracle", help="brute-force combinatorial counts")
     p.add_argument("oracle", choices=ORACLES)
@@ -189,7 +216,7 @@ def build_parser() -> "argparse.ArgumentParser":
     p.add_argument("--source", type=int, default=None, help="source vertex (sink-source)")
     p.add_argument("--sink", type=int, default=None, help="sink vertex (unique-sink, sink-source)")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_parse_cap, default=None)
 
     p = sub.add_parser("abel", help="Abel-type polynomial of a subset of blocks")
     common(p, blocks=True)
@@ -208,7 +235,7 @@ def _warn_cap(cap: int | None, stages) -> None:
 
     def count(form: str, value) -> str:
         # evaluated only for caps small enough to print
-        return f"{form} = {value()}" if 0 <= cap <= 25 else form
+        return f"{form} = {value()}" if cap <= 25 else form
 
     costs = {
         "table": (
@@ -250,11 +277,6 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"tail-forest enumeration over {cap} blocks tries up to "
             f"{count(f'{cap + 1}^{cap}', lambda: (cap + 1) ** cap)} tail sets"
         ),
-        # each split of an edge is a deletion and a contraction; the memo cuts the repeats
-        "deletion-contraction": (
-            f"deletion-contraction over {cap} vertices splits up to 2^E graphs on E edges, E at most "
-            f"{count(f'{cap}*{cap - 1}/2', lambda: cap * (cap - 1) // 2)}"
-        ),
         # squaring dense polynomials of degree up to N - 1
         "abel": (
             f"the Abel polynomial over {cap} blocks raises x + w to the power {cap - 1} "
@@ -292,7 +314,7 @@ def cmd_chromatic(ns: "argparse.Namespace") -> tuple[dict, int]:
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     graph = _load_graph(ns)
     local = graph.restrict(_subset(ns, graph))
-    _warn_cap(ns.cap, ("deletion-contraction",))
+    _warn_cap(ns.cap, ("table",))
     poly = chromatic_poly(local, **kwargs)
     return {
         "command": "chromatic",

@@ -18,6 +18,7 @@ from .cli import (
     BLOCK_CHECKS,
     GRAPH_CHECKS,
     ORACLES,
+    READS,
     _CHECK_NAMES,
     _graph_input,
     _load_graph,
@@ -118,6 +119,14 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
     return [(f"tail-forests k={k}", ok) for k, ok in verify_tail_forests(blocks, ns.k, **kwargs).items()]
 
 
+def _refuse_unread(ns: argparse.Namespace, what: str, names) -> None:
+    """A usage error for a --k, --x or --basis that none of ``names`` reads."""
+    read = {flag for name in names for flag in READS.get(name, ())}
+    for flag in ("k", "x", "basis"):
+        if getattr(ns, flag, None) is not None and flag not in read:
+            raise ValueError(f"{what} does not read --{flag}")
+
+
 def _block_subset(ns: argparse.Namespace, blocks: BlockPartition) -> BlockPartition:
     return blocks if ns.subset is None else blocks.restrict(ns.subset)
 
@@ -132,6 +141,7 @@ def _block_input(ns: argparse.Namespace, blocks: BlockPartition) -> dict:
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
+        _refuse_unread(ns, f"check {ns.check!r}", GRAPH_CHECKS if ns.check == "all" else (ns.check,))
         graph = _load_graph(ns)
         checks = _graph_check_list(ns, graph.restrict(_subset(ns, graph)))
         source: dict = _graph_input(ns, graph)
@@ -140,6 +150,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
 
         if ns.blocks is None:
             raise ValueError(f"check {ns.check!r} needs --blocks")
+        _refuse_unread(ns, f"check {ns.check!r}", (ns.check,))
         blocks = BlockPartition(ns.blocks)
         checks = _block_check_list(ns, _block_subset(ns, blocks))
         source = _block_input(ns, blocks)
@@ -160,6 +171,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
 def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     name = ns.oracle
+    _refuse_unread(ns, f"oracle {name!r}", (name,))
     if name == "tail-forests":
         from .abel import BlockPartition, component_counts, count_tail_forests
 

@@ -1,28 +1,22 @@
-"""Simple graphs, the chromatic polynomial and the chromatic table.
-
-Deletion-contraction is one of three independent routes to the chromatic
-polynomial; the other two, the edge-subset expansion and interpolation
-through coloring counts, live with the other brute-force counts in
-``oracles``.  Their agreement is an acceptance check, so none of them may
-share logic; and since this module does not import ``oracles``, a process
-that runs only ``expand`` or the table never compiles the oracles.
-
-Deletion-contraction builds a single polynomial (``chromatic_poly``).  It
-works on plain int coefficient tuples, lowest degree first, memoized on a
-degree-sorted relabeling in a memo scoped to one call; a Poly is built
-once per answer.  Before it splits an edge it peels off what the sort
-puts first: k isolated vertices give x^k times the rest, and a leaf at
-vertex 0 gives (x - 1) times the graph without it.  Its cost grows with
-the edges, so it checks a vertex cap of its own (``CHROMATIC_POLY_CAP``)
-before the first split.
+"""Simple graphs, the chromatic table and the chromatic polynomial.
 
 The chromatic table (``chromatic_setmap``) is the paper's expansion in
 the falling-factorial basis, chi_S = sum over partitions sigma of S into
 stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
-block count, and no induced subgraph is built; deletion-contraction is
-its test oracle.  The table keeps those packed counts and builds a
-polynomial only when it is read.
+block count, and no induced subgraph is built.  The table keeps those
+packed counts and builds a polynomial only when it is read.  A single
+polynomial (``chromatic_poly``) is the table's value at the full set,
+under a vertex cap of its own (``CHROMATIC_POLY_CAP``) checked before the
+count pass.
+
+Three routes to the chromatic polynomial check the table: deletion-
+contraction, the edge-subset expansion and interpolation through coloring
+counts.  They live with the other brute-force counts in ``oracles``, share
+no logic with the table or with each other, and their agreement is an
+acceptance check; since this module does not import ``oracles``, a
+process that runs only ``chromatic``, ``expand`` or the table never
+compiles the oracles.
 """
 
 from __future__ import annotations
@@ -166,80 +160,8 @@ def load_graph(path: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# the chromatic polynomial and the chromatic table
+# the chromatic table and the chromatic polynomial
 # ---------------------------------------------------------------------------
-
-def _canonical(n: int, edges: tuple) -> tuple:
-    """Relabel vertices by (degree, index) and return the relabeled edge tuple.
-
-    Equal keys imply isomorphic graphs (the key is itself a labeled graph),
-    so memoizing on it is sound; the sort merely improves hit rates.
-    """
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    # a stable sort by degree breaks ties by index
-    order = sorted(range(n), key=deg.__getitem__)
-    rank = [0] * n
-    for i, w in enumerate(order):
-        rank[w] = i
-    relabeled = sorted(
-        [(rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]) for u, v in edges]
-    )
-    return (n, tuple(relabeled))
-
-
-def _chromatic(n: int, edges: tuple, memo: dict) -> tuple:
-    """Chromatic polynomial as n + 1 int coefficients, lowest degree first."""
-    key = _canonical(n, edges)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    n, edges = key
-    if not edges:
-        result = (0,) * n + (1,)
-    elif edges[0][0]:
-        # vertices are sorted by degree, so 0..k-1 are the isolated ones: x^k chi(rest)
-        k = edges[0][0]
-        rest = tuple((a - k, b - k) for a, b in edges)
-        result = (0,) * k + _chromatic(n - k, rest, memo)
-    elif len(edges) == 1 or edges[1][0]:
-        # vertex 0 is a leaf: (x - 1) chi(G - 0)
-        rest = _chromatic(n - 1, tuple((a - 1, b - 1) for a, b in edges[1:]), memo)
-        result = tuple(map(operator.sub, (0,) + rest, rest + (0,)))
-    else:
-        u, v = edges[0]
-        deleted = edges[1:]
-        # contract v into u: drop v, shift higher labels down, merge parallels
-        merged = set()
-        for a, b in deleted:
-            a = u if a == v else (a - 1 if a > v else a)
-            b = u if b == v else (b - 1 if b > v else b)
-            merged.add((a, b) if a < b else (b, a))
-        big = _chromatic(n, deleted, memo)
-        small = _chromatic(n - 1, tuple(sorted(merged)), memo)
-        result = tuple(map(operator.sub, big, small + (0,)))
-    memo[key] = result
-    return result
-
-
-# by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
-# for a cold `setmaps chromatic` on G(n, p) drawn by scripts/cap_probe.gnp_edges
-# with random.Random(1), p = .3, .35, .4, .45, .5, .6.  At 17: 0.9-4.4 s and
-# 71-225 MiB, the worst at p = .6, the density of the probe's row.  At 18: 2.7 s
-# and 147 MiB at p = .3, 6.9 s and 367 MiB at .35, and 13-18 s and 736-809 MiB
-# from .4 on (Python 3.11, 2 cores)
-CHROMATIC_POLY_CAP = 17
-
-
-def chromatic_poly(graph: Graph, cap: int = CHROMATIC_POLY_CAP) -> Poly:
-    """Chromatic polynomial by deletion-contraction, memoized for this call;
-    more than ``cap`` vertices raise ``CapExceeded`` before the first split."""
-    if graph.n > cap:
-        raise CapExceeded(f"deletion-contraction over {graph.n} vertices exceeds cap {cap}")
-    return Poly(_chromatic(graph.n, graph.edges, {}))
-
 
 _SLOT = 64  # bits per packed count; s_k(S) <= Bell(20) < 2^46
 # little-endian layouts of 0..21 unsigned and signed 64-bit slots
@@ -372,3 +294,23 @@ def chromatic_setmap(graph: Graph) -> SetMap:
         return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
 
     return _CountTable(n, poly)
+
+
+# by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
+# for a cold `setmaps chromatic`, and 17 for both routes.  The count pass is
+# slowest on sparse graphs: at 17, 0.4-6.6 s and 30 MiB on G(17, p) drawn by
+# scripts/cap_probe.gnp_edges with random.Random(1), p = 0-.6, the worst at .02,
+# and 7.7 s on the star with centre 0, the probe's row, where every other vertex
+# has one lower neighbor and the rest independent (24.5 s at 18).  Deletion-
+# contraction (oracles.deletion_contraction, which this also caps) is slowest on
+# dense ones: at 17, 0.9-4.8 s and 71-225 MiB for p = .3-.6, and at 18, 13-18 s
+# and 736-809 MiB from p = .4 on (Python 3.11, 2 cores)
+CHROMATIC_POLY_CAP = 17
+
+
+def chromatic_poly(graph: Graph, cap: int = CHROMATIC_POLY_CAP) -> Poly:
+    """Chromatic polynomial, the chromatic table's value at the full set;
+    more than ``cap`` vertices raise ``CapExceeded`` before the count pass."""
+    if graph.n > cap:
+        raise CapExceeded(f"chromatic polynomial over {graph.n} vertices exceeds cap {cap}")
+    return chromatic_setmap(graph)[graph.vertex_mask]

@@ -1,14 +1,23 @@
 """Brute-force counting oracles on simple graphs.
 
-Two routes to the chromatic polynomial that share no logic with
-deletion-contraction or with the chromatic table in ``graphs``: the
-edge-subset expansion
+Three routes to the chromatic polynomial that share no logic with the
+chromatic table in ``graphs`` or with each other: deletion-contraction,
+the edge-subset expansion
 
     chi_G(x) = sum over F subset of E of (-1)^|F| x^(components of (V, F)),
 
 and exact Newton interpolation through coloring counts, found by
 backtracking over color classes.  Their agreement with ``graphs`` is an
 acceptance check.
+
+Deletion-contraction builds a single polynomial (``deletion_contraction``).
+It works on plain int coefficient tuples, lowest degree first, memoized on
+a degree-sorted relabeling in a memo scoped to one call; a Poly is built
+once per answer.  Before it splits an edge it peels off what the sort
+puts first: k isolated vertices give x^k times the rest, and a leaf at
+vertex 0 gives (x - 1) times the graph without it.  Its cost grows with
+the edges, so it checks a vertex cap (``graphs.CHROMATIC_POLY_CAP``)
+before the first split.
 
 The counting oracles (proper colorings, acyclic orientations, stable
 partitions, unique-sink and sink-source orientations, per Stanley and
@@ -22,9 +31,10 @@ and the checks that count nothing never compile it.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 
-from .graphs import Graph
+from .graphs import CHROMATIC_POLY_CAP, Graph
 from .poly import Poly, interpolate
 from .ring import BELL_ENUM_CAP, CapExceeded, partitions_of
 
@@ -33,8 +43,71 @@ EDGE_ENUM_CAP = 20
 
 
 # ---------------------------------------------------------------------------
-# the chromatic polynomial, two more ways
+# three routes to the chromatic polynomial, none through the table
 # ---------------------------------------------------------------------------
+
+
+def _canonical(n: int, edges: tuple) -> tuple:
+    """Relabel vertices by (degree, index) and return the relabeled edge tuple.
+
+    Equal keys imply isomorphic graphs (the key is itself a labeled graph),
+    so memoizing on it is sound; the sort merely improves hit rates.
+    """
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    # a stable sort by degree breaks ties by index
+    order = sorted(range(n), key=deg.__getitem__)
+    rank = [0] * n
+    for i, w in enumerate(order):
+        rank[w] = i
+    relabeled = sorted(
+        [(rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]) for u, v in edges]
+    )
+    return (n, tuple(relabeled))
+
+
+def _chromatic(n: int, edges: tuple, memo: dict) -> tuple:
+    """Chromatic polynomial as n + 1 int coefficients, lowest degree first."""
+    key = _canonical(n, edges)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    n, edges = key
+    if not edges:
+        result = (0,) * n + (1,)
+    elif edges[0][0]:
+        # vertices are sorted by degree, so 0..k-1 are the isolated ones: x^k chi(rest)
+        k = edges[0][0]
+        rest = tuple((a - k, b - k) for a, b in edges)
+        result = (0,) * k + _chromatic(n - k, rest, memo)
+    elif len(edges) == 1 or edges[1][0]:
+        # vertex 0 is a leaf: (x - 1) chi(G - 0)
+        rest = _chromatic(n - 1, tuple((a - 1, b - 1) for a, b in edges[1:]), memo)
+        result = tuple(map(operator.sub, (0,) + rest, rest + (0,)))
+    else:
+        u, v = edges[0]
+        deleted = edges[1:]
+        # contract v into u: drop v, shift higher labels down, merge parallels
+        merged = set()
+        for a, b in deleted:
+            a = u if a == v else (a - 1 if a > v else a)
+            b = u if b == v else (b - 1 if b > v else b)
+            merged.add((a, b) if a < b else (b, a))
+        big = _chromatic(n, deleted, memo)
+        small = _chromatic(n - 1, tuple(sorted(merged)), memo)
+        result = tuple(map(operator.sub, big, small + (0,)))
+    memo[key] = result
+    return result
+
+
+def deletion_contraction(graph: Graph, cap: int = CHROMATIC_POLY_CAP) -> Poly:
+    """Chromatic polynomial by deletion-contraction, memoized for this call;
+    more than ``cap`` vertices raise ``CapExceeded`` before the first split."""
+    if graph.n > cap:
+        raise CapExceeded(f"deletion-contraction over {graph.n} vertices exceeds cap {cap}")
+    return Poly(_chromatic(graph.n, graph.edges, {}))
 
 
 def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:

@@ -206,19 +206,19 @@ def test_chromatic_checks_its_cap_before_any_split(capsys, monkeypatch, tmp_path
     n = CHROMATIC_POLY_CAP + 1
     path = tmp_path / f"g{n}.txt"
     path.write_text(random_graphs(n, 1, seed=n, p=0.3)[0].to_text())
-    splits = []
-    monkeypatch.setattr(graphs, "_chromatic", lambda *a: splits.append(a))
+    passes = []
+    monkeypatch.setattr(graphs, "_stable_partition_counts", lambda *a: passes.append(a))
     status, out, err = run_cli(capsys, "chromatic", "--graph", str(path))
     assert status == 3 and out == ""
-    assert err == f"error: deletion-contraction over {n} vertices exceeds cap {CHROMATIC_POLY_CAP}\n"
-    assert splits == []
+    assert err == f"error: chromatic polynomial over {n} vertices exceeds cap {CHROMATIC_POLY_CAP}\n"
+    assert passes == []
     # the cap reads the induced subgraph of --subset
     monkeypatch.undo()
     status, out, _ = run_cli(capsys, "chromatic", "--graph", str(path), "--subset", str((1 << 8) - 1))
     assert status == 0 and json.loads(out)["result"]["degree"] == 8
 
 
-def test_cap_override_lets_deletion_contraction_run(capsys, tmp_path):
+def test_cap_override_lets_the_chromatic_table_run(capsys, tmp_path):
     n = CHROMATIC_POLY_CAP + 1
     path = tmp_path / f"p{n}.txt"
     path.write_text(Graph.path(n).to_text())
@@ -230,8 +230,8 @@ def test_cap_override_lets_deletion_contraction_run(capsys, tmp_path):
     expected = Poly.x() * Poly((-1, 1)) ** (n - 1)
     assert json.loads(out)["result"]["coefficients"] == [str(c) for c in expected.coeffs]
     assert err == (
-        f"warning: cap override {n}; deletion-contraction over {n} vertices splits up to 2^E graphs"
-        f" on E edges, E at most {n}*{n - 1}/2 = {n * (n - 1) // 2}\n"
+        f"warning: cap override {n}; the chromatic table sums over at most"
+        f" (3^{n}-1)/2 = {(3**n - 1) // 2} (subset, color class) pairs\n"
     )
 
 
@@ -760,7 +760,6 @@ _POWER = (
 )
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
 _TAILS = "tail-forest enumeration over 7 blocks tries up to 8^7 = 2097152 tail sets"
-_DELETION_CONTRACTION = "deletion-contraction over 7 vertices splits up to 2^E graphs on E edges, E at most 7*6/2 = 21"
 _ABEL = "the Abel polynomial over 7 blocks raises x + w to the power 6 in about 7^2 = 49 int products"
 _C5 = ("--graph", f"{GRAPHS}/c5.txt")
 _BLOCKS = ("--blocks", "2,1,1")
@@ -792,7 +791,7 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("oracle", "unique-sink", *_C5, "--sink", "0"), (_ORIENTATIONS,)),
         (("oracle", "sink-source", *_C5, "--source", "0", "--sink", "1"), (_ORIENTATIONS,)),
         (("oracle", "tail-forests", *_BLOCKS, "--k", "1"), (_TAILS,)),
-        (("chromatic", *_C5), (_DELETION_CONTRACTION,)),
+        (("chromatic", *_C5), (_TABLE,)),
         (("abel", *_BLOCKS), (_ABEL,)),
     ],
 )
@@ -881,3 +880,50 @@ def test_block_commands_refuse_k_before_the_cap(capsys, argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: the component count k must be in 1..n on at least one block: got k = ")
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("verify", "--check", "closed-form", "--blocks", "2,1", "--k", "99"), "check 'closed-form' does not read --k"),
+        (
+            ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt", "--k", "99"),
+            "check 'binomial' does not read --k",
+        ),
+        (
+            ("verify", "--check", "stanley", "--graph", f"{GRAPHS}/k3.txt", "--basis", "rising"),
+            "check 'stanley' does not read --basis",
+        ),
+        (("oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt", "--k", "3"), "oracle 'acyclic' does not read --k"),
+    ],
+)
+def test_a_flag_the_check_does_not_read_is_a_usage_error(capsys, argv, refused):
+    # before the warning and the caps: the lowered cap would refuse every one of them
+    status, out, err = run_cli(capsys, *argv, "--cap", "1")
+    assert status == 2 and out == ""
+    assert err == f"error: {refused}\n"
+
+
+def test_check_all_takes_every_flag_one_of_its_checks_reads(capsys):
+    argv = ("--graph", f"{GRAPHS}/k3.txt", "--k", "2", "--x", "3", "--basis", "rising")
+    status, out, err = run_cli(capsys, "verify", "--check", "all", *argv)
+    assert status == 0 and err == ""
+    assert "expansion rising" in [check["name"] for check in json.loads(out)["checks"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chromatic", "--graph", f"{GRAPHS}/k3.txt"),
+        ("expand", "--graph", f"{GRAPHS}/k3.txt", "--basis", "rising"),
+        ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt"),
+        ("verify", "--check", "closed-form", "--blocks", "2,1"),
+        ("oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt"),
+        ("abel", "--blocks", "2,1"),
+    ],
+)
+def test_a_negative_cap_is_refused_while_parsing(capsys, argv):
+    status, out, err = run_cli(capsys, *argv, "--cap", "-1")
+    assert status == 2 and out == ""
+    assert err.endswith(": error: argument --cap: cap must be nonnegative, got -1\n")
+    assert "warning" not in err

@@ -18,6 +18,7 @@ from setmaps.oracles import (
     count_acyclic_unique_sink,
     count_proper_colorings,
     count_stable_partitions,
+    deletion_contraction,
     subgraph_expansion,
 )
 from setmaps.poly import Poly, interpolate
@@ -106,14 +107,14 @@ def test_subgraph_expansion_examples():
 
 def test_three_routes_agree_on_iso_classes():
     for g in graphs_through(4):
-        reference = chromatic_poly(g)
+        reference = deletion_contraction(g)
         assert subgraph_expansion(g) == reference
         assert chromatic_by_interpolation(g) == reference
 
 
 def test_three_routes_agree_on_random_graphs():
     for g in random_graphs(6, 12, seed=0x5E7):
-        reference = chromatic_poly(g)
+        reference = deletion_contraction(g)
         assert subgraph_expansion(g) == reference
         assert chromatic_by_interpolation(g) == reference
 
@@ -136,7 +137,7 @@ def test_complete_graphs_match_falling_factorials():
 
     falling = FallingFactorials(1)
     for n in range(7):
-        assert chromatic_poly(Graph.complete(n)) == falling.poly(n)
+        assert deletion_contraction(Graph.complete(n)) == falling.poly(n)
 
 
 def test_cycles_match_closed_form():
@@ -144,7 +145,7 @@ def test_cycles_match_closed_form():
     shifted = Poly((-1, 1))
     for n in range(3, 8):
         expected = shifted**n + shifted * ((-1) ** n)
-        assert chromatic_poly(Graph.cycle(n)) == expected
+        assert deletion_contraction(Graph.cycle(n)) == expected
 
 
 def test_trees_match_closed_form():
@@ -152,9 +153,9 @@ def test_trees_match_closed_form():
     shifted = Poly((-1, 1))
     for n in range(1, 8):
         expected = Poly.x() * shifted ** (n - 1)
-        assert chromatic_poly(Graph.path(n)) == expected
+        assert deletion_contraction(Graph.path(n)) == expected
         star = Graph(n, [(0, v) for v in range(1, n)])
-        assert chromatic_poly(star) == expected
+        assert deletion_contraction(star) == expected
 
 
 @st.composite
@@ -188,7 +189,7 @@ def reducible_graphs(draw, max_n: int, max_edges: int):
 @settings(max_examples=60, deadline=None)
 @given(reducible_graphs(max_n=9, max_edges=14))
 def test_reduced_recursion_matches_edge_subset_expansion(g):
-    poly = chromatic_poly(g)
+    poly = deletion_contraction(g)
     assert exact(poly)
     assert poly == subgraph_expansion(g)
 
@@ -196,9 +197,30 @@ def test_reduced_recursion_matches_edge_subset_expansion(g):
 @settings(max_examples=60, deadline=None)
 @given(reducible_graphs(max_n=9, max_edges=15))
 def test_reduced_recursion_matches_interpolation(g):
-    poly = chromatic_poly(g)
+    poly = deletion_contraction(g)
     assert exact(poly)
     assert poly == chromatic_by_interpolation(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_graphs(max_n=10, max_edges=20))
+def test_chromatic_poly_matches_deletion_contraction(g):
+    poly = chromatic_poly(g)
+    assert exact(poly)
+    assert poly == deletion_contraction(g)
+
+
+def test_deletion_contraction_checks_its_cap_before_any_split(monkeypatch):
+    import setmaps.oracles as oracles
+
+    g = Graph.path(oracles.CHROMATIC_POLY_CAP + 1)
+    splits = []
+    monkeypatch.setattr(oracles, "_chromatic", lambda *a: splits.append(a))
+    with pytest.raises(CapExceeded, match=f"deletion-contraction over {g.n} vertices exceeds cap"):
+        deletion_contraction(g)
+    assert splits == []
+    monkeypatch.undo()
+    assert deletion_contraction(g, cap=g.n) == Poly.x() * Poly((-1, 1)) ** (g.n - 1)
 
 
 def test_table_matches_fresh_polynomials():
@@ -207,7 +229,7 @@ def test_table_matches_fresh_polynomials():
     g = Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6), (6, 8)])
     table = chromatic_setmap(g)
     for S in range(1 << g.n):
-        assert table[S] == chromatic_poly(g.restrict(S)), S
+        assert table[S] == deletion_contraction(g.restrict(S)), S
         assert exact(table[S])
 
 
@@ -228,7 +250,7 @@ def table_graphs(draw, max_n: int):
 def test_table_matches_deletion_contraction_on_every_subset(g):
     table = chromatic_setmap(g)
     for S in range(1 << g.n):
-        assert table[S] == chromatic_poly(g.restrict(S)), S
+        assert table[S] == deletion_contraction(g.restrict(S)), S
 
 
 def test_table_closed_forms_at_scale():
@@ -304,7 +326,7 @@ def count_polys(monkeypatch) -> list:
 def test_reading_a_few_values_builds_only_those(monkeypatch):
     g = random_graphs(16, 1, seed=16, p=0.3)[0]
     masks = [0, 0b101, g.vertex_mask, 0xF0F0]
-    expected = [chromatic_poly(g.restrict(S)) for S in masks]
+    expected = [deletion_contraction(g.restrict(S)) for S in masks]
     built = count_polys(monkeypatch)
     table = chromatic_setmap(g)
     assert [table[S] for S in masks] == expected
@@ -315,7 +337,7 @@ def test_reading_a_few_values_builds_only_those(monkeypatch):
 
 def test_the_whole_table_is_built_once_on_first_use(monkeypatch):
     g = Graph.cycle(5)
-    expected = tuple(chromatic_poly(g.restrict(S)) for S in range(32))
+    expected = tuple(deletion_contraction(g.restrict(S)) for S in range(32))
     built = count_polys(monkeypatch)
     table = chromatic_setmap(g)
     assert built == []
@@ -337,8 +359,8 @@ def test_a_mask_outside_the_table_is_refused(built, mask):
 
 def test_whole_table_operations_match_an_eager_table():
     g, h = Graph.cycle(4), Graph.path(4)
-    eager = SetMap(4, [chromatic_poly(g.restrict(S)) for S in range(16)])
-    other = SetMap(4, [chromatic_poly(h.restrict(S)) for S in range(16)])
+    eager = SetMap(4, [deletion_contraction(g.restrict(S)) for S in range(16)])
+    other = SetMap(4, [deletion_contraction(h.restrict(S)) for S in range(16)])
     assert chromatic_setmap(g) == eager and eager == chromatic_setmap(g)
     assert chromatic_setmap(g) != chromatic_setmap(h) and chromatic_setmap(h) == other
     assert chromatic_setmap(g) + chromatic_setmap(h) == eager + other
@@ -413,7 +435,7 @@ def test_unique_sink_counts():
 def test_unique_sink_matches_derivative_at_zero_on_connected_graphs():
     candidates = [Graph.complete(3), Graph.path(4), Graph.cycle(4), Graph.cycle(5), Graph.complete(4)]
     for g in candidates:
-        derivative = chromatic_poly(g).derivative()(0)
+        derivative = deletion_contraction(g).derivative()(0)
         expected = (-1) ** (g.n - 1) * derivative
         for v in range(g.n):
             assert count_acyclic_unique_sink(g, v) == expected
@@ -425,13 +447,13 @@ def test_sink_source_counts_match_derivative_at_one():
     k3 = Graph.complete(3)
     assert count_acyclic_sink_source(k3, 0, 1) == 1
     c4 = Graph.cycle(4)
-    expected = abs(chromatic_poly(c4).derivative()(1))
+    expected = abs(deletion_contraction(c4).derivative()(1))
     assert count_acyclic_sink_source(c4, 0, 1) == expected
 
 
 def test_sink_source_counts_across_adjacent_pairs():
     for g in [Graph.complete(4), Graph.cycle(5), Graph.path(4)]:
-        expected = abs(chromatic_poly(g).derivative()(1))
+        expected = abs(deletion_contraction(g).derivative()(1))
         for u, v in g.edges:
             assert count_acyclic_sink_source(g, u, v) == expected
             assert count_acyclic_sink_source(g, v, u) == expected

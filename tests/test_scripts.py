@@ -49,10 +49,10 @@ def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
     assert out.count("PASS ") == len(rows) == 11 and "FAIL" not in out
     assert "PASS chromatic table and reads at n = 11, answer right: exit 0" in out
     # past a lowered cap the command exits 3 before any work
-    chromatic = rows["chromatic on G(n, .6)"]
+    chromatic = rows["chromatic on the star, centre 0"]
     lowered = chromatic._replace(cap=4, args=lambda n, d: [*chromatic.args(n, d), "--cap", "4"])
     assert probe.check(lowered, 5)
-    assert capsys.readouterr().out.startswith("PASS chromatic on G(n, .6) at n = 5, past cap 4: exit 3")
+    assert capsys.readouterr().out.startswith("PASS chromatic on the star, centre 0 at n = 5, past cap 4: exit 3")
     # a bound below what a run uses fails it
     table = rows["chromatic table and reads"]._replace(max_rss_mib=1)
     assert probe.probe([(table, 6)]) == 1
