@@ -38,15 +38,17 @@ def gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
 
 def rows() -> tuple[Row, ...]:
     from setmaps.abel import ABEL_POLY_CAP, TAIL_BLOCK_CAP
-    from setmaps.checks import EXPANSION_CHECK_CAP, ORIENTATION_TABLE_CAP, STABLE_COUNT_CAP
+    from setmaps.checks import BINOMIAL_CHECK_CAP, EXPANSION_CHECK_CAP, ORIENTATION_TABLE_CAP, STABLE_COUNT_CAP
     from setmaps.graphs import CHROMATIC_POLY_CAP
-    from setmaps.ring import BLOCK_SUM_CAP, MAX_GROUND_SIZE
+    from setmaps.oracles import EDGE_ENUM_CAP
+    from setmaps.ring import BELL_ENUM_CAP, BLOCK_SUM_CAP, MAX_GROUND_SIZE, bell_number
 
-    def with_graph(edges, *command):  # the graph of edges(n), in a graph file
+    def with_graph(edges, *command):  # the graph of edges(n), on n vertices or the most its edges name
         def args(n, directory):
             drawn, path = edges(n), os.path.join(directory, f"{n}.txt")
+            vertices = max([n, *(v + 1 for _, v in drawn)])
             with open(path, "w") as fh:
-                fh.write(f"{n} {len(drawn)}\n" + "".join(f"{u} {v}\n" for u, v in drawn))
+                fh.write(f"{vertices} {len(drawn)}\n" + "".join(f"{u} {v}\n" for u, v in drawn))
             return [*command, "--graph", path]
         return args
 
@@ -90,6 +92,13 @@ def rows() -> tuple[Row, ...]:
             on_graph(1.0, "verify", "--check", "rising-pairs"), passes),
         Row("verify --check stable-counts, edgeless", STABLE_COUNT_CAP,
             on_graph(0.0, "verify", "--check", "stable-counts"), passes),
+        Row("verify --check binomial", BINOMIAL_CHECK_CAP, on_graph(0.3, "verify", "--check", "binomial"), passes),
+        Row("oracle stable-partitions, edgeless", BELL_ENUM_CAP, on_graph(0.0, "oracle", "stable-partitions"),
+            lambda out: out["result"]["count"] == bell_number(out["input"]["vertices"])),
+        # n edges: every orientation of the star K_{1,n} is acyclic, and one has its only sink at the centre
+        Row("oracle unique-sink on the star, sink at the centre", EDGE_ENUM_CAP,
+            with_graph(lambda n: [(0, v) for v in range(1, n + 1)], "oracle", "unique-sink", "--sink", "0"),
+            lambda out: out["result"]["count"] == 1),
         # 142-146 MiB measured on Python 3.10-3.13
         Row("chromatic table and reads", MAX_GROUND_SIZE, lambda n, _: ["table", str(n)], passes, 200),
     )

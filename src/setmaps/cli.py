@@ -42,12 +42,15 @@ each stage from the override alone.
 
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
-the stages a ``--cap`` override raises; the parser, the ``--check`` help,
-the cost warning and ``verify`` read them.  Beside them, ``READS`` names
-the flags among ``--k``, ``--x`` and ``--basis`` that each name reads:
-``verify`` and ``oracle`` refuse any other as a usage error, and
-``--check all`` takes a flag that one of its checks reads.  A negative
-``--cap`` is refused while parsing.  A command prints that warning
+the stages a ``--cap`` override raises and the flags it reads among
+``--k``, ``--x``, ``--basis``, ``--source`` and ``--sink``; the parser, the
+``--check`` help, the cost warning, ``verify`` and ``oracle`` read them.
+Beyond those, a name reads ``--graph`` or ``--blocks`` after its kind, and
+``--subset``, ``--format`` and ``--cap``; any other flag is a usage error
+(``--check all`` takes each flag one of its checks reads), and an oracle
+needs every flag it reads.  ``--source`` and ``--sink`` are vertex labels
+of the graph file, inside ``--subset``.  A negative ``--cap`` is refused
+while parsing.  A command prints that warning
 after its own usage checks and before its first cap.  A check's cap, or
 its ``--cap`` override, governs every stage the check runs.  ``expand``
 and the checks on the block-sum kernel (the expansion checks and
@@ -68,38 +71,33 @@ import sys
 # inside the functions that use them (module docstring), so the annotations
 # that name their classes are strings; a __future__ import would load a module
 
-# each name, in run order -> the stages a --cap override raises
+# each name, in run order -> (the stages a --cap override raises, the flags among
+# --k, --x, --basis, --source and --sink that it reads); any other is a usage error
 _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
-    "binomial": ("pairs",),
-    "expansion": (*_EXPANSION, "bases"),
-    "rising-pairs": ("orientation-table", "partitions"),
-    "abel-one": _EXPANSION,
-    "stable-counts": ("stable-counts",),
-    "derivative": _EXPANSION,
-    "evaluation": _EXPANSION,
-    "power": ("power",),
-    "stanley": ("orientation-table",),
+    "binomial": (("pairs",), ()),
+    "expansion": ((*_EXPANSION, "bases"), ("basis",)),
+    "rising-pairs": (("orientation-table", "partitions"), ()),
+    "abel-one": (_EXPANSION, ()),
+    "stable-counts": (("stable-counts",), ()),
+    "derivative": (_EXPANSION, ("x",)),
+    "evaluation": (_EXPANSION, ("x",)),
+    "power": (("power",), ("x", "k")),
+    "stanley": (("orientation-table",), ()),
 }
-BLOCK_CHECKS = {"closed-form": ("kernel",), "forest-count": ("kernel",), "tail-forests": ("tails",)}
+BLOCK_CHECKS = {
+    "closed-form": (("kernel",), ()),
+    "forest-count": (("kernel",), ("k",)),
+    "tail-forests": (("tails",), ("k",)),
+}
+# an oracle needs every flag it reads
 ORACLES = {
-    "colorings": ("partitions",),
-    "acyclic": ("orientations",),
-    "stable-partitions": ("partitions",),
-    "unique-sink": ("orientations",),
-    "sink-source": ("orientations",),
-    "tail-forests": ("tails",),
-}
-# each name -> the flags among --k, --x and --basis that it reads (a name that
-# reads none is left out); any other of the three is a usage error for it
-READS = {
-    "expansion": ("basis",),
-    "derivative": ("x",),
-    "evaluation": ("x",),
-    "power": ("x", "k"),
-    "forest-count": ("k",),
-    "tail-forests": ("k",),  # the check and the oracle
-    "colorings": ("x",),
+    "colorings": (("partitions",), ("x",)),
+    "acyclic": (("orientations",), ()),
+    "stable-partitions": (("partitions",), ()),
+    "unique-sink": (("orientations",), ("sink",)),
+    "sink-source": (("orientations",), ("source", "sink")),
+    "tail-forests": (("tails",), ("k",)),
 }
 _CHECK_NAMES = ", ".join([*GRAPH_CHECKS, *BLOCK_CHECKS])
 
@@ -287,14 +285,6 @@ def _warn_cap(cap: int | None, stages) -> None:
     print(f"warning: cap override {cap}; {priced}", file=sys.stderr)
 
 
-def _load_graph(ns: "argparse.Namespace") -> "Graph":
-    from .graphs import load_graph
-
-    if ns.graph is None:
-        raise ValueError("this command needs --graph")
-    return load_graph(ns.graph)
-
-
 def _subset(ns: "argparse.Namespace", graph: "Graph") -> int:
     return graph.vertex_mask if ns.subset is None else ns.subset
 
@@ -309,10 +299,10 @@ def _graph_input(ns: "argparse.Namespace", graph: "Graph") -> dict:
 
 
 def cmd_chromatic(ns: "argparse.Namespace") -> tuple[dict, int]:
-    from .graphs import chromatic_poly
+    from .graphs import chromatic_poly, load_graph
 
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
-    graph = _load_graph(ns)
+    graph = load_graph(ns.graph)
     local = graph.restrict(_subset(ns, graph))
     _warn_cap(ns.cap, ("table",))
     poly = chromatic_poly(local, **kwargs)
@@ -326,11 +316,11 @@ def cmd_chromatic(ns: "argparse.Namespace") -> tuple[dict, int]:
 
 def cmd_expand(ns: "argparse.Namespace") -> tuple[dict, int]:
     from .expansions import expand
-    from .graphs import chromatic_setmap
+    from .graphs import chromatic_setmap, load_graph
     from .ring import BLOCK_SUM_CAP, CapExceeded, subsets_of
     from .umbral import family_from_string
 
-    graph = _load_graph(ns)
+    graph = load_graph(ns.graph)
     cap = BLOCK_SUM_CAP if ns.cap is None else ns.cap
     subset = _subset(ns, graph)
     # the table covers only the subset, its vertices relabelled 0..k-1 in order

@@ -18,10 +18,8 @@ from .cli import (
     BLOCK_CHECKS,
     GRAPH_CHECKS,
     ORACLES,
-    READS,
     _CHECK_NAMES,
     _graph_input,
-    _load_graph,
     _poly_result,
     _subset,
     _warn_cap,
@@ -69,7 +67,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     x0, y0 = (Fraction(2) if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
-    _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check]})
+    _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check][0]})
     # one row per graph check: its default cap, over the vertex count, and its
     # labelled runs on the shared table p
     rows = {
@@ -111,7 +109,7 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     if ns.check != "closed-form":  # usage errors come before the warning and the caps
         component_counts(blocks.block_count, ns.k)
-    _warn_cap(ns.cap, BLOCK_CHECKS[ns.check])
+    _warn_cap(ns.cap, BLOCK_CHECKS[ns.check][0])
     if ns.check == "closed-form":
         return [("closed-form", verify_closed_form_partition_sum(blocks, **kwargs))]
     if ns.check == "forest-count":
@@ -119,12 +117,16 @@ def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tu
     return [(f"tail-forests k={k}", ok) for k, ok in verify_tail_forests(blocks, ns.k, **kwargs).items()]
 
 
-def _refuse_unread(ns: argparse.Namespace, what: str, names) -> None:
-    """A usage error for a --k, --x or --basis that none of ``names`` reads."""
-    read = {flag for name in names for flag in READS.get(name, ())}
-    for flag in ("k", "x", "basis"):
+def _refuse_unread(ns: argparse.Namespace, what: str, entries, needed) -> None:
+    """A usage error for a flag that none of the table ``entries`` reads, then
+    for a missing flag of ``needed``, whose first is the input flag they read."""
+    read = {needed[0], *(flag for _, flags in entries for flag in flags)}
+    for flag in ("graph", "blocks", "k", "x", "basis", "source", "sink"):
         if getattr(ns, flag, None) is not None and flag not in read:
             raise ValueError(f"{what} does not read --{flag}")
+    for flag in needed:
+        if getattr(ns, flag) is None:
+            raise ValueError(f"{what} needs --{flag}")
 
 
 def _block_subset(ns: argparse.Namespace, blocks: BlockPartition) -> BlockPartition:
@@ -140,17 +142,19 @@ def _block_input(ns: argparse.Namespace, blocks: BlockPartition) -> dict:
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
+    what = f"check {ns.check!r}"
     if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
-        _refuse_unread(ns, f"check {ns.check!r}", GRAPH_CHECKS if ns.check == "all" else (ns.check,))
-        graph = _load_graph(ns)
+        from .graphs import load_graph
+
+        entries = GRAPH_CHECKS.values() if ns.check == "all" else (GRAPH_CHECKS[ns.check],)
+        _refuse_unread(ns, what, entries, ("graph",))
+        graph = load_graph(ns.graph)
         checks = _graph_check_list(ns, graph.restrict(_subset(ns, graph)))
         source: dict = _graph_input(ns, graph)
     elif ns.check in BLOCK_CHECKS:
         from .abel import BlockPartition  # here, so that graph checks do not load abel
 
-        if ns.blocks is None:
-            raise ValueError(f"check {ns.check!r} needs --blocks")
-        _refuse_unread(ns, f"check {ns.check!r}", (ns.check,))
+        _refuse_unread(ns, what, (BLOCK_CHECKS[ns.check],), ("blocks",))
         blocks = BlockPartition(ns.blocks)
         checks = _block_check_list(ns, _block_subset(ns, blocks))
         source = _block_input(ns, blocks)
@@ -171,53 +175,47 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
 def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     name = ns.oracle
-    _refuse_unread(ns, f"oracle {name!r}", (name,))
+    stages, flags = ORACLES[name]
+    needed = ("blocks" if name == "tail-forests" else "graph", *flags)
+    _refuse_unread(ns, f"oracle {name!r}", (ORACLES[name],), needed)
     if name == "tail-forests":
         from .abel import BlockPartition, component_counts, count_tail_forests
 
-        if ns.blocks is None:
-            raise ValueError("oracle tail-forests needs --blocks")
-        if ns.k is None:
-            raise ValueError("oracle tail-forests needs --k")
         blocks = BlockPartition(ns.blocks)
         selected = _block_subset(ns, blocks)
         component_counts(selected.block_count, ns.k)
         run = partial(count_tail_forests, selected, ns.k, max_digits=_digit_limit(), **kwargs)
         source: dict = {**_block_input(ns, blocks), "k": ns.k}
     else:
-        from .oracles import (
-            count_acyclic_orientations,
-            count_acyclic_sink_source,
-            count_acyclic_unique_sink,
-            count_proper_colorings,
-            count_stable_partitions,
-        )
+        from . import oracles
+        from .graphs import load_graph
 
-        graph = _load_graph(ns)
-        restricted = graph.restrict(_subset(ns, graph))
+        counts = {
+            "colorings": oracles.count_proper_colorings,
+            "acyclic": oracles.count_acyclic_orientations,
+            "stable-partitions": oracles.count_stable_partitions,
+            "unique-sink": oracles.count_acyclic_unique_sink,
+            "sink-source": oracles.count_acyclic_sink_source,
+        }
+        graph = load_graph(ns.graph)
+        subset = _subset(ns, graph)
+        restricted = graph.restrict(subset)
         source = _graph_input(ns, graph)
-        if name == "colorings":
-            if ns.x is None:
-                raise ValueError("oracle colorings needs --x")
-            if ns.x.denominator != 1 or ns.x < 0:
-                raise ValueError("color count must be a nonnegative integer")
-            run = partial(count_proper_colorings, restricted, int(ns.x), **kwargs)
-            source["x"] = int(ns.x)
-        elif name == "acyclic":
-            run = partial(count_acyclic_orientations, restricted, **kwargs)
-        elif name == "stable-partitions":
-            run = partial(count_stable_partitions, restricted, **kwargs)
-        elif name == "unique-sink":
-            if ns.sink is None:
-                raise ValueError("oracle unique-sink needs --sink")
-            run = partial(count_acyclic_unique_sink, restricted, ns.sink, **kwargs)
-            source["sink"] = ns.sink
-        else:  # sink-source; the parser admits no other name
-            if ns.source is None or ns.sink is None:
-                raise ValueError("oracle sink-source needs --source and --sink")
-            run = partial(count_acyclic_sink_source, restricted, ns.source, ns.sink, **kwargs)
-            source.update(source=ns.source, sink=ns.sink)
-    _warn_cap(ns.cap, ORACLES[name])  # after the usage checks above
+        args = []
+        for flag in flags:  # echoed in the graph file's terms, passed in the subgraph's
+            value = getattr(ns, flag)
+            if flag == "x":  # the color count
+                if value.denominator != 1 or value < 0:
+                    raise ValueError("color count must be a nonnegative integer")
+                value = arg = int(value)
+            elif value < 0 or not subset >> value & 1:  # a vertex, in the graph file's labels
+                raise ValueError(f"--{flag} {value} is not a vertex of subset {subset}")
+            else:  # the subgraph numbers the subset's vertices 0, 1, ... in order
+                arg = (subset & ((1 << value) - 1)).bit_count()
+            source[flag] = value
+            args.append(arg)
+        run = partial(counts[name], restricted, *args, **kwargs)
+    _warn_cap(ns.cap, stages)  # after the usage checks above
     count = run()
     return {
         "command": "oracle",

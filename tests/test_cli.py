@@ -416,9 +416,63 @@ def test_oracle_sink_source_requires_adjacency(capsys):
     assert "adjacent" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # the subset {1, 2} of the path 0-1-2 is one edge: sink 2 takes it
+        (("unique-sink", "--graph", f"{GRAPHS}/p3.txt", "--subset", "6", "--sink", "2"), 1),
+        (("sink-source", "--graph", f"{GRAPHS}/k3.txt", "--subset", "6", "--source", "1", "--sink", "2"), 1),
+        (
+            ("unique-sink", "--graph", f"{GRAPHS}/k3.txt", "--subset", "6", "--sink", "0"),
+            "error: --sink 0 is not a vertex of subset 6\n",
+        ),
+        (
+            ("sink-source", "--graph", f"{GRAPHS}/k3.txt", "--subset", "6", "--source", "0", "--sink", "2"),
+            "error: --source 0 is not a vertex of subset 6\n",
+        ),
+    ],
+)
+def test_oracle_vertices_are_graph_file_labels_inside_the_subset(capsys, argv, expected):
+    status, out, err = run_cli(capsys, "oracle", *argv)
+    if isinstance(expected, str):
+        assert status == 2 and out == "" and err == expected
+    else:
+        assert status == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["result"]["count"] == expected
+        assert payload["input"]["subset"] == 6 and payload["input"]["sink"] == 2
+
+
 def test_oracle_tail_forests(capsys):
     _, out, _ = run_cli(capsys, "oracle", "tail-forests", "--blocks", "2,1", "--k", "1")
     assert json.loads(out)["result"]["count"] == 3
+
+
+# each oracle with every flag it needs: its input flag, then the flags it reads
+_ORACLE_ARGV = {
+    "colorings": ("--graph", f"{GRAPHS}/k3.txt", "--x", "3"),
+    "acyclic": ("--graph", f"{GRAPHS}/k3.txt"),
+    "stable-partitions": ("--graph", f"{GRAPHS}/k3.txt"),
+    "unique-sink": ("--graph", f"{GRAPHS}/k3.txt", "--sink", "0"),
+    "sink-source": ("--graph", f"{GRAPHS}/k3.txt", "--source", "0", "--sink", "1"),
+    "tail-forests": ("--blocks", "2,1", "--k", "1"),
+}
+
+
+def test_the_oracle_argv_covers_every_flag_each_oracle_reads():
+    assert list(_ORACLE_ARGV) == list(cli.ORACLES)
+    for name, (_, flags) in cli.ORACLES.items():
+        assert _ORACLE_ARGV[name][2::2] == tuple(f"--{flag}" for flag in flags), name
+
+
+@pytest.mark.parametrize(
+    "name, at", [(name, at) for name, argv in _ORACLE_ARGV.items() for at in range(0, len(argv), 2)]
+)
+def test_an_oracle_missing_a_flag_it_needs_is_a_usage_error(capsys, name, at):
+    argv = _ORACLE_ARGV[name]
+    status, out, err = run_cli(capsys, "oracle", name, *argv[:at], *argv[at + 2 :], "--cap", "1")
+    assert status == 2 and out == ""
+    assert err == f"error: oracle {name!r} needs {argv[at]}\n"
 
 
 def test_abel_command(capsys):
@@ -895,6 +949,27 @@ def test_block_commands_refuse_k_before_the_cap(capsys, argv):
             "check 'stanley' does not read --basis",
         ),
         (("oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt", "--k", "3"), "oracle 'acyclic' does not read --k"),
+        (("oracle", "acyclic", "--graph", f"{GRAPHS}/k3.txt", "--sink", "0"), "oracle 'acyclic' does not read --sink"),
+        (
+            ("oracle", "unique-sink", "--graph", f"{GRAPHS}/k3.txt", "--source", "1", "--sink", "0"),
+            "oracle 'unique-sink' does not read --source",
+        ),
+        (
+            ("oracle", "tail-forests", "--blocks", "2,1", "--k", "1", "--graph", f"{GRAPHS}/k3.txt"),
+            "oracle 'tail-forests' does not read --graph",
+        ),
+        (
+            ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt", "--blocks", "2,1"),
+            "check 'binomial' does not read --blocks",
+        ),
+        (
+            ("verify", "--check", "all", "--graph", f"{GRAPHS}/k3.txt", "--blocks", "2,1"),
+            "check 'all' does not read --blocks",
+        ),
+        (
+            ("verify", "--check", "closed-form", "--blocks", "2,1", "--graph", f"{GRAPHS}/k3.txt"),
+            "check 'closed-form' does not read --graph",
+        ),
     ],
 )
 def test_a_flag_the_check_does_not_read_is_a_usage_error(capsys, argv, refused):
@@ -927,3 +1002,22 @@ def test_a_negative_cap_is_refused_while_parsing(capsys, argv):
     assert status == 2 and out == ""
     assert err.endswith(": error: argument --cap: cap must be nonnegative, got -1\n")
     assert "warning" not in err
+
+
+def _readme_cli_lines() -> list[str]:
+    """The command lines of the README's CLI example block."""
+    text = (Path(GRAPHS).parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("setmaps ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_each_readme_cli_example_prints_one_json_document(capsys, monkeypatch, line):
+    monkeypatch.chdir(Path(GRAPHS).parent)  # its graph paths are relative to the repository
+    status, out, err = run_cli(capsys, *line.split()[1:])
+    assert status == 0 and err == "", line
+    assert isinstance(json.loads(out), dict), line
+
+
+def test_the_readme_cli_block_has_every_command():
+    assert {line.split()[1] for line in _readme_cli_lines()} == set(cli._DISPATCH)

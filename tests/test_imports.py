@@ -93,7 +93,7 @@ def test_no_cap_warning_loads_abel():
         [
             "import setmaps.cli as cli",
             "tables = (cli.GRAPH_CHECKS, cli.BLOCK_CHECKS, cli.ORACLES)",
-            "stages = {stage for table in tables for run in table.values() for stage in run}",
+            "stages = {stage for table in tables for run, _ in table.values() for stage in run}",
             "assert 'tails' in stages",
             "cli._warn_cap(7, stages)",
         ]
