@@ -99,6 +99,12 @@ def rows() -> tuple[Row, ...]:
         Row("oracle unique-sink on the star, sink at the centre", EDGE_ENUM_CAP,
             with_graph(lambda n: [(0, v) for v in range(1, n + 1)], "oracle", "unique-sink", "--sink", "0"),
             lambda out: out["result"]["count"] == 1),
+        # n edges: 2^n - 2 orientations of the cycle C_n are acyclic, and |chi'(1)| = 1 of them has its
+        # only source at 0 and its only sink at 1
+        Row("oracle sink-source on the cycle", EDGE_ENUM_CAP,
+            with_graph(lambda n: [(0, n - 1), *((v, v + 1) for v in range(n - 1))], "oracle", "sink-source",
+                       "--source", "0", "--sink", "1"),
+            lambda out: out["result"]["count"] == 1),
         # 142-146 MiB measured on Python 3.10-3.13
         Row("chromatic table and reads", MAX_GROUND_SIZE, lambda n, _: ["table", str(n)], passes, 200),
     )

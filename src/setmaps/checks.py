@@ -26,14 +26,17 @@ from .graphs import Graph
 from .ring import BELL_ENUM_CAP, BLOCK_SUM_CAP, CapExceeded, SetMap, partitions_of, subsets_of
 from .umbral import LogPolynomials, RisingFactorials
 
-BINOMIAL_CHECK_CAP = 7
+# the grid check sums 3^n subset pairs at (D + 1)^2 points; by the rule that set
+# ring.BLOCK_SUM_CAP, for a cold `verify --check binomial` on G(n, .3) seeded random.Random(1):
+# 5.4 s and 18 MiB at 11, 21 s at 12 (Python 3.11, 2 cores)
+BINOMIAL_CHECK_CAP = 11
 # rising-pairs and stanley count the acyclic orientations of every induced subgraph; by the
 # rule that set ring.BLOCK_SUM_CAP, for a cold run of either on K_n: on K8 1.8 s (stanley) and
 # 2.0 s (rising-pairs), 16 MiB; on K9 18.8 s and 16.8 s (Python 3.11, 2 cores)
 ORIENTATION_TABLE_CAP = 8
-# the stable-count check draws sum_k C(n, k) Bell(k) = Bell(n + 1) partitions, a stable-partition
-# count's work at n + 1 vertices.  Cold at 11: 6.8 s on the edgeless graph, 7.2 s and 17 MiB on
-# G(11, .3) seeded random.Random(1); 37 s edgeless at 12 (Python 3.11, 2 cores)
+# the stable-count check walks up to sum_k C(n, k) Bell(k) = Bell(n + 1) stable splits, a stable-
+# partition count's work at n + 1 vertices.  Cold at 11: 2.4 s and 17 MiB on the edgeless graph,
+# 0.3 s on G(11, .3) seeded random.Random(1); 10.8 s edgeless at 12 (Python 3.11, 2 cores)
 STABLE_COUNT_CAP = BELL_ENUM_CAP - 1
 # without --basis, the CLI's `expansion` check runs one expansion per standard
 # basis, eight in all, so it gets a cap of its own by the rule that set
@@ -134,8 +137,10 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
     base = p.map_values(lambda q: q(x0))
     target = p.map_values(lambda q: q(x0 * y0))
     power = base
-    for _ in range(y0 - 1):
-        power = power * base
+    for bit in bin(y0)[3:]:  # square and multiply from the top bit: at most 2 log2(y0) products
+        power = power * power
+        if bit == "1":
+            power = power * base
     return power == target
 
 

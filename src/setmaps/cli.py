@@ -263,7 +263,7 @@ def _warn_cap(cap: int | None, stages) -> None:
         "pairs": f"subset-pair sums touch {count(f'3^{cap}', lambda: 3**cap)} pairs",
         "power": (
             f"the power check makes {count(f'2*2^{cap}', lambda: 2 * 2**cap)} table evaluations "
-            f"and --k minus 1 set-map products of 2^{cap} int products each"
+            f"and at most 2*log2(--k) set-map products of 2^{cap} int products each"
         ),
         "orientations": (
             f"orientation enumeration over {cap} edges touches up to "

@@ -21,8 +21,13 @@ before the first split.
 
 The counting oracles (proper colorings, acyclic orientations, stable
 partitions, unique-sink and sink-source orientations, per Stanley and
-Greene-Zaslavsky) are deliberately naive enumerations; they exist to
-validate coefficient interpretations, not to be fast.  No engine module
+Greene-Zaslavsky) are deliberately naive enumerations on two walkers;
+they exist to validate coefficient interpretations, not to be fast.
+``_stable_splits`` backtracks over the splits of the vertices into stable
+classes, counting them by class number, for the colorings and the stable
+partitions.  ``_count_acyclic`` backtracks over edge directions, closing
+no directed cycle, and counts the acyclic orientations whose out-lists a
+test accepts, for the three orientation counts.  No engine module
 imports this one at module level: the verifiers in ``checks`` that need
 a count import it when they run, so that ``expand``, the chromatic table
 and the checks that count nothing never compile it.
@@ -32,17 +37,18 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable
 
 from .graphs import CHROMATIC_POLY_CAP, Graph
 from .poly import Poly, interpolate
-from .ring import BELL_ENUM_CAP, CapExceeded, partitions_of
+from .ring import BELL_ENUM_CAP, CapExceeded
 
 # caps the edge enumerations here (spanning subgraphs, acyclic orientations), over edges:
 # the largest count at which a cold `oracle unique-sink --sink 0` on the star K_{1,m}, whose
-# 2^m orientations are all acyclic, ran within 10 s and 512 MiB (6.9 s and 16 MiB at 19 edges,
-# 13.7 s at 20; Python 3.11, 2 cores)
-EDGE_ENUM_CAP = 19
+# 2^m orientations are all acyclic, ran within 10 s and 512 MiB (5.0-5.6 s and 16 MiB at 20 edges).
+# At 21, `sink-source` on C21 took 7.5 s, and `subgraph_expansion`, 6.9-7.3 s in process at 20
+# edges, would take about 15 s (Python 3.11, 2 cores)
+EDGE_ENUM_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -143,41 +149,47 @@ def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:
     return Poly(coeff)
 
 
-def count_proper_colorings(graph: Graph, colors: int, cap: int = BELL_ENUM_CAP) -> int:
-    """Number of proper colorings with the given color count, by backtracking.
+def _stable_splits(graph: Graph, most: int, cap: int, what: str) -> list[int]:
+    """Splits of the vertices into at most ``most`` stable classes, counted by class number.
 
-    Colors are handed out in first-use order: each vertex joins a color
-    class holding none of its earlier neighbors, or opens the next class.
-    A split into k classes is then colored in colors * (colors - 1) * ...
-    * (colors - k + 1) ways, one per choice of distinct colors.  There are
-    up to Bell(n) splits, so the vertex count is capped.
+    Each vertex joins a class holding none of its earlier neighbors, or opens
+    the next; there are up to Bell(n) splits, so ``what`` is refused past ``cap``.
     """
-    if colors < 0:
-        raise ValueError("color count must be nonnegative")
     n = graph.n
     if n > cap:
-        raise CapExceeded(f"coloring count over {n} vertices exceeds cap {cap}")
+        raise CapExceeded(f"{what} over {n} vertices exceeds cap {cap}")
     earlier = [0] * n  # bitmask of each vertex's lower-numbered neighbors
     for u, v in graph.edges:
         earlier[v] |= 1 << u
     classes: list[int] = []
+    splits = [0] * (n + 1)
 
-    def rec(v: int) -> int:
+    def rec(v: int) -> None:
         if v == n:
-            return math.perm(colors, len(classes))
-        total = 0
+            splits[len(classes)] += 1
+            return
         for i, members in enumerate(classes):
             if not members & earlier[v]:
                 classes[i] = members | 1 << v
-                total += rec(v + 1)
+                rec(v + 1)
                 classes[i] = members
-        if len(classes) < colors:
+        if len(classes) < most:
             classes.append(1 << v)
-            total += rec(v + 1)
+            rec(v + 1)
             classes.pop()
-        return total
 
-    return rec(0)
+    rec(0)
+    return splits
+
+
+def count_proper_colorings(graph: Graph, colors: int, cap: int = BELL_ENUM_CAP) -> int:
+    """Number of proper colorings with the given color count: a split into k
+    stable classes takes colors * (colors - 1) * ... * (colors - k + 1) of them,
+    and no split opens more classes than there are colors."""
+    if colors < 0:
+        raise ValueError("color count must be nonnegative")
+    splits = _stable_splits(graph, colors, cap, "coloring count")
+    return sum(math.perm(colors, k) * count for k, count in enumerate(splits))
 
 
 def chromatic_by_interpolation(graph: Graph) -> Poly:
@@ -191,8 +203,8 @@ def chromatic_by_interpolation(graph: Graph) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def acyclic_orientations(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Iterator[tuple]:
-    """Yield each acyclic orientation as a tuple of directed (source, target) pairs.
+def _count_acyclic(graph: Graph, cap: int, keep: Callable[[list[list[int]]], bool]) -> int:
+    """Number of acyclic orientations whose out-lists ``keep`` accepts.
 
     Backtracks over edges, rejecting a direction as soon as it would close
     a directed cycle, so only acyclic prefixes are ever extended.
@@ -201,13 +213,11 @@ def acyclic_orientations(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Iterator[tup
     if m > cap:
         raise CapExceeded(f"orientation enumeration over {m} edges exceeds cap {cap}")
     succ: list[list[int]] = [[] for _ in range(graph.n)]
-    chosen: list[tuple[int, int]] = []
 
     def reaches(src: int, dst: int) -> bool:
         if src == dst:
             return True
-        stack = [src]
-        seen = {src}
+        stack, seen = [src], {src}
         while stack:
             w = stack.pop()
             for nxt in succ[w]:
@@ -218,36 +228,24 @@ def acyclic_orientations(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Iterator[tup
                     stack.append(nxt)
         return False
 
-    def rec(i: int) -> Iterator[tuple]:
+    def rec(i: int) -> int:
         if i == m:
-            yield tuple(chosen)
-            return
+            return 1 if keep(succ) else 0
         u, v = graph.edges[i]
+        total = 0
         for s, t in ((u, v), (v, u)):
             if not reaches(t, s):
                 succ[s].append(t)
-                chosen.append((s, t))
-                yield from rec(i + 1)
+                total += rec(i + 1)
                 succ[s].pop()
-                chosen.pop()
+        return total
 
     return rec(0)
 
 
 def count_acyclic_orientations(graph: Graph, cap: int = EDGE_ENUM_CAP) -> int:
     """Number of acyclic orientations; equals (-1)^n chi(-1) (Stanley)."""
-    return sum(1 for _ in acyclic_orientations(graph, cap))
-
-
-def _sinks_and_sources(n: int, orientation: tuple) -> tuple[list[int], list[int]]:
-    outdeg = [0] * n
-    indeg = [0] * n
-    for s, t in orientation:
-        outdeg[s] += 1
-        indeg[t] += 1
-    sinks = [w for w in range(n) if outdeg[w] == 0]
-    sources = [w for w in range(n) if indeg[w] == 0]
-    return sinks, sources
+    return _count_acyclic(graph, cap, lambda succ: True)
 
 
 def count_acyclic_unique_sink(graph: Graph, sink: int, cap: int = EDGE_ENUM_CAP) -> int:
@@ -258,12 +256,7 @@ def count_acyclic_unique_sink(graph: Graph, sink: int, cap: int = EDGE_ENUM_CAP)
     """
     if not 0 <= sink < graph.n:
         raise ValueError(f"vertex {sink} outside range 0..{graph.n - 1}")
-    total = 0
-    for orientation in acyclic_orientations(graph, cap):
-        sinks, _ = _sinks_and_sources(graph.n, orientation)
-        if sinks == [sink]:
-            total += 1
-    return total
+    return _count_acyclic(graph, cap, lambda succ: [w for w, out in enumerate(succ) if not out] == [sink])
 
 
 def count_acyclic_sink_source(graph: Graph, source: int, sink: int, cap: int = EDGE_ENUM_CAP) -> int:
@@ -283,31 +276,14 @@ def count_acyclic_sink_source(graph: Graph, source: int, sink: int, cap: int = E
         raise ValueError("the source and the sink are not adjacent")
     if 0 in graph.degrees():
         raise ValueError("sink-source counting requires no isolated vertices")
-    total = 0
-    for orientation in acyclic_orientations(graph, cap):
-        sinks, sources = _sinks_and_sources(graph.n, orientation)
-        if sinks == [sink] and sources == [source]:
-            total += 1
-    return total
 
+    def keep(succ: list[list[int]]) -> bool:  # sources are read only where the sink is right
+        sinks = [w for w, out in enumerate(succ) if not out]
+        return sinks == [sink] and set(range(graph.n)).difference(*succ) == {source}
 
-def _edgeless_table(graph: Graph) -> list[bool]:
-    table = [True] * (1 << graph.n)
-    for u, v in graph.edges:
-        pair = (1 << u) | (1 << v)
-        for S in range(1 << graph.n):
-            if S & pair == pair:
-                table[S] = False
-    return table
+    return _count_acyclic(graph, cap, keep)
 
 
 def count_stable_partitions(graph: Graph, cap: int = BELL_ENUM_CAP) -> int:
     """Number of vertex partitions all of whose blocks induce no edges."""
-    if graph.n > cap:
-        raise CapExceeded(f"stable-partition counting over {graph.n} vertices exceeds cap {cap}")
-    stable = _edgeless_table(graph)
-    total = 0
-    for sigma in partitions_of(graph.vertex_mask):
-        if all(stable[block] for block in sigma):
-            total += 1
-    return total
+    return sum(_stable_splits(graph, graph.n, cap, "stable-partition counting"))

@@ -54,10 +54,6 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
         if k < 0:
             raise ValueError("exponent must be nonnegative")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -137,8 +138,10 @@ def test_verify_failure_exit_code_via_fault_injection(capsys, monkeypatch):
     assert payload["checks"][0]["pass"] is False
 
 
-def test_verify_cap_exceeded_exit_code(capsys):
-    status, _, err = run_cli(capsys, "verify", "--check", "binomial", "--graph", f"{GRAPHS}/c8.txt")
+def test_verify_cap_exceeded_exit_code(capsys, tmp_path):
+    path = tmp_path / "c12.txt"  # one vertex past the binomial cap of 11
+    path.write_text(Graph.cycle(12).to_text())
+    status, _, err = run_cli(capsys, "verify", "--check", "binomial", "--graph", str(path))
     assert status == 3
     assert "cap" in err
 
@@ -562,9 +565,8 @@ def test_verify_all_builds_one_shared_table(capsys, monkeypatch):
 
 
 def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_path):
-    # with the binomial cap, the smallest, raised to 9, a 9-cycle passes the first
-    # check's cap and meets the orientation checks' cap of 8
-    monkeypatch.setattr(checks, "BINOMIAL_CHECK_CAP", 9)
+    # a 9-cycle passes the first check's cap, the binomial cap of 11, and meets the
+    # orientation checks' cap of 8
     path = tmp_path / "c9.txt"
     path.write_text(Graph.cycle(9).to_text())
     sizes = spy_on_tables(monkeypatch)
@@ -655,6 +657,14 @@ def test_power_check_takes_the_kernel_cap(capsys, monkeypatch, tmp_path):
     assert sizes == []
 
 
+def test_power_check_takes_a_large_k_in_few_products(capsys):
+    start = time.perf_counter()
+    status, out, _ = run_cli(capsys, "verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt", "--k", "1000000")
+    assert time.perf_counter() - start < 1.0  # 25 set-map products, not 999999
+    assert status == 0
+    assert json.loads(out)["checks"] == [{"name": "power x0=2 y0=1000000", "pass": True}]
+
+
 def test_cap_reaches_the_tail_forest_enumeration(capsys):
     # 8 blocks, one over the cap; k = 6 and 7 keep the raised runs small
     blocks = ("--blocks", "1,1,1,1,1,1,1,1")
@@ -693,7 +703,7 @@ def test_verify_builds_the_table_over_the_subset_only(capsys, monkeypatch):
 
 
 def test_verify_all_on_a_subset_within_every_cap(capsys):
-    # 6 of c8's 8 vertices: the 8-vertex table would exceed the binomial cap of 7
+    # 6 of c8's 8 vertices, within every check's cap
     status, out, _ = run_cli(
         capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/c8.txt", "--subset", "63"
     )
@@ -725,7 +735,7 @@ def test_closed_stdout_exits_cleanly():
 @pytest.mark.parametrize(
     "graph, extra",
     [
-        (Graph.cycle(9), ("--basis", "nope")),  # over the binomial and orientation caps
+        (Graph.cycle(9), ("--basis", "nope")),  # over the orientation caps
         (Graph.complete(7), ("--cap", "6", "--x", "0")),  # over every check's lowered cap
         (Graph.complete(6), ("--cap", "6", "--k", "0")),
     ],
@@ -809,7 +819,7 @@ _STABLE_COUNTS = "the stable-count check enumerates the set partitions of every 
 _BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
 _PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
 _POWER = (
-    "the power check makes 2*2^7 = 256 table evaluations and --k minus 1 set-map products"
+    "the power check makes 2*2^7 = 256 table evaluations and at most 2*log2(--k) set-map products"
     " of 2^7 int products each"
 )
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from setmaps.algebra import compose
 from setmaps.checks import (
+    BINOMIAL_CHECK_CAP,
     check_binomial_type,
     verify_power_identity,
     verify_rising_orientation_pairs,
@@ -64,7 +65,7 @@ def test_perturbed_power_map_is_not_binomial_type():
 
 def test_binomial_check_cap():
     with pytest.raises(CapExceeded):
-        check_binomial_type(monomial_type_map(8))
+        check_binomial_type(monomial_type_map(BINOMIAL_CHECK_CAP + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +427,17 @@ def test_power_identity_rejects_one_perturbed_value(x0):
     table[0b10110] = table[0b10110] + Poly.x()
     assert verify_power_identity(p, x0, 2)
     assert not verify_power_identity(SetMap(p.n, table), x0, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 1000, 2**20 - 1])
+def test_power_identity_squares_and_multiplies(monkeypatch, k):
+    products = []
+    mul = SetMap.__mul__
+    monkeypatch.setattr(SetMap, "__mul__", lambda self, other: products.append(k) or mul(self, other))
+    assert verify_power_identity(chromatic_setmap(Graph.cycle(5)), 2, k)
+    # a square per bit under the top one and a product per 1 among them
+    assert len(products) == k.bit_length() - 1 + k.bit_count() - 1
+    assert len(products) <= min(k - 1, 2 * (k.bit_length() - 1))
 
 
 def test_power_identity_cap():

@@ -1,6 +1,7 @@
 """Graphs, chromatic routes, and the combinatorial counting oracles."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,7 @@ from setmaps.oracles import (
     subgraph_expansion,
 )
 from setmaps.poly import Poly, interpolate
-from setmaps.ring import CapExceeded, SetMap
+from setmaps.ring import CapExceeded, SetMap, partitions_of
 
 from _corpus import graphs_on, graphs_through, random_graphs
 
@@ -410,6 +411,28 @@ def test_stanley_evaluation_on_small_corpus():
             assert sign * p[S](-1) == count_acyclic_orientations(g.restrict(S))
 
 
+def stable_splits_by_filter(g: Graph) -> list[int]:
+    """Stable partitions of g by block count, filtered out of every set partition."""
+    splits = [0] * (g.n + 1)
+    for sigma in partitions_of(g.vertex_mask):
+        if all(not (block >> u & 1 and block >> v & 1) for block in sigma for u, v in g.edges):
+            splits[len(sigma)] += 1
+    return splits
+
+
+def test_stable_partitions_and_colorings_match_the_partition_filter():
+    for g in graphs_through(5):
+        splits = stable_splits_by_filter(g)
+        assert count_stable_partitions(g) == sum(splits), g
+        for x in range(g.n + 1):
+            assert count_proper_colorings(g, x) == sum(math.perm(x, k) * s for k, s in enumerate(splits)), (g, x)
+
+
+def test_acyclic_orientations_match_deletion_contraction_at_minus_one():
+    for g in graphs_through(5):
+        assert count_acyclic_orientations(g) == (-1) ** g.n * deletion_contraction(g)(-1), g
+
+
 def test_stable_partition_counts():
     assert count_stable_partitions(Graph.complete(2)) == 1
     assert count_stable_partitions(Graph.edgeless(3)) == 5
@@ -432,9 +455,21 @@ def test_unique_sink_counts():
     assert count_acyclic_unique_sink(Graph.edgeless(2), 0) == 0
 
 
+def connected(g: Graph) -> bool:
+    reached, frontier = {0}, [0]
+    while frontier:
+        w = frontier.pop()
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a == w and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    return len(reached) == g.n
+
+
 def test_unique_sink_matches_derivative_at_zero_on_connected_graphs():
-    candidates = [Graph.complete(3), Graph.path(4), Graph.cycle(4), Graph.cycle(5), Graph.complete(4)]
-    for g in candidates:
+    # Greene-Zaslavsky: (-1)^(n-1) chi'(0) acyclic orientations have their only sink at any given vertex
+    for g in filter(connected, graphs_through(5)):
         derivative = deletion_contraction(g).derivative()(0)
         expected = (-1) ** (g.n - 1) * derivative
         for v in range(g.n):
@@ -452,7 +487,9 @@ def test_sink_source_counts_match_derivative_at_one():
 
 
 def test_sink_source_counts_across_adjacent_pairs():
-    for g in [Graph.complete(4), Graph.cycle(5), Graph.path(4)]:
+    for g in graphs_through(5):
+        if not g.edges or 0 in g.degrees():
+            continue
         expected = abs(deletion_contraction(g).derivative()(1))
         for u, v in g.edges:
             assert count_acyclic_sink_source(g, u, v) == expected

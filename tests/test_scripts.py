@@ -46,7 +46,7 @@ def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
     small = {"verify --check tail-forests": 3, "abel on unit blocks": 5, "chromatic table and reads": 11}
     assert probe.probe([(row, small.get(name, 6)) for name, row in rows.items()]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS ") == len(rows) == 14 and "FAIL" not in out
+    assert out.count("PASS ") == len(rows) == 15 and "FAIL" not in out
     assert "PASS chromatic table and reads at n = 11, answer right: exit 0" in out
     # past a lowered cap the command exits 3 before any work
     chromatic = rows["chromatic on the star, centre 0"]
