@@ -1,43 +1,36 @@
 """Exact checks of the binomial-type identity and of the expansion
-coefficients' combinatorial meaning, each against a brute-force count.
+coefficients' combinatorial meaning, each against a count of its own.
 
 ``check_binomial_type`` tests p_S(x+y) = sum over ordered disjoint (T, U)
-covering S of p_T(x) p_U(y) on a grid that decides it.  The verifiers
-check the coefficient interpretations that need an oracle of their own:
-acyclic-orientation pair counts in the rising basis, stable-partition
-counts in the log basis, Stanley's evaluation at -1, and the integer-power
-identity.  They import those counts from ``oracles`` when they run.  Each
-takes a graph as its whole ground set (restrict it first for a subset)
-next to its chromatic table, and checks its cap before it reads the table.
-A check's cap is the only cap on the work it runs: it passes the cap on to
-the ``expand`` and the oracle it calls.  The power check, whose products
-run on the kernel, takes the kernel's cap, ``ring.BLOCK_SUM_CAP``; the
-checks that enumerate keep smaller ones, each over vertices.  ``expand``
-and a table read never load this module.
+covering S of p_T(x) p_U(y) on a grid that decides it.  The graph
+verifiers check the coefficient interpretations against counts taken from
+the graph on the set-map kernel, never from its chromatic table: acyclic-
+orientation pair counts in the rising basis, stable-partition counts in
+the log basis and Stanley's evaluation at -1.  The counts start from the
+stable-set indicator (``_stable_sets``); the acyclic orientations are the
+inverse of its signed map (``_orientation_counts``).  One more verifier
+checks the integer-power identity.  Each graph verifier takes a graph as
+its whole ground set (restrict it first for a subset) next to its
+chromatic table.  Every verifier checks its cap before it reads the table,
+and that cap is the only cap on the work it runs: it passes the cap on to
+the ``expand`` it calls.  Every verifier runs on the kernel and takes its
+cap, ``ring.BLOCK_SUM_CAP``; the grid check keeps a smaller one.
+``expand`` and a table read never load this module.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .expansions import expand
 from .graphs import Graph
-from .ring import BELL_ENUM_CAP, BLOCK_SUM_CAP, CapExceeded, SetMap, partitions_of, subsets_of
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums, subsets_of
 from .umbral import LogPolynomials, RisingFactorials
 
 # the grid check sums 3^n subset pairs at (D + 1)^2 points; by the rule that set
 # ring.BLOCK_SUM_CAP, for a cold `verify --check binomial` on G(n, .3) seeded random.Random(1):
 # 5.4 s and 18 MiB at 11, 21 s at 12 (Python 3.11, 2 cores)
 BINOMIAL_CHECK_CAP = 11
-# rising-pairs and stanley count the acyclic orientations of every induced subgraph; by the
-# rule that set ring.BLOCK_SUM_CAP, for a cold run of either on K_n: on K8 1.8 s (stanley) and
-# 2.0 s (rising-pairs), 16 MiB; on K9 18.8 s and 16.8 s (Python 3.11, 2 cores)
-ORIENTATION_TABLE_CAP = 8
-# the stable-count check walks up to sum_k C(n, k) Bell(k) = Bell(n + 1) stable splits, a stable-
-# partition count's work at n + 1 vertices.  Cold at 11: 2.4 s and 17 MiB on the edgeless graph,
-# 0.3 s on G(11, .3) seeded random.Random(1); 10.8 s edgeless at 12 (Python 3.11, 2 cores)
-STABLE_COUNT_CAP = BELL_ENUM_CAP - 1
 # without --basis, the CLI's `expansion` check runs one expansion per standard
 # basis, eight in all, so it gets a cap of its own by the rule that set
 # ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB for a cold
@@ -70,53 +63,58 @@ def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
     return True
 
 
-def _orientation_table(graph: Graph) -> dict[int, int]:
-    """The acyclic-orientation count of every induced subgraph, by vertex mask, under
-    the graph's edge count: the vertex cap bounds the graph, whose edges bound every T's."""
-    from .oracles import count_acyclic_orientations
+def _stable_sets(graph: Graph) -> list[int]:
+    """The indicator of the stable vertex sets, by mask: 1 on the empty set."""
+    stable = [1]
+    for v in range(graph.n):  # the masks with v are the ones without it, joined by v
+        lower = sum(1 << u for u, w in graph.edges if w == v)
+        stable += [s if not T & lower else 0 for T, s in enumerate(stable)]
+    return stable
 
-    m = graph.edge_count
-    return {T: count_acyclic_orientations(graph.restrict(T), m) for T in subsets_of(graph.vertex_mask)}
+
+def _orientation_counts(graph: Graph) -> tuple:
+    """The acyclic-orientation count of every induced subgraph, by mask: the inverse
+    of T -> (-1)^|T| [T stable], which is the sink recurrence AO(S) = sum over the
+    nonempty stable I in S of (-1)^(|I|+1) AO(S - I)."""
+    signed = [-s if T.bit_count() % 2 else s for T, s in enumerate(_stable_sets(graph))]
+    return SetMap(graph.n, signed).inverse().table
 
 
-def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = ORIENTATION_TABLE_CAP) -> bool:
+def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_CAP) -> bool:
     """Check the rising-factorial coefficients against orientation-pair counts.
 
     Writing chi_S = sum_k c_k x(x+1)...(x+k-1), the claim (Brenti's) is
     that (-1)^(|S|-k) c_k counts pairs (sigma, alpha) with sigma a k-block
     partition of S and alpha an acyclic orientation of the edges lying
-    inside blocks of sigma.  The pair side is brute-forced: orientations
-    of the within-block graph factor over blocks.  ``p`` is the chromatic
-    table of ``graph``.
+    inside blocks of sigma.  Orientations of the within-block graph factor
+    over blocks, so the pairs are the block sums of the orientation counts.
+    ``p`` is the chromatic table of ``graph``.
     """
     if graph.n > cap:
         raise CapExceeded(f"orientation-pair verification over {graph.n} vertices exceeds cap {cap}")
     coeffs = expand(p, RisingFactorials(), cap).by_length()
-    orientations = _orientation_table(graph)
-    counts = [0] * (graph.n + 1)
-    for sigma in partitions_of(graph.vertex_mask):
-        counts[len(sigma)] += math.prod(orientations[block] for block in sigma)
+    counts = full_block_sums(_orientation_counts(graph))
     return all((-1) ** (graph.n - k) * coeffs[k] == counts[k] for k in range(graph.n + 1))
 
 
-def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = STABLE_COUNT_CAP) -> bool:
+def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_CAP) -> bool:
     """Check the log-basis expansion with stable-partition-count coefficients.
 
     Verifies, on the chromatic table ``p`` of ``graph``, that the basis
-    functional B gives s_T = B chi_T, the brute-force stable-partition
-    count of the induced subgraph, for every nonempty T, and that
-    chi_S = sum over sigma of b_len(x) * prod s_T.
+    functional B gives s_T = B chi_T, the stable-partition count of the
+    induced subgraph (the block sums of the stable-set indicator), for every
+    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T.
     B chi of the empty set is 0 by linearity, while the empty set has one
     empty stable partition, so the empty set is skipped.
     """
-    from .oracles import count_stable_partitions
+    from .algebra import block_sums
 
     if graph.n > cap:
         raise CapExceeded(f"stable-count verification over {graph.n} vertices exceeds cap {cap}")
     exp = expand(p, LogPolynomials(), cap)
-    for T in subsets_of(graph.vertex_mask):
-        if T and exp.coeffs[T] != count_stable_partitions(graph.restrict(T), cap):
-            return False
+    counts = block_sums(_stable_sets(graph))
+    if any(exp.coeffs[T] != sum(counts[T]) for T in range(1, 1 << graph.n)):
+        return False
     return exp.reconstruct() == p[graph.vertex_mask]
 
 
@@ -144,11 +142,10 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
     return power == target
 
 
-def verify_stanley_evaluation(graph: Graph, p: SetMap, cap: int = ORIENTATION_TABLE_CAP) -> bool:
+def verify_stanley_evaluation(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_CAP) -> bool:
     """Check (-1)^|S| chi_S(-1) = number of acyclic orientations, per subset,
     on the chromatic table ``p`` of ``graph``."""
     if graph.n > cap:
         raise CapExceeded(f"Stanley evaluation over {graph.n} vertices exceeds cap {cap}")
-    return all(
-        (-1) ** T.bit_count() * p[T](-1) == count for T, count in _orientation_table(graph).items()
-    )
+    counts = _orientation_counts(graph)
+    return all((-1) ** T.bit_count() * p[T](-1) == counts[T] for T in range(1 << graph.n))

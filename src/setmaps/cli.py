@@ -34,9 +34,9 @@ time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
 the graph oracles add ``oracles``; ``expand`` adds ``umbral`` and
 ``expansions``.  The graph checks load those and ``checks``, and the
 checks that count orientations or stable partitions (``rising-pairs``,
-``stable-counts``, ``stanley``) add ``oracles`` when they run.  The block
+``stable-counts``, ``stanley``) add ``algebra``, the composition behind
+``SetMap.inverse``, when they run.  No check loads ``oracles``.  The block
 checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``.
-No command loads ``algebra``, the composition behind ``SetMap.inverse``.
 A ``--cap`` warning loads no engine module beyond ``ring``: it prices
 each stage from the override alone.
 
@@ -53,8 +53,8 @@ of the graph file, inside ``--subset``.  A negative ``--cap`` is refused
 while parsing.  A command prints that warning
 after its own usage checks and before its first cap.  A check's cap, or
 its ``--cap`` override, governs every stage the check runs.  ``expand``
-and the checks on the block-sum kernel (the expansion checks and
-``power``, whose set-map products run on it) share its cap,
+and the checks on the block-sum kernel (all but ``binomial``: ``power``
+and the counting checks run set-map products on it) share its cap,
 ``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
 ``--basis``, which runs the kernel once per standard basis and has a cap
 of its own, ``checks.EXPANSION_CHECK_CAP``.  Every graph check caps
@@ -77,13 +77,13 @@ _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
     "binomial": (("pairs",), ()),
     "expansion": ((*_EXPANSION, "bases"), ("basis",)),
-    "rising-pairs": (("orientation-table", "partitions"), ()),
+    "rising-pairs": (_EXPANSION, ()),
     "abel-one": (_EXPANSION, ()),
-    "stable-counts": (("stable-counts",), ()),
+    "stable-counts": (_EXPANSION, ()),
     "derivative": (_EXPANSION, ("x",)),
     "evaluation": (_EXPANSION, ("x",)),
     "power": (("power",), ("x", "k")),
-    "stanley": (("orientation-table",), ()),
+    "stanley": (_EXPANSION, ()),
 }
 BLOCK_CHECKS = {
     "closed-form": (("kernel",), ()),
@@ -227,8 +227,6 @@ def _warn_cap(cap: int | None, stages) -> None:
     """Price a cap override by the work of each stage it governs."""
     if cap is None:
         return
-    import math
-
     from .ring import bell_number
 
     def count(form: str, value) -> str:
@@ -245,20 +243,9 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
         ),
         "bases": "the expansion check runs that kernel once per basis, eight times without --basis",
-        # each acyclic orientation of k vertices comes from one of the k! vertex orders
-        "orientation-table": (
-            f"the orientation table counts the acyclic orientations of "
-            f"{count(f'2^{cap}', lambda: 2**cap)} induced subgraphs, up to "
-            f"{count(f'{cap}!', lambda: math.factorial(cap))} each"
-        ),
         "partitions": (
             f"a partition oracle enumerates "
             f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
-        ),
-        # sum_k C(N, k) Bell(k) = Bell(N + 1): the stable partitions of every induced subgraph
-        "stable-counts": (
-            f"the stable-count check enumerates the set partitions of every induced subgraph, "
-            f"{count(f'Bell({cap + 1})', lambda: bell_number(cap + 1))} in all"
         ),
         "pairs": f"subset-pair sums touch {count(f'3^{cap}', lambda: 3**cap)} pairs",
         "power": (

@@ -37,8 +37,6 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     from .checks import (
         BINOMIAL_CHECK_CAP,
         EXPANSION_CHECK_CAP,
-        ORIENTATION_TABLE_CAP,
-        STABLE_COUNT_CAP,
         check_binomial_type,
         verify_power_identity,
         verify_rising_orientation_pairs,
@@ -68,31 +66,30 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check][0]})
-    # one row per graph check: its default cap, over the vertex count, and its
-    # labelled runs on the shared table p
+    # one row per graph check: its labelled runs on the shared table p
     rows = {
-        "binomial": (BINOMIAL_CHECK_CAP, lambda p, cap: {"binomial-type": check_binomial_type(p, cap)}),
-        "power": (
-            BLOCK_SUM_CAP,
-            lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
-        ),
+        "binomial": lambda p, cap: {"binomial-type": check_binomial_type(p, cap)},
+        "power": lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
     }
-    for check, default, verify in (  # the checks against counts of the graph's own
-        ("rising-pairs", ORIENTATION_TABLE_CAP, verify_rising_orientation_pairs),
-        ("stable-counts", STABLE_COUNT_CAP, verify_stable_count_expansion),
-        ("stanley", ORIENTATION_TABLE_CAP, verify_stanley_evaluation),
+    for check, verify in (  # the checks against counts of the graph's own
+        ("rising-pairs", verify_rising_orientation_pairs),
+        ("stable-counts", verify_stable_count_expansion),
+        ("stanley", verify_stanley_evaluation),
     ):
-        rows[check] = (default, lambda p, cap, check=check, verify=verify: {check: verify(graph, p, cap)})
+        rows[check] = lambda p, cap, check=check, verify=verify: {check: verify(graph, p, cap)}
     for check, pairs in bases.items():  # the expansion checks share one run
-        rows[check] = (
-            # several bases are several kernel runs, under the expansion check's cap
-            EXPANSION_CHECK_CAP if len(pairs) > 1 else BLOCK_SUM_CAP,
-            lambda p, cap, pairs=pairs: {label: expansion_reconstructs(p, f, cap) for label, f in pairs},
-        )
+        rows[check] = lambda p, cap, pairs=pairs: {
+            label: expansion_reconstructs(p, f, cap) for label, f in pairs
+        }
+    # every other check runs on the kernel, under its cap, over the vertex count;
+    # several bases are several kernel runs, under the expansion check's cap
+    caps = {"binomial": BINOMIAL_CHECK_CAP}
+    if len(bases.get("expansion", ())) > 1:
+        caps["expansion"] = EXPANSION_CHECK_CAP
     runs = []
     for check in selected:
-        default, run = rows[check]
-        cap = default if ns.cap is None else ns.cap
+        run = rows[check]
+        cap = caps.get(check, BLOCK_SUM_CAP) if ns.cap is None else ns.cap
         if graph.n > cap:
             raise CapExceeded(f"{check} check over {graph.n} vertices exceeds cap {cap}")
         runs.append((run, cap))

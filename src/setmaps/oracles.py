@@ -28,9 +28,10 @@ classes, counting them by class number, for the colorings and the stable
 partitions.  ``_count_acyclic`` backtracks over edge directions, closing
 no directed cycle, and counts the acyclic orientations whose out-lists a
 test accepts, for the three orientation counts.  No engine module
-imports this one at module level: the verifiers in ``checks`` that need
-a count import it when they run, so that ``expand``, the chromatic table
-and the checks that count nothing never compile it.
+imports this one: the ``oracle`` command imports it when it runs, and the
+tests read it as the reference for the counts the verifiers in ``checks``
+take from the kernel, so that ``expand``, the chromatic table and the
+checks never compile it.
 """
 
 from __future__ import annotations
@@ -41,13 +42,18 @@ from collections.abc import Callable
 
 from .graphs import CHROMATIC_POLY_CAP, Graph
 from .poly import Poly, interpolate
-from .ring import BELL_ENUM_CAP, CapExceeded
+from .ring import CapExceeded
+
+# the vertex cap of the oracles that backtrack over the Bell(n) splits of n vertices into
+# stable classes, by the rule that set ring.BLOCK_SUM_CAP: a cold `oracle stable-partitions`
+# on the edgeless graph took 2.0 s and 16 MiB at 12 vertices, 9.5 s at 13 (Python 3.11, 2 cores)
+BELL_ENUM_CAP = 12
 
 # caps the edge enumerations here (spanning subgraphs, acyclic orientations), over edges:
 # the largest count at which a cold `oracle unique-sink --sink 0` on the star K_{1,m}, whose
 # 2^m orientations are all acyclic, ran within 10 s and 512 MiB (5.0-5.6 s and 16 MiB at 20 edges).
-# At 21, `sink-source` on C21 took 7.5 s, and `subgraph_expansion`, 6.9-7.3 s in process at 20
-# edges, would take about 15 s (Python 3.11, 2 cores)
+# At 21, `sink-source` on C21 took 7.5 s.  `subgraph_expansion` took 0.48 s in process on K_{1,20}
+# and 0.97 s on K_{1,21} (Python 3.11, 2 cores)
 EDGE_ENUM_CAP = 20
 
 
@@ -123,29 +129,35 @@ def subgraph_expansion(graph: Graph, cap: int = EDGE_ENUM_CAP) -> Poly:
     """Signed edge-subset expansion of the chromatic polynomial.
 
     Sums (-1)^(#edges) x^(#components) over all 2^m spanning subgraphs,
-    counting components with union-find.
+    walked depth first, an edge left out or put in at a time.  The
+    components are a union-find parent list, copied only when an edge
+    joins two of them; an edge that closes a cycle is walked both ways.
     """
-    m = len(graph.edges)
+    edges = graph.edges
+    m = len(edges)
     if m > cap:
         raise CapExceeded(f"subgraph expansion over {m} edges exceeds cap {cap}")
     coeff = [0] * (graph.n + 1)
-    for bits in range(1 << m):
-        parent = list(range(graph.n))
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+    def root(parent: list[int], a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
 
-        components = graph.n
-        for i in range(m):
-            if (bits >> i) & 1:
-                ra, rb = find(graph.edges[i][0]), find(graph.edges[i][1])
-                if ra != rb:
-                    parent[ra] = rb
-                    components -= 1
-        coeff[components] += 1 if bits.bit_count() % 2 == 0 else -1
+    def rec(i: int, parent: list[int], components: int, sign: int) -> None:
+        if i == m:
+            coeff[components] += sign
+            return
+        rec(i + 1, parent, components, sign)
+        ru, rv = root(parent, edges[i][0]), root(parent, edges[i][1])
+        if ru == rv:
+            rec(i + 1, parent, components, -sign)
+        else:
+            joined = parent.copy()
+            joined[ru] = rv
+            rec(i + 1, joined, components - 1, -sign)
+
+    rec(0, list(range(graph.n)), graph.n, 1)
     return Poly(coeff)
 
 

@@ -12,7 +12,7 @@ reads the same transform at the full set alone, the partition sums of
 ``expand`` and the Abel closed form.  Composition, which reads every mask
 (``block_sums``), and the inverse, decomposition and recovery built on it
 live in ``algebra``, which a process loads only when it composes.  All
-arithmetic is exact (Fraction or int).
+arithmetic is exact (Fraction or int); the kernel refuses other values.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def subsets_of(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-# the vertex cap of the oracles that draw, or backtrack over, the Bell(n) partitions of n
-# vertices, by the rule that set BLOCK_SUM_CAP: a cold `oracle stable-partitions` on the
-# edgeless graph took 2.0 s and 16 MiB at 12 vertices, 9.5 s at 13 (Python 3.11, 2 cores)
-BELL_ENUM_CAP = 12
 
 
 def partitions_of(mask: int) -> Iterator[tuple[int, ...]]:
@@ -190,8 +184,9 @@ class SetMap:
         if not isinstance(other, SetMap):
             return NotImplemented
         self._same_ground(other)
-        # lam^0 cannot clear a denominator on the empty set, so clear it first
-        c, d = self.table[0].denominator, other.table[0].denominator
+        # lam^0 cannot clear a denominator on the empty set, so clear it first;
+        # _packed refuses a value that has none
+        c, d = (getattr(t[0], "denominator", 1) for t in (self.table, other.table))
         tables = [t if e == 1 else [x * e for x in t] for t, e in ((self.table, c), (other.table, d))]
         n, w, mask, lam, ranks, (g, h) = _packed(tables, 2)
         layer = _transform([a * b & mask for a, b in zip(g, h)], operator.sub)
@@ -247,9 +242,12 @@ def _packed(tables, k: int | None = None) -> tuple:
     for _ in range(n):
         ranks += [r + 1 for r in ranks]
     lam, by_rank = 1, [1] * (n + 1)
-    for table in tables:
-        for x, r in zip(table, ranks):
-            by_rank[r] = math.lcm(by_rank[r], x.denominator)
+    try:
+        for table in tables:
+            for x, r in zip(table, ranks):
+                by_rank[r] = math.lcm(by_rank[r], x.denominator)
+    except AttributeError:  # a Poly or a float
+        raise TypeError("the kernel takes rational values only; evaluate polynomial values first") from None
     rest = []  # by rank, the part of the denominators' lcm with no prime up to 2^10
     for r, d in enumerate(by_rank):
         p = 2

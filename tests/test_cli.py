@@ -176,7 +176,7 @@ def test_block_partition_sums_are_priced_as_the_kernel(capsys, check):
 @pytest.mark.parametrize(
     "argv, priced",
     [
-        (("verify", "--check", "stable-counts", "--graph", f"{GRAPHS}/c5.txt"), "Bell(8) = 4140"),
+        (("verify", "--check", "stable-counts", "--graph", f"{GRAPHS}/c5.txt"), "2^7*7 = 896 int products"),
         (
             ("verify", "--check", "abel-one", "--graph", f"{GRAPHS}/c5.txt"),
             "(3^7-1)/2 = 1093 (subset, color class) pairs",
@@ -565,14 +565,14 @@ def test_verify_all_builds_one_shared_table(capsys, monkeypatch):
 
 
 def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_path):
-    # a 9-cycle passes the first check's cap, the binomial cap of 11, and meets the
-    # orientation checks' cap of 8
-    path = tmp_path / "c9.txt"
-    path.write_text(Graph.cycle(9).to_text())
+    # a 12-cycle meets the first check's cap, the binomial cap of 11, and passes
+    # the kernel's cap of 17 that the others take
+    path = tmp_path / "c12.txt"
+    path.write_text(Graph.cycle(12).to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", "all", "--graph", str(path))
     assert status == 3
-    assert out == "" and "rising-pairs check over 9 vertices exceeds cap 8" in err
+    assert out == "" and err == "error: binomial check over 12 vertices exceeds cap 11\n"
     assert sizes == []
 
 
@@ -599,35 +599,35 @@ def test_cap_reaches_the_stanley_orientation_enumeration(capsys, tmp_path):
     status, out, err = run_cli(capsys, *argv, "--cap", "5")
     assert status == 0
     assert json.loads(out)["result"]["all_pass"] is True
-    assert "2^5 = 32 induced subgraphs, up to 5! = 120 each" in err
+    assert "2^5*5 = 160 int products" in err
 
 
 def test_stanley_caps_vertices_not_edges(capsys, monkeypatch, tmp_path):
-    # 14 vertices and 20 edges: within the old edge cap of 20, an enumeration of
-    # seconds per induced subgraph; over the vertex cap of 8 before any table
-    pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
-    path = tmp_path / "g14.txt"
-    path.write_text(Graph(14, sorted(random.Random(1).sample(pairs, 20))).to_text())
+    # 18 vertices and 20 edges: within the oracles' edge cap of 20; over the
+    # kernel's vertex cap of 17 before any table
+    pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
+    path = tmp_path / "g18.txt"
+    path.write_text(Graph(18, sorted(random.Random(1).sample(pairs, 20))).to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", "stanley", "--graph", str(path))
     assert status == 3
-    assert out == "" and err == "error: stanley check over 14 vertices exceeds cap 8\n"
+    assert out == "" and err == "error: stanley check over 18 vertices exceeds cap 17\n"
     assert sizes == []
 
 
 @pytest.mark.parametrize("check", ["rising-pairs", "stanley"])
 def test_orientation_checks_share_one_vertex_cap(capsys, monkeypatch, tmp_path, check):
-    path = tmp_path / "c9.txt"
-    path.write_text(Graph.cycle(9).to_text())
+    path = tmp_path / "c18.txt"
+    path.write_text(Graph.cycle(18).to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(path))
     assert status == 3
-    assert out == "" and err == f"error: {check} check over 9 vertices exceeds cap 8\n"
+    assert out == "" and err == f"error: {check} check over 18 vertices exceeds cap 17\n"
     assert sizes == []
 
 
 def test_stable_count_check_admits_nine_vertices(capsys, tmp_path):
-    # over the former cap of 8; the cap is now the Bell cap less one, 11
+    # over the former caps of 8 and 11; the cap is now the kernel's, 17
     path = tmp_path / "g9.txt"
     path.write_text(random_graphs(9, 1, seed=9, p=0.3)[0].to_text())
     status, out, _ = run_cli(capsys, "verify", "--check", "stable-counts", "--graph", str(path))
@@ -636,7 +636,7 @@ def test_stable_count_check_admits_nine_vertices(capsys, tmp_path):
 
 
 def test_cap_reaches_every_stage_of_the_rising_pairs_check(capsys, tmp_path):
-    # K7: the vertex cap of 7 admits 21 edges, over the edge enumeration's 20
+    # K7: the vertex cap of 7 reaches the expansion and the kernel runs, on 21 edges
     path = tmp_path / "k7.txt"
     path.write_text(Graph.complete(7).to_text())
     status, out, _ = run_cli(capsys, "verify", "--check", "rising-pairs", "--graph", str(path), "--cap", "7")
@@ -810,12 +810,6 @@ def test_verify_all_runs_every_graph_check_in_order(capsys, extra, a, x0, y0):
 _TABLE = "the chromatic table sums over at most (3^7-1)/2 = 1093 (subset, color class) pairs"
 _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
-_ORIENTATION_TABLE = (
-    "the orientation table counts the acyclic orientations of 2^7 = 128 induced subgraphs,"
-    " up to 7! = 5040 each"
-)
-# sum_k C(7, k) Bell(k) = Bell(8): every induced subgraph's partitions
-_STABLE_COUNTS = "the stable-count check enumerates the set partitions of every induced subgraph, Bell(8) = 4140 in all"
 _BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
 _PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
 _POWER = (
@@ -835,17 +829,14 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
         (("verify", "--check", "binomial", *_C5), (_PAIRS,)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
-        (("verify", "--check", "rising-pairs", *_C5), (_ORIENTATION_TABLE, _PARTITIONS)),
+        (("verify", "--check", "rising-pairs", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
-        (("verify", "--check", "stable-counts", *_C5), (_STABLE_COUNTS,)),
+        (("verify", "--check", "stable-counts", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "derivative", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "power", *_C5), (_POWER,)),
-        (("verify", "--check", "stanley", *_C5), (_ORIENTATION_TABLE,)),
-        (
-            ("verify", "--check", "all", *_C5),
-            (_TABLE, _KERNEL, _BASES, _ORIENTATION_TABLE, _PARTITIONS, _STABLE_COUNTS, _PAIRS, _POWER),
-        ),
+        (("verify", "--check", "stanley", *_C5), (_TABLE, _KERNEL)),
+        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _BASES, _PAIRS, _POWER)),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "tail-forests", *_BLOCKS), (_TAILS,)),

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmaps.algebra import compose
+from setmaps.algebra import block_sums, compose
 from setmaps.checks import (
     BINOMIAL_CHECK_CAP,
+    _orientation_counts,
+    _stable_sets,
     check_binomial_type,
     verify_power_identity,
     verify_rising_orientation_pairs,
@@ -18,7 +20,7 @@ from setmaps.checks import (
 )
 from setmaps.expansions import expand, expansion_reconstructs
 from setmaps.graphs import Graph, chromatic_setmap
-from setmaps.oracles import deletion_contraction
+from setmaps.oracles import count_acyclic_orientations, count_stable_partitions, deletion_contraction
 from setmaps.poly import Poly
 from setmaps.ring import CapExceeded, SetMap, partitions_of
 from setmaps.umbral import (
@@ -331,31 +333,43 @@ def test_stanley_verifier_small_corpus():
         assert with_table(verify_stanley_evaluation, g)
 
 
+def assert_counts_match_the_oracles(g):
+    orientations = _orientation_counts(g)
+    stable = block_sums(_stable_sets(g))
+    for T in range(1 << g.n):
+        induced = g.restrict(T)
+        assert orientations[T] == count_acyclic_orientations(induced), (g, T)
+        assert sum(stable[T]) == count_stable_partitions(induced), (g, T)
+
+
+def test_counting_sides_match_the_oracles_on_small_graphs():
+    for g in graphs_through(5):
+        assert_counts_match_the_oracles(g)
+
+
+@st.composite
+def small_graphs(draw, max_n: int):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=8))
+def test_counting_sides_match_the_oracles(g):
+    assert_counts_match_the_oracles(g)
+
+
 def test_graph_verifiers_check_their_caps_before_reading_the_table():
     # reading the table None would raise TypeError, not CapExceeded
-    with pytest.raises(CapExceeded, match="over 9 vertices exceeds cap 8"):
-        verify_rising_orientation_pairs(Graph.path(9), None)
-    with pytest.raises(CapExceeded, match="over 12 vertices exceeds cap 11"):
-        verify_stable_count_expansion(Graph.path(12), None)
-    with pytest.raises(CapExceeded, match="over 9 vertices exceeds cap 8"):
-        verify_stanley_evaluation(Graph.path(9), None)  # 8 edges: the cap counts vertices
+    with pytest.raises(CapExceeded, match="over 18 vertices exceeds cap 17"):
+        verify_rising_orientation_pairs(Graph.path(18), None)
+    with pytest.raises(CapExceeded, match="over 18 vertices exceeds cap 17"):
+        verify_stable_count_expansion(Graph.path(18), None)
+    with pytest.raises(CapExceeded, match="over 18 vertices exceeds cap 17"):
+        verify_stanley_evaluation(Graph.path(18), None)  # 17 edges: the cap counts vertices
     with pytest.raises(CapExceeded):
         verify_stanley_evaluation(Graph.complete(4), None, cap=3)
-
-
-def test_stable_count_check_hands_its_cap_to_the_oracle(monkeypatch):
-    import setmaps.oracles as oracles
-
-    caps = []
-    count = oracles.count_stable_partitions
-
-    def spy(graph, *cap):
-        caps.append(cap)
-        return count(graph, *cap)
-
-    monkeypatch.setattr(oracles, "count_stable_partitions", spy)
-    assert with_table(verify_stable_count_expansion, Graph.path(3), cap=13)
-    assert caps == [(13,)] * 7  # one call per nonempty subset
 
 
 def test_verifiers_reject_a_corrupted_chromatic_table():

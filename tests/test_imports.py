@@ -121,21 +121,28 @@ def test_graph_checks_do_not_load_abel():
     modules = loaded_after(
         run_main("verify", "--check", "all", "--graph", str(GRAPHS / "c5.txt"))
     )
-    assert "setmaps.abel" not in modules
-    assert "setmaps.oracles" in modules  # the stanley, rising-pairs and stable-counts checks
+    assert not modules & {"setmaps.abel", "setmaps.oracles"}
+    assert "setmaps.algebra" in modules  # the stanley, rising-pairs and stable-counts checks
 
 
 @pytest.mark.parametrize(
     "argv, oracles",
     [
         (("verify", "--check", "binomial", "--graph", str(GRAPHS / "c5.txt")), False),
-        (("verify", "--check", "stanley", "--graph", str(GRAPHS / "c5.txt")), True),
+        (("verify", "--check", "stanley", "--graph", str(GRAPHS / "c5.txt")), False),
         (("oracle", "acyclic", "--graph", str(GRAPHS / "c5.txt")), True),
         (("chromatic", "--graph", str(GRAPHS / "c5.txt")), False),
+        (("verify", "--check", "stable-counts", "--graph", str(GRAPHS / "c5.txt")), False),
     ],
 )
 def test_graph_commands_load_the_oracles_only_to_count(argv, oracles):
     assert ("setmaps.oracles" in loaded_after(run_main(*argv))) == oracles, argv
+
+
+def test_the_expansion_check_loads_neither_the_algebra_nor_the_oracles():
+    modules = loaded_after(run_main("verify", "--check", "expansion", "--graph", str(GRAPHS / "c5.txt")))
+    assert "setmaps.checks" in modules
+    assert not modules & {"setmaps.algebra", "setmaps.oracles"}
 
 
 def module_level_imports(node: ast.AST):

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setmaps.algebra import block_sums, compose, decompose, recover_sequence
+from setmaps.graphs import Graph, chromatic_setmap
+from setmaps.poly import Poly
 from setmaps.ring import (
     SetMap,
     bell_number,
@@ -377,6 +379,44 @@ def test_inverse_two_element_formula(rng):
 def test_inverse_requires_one_at_empty_set():
     with pytest.raises(ValueError, match="value 1"):
         SetMap.constant(2, Fraction(0)).inverse()
+
+
+# a polynomial table and a float table: values the kernel cannot pack exactly
+_POLY = SetMap(2, [Poly((1,)), Poly.x(), Poly.x(), Poly.x() ** 2])
+_FLOAT = SetMap(2, [1.0, 1.5, 2.0, 0.25])
+_NOT_RATIONAL = "rational values only; evaluate polynomial values first"
+
+
+def test_products_refuse_values_that_are_not_rational():
+    c4 = chromatic_setmap(Graph.cycle(4))
+    with pytest.raises(TypeError, match=_NOT_RATIONAL):
+        c4 * c4
+    with pytest.raises(TypeError, match=_NOT_RATIONAL):
+        SetMap(1, [1, 2]) * SetMap(1, [1.5, 2])
+
+
+@pytest.mark.parametrize("table", [_POLY, _FLOAT])
+def test_compose_refuses_values_that_are_not_rational(table):
+    with pytest.raises(TypeError, match=_NOT_RATIONAL):
+        compose([1, 1, 1], table - SetMap.unit(2, table[0]))
+
+
+@pytest.mark.parametrize("table", [_POLY, _FLOAT])
+def test_block_sums_refuse_values_that_are_not_rational(table):
+    with pytest.raises(TypeError, match=_NOT_RATIONAL):
+        block_sums(table.table)
+
+
+@pytest.mark.parametrize("table", [_POLY, _FLOAT])
+def test_full_block_sums_refuse_values_that_are_not_rational(table):
+    with pytest.raises(TypeError, match=_NOT_RATIONAL):
+        full_block_sums(table.table)
+
+
+@pytest.mark.parametrize("table", [_POLY, _FLOAT])
+def test_inverse_refuses_values_that_are_not_rational(table):
+    with pytest.raises(TypeError, match=_NOT_RATIONAL):
+        table.inverse()
 
 
 # ---------------------------------------------------------------------------
