@@ -31,12 +31,6 @@ from .umbral import LogPolynomials, RisingFactorials
 # ring.BLOCK_SUM_CAP, for a cold `verify --check binomial` on G(n, .3) seeded random.Random(1):
 # 5.4 s and 18 MiB at 11, 21 s at 12 (Python 3.11, 2 cores)
 BINOMIAL_CHECK_CAP = 11
-# without --basis, the CLI's `expansion` check runs one expansion per standard
-# basis, eight in all, so it gets a cap of its own by the rule that set
-# ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB for a cold
-# `verify --check expansion` on G(n, .3) seeded random.Random(1) (Python 3.11,
-# 2 cores)
-EXPANSION_CHECK_CAP = 15
 
 
 def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
@@ -48,7 +42,10 @@ def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
     """
     if p.n > cap:
         raise CapExceeded(f"binomial-type check over ground size {p.n} exceeds cap {cap}")
-    degree = max(0, max(v.degree for v in p.table))
+    try:
+        degree = max(0, max(v.degree for v in p.table))
+    except AttributeError:  # a rational or a float value
+        raise TypeError("the binomial-type check takes polynomial values only") from None
     points = range(degree + 1)
     # evals[T][s] = p_T(s) for s in 0..2D, covering both grid axes and x+y
     evals = [[p.table[T](s) for s in range(2 * degree + 1)] for T in range(1 << p.n)]

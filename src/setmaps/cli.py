@@ -55,11 +55,9 @@ after its own usage checks and before its first cap.  A check's cap, or
 its ``--cap`` override, governs every stage the check runs.  ``expand``
 and the checks on the block-sum kernel (all but ``binomial``: ``power``
 and the counting checks run set-map products on it) share its cap,
-``ring.BLOCK_SUM_CAP``, except the ``expansion`` check without
-``--basis``, which runs the kernel once per standard basis and has a cap
-of its own, ``checks.EXPANSION_CHECK_CAP``.  Every graph check caps
-vertices.  ``chromatic`` prints the chromatic table's value at the full
-set of its induced subgraph, and caps that subgraph's vertices at
+``ring.BLOCK_SUM_CAP``.  Every graph check caps vertices.  ``chromatic``
+prints the chromatic table's value at the full set of its induced
+subgraph, and caps that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
 ``abel.ABEL_POLY_CAP``, each before any work.
 """
@@ -75,14 +73,14 @@ import sys
 # --k, --x, --basis, --source and --sink that it reads); any other is a usage error
 _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
-    "binomial": (("pairs",), ()),
+    "binomial": (("table", "pairs"), ()),
     "expansion": ((*_EXPANSION, "bases"), ("basis",)),
     "rising-pairs": (_EXPANSION, ()),
     "abel-one": (_EXPANSION, ()),
     "stable-counts": (_EXPANSION, ()),
     "derivative": (_EXPANSION, ("x",)),
     "evaluation": (_EXPANSION, ("x",)),
-    "power": (("power",), ("x", "k")),
+    "power": (("table", "power"), ("x", "k")),
     "stanley": (_EXPANSION, ()),
 }
 BLOCK_CHECKS = {

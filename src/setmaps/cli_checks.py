@@ -36,7 +36,6 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     """Run the selected checks on ``graph``, already restricted to the subset."""
     from .checks import (
         BINOMIAL_CHECK_CAP,
-        EXPANSION_CHECK_CAP,
         check_binomial_type,
         verify_power_identity,
         verify_rising_orientation_pairs,
@@ -56,9 +55,8 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         "abel-one": [("abel-one", AbelPolynomials(1))],
         "derivative": [(f"derivative a={abel_a.point}", abel_a)],
     }
-    if "expansion" in selected:
-        families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
-        bases["expansion"] = [(f"expansion {f}", f) for f in families]
+    families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
+    bases["expansion"] = [(f"expansion {f}", f) for f in families]
     if "evaluation" in selected:
         falling_a = FallingFactorials(Fraction(1) if ns.x is None else ns.x)
         bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
@@ -81,18 +79,15 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         rows[check] = lambda p, cap, pairs=pairs: {
             label: expansion_reconstructs(p, f, cap) for label, f in pairs
         }
-    # every other check runs on the kernel, under its cap, over the vertex count;
-    # several bases are several kernel runs, under the expansion check's cap
-    caps = {"binomial": BINOMIAL_CHECK_CAP}
-    if len(bases.get("expansion", ())) > 1:
-        caps["expansion"] = EXPANSION_CHECK_CAP
+    # the grid check has a cap of its own; every other check runs on the kernel,
+    # under its cap; each caps the vertex count
     runs = []
     for check in selected:
-        run = rows[check]
-        cap = caps.get(check, BLOCK_SUM_CAP) if ns.cap is None else ns.cap
+        cap = BINOMIAL_CHECK_CAP if check == "binomial" else BLOCK_SUM_CAP
+        cap = cap if ns.cap is None else ns.cap
         if graph.n > cap:
             raise CapExceeded(f"{check} check over {graph.n} vertices exceeds cap {cap}")
-        runs.append((run, cap))
+        runs.append((rows[check], cap))
     # one table, built after every cap above, for every check
     p = chromatic_setmap(graph)
     return [(label, bool(ok)) for run, cap in runs for label, ok in run(p, cap).items()]

@@ -75,7 +75,11 @@ def expand(
         raise ValueError("expansion requires a nontrivial map: empty-set value must be 1")
     if p.n > cap:
         raise CapExceeded(f"expansion over a {p.n}-element subset exceeds cap {cap}")
-    functional = family.delta(max(1, max(q.degree for q in p.table)))
+    try:
+        degree = max(q.degree for q in p.table)
+    except AttributeError:  # a rational or a float value
+        raise TypeError("expansion takes polynomial values only") from None
+    functional = family.delta(max(1, degree))
     coeffs = [functional(q) for q in p.table]
     return Expansion(family, SetMap(p.n, coeffs), full_block_sums(coeffs))
 

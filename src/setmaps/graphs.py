@@ -92,9 +92,12 @@ class Graph:
         """Induced subgraph on the vertex subset ``mask``, relabeled to 0..|S|-1."""
         if mask & ~self.vertex_mask:
             raise ValueError(f"subset {mask} outside vertex range of {self.n} vertices")
-        verts = [v for v in range(self.n) if (mask >> v) & 1]
+        if mask == self.vertex_mask:  # graphs are immutable
+            return self
+        # one pass over the mask's binary digits, lowest first: linear in the vertex count
+        verts = [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
         rank = {v: i for i, v in enumerate(verts)}
-        kept = [(rank[u], rank[v]) for u, v in self.edges if (mask >> u) & 1 and (mask >> v) & 1]
+        kept = [(rank[u], rank[v]) for u, v in self.edges if u in rank and v in rank]
         return Graph(len(verts), kept)
 
     def __eq__(self, other) -> bool:

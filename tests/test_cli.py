@@ -1,8 +1,10 @@
 """CLI behavior: output shapes, determinism, exit codes."""
 
+import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,10 +15,8 @@ import pytest
 
 import setmaps.cli as cli
 import setmaps.graphs as graphs
-import setmaps.checks as checks
 import setmaps.oracles as oracles
 from setmaps.abel import ABEL_POLY_CAP
-from setmaps.checks import EXPANSION_CHECK_CAP
 from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
 from setmaps.poly import Poly
 
@@ -219,6 +219,17 @@ def test_chromatic_checks_its_cap_before_any_split(capsys, monkeypatch, tmp_path
     monkeypatch.undo()
     status, out, _ = run_cli(capsys, "chromatic", "--graph", str(path), "--subset", str((1 << 8) - 1))
     assert status == 0 and json.loads(out)["result"]["degree"] == 8
+
+
+def test_chromatic_refuses_a_million_vertices_at_once(capsys, tmp_path):
+    # the subgraph of the full set is the graph itself: no per-vertex pass before the cap
+    path = tmp_path / "e1000000.txt"
+    path.write_text("1000000 0\n")
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "chromatic", "--graph", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert status == 3 and out == ""
+    assert err == f"error: chromatic polynomial over 1000000 vertices exceeds cap {CHROMATIC_POLY_CAP}\n"
 
 
 def test_cap_override_lets_the_chromatic_table_run(capsys, tmp_path):
@@ -827,14 +838,14 @@ _BLOCKS = ("--blocks", "2,1,1")
     "argv, priced",
     [
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
-        (("verify", "--check", "binomial", *_C5), (_PAIRS,)),
+        (("verify", "--check", "binomial", *_C5), (_TABLE, _PAIRS)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
         (("verify", "--check", "rising-pairs", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "stable-counts", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "derivative", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
-        (("verify", "--check", "power", *_C5), (_POWER,)),
+        (("verify", "--check", "power", *_C5), (_TABLE, _POWER)),
         (("verify", "--check", "stanley", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _BASES, _PAIRS, _POWER)),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
@@ -856,40 +867,23 @@ def test_cap_warning_lines_are_pinned(capsys, argv, priced):
     assert err == f"warning: cap override 7; {'; '.join(priced)}\n"
 
 
-@pytest.mark.parametrize("check", ["abel-one", "derivative", "evaluation"])
-def test_expansion_checks_run_to_the_block_sum_cap(capsys, tmp_path, check):
+@pytest.mark.parametrize("check", ["abel-one", "derivative", "evaluation", "expansion"])
+def test_expansion_checks_run_to_the_block_sum_cap(capsys, monkeypatch, tmp_path, check):
     # 9 vertices: over the old cap of 8; 18: over the block-sum kernel's cap of 17
     paths = {}
     for n in (9, 18):
         paths[n] = tmp_path / f"g{n}.txt"
         paths[n].write_text(random_graphs(n, 1, seed=n, p=0.3)[0].to_text())
     status, out, _ = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[9]))
-    assert status == 0 and json.loads(out)["result"]["all_pass"] is True
-    status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[18]))
-    assert status == 3 and out == "" and f"{check} check over 18 vertices exceeds cap 17" in err
-
-
-def test_expansion_check_has_a_cap_for_its_eight_runs(capsys, monkeypatch, tmp_path):
-    n = EXPANSION_CHECK_CAP + 1
-    path = tmp_path / f"g{n}.txt"
-    path.write_text(random_graphs(n, 1, seed=n, p=0.3)[0].to_text())
+    runs = 8 if check == "expansion" else 1  # the expansion check: one per standard basis
+    assert status == 0 and json.loads(out)["result"] == {"all_pass": True, "passed": runs, "failed": 0}
+    # --cap governs the row
+    status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[9]), "--cap", "8")
+    assert status == 3 and out == "" and err.endswith(f"error: {check} check over 9 vertices exceeds cap 8\n")
     sizes = spy_on_tables(monkeypatch)
-    status, out, err = run_cli(capsys, "verify", "--check", "expansion", "--graph", str(path))
-    assert status == 3 and out == ""
-    assert err == f"error: expansion check over {n} vertices exceeds cap {EXPANSION_CHECK_CAP}\n"
+    status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(paths[18]))
+    assert status == 3 and out == "" and err == f"error: {check} check over 18 vertices exceeds cap 17\n"
     assert sizes == []  # the cap comes before the table
-    # --cap still governs the row
-    c8 = ("verify", "--check", "expansion", "--graph", f"{GRAPHS}/c8.txt")
-    status, out, err = run_cli(capsys, *c8, "--cap", "7")
-    assert status == 3 and out == "" and err.endswith("error: expansion check over 8 vertices exceeds cap 7\n")
-    status, out, _ = run_cli(capsys, *c8)
-    assert status == 0 and json.loads(out)["result"]["passed"] == 8
-    # one basis is one kernel run, under the kernel's own cap
-    monkeypatch.setattr(checks, "EXPANSION_CHECK_CAP", 7)
-    status, out, err = run_cli(capsys, *c8)
-    assert status == 3 and err.endswith("error: expansion check over 8 vertices exceeds cap 7\n")
-    status, out, _ = run_cli(capsys, *c8, "--basis", "rising")
-    assert status == 0 and json.loads(out)["result"]["passed"] == 1
 
 
 def test_expand_parses_the_basis_before_its_cap(capsys, monkeypatch, tmp_path):
@@ -1022,3 +1016,24 @@ def test_each_readme_cli_example_prints_one_json_document(capsys, monkeypatch, l
 
 def test_the_readme_cli_block_has_every_command():
     assert {line.split()[1] for line in _readme_cli_lines()} == set(cli._DISPATCH)
+
+
+def _readme_caps() -> list[tuple[str, str, int]]:
+    """Each cap the README states as `module.NAME = value`, or as `NAME = value`
+    of the module it names for NAME elsewhere."""
+    text = (Path(GRAPHS).parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z_]*_CAP) = (\d+)`", text)
+    home = {name: module for module, name, _ in stated if module}
+    return [(module or home.get(name, ""), name, int(value)) for module, name, value in stated]
+
+
+@pytest.mark.parametrize("module, name, value", _readme_caps())
+def test_each_readme_cap_matches_the_code(module, name, value):
+    assert module, f"the README never names the module of {name}"
+    assert getattr(importlib.import_module(f"setmaps.{module}"), name) == value
+
+
+def test_the_readme_states_every_cap():
+    texts = [path.read_text(encoding="utf-8") for path in Path(cli.__file__).parent.glob("*.py")]
+    defined = {name for text in texts for name in re.findall(r"^([A-Z_]+_CAP) = ", text, re.M)}
+    assert {name for _, name, _ in _readme_caps()} == defined

@@ -70,6 +70,13 @@ def test_binomial_check_cap():
         check_binomial_type(monomial_type_map(BINOMIAL_CHECK_CAP + 1))
 
 
+def test_binomial_check_refuses_rational_values():
+    # the chromatic table of C4 evaluated at 3/2: one Fraction per subset
+    values = chromatic_setmap(Graph.cycle(4)).map_values(lambda q: q(Fraction(3, 2)))
+    with pytest.raises(TypeError, match="polynomial values only"):
+        check_binomial_type(values)
+
+
 # ---------------------------------------------------------------------------
 # expansion and its aggregates
 # ---------------------------------------------------------------------------
@@ -121,6 +128,12 @@ def test_expand_rejects_trivial_map():
     trivial = SetMap.constant(2, Poly.zero())
     with pytest.raises(ValueError, match="nontrivial"):
         expand(trivial, Monomials())
+
+
+def test_expand_refuses_rational_values():
+    values = chromatic_setmap(Graph.cycle(4)).map_values(lambda q: q(Fraction(3, 2)))
+    with pytest.raises(TypeError, match="polynomial values only"):
+        expand(values, Monomials())
 
 
 def test_expand_subset_cap():

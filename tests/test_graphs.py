@@ -73,6 +73,13 @@ def test_restrict_validates_mask():
         Graph.path(3).restrict(0b1000)
 
 
+def test_restrict_to_the_full_mask_is_the_graph_itself():
+    graph = Graph.cycle(5)
+    assert graph.restrict(graph.vertex_mask) is graph
+    # any other mask relabels its vertices in order
+    assert graph.restrict(0b11101) == Graph(4, [(0, 3), (1, 2), (2, 3)])
+
+
 def test_iso_class_counts():
     # unlabeled simple graph counts: 1, 1, 2, 4, 11, 34
     assert [len(graphs_on(n)) for n in range(6)] == [1, 1, 2, 4, 11, 34]
