@@ -35,6 +35,7 @@ _SOURCES = {
         "checks",
     ),
     **dict.fromkeys(("Expansion", "expand", "expansion_reconstructs"), "expansions"),
+    "full_block_sums": "kernel",
     **dict.fromkeys(
         (
             "Graph",
@@ -66,7 +67,6 @@ _SOURCES = {
             "CapExceeded",
             "SetMap",
             "bell_number",
-            "full_block_sums",
             "partitions_of",
             "sequence_product",
             "subsets_of",
@@ -96,6 +96,7 @@ _SUBMODULES = (
     "cli_checks",
     "expansions",
     "graphs",
+    "kernel",
     "oracles",
     "poly",
     "ring",

@@ -25,8 +25,9 @@ import math
 from collections.abc import Iterator
 from itertools import combinations, product
 
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums
+from .kernel import full_block_sums
 from .poly import Poly
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
 # for a cold `verify --check tail-forests`, every k, on n seeded blocks of size

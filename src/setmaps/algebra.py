@@ -3,12 +3,13 @@
 Composition is the set-map form of the exponential formula: (a o h)_S
 sums a_{len(sigma)} times the product of h over the blocks, over the set
 partitions sigma of S.  It reads the block sums of h at every subset
-(``block_sums``, the every-mask readout of the kernel in ``ring``); the
-decomposition and the recovery of a sequence are EGF algebra on it, and
-``SetMap.inverse`` is one composition.  ``expand`` and the Abel partition
-sums need the full set alone (``ring.full_block_sums``), so a process that
-runs them never loads this module.  All arithmetic is exact (Fraction or
-int); polynomial values work only in the terms of ``compose``.
+(``block_sums``, the every-mask readout of the block-sum kernel in
+``kernel``); the decomposition and the recovery of a sequence are EGF
+algebra on it, and ``SetMap.inverse`` is one composition.  The Abel
+partition sums and the expansion checks need the full set alone
+(``kernel.full_block_sums``) and ``expand`` no kernel at all, so a process
+that runs them never loads this module.  All arithmetic is exact (Fraction
+or int); polynomial values work only in the terms of ``compose``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .ring import SetMap, _packed, _slot, _transform, sequence_product
+from .kernel import _packed, _slot, _transform
+from .ring import SetMap, sequence_product
 
 
 def block_sums(table) -> list[tuple]:

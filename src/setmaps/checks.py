@@ -4,18 +4,19 @@ coefficients' combinatorial meaning, each against a count of its own.
 ``check_binomial_type`` tests p_S(x+y) = sum over ordered disjoint (T, U)
 covering S of p_T(x) p_U(y) on a grid that decides it.  The graph
 verifiers check the coefficient interpretations against counts taken from
-the graph on the set-map kernel, never from its chromatic table: acyclic-
-orientation pair counts in the rising basis, stable-partition counts in
-the log basis and Stanley's evaluation at -1.  The counts start from the
-stable-set indicator (``_stable_sets``); the acyclic orientations are the
-inverse of its signed map (``_orientation_counts``).  One more verifier
-checks the integer-power identity.  Each graph verifier takes a graph as
-its whole ground set (restrict it first for a subset) next to its
-chromatic table.  Every verifier checks its cap before it reads the table,
-and that cap is the only cap on the work it runs: it passes the cap on to
-the ``expand`` it calls.  Every verifier runs on the kernel and takes its
-cap, ``ring.BLOCK_SUM_CAP``; the grid check keeps a smaller one.
-``expand`` and a table read never load this module.
+the graph on the block-sum kernel (``kernel``), never from its chromatic
+table: acyclic-orientation pair counts in the rising basis, stable-
+partition counts in the log basis and Stanley's evaluation at -1.  The
+counts start from the stable-set indicator (``_stable_sets``); the acyclic
+orientations are the inverse of its signed map (``_orientation_counts``).
+One more verifier checks the integer-power identity.  Each graph verifier
+takes a graph as its whole ground set (restrict it first for a subset)
+next to its chromatic table.  Every verifier checks its cap before it
+reads the table, and that cap is the only cap on the work it runs: it
+passes the cap on to the ``expand`` it calls.  Every verifier runs on the
+kernel and takes its cap, ``ring.BLOCK_SUM_CAP``; the grid check keeps a
+smaller one.  ``expand`` and a table read load neither this module nor
+the kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from fractions import Fraction
 
 from .expansions import expand
 from .graphs import Graph
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums, subsets_of
+from .kernel import full_block_sums
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, subsets_of
 from .umbral import LogPolynomials, RisingFactorials
 
 # the grid check sums 3^n subset pairs at (D + 1)^2 points; by the rule that set
@@ -100,9 +102,10 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_
     Verifies, on the chromatic table ``p`` of ``graph``, that the basis
     functional B gives s_T = B chi_T, the stable-partition count of the
     induced subgraph (the block sums of the stable-set indicator), for every
-    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T.
-    B chi of the empty set is 0 by linearity, while the empty set has one
-    empty stable partition, so the empty set is skipped.
+    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T: the
+    kernel's partition sums of the s_T are the coordinates of chi_S, which
+    re-sum to it.  B chi of the empty set is 0 by linearity, while the empty
+    set has one empty stable partition, so the empty set is skipped.
     """
     from .algebra import block_sums
 
@@ -112,7 +115,7 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_
     counts = block_sums(_stable_sets(graph))
     if any(exp.coeffs[T] != sum(counts[T]) for T in range(1, 1 << graph.n)):
         return False
-    return exp.reconstruct() == p[graph.vertex_mask]
+    return full_block_sums(exp.coeffs.table) == exp.lengths and exp.reconstruct() == p[graph.vertex_mask]
 
 
 def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> bool:

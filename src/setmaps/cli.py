@@ -32,13 +32,15 @@ and the ``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
 ``abel`` live in ``cli_checks``, which ``_DISPATCH`` imports the first
 time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
 the graph oracles add ``oracles``; ``expand`` adds ``umbral`` and
-``expansions``.  The graph checks load those and ``checks``, and the
-checks that count orientations or stable partitions (``rising-pairs``,
+``expansions``, and runs no kernel: its subset coefficients and lengths
+are a change of basis from the table's counts.  The graph checks load
+those, ``checks`` and the block-sum kernel (``kernel``), and the checks
+that count orientations or stable partitions (``rising-pairs``,
 ``stable-counts``, ``stanley``) add ``algebra``, the composition behind
 ``SetMap.inverse``, when they run.  No check loads ``oracles``.  The block
-checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``.
-A ``--cap`` warning loads no engine module beyond ``ring``: it prices
-each stage from the override alone.
+checks, ``oracle tail-forests`` and ``abel`` load ``poly``, ``abel`` and
+``kernel``.  A ``--cap`` warning loads no engine module beyond ``ring``:
+it prices each stage from the override alone.
 
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
@@ -50,16 +52,18 @@ Beyond those, a name reads ``--graph`` or ``--blocks`` after its kind, and
 (``--check all`` takes each flag one of its checks reads), and an oracle
 needs every flag it reads.  ``--source`` and ``--sink`` are vertex labels
 of the graph file, inside ``--subset``.  A negative ``--cap`` is refused
-while parsing.  A command prints that warning
-after its own usage checks and before its first cap.  A check's cap, or
-its ``--cap`` override, governs every stage the check runs.  ``expand``
-and the checks on the block-sum kernel (all but ``binomial``: ``power``
-and the counting checks run set-map products on it) share its cap,
-``ring.BLOCK_SUM_CAP``.  Every graph check caps vertices.  ``chromatic``
-prints the chromatic table's value at the full set of its induced
-subgraph, and caps that subgraph's vertices at
+while parsing.  A command prints that warning after its own usage checks
+and before its first cap.  A check's cap, or its ``--cap`` override,
+governs every stage the check runs.  ``expand`` and the checks on the
+block-sum kernel (all but ``binomial``: ``power`` and the counting checks
+run set-map products on it) share its cap, ``ring.BLOCK_SUM_CAP``;
+``expand`` keeps it although it runs no kernel.  Every graph check caps
+vertices.  ``chromatic`` prints the chromatic table's value at the full
+set of its induced subgraph, and caps that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
-``abel.ABEL_POLY_CAP``, each before any work.
+``abel.ABEL_POLY_CAP``, each before any work.  A graph oracle whose cap
+admits its count refuses, before the count, a subset mask too long to
+print (``sys.get_int_max_str_digits``).
 """
 
 import os
@@ -236,6 +240,11 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"the chromatic table sums over at most "
             f"{count(f'(3^{cap}-1)/2', lambda: (3**cap - 1) // 2)} (subset, color class) pairs"
         ),
+        # one product per count s_j(S) with j >= 1 and its connection constant
+        "basis": (
+            f"the change of basis takes about "
+            f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} products of counts and constants"
+        ),
         "kernel": (
             f"the block-sum kernel takes about "
             f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
@@ -311,7 +320,7 @@ def cmd_expand(ns: "argparse.Namespace") -> tuple[dict, int]:
     # the table covers only the subset, its vertices relabelled 0..k-1 in order
     local = graph.restrict(subset)
     family = family_from_string(ns.basis)  # usage errors come before caps
-    _warn_cap(ns.cap, _EXPANSION)
+    _warn_cap(ns.cap, ("table", "basis"))
     if local.n > cap:
         raise CapExceeded(f"expansion over {local.n} vertices exceeds cap {cap}")
     p = chromatic_setmap(local)

@@ -29,6 +29,19 @@ from .ring import CapExceeded
 # the most digits an int may print, or 0, no limit, before Python 3.10.7
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
+
+def _refuse_an_unprintable_subset(mask: int, vertices: int) -> None:
+    """A usage error for a subset mask that ``render`` could not print: the full
+    vertex mask of a graph of more than about 14 284 vertices, under the default
+    limit of 4300 digits.  Checked before the work, not after it."""
+    limit = _digit_limit()
+    # 10^limit has 3.32 limit bits, so a mask of at most 3 limit bits never reaches it
+    if limit and mask.bit_length() > 3 * limit and mask >= 10**limit:
+        raise ValueError(
+            f"the subset mask of {vertices} vertices has more than {limit} digits, over the limit "
+            "on printing an int (sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)"
+        )
+
 # the annotations that name engine classes are never evaluated (PEP 563)
 
 
@@ -207,6 +220,15 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
             source[flag] = value
             args.append(arg)
         run = partial(counts[name], restricted, *args, **kwargs)
+        # the count's own cap refuses first, as it did when the echo failed after the count:
+        # the orientation counts cap edges, the partition counts vertices
+        size, cap = (
+            (restricted.edge_count, oracles.EDGE_ENUM_CAP)
+            if stages == ("orientations",)
+            else (restricted.n, oracles.BELL_ENUM_CAP)
+        )
+        if size <= (cap if ns.cap is None else ns.cap):
+            _refuse_an_unprintable_subset(subset, graph.n)
     _warn_cap(ns.cap, stages)  # after the usage checks above
     count = run()
     return {

@@ -10,23 +10,39 @@ and any binomial-type basis a with delta functional A, the map expands as
     p_S(x) = sum over set partitions sigma of S of
              a_{len(sigma)}(x) * prod over blocks T of A p_T(x),
 
-that is, p = compose((a_k), A p) as set maps.  ``expand`` applies A once
-per subset and sums the partitions of the whole ground set by block
-count, through the kernel's full-set readout (``ring.full_block_sums``);
-``expansion_reconstructs`` checks that re-summation in any basis, and
-composing the basis with the coefficients (``algebra.compose``) checks it
-on every subset at once.  The chromatic set map is the headline instance.
-Its derivative- and evaluation-at-a expansions are that check in the Abel
-and falling bases (see ``AbelPolynomials`` and ``FallingFactorials``).
-``expand`` takes the kernel's cap, ``ring.BLOCK_SUM_CAP``.  The binomial-
-type test and the verifiers that need an oracle of their own live in
-``checks``, so that ``expand`` compiles neither them nor the oracles.
+that is, p = compose((a_k), A p) as set maps.  ``expand`` is a change of
+basis.  It reads each p_T's coordinates v_j(T) in a binomial-type basis b
+the map already holds: the stable-partition counts s_j(T) in the falling
+factorials (x)_j for a chromatic table (``graphs._CountTable``), the
+monomial coefficients in x^j for any other map.  A p_T is their dot
+product with alpha_j = A b_j.  The theorem applied to b itself gives
+b_m = sum_k B_{m,k}(alpha) a_k, the connection constants of Roman and
+Rota (Adv. Math. 1978) in the partial Bell polynomials B (Comtet,
+Advanced Combinatorics, 1974, 3.3): B_{.,k} is the k-th binomial power
+of alpha (``ring.sequence_product``) over k!.  So the block sums over the
+whole ground set are c_k = sum_j v_j(V) B_{j,k}(alpha), with no
+partition sum and no kernel.  ``expansion_reconstructs`` checks the
+theorem: the block-sum kernel's partition sums of the coefficients
+(``kernel.full_block_sums``) must be the c_k, and the c_k must re-sum to
+p.  Composing the basis with the coefficients (``algebra.compose``)
+checks it on every subset at once.  The chromatic set map is the headline
+instance.  Its derivative- and evaluation-at-a expansions are that check
+in the Abel and falling bases (see ``AbelPolynomials`` and
+``FallingFactorials``).  ``expand`` keeps the kernel's cap,
+``ring.BLOCK_SUM_CAP``, though it runs no kernel.  The binomial-type test
+and the verifiers that need an oracle of their own live in ``checks``, so
+that ``expand`` compiles neither them nor the oracles.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from fractions import Fraction
+from itertools import repeat, zip_longest
+
 from .poly import Poly
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, full_block_sums
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, sequence_product
 from .umbral import BinomialFamily, RisingFactorials
 
 
@@ -35,9 +51,11 @@ class Expansion:
 
     ``coeffs`` holds the functional application A p_T for every subset T
     (zero on the empty set, since a delta functional kills constants).
-    ``lengths`` holds their block sums c_k over the whole ground set, from
-    one kernel run.  On every subset at once the expansion theorem is the
-    set-map identity compose(family.members(n), coeffs) == p.
+    ``lengths`` holds the coordinates c_k of the full set's polynomial in
+    the basis, which for a binomial-type map are the block sums of the
+    coefficients over the whole ground set.  On every subset at once the
+    expansion theorem is the set-map identity
+    compose(family.members(n), coeffs) == p.
     """
 
     __slots__ = ("family", "coeffs", "lengths")
@@ -67,23 +85,54 @@ class Expansion:
 def expand(
     p: SetMap, family: BinomialFamily = RisingFactorials(), cap: int = BLOCK_SUM_CAP
 ) -> Expansion:
-    """Expansion coefficients A p_T of a nontrivial binomial-type map.
+    """Expansion coefficients A p_T of a nontrivial binomial-type map, and the
+    full set's coordinates c_k in the basis, by a change of basis (module
+    docstring): n + 1 functional applications on a chromatic table, none on
+    any other map, and no partition sum.
 
     The trivial map (zero on the empty set) has no expansion and is rejected.
     """
-    if p.table[0] != 1:
+    if p[0] != 1:
         raise ValueError("expansion requires a nontrivial map: empty-set value must be 1")
-    if p.n > cap:
-        raise CapExceeded(f"expansion over a {p.n}-element subset exceeds cap {cap}")
-    try:
-        degree = max(q.degree for q in p.table)
-    except AttributeError:  # a rational or a float value
-        raise TypeError("expansion takes polynomial values only") from None
-    functional = family.delta(max(1, degree))
-    coeffs = [functional(q) for q in p.table]
-    return Expansion(family, SetMap(p.n, coeffs), full_block_sums(coeffs))
+    n = p.n
+    if n > cap:
+        raise CapExceeded(f"expansion over a {n}-element subset exceeds cap {cap}")
+    counts = getattr(p, "falling_counts", lambda: None)()
+    if counts is not None:  # s_j(T), j = 0..n, mask by mask, in (x)_j
+        functional = family.delta(max(1, n))
+        falling = [Poly.one()]
+        for j in range(n):
+            falling.append(falling[-1] * Poly((-j, 1)))
+        alpha = [functional(b) for b in falling]
+        columns = [counts[j :: n + 1] for j in range(n + 1)]
+    else:  # monomial coefficients, in x^j, where A x^j is the delta's moment j
+        try:
+            columns = list(zip_longest(*(q.coeffs for q in p.table), fillvalue=0))
+        except AttributeError:  # a rational or a float value
+            raise TypeError("expansion takes polynomial values only") from None
+        alpha = family.delta(max(1, len(columns) - 1)).moments[: len(columns)]
+    scale = math.lcm(*(a.denominator for a in alpha))
+    ints = [a.numerator * (scale // a.denominator) for a in alpha]
+    acc = [0] * (1 << n)
+    for column, a in zip(columns, ints):
+        if a:
+            acc = list(map(operator.add, acc, map(operator.mul, column, repeat(a))))
+    coeffs = acc if scale == 1 else [Fraction(c, scale) for c in acc]
+    # B_{j,k}(alpha) = j! [t^j] (sum_i alpha_i t^i / i!)^k / k!: the k-th binomial power
+    # of alpha over k!, homogeneous of degree k in the scaled ints
+    top, power, lengths = [column[-1] for column in columns], [1] + [0] * (len(ints) - 1), []
+    for k in range(max(n, len(ints) - 1) + 1):
+        c = Fraction(sum(map(operator.mul, top, power)), math.factorial(k) * scale**k)
+        lengths.append(c.numerator if c.denominator == 1 else c)
+        power = sequence_product(power, ints)
+    return Expansion(family, SetMap(n, coeffs), tuple(lengths))
 
 
 def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = BLOCK_SUM_CAP) -> bool:
-    """True iff the expansion of p re-sums to p exactly on the whole ground set."""
-    return expand(p, family, cap).reconstruct() == p[p.full_mask]
+    """True iff the expansion theorem holds for p on the whole ground set: the
+    block-sum kernel's partition sums of the subset coefficients are the full
+    set's coordinates c_k, and those re-sum to p there."""
+    from .kernel import full_block_sums
+
+    exp = expand(p, family, cap)
+    return exp.reconstruct() == p[p.full_mask] and full_block_sums(exp.coeffs.table) == exp.lengths

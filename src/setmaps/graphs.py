@@ -5,7 +5,8 @@ the falling-factorial basis, chi_S = sum over partitions sigma of S into
 stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
 block count, and no induced subgraph is built.  The table keeps those
-packed counts and builds a polynomial only when it is read.  A single
+packed counts and builds a polynomial only when it is read; ``expand``
+reads the counts themselves (``_CountTable.falling_counts``).  A single
 polynomial (``chromatic_poly``) is the table's value at the full set,
 under a vertex cap of its own (``CHROMATIC_POLY_CAP``) checked before the
 count pass.
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import operator
 import struct
+import sys
 from collections.abc import Callable, Iterable
+from itertools import repeat
 
 from .poly import Poly
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap
@@ -237,22 +240,26 @@ class _CountTable(SetMap):
 
     ``table[S]`` calls ``value(S)`` and keeps nothing.  The ``table`` tuple,
     which equality, the arithmetic and ``map_values`` read, is built once on
-    first use; ``value`` and what it holds are then let go.
+    first use; ``value`` and what it holds are then let go.  A chromatic
+    table also holds the packed counts its values are built from, which
+    ``falling_counts`` reads for ``expand``, until the tuple is built.
     """
 
-    __slots__ = ("_value", "_built")
+    __slots__ = ("_value", "_built", "_packed", "_counts")
 
-    def __init__(self, n: int, value: Callable[[int], object]):
+    def __init__(self, n: int, value: Callable[[int], object], packed: list | None = None):
         self.n = n
         self._value = value
         self._built = None
+        self._packed = packed
+        self._counts = None
 
     @property
     def table(self) -> tuple:
         built, value = self._built, self._value
         if built is None and value is not None:
             built = self._built = tuple(map(value, range(1 << self.n)))
-            self._value = None
+            self._value = self._packed = None
         # a reader in another thread may have built it after the first read
         return self._built if built is None else built
 
@@ -261,6 +268,23 @@ class _CountTable(SetMap):
             raise IndexError(f"mask {mask} outside ground set of size {self.n}")
         value = self._value
         return self.table[mask] if value is None else value(mask)
+
+    def falling_counts(self) -> memoryview | tuple | None:
+        """The coordinates of every value in the falling factorials, chi_S =
+        sum_j s_j(S) (x)_j: the counts s_0(S), ..., s_n(S) of each mask S in
+        turn, 2^n (n + 1) unsigned ints in all; None for a table of values
+        alone, or once the whole tuple of values was built before the first
+        call.  Unpacked on the first call and kept, so that every expansion
+        of the table reads the packed counts once."""
+        counts, packed = self._counts, self._packed  # the tuple may be built in another thread
+        if counts is None and packed is not None:
+            flat = b"".join(map(int.to_bytes, packed, repeat(8 * (self.n + 1)), repeat("little")))
+            # 64-bit slots written little-endian: a view where that is the native order
+            if sys.byteorder == "little":
+                counts = self._counts = memoryview(flat).cast("Q")
+            else:
+                counts = self._counts = struct.unpack(f"<{len(flat) // 8}Q", flat)
+        return counts
 
 
 def chromatic_setmap(graph: Graph) -> SetMap:
@@ -272,8 +296,9 @@ def chromatic_setmap(graph: Graph) -> SetMap:
     becomes monomial coefficients through the signed Stirling numbers of
     the first kind, chi_S = sum_k s_k(S) (x)_k and (x)_k = sum_j s(k, j) x^j,
     and the Poly is built from plain ints.  ``table[S]`` builds the one
-    value of S, each time it is read; the whole ``table``, which equality,
-    the arithmetic and ``expand`` read, is built once and then kept.
+    value of S, each time it is read; the whole ``table``, which equality
+    and the arithmetic read, is built once and then kept.  ``expand``
+    reads the counts, not the values (``_CountTable.falling_counts``).
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
@@ -296,7 +321,7 @@ def chromatic_setmap(graph: Graph) -> SetMap:
         b = bias[width]
         return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
 
-    return _CountTable(n, poly)
+    return _CountTable(n, poly, packed)
 
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB

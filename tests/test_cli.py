@@ -155,15 +155,15 @@ def test_cap_override_admits_and_warns(capsys):
     assert json.loads(out)["result"]["all_pass"] is True
 
 
-def test_expand_cap_warning_prices_the_kernel_not_partitions(capsys):
+def test_expand_cap_warning_prices_the_change_of_basis_not_the_kernel(capsys):
     argv = ("expand", "--graph", f"{GRAPHS}/c8.txt", "--basis", "rising")
     _, plain, quiet = run_cli(capsys, *argv)
     status, out, err = run_cli(capsys, *argv, "--cap", "13")
     assert status == 0
     assert out == plain and quiet == ""
     assert "(3^13-1)/2 = 797161 (subset, color class) pairs" in err
-    assert "2^13*13 = 106496 int products" in err
-    assert "Bell" not in err
+    assert "the change of basis takes about 2^13*13 = 106496 products of counts and constants" in err
+    assert "kernel" not in err and "Bell" not in err
 
 
 @pytest.mark.parametrize("check", ["closed-form", "forest-count"])
@@ -319,6 +319,38 @@ def test_an_unprintable_count_exits_2_with_one_error_line(capsys):
         sys.set_int_max_str_digits(limit)
     assert status == 2 and out == ""
     assert err.startswith("error: Exceeds the limit (640 digits)") and err.count("\n") == 1
+
+
+def test_an_unprintable_subset_is_refused_before_the_count(capsys, monkeypatch, tmp_path):
+    # the full vertex mask of 20 000 vertices has 6021 digits, past the default limit of 4300
+    wide = tmp_path / "wide.txt"
+    wide.write_text("20000 1\n0 1\n")
+    star = tmp_path / "star.txt"  # 21 edges: past the orientation counts' cap of 20
+    star.write_text("20000 21\n" + "".join(f"0 {v}\n" for v in range(1, 22)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "count_acyclic_orientations", lambda *a, **k: pytest.fail("the count ran"))
+            status, out, err = run_cli(capsys, "oracle", "acyclic", "--graph", str(wide))
+            assert status == 2 and out == ""
+            assert err == (
+                "error: the subset mask of 20000 vertices has more than 4300 digits, over the limit "
+                "on printing an int (sys.get_int_max_str_digits; PYTHONINTMAXSTRDIGITS raises it)\n"
+            )
+            # a --cap that admits the count admits the refusal too, before the warning
+            status, _, err = run_cli(capsys, "oracle", "acyclic", "--graph", str(star), "--cap", "21")
+            assert status == 2 and err.startswith("error: the subset mask of 20000 vertices")
+        # a cap that refuses the count still decides the exit code
+        status, _, err = run_cli(capsys, "oracle", "acyclic", "--graph", str(star))
+        assert status == 3 and err == "error: orientation enumeration over 21 edges exceeds cap 20\n"
+        status, _, err = run_cli(capsys, "oracle", "colorings", "--graph", str(wide), "--x", "2")
+        assert status == 3 and err == "error: coloring count over 20000 vertices exceeds cap 12\n"
+        # a short subset echoes, and the count runs
+        status, out, _ = run_cli(capsys, "oracle", "acyclic", "--graph", str(wide), "--subset", "3")
+        assert status == 0 and json.loads(out)["result"]["count"] == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_tail_forest_oracle_refuses_an_unprintable_count_before_enumerating(capsys, monkeypatch):
@@ -820,6 +852,7 @@ def test_verify_all_runs_every_graph_check_in_order(capsys, extra, a, x0, y0):
 # what a --cap 7 warning says of each stage it prices
 _TABLE = "the chromatic table sums over at most (3^7-1)/2 = 1093 (subset, color class) pairs"
 _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
+_BASIS = "the change of basis takes about 2^7*7 = 896 products of counts and constants"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
 _BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
 _PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
@@ -837,7 +870,7 @@ _BLOCKS = ("--blocks", "2,1,1")
 @pytest.mark.parametrize(
     "argv, priced",
     [
-        (("expand", *_C5, "--basis", "rising"), (_TABLE, _KERNEL)),
+        (("expand", *_C5, "--basis", "rising"), (_TABLE, _BASIS)),
         (("verify", "--check", "binomial", *_C5), (_TABLE, _PAIRS)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
         (("verify", "--check", "rising-pairs", *_C5), (_TABLE, _KERNEL)),

@@ -19,6 +19,8 @@ from setmaps.checks import (
     verify_stanley_evaluation,
 )
 from setmaps.expansions import expand, expansion_reconstructs
+from setmaps.kernel import full_block_sums
+import setmaps.graphs as graphs
 from setmaps.graphs import Graph, chromatic_setmap
 from setmaps.oracles import count_acyclic_orientations, count_stable_partitions, deletion_contraction
 from setmaps.poly import Poly
@@ -385,21 +387,48 @@ def test_graph_verifiers_check_their_caps_before_reading_the_table():
         verify_stanley_evaluation(Graph.complete(4), None, cap=3)
 
 
-def test_verifiers_reject_a_corrupted_chromatic_table():
+def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
     # x^2 on the full set breaks binomial type; c*x would not, and the
     # expansion verifiers could not see it
     c4 = Graph.cycle(4)
     table = list(chromatic_setmap(c4).table)
     table[-1] = table[-1] + Poly.monomial(2)
+    full = SetMap(c4.n, table)
+    # on a proper subset x does break it, and A x != 0 for every delta functional A;
+    # the path 0-1-2 gets x^3 - 2x^2 + 2x
+    table = list(chromatic_setmap(c4).table)
+    table[0b0111] = table[0b0111] + Poly.x()
+    proper = SetMap(c4.n, table)
+    # a count table that finds the edge {0, 1} stable: chi = x^2 there, in counts and in values
+    counts = graphs._stable_partition_counts(c4)
+    counts[0b0011] += 1 << graphs._SLOT
+    monkeypatch.setattr(graphs, "_stable_partition_counts", lambda graph: counts)
+    miscounted = chromatic_setmap(c4)
+    assert miscounted[0b0011] == Poly.monomial(2) and miscounted.falling_counts()[3 * 5 + 1] == 1
+    for p in (full, proper, miscounted):
+        # the coefficients of every subset, against the kernel or a count of the graph
+        for a in (0, 1, -1):
+            assert not expansion_reconstructs(p, AbelPolynomials(a)), a
+        for a in (1, -1, 2):
+            assert not expansion_reconstructs(p, FallingFactorials(a)), a
+        for family in standard_families():
+            assert not expansion_reconstructs(p, family), str(family)
+        assert not verify_stable_count_expansion(c4, p)
+        assert not verify_stanley_evaluation(c4, p)
+    # the orientation pairs are a claim on the full set's coordinates alone
+    assert not verify_rising_orientation_pairs(c4, full)
+    assert verify_rising_orientation_pairs(c4, proper) and verify_rising_orientation_pairs(c4, miscounted)
+
+
+def test_the_stable_count_check_sums_the_partitions_on_the_kernel():
+    # B (x)_k = 1 for k > 0, so x^2 - 2x = (x)_2 - (x)_1 on the full set leaves every
+    # coefficient at its count: only the partition sums over the kernel see it
+    c4 = Graph.cycle(4)
+    table = list(chromatic_setmap(c4).table)
+    table[-1] = table[-1] + Poly((0, -2, 1))
     p = SetMap(c4.n, table)
-    assert not verify_rising_orientation_pairs(c4, p)
-    assert not expansion_reconstructs(p, AbelPolynomials(1))
+    assert expand(p, LogPolynomials()).coeffs == expand(chromatic_setmap(c4), LogPolynomials()).coeffs
     assert not verify_stable_count_expansion(c4, p)
-    for a in (0, 1, -1):
-        assert not expansion_reconstructs(p, AbelPolynomials(a)), a
-    for a in (1, -1, 2):
-        assert not expansion_reconstructs(p, FallingFactorials(a)), a
-    assert not verify_stanley_evaluation(c4, p)
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +500,69 @@ def test_power_identity_cap():
     # the products run on the block-sum kernel, under its cap of 17
     with pytest.raises(CapExceeded):
         verify_power_identity(monomial_type_map(18), 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the change of basis against the route it replaced
+# ---------------------------------------------------------------------------
+
+KERNEL_ROUTE_BASES = [str(f) for f in standard_families()] + ["abel:3/4", "falling:-2/3", "falling:1/1000003"]
+
+
+def assert_kernel_route(p: SetMap, basis: str) -> None:
+    """``expand`` equals the route it replaced: the delta functional on every
+    value, and the kernel's partition sums of those coefficients."""
+    family = family_from_string(basis)
+    exp = expand(p, family, cap=p.n)
+    functional = family.delta(max(1, max(q.degree for q in p.table)))
+    assert exp.coeffs.table == tuple(map(functional, p.table)), basis
+    assert exp.lengths == full_block_sums(exp.coeffs.table), basis
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_graphs(max_n=10))
+def test_change_of_basis_matches_the_kernel_route_on_chromatic_tables(g):
+    p = chromatic_setmap(g)
+    for basis in KERNEL_ROUTE_BASES:
+        assert_kernel_route(p, basis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(standard_families() + (AbelPolynomials(Fraction(3, 4)), FallingFactorials(Fraction(-2, 3)))),
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=4),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    ),
+)
+def test_change_of_basis_matches_the_kernel_route_on_compositions(source, table):
+    # p = compose(members, h) is of binomial type with Fraction coefficients: the monomial route
+    n = len(table).bit_length() - 1
+    p = compose(source.members(n), SetMap(n, [Fraction(0)] + table[1:]))
+    for basis in KERNEL_ROUTE_BASES:
+        assert_kernel_route(p, basis)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_change_of_basis_matches_the_kernel_route_past_brute_force(gnp_tables, n):
+    for basis in KERNEL_ROUTE_BASES:
+        assert_kernel_route(gnp_tables[n], basis)
+
+
+def test_a_count_table_and_its_values_expand_alike():
+    # the counts route (a chromatic table) and the monomial route (the same values, eagerly)
+    g = random_graphs(9, 1, seed=9, p=0.4)[0]
+    lazy = chromatic_setmap(g)
+    counts = lazy.falling_counts()
+    assert len(counts) == 10 << 9 and lazy.falling_counts() is counts  # unpacked once
+    eager = SetMap(g.n, lazy.table)
+    # a table whose values were all built first has let its packed counts go
+    built = chromatic_setmap(g)
+    assert built.table == eager.table and built.falling_counts() is None
+    for basis in KERNEL_ROUTE_BASES:
+        family = family_from_string(basis)
+        a, b, c = expand(lazy, family), expand(eager, family), expand(built, family)
+        assert a.coeffs == b.coeffs == c.coeffs and a.lengths == b.lengths == c.lengths, basis

@@ -82,6 +82,7 @@ def test_a_table_read_loads_neither_umbral_nor_the_oracles():
             "assert table[table.full_mask].degree == 8",
         ]
     )
+    # nor the kernel
     assert engine(loaded_after(code)) == {"setmaps.graphs", "setmaps.poly", "setmaps.ring"}
 
 
@@ -107,11 +108,12 @@ def test_block_checks_do_not_load_graphs_or_expansions():
         ("abel", "--blocks", "2,1"),
     ):
         modules = loaded_after(run_main(*argv))
-        # Poly without the functionals and bases of umbral
+        # Poly without the functionals and bases of umbral; abel imports the kernel for its partition sums
         assert engine(modules) == {
             "setmaps.abel",
             "setmaps.cli",
             "setmaps.cli_checks",
+            "setmaps.kernel",
             "setmaps.poly",
             "setmaps.ring",
         }, argv
@@ -159,12 +161,24 @@ def module_level_imports(node: ast.AST):
         yield from module_level_imports(child)
 
 
-@pytest.mark.parametrize("name", ["ring", "poly", "umbral", "graphs", "expansions", "abel", "oracles", "cli"])
+@pytest.mark.parametrize(
+    "name", ["ring", "kernel", "poly", "umbral", "graphs", "expansions", "abel", "oracles", "cli"]
+)
 def test_no_engine_module_imports_the_oracles_at_module_level(name):
     """Nor the algebra, the checks or the check commands, which ``cli`` imports on use."""
     tree = ast.parse((ROOT / "src" / "setmaps" / f"{name}.py").read_text(encoding="utf-8"))
     lazy = {"setmaps.oracles", *MOVED}
     assert not {*lazy, *(m.removeprefix("setmaps.") for m in lazy)} & set(module_level_imports(tree)), name
+
+
+def test_only_the_kernels_callers_import_it_at_module_level():
+    importers = {
+        path.stem
+        for path in (ROOT / "src" / "setmaps").glob("*.py")
+        if {"kernel", "setmaps.kernel"} & set(module_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    # ring imports it inside SetMap.__mul__, expansions inside expansion_reconstructs
+    assert importers == {"algebra", "abel", "checks"}
 
 
 def test_set_map_inverse_loads_the_algebra_when_it_runs():
@@ -175,7 +189,41 @@ def test_set_map_inverse_loads_the_algebra_when_it_runs():
             "assert h * h.inverse() == SetMap.unit(3)",
         ]
     )
-    assert engine(loaded_after(code)) == {"setmaps.algebra", "setmaps.ring"}
+    assert engine(loaded_after(code)) == {"setmaps.algebra", "setmaps.kernel", "setmaps.ring"}
+
+
+def test_a_set_map_product_loads_the_kernel_and_not_the_algebra():
+    code = "\n".join(
+        [
+            "from setmaps.ring import SetMap",
+            "h = SetMap.constant(3, 1)",
+            "assert (h * h)[7] == 8",
+        ]
+    )
+    assert engine(loaded_after(code)) == {"setmaps.kernel", "setmaps.ring"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "abel:3/4"),
+        ("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "rising", "--subset", "63"),
+        ("chromatic", "--graph", str(GRAPHS / "c8.txt")),
+    ],
+)
+def test_expand_and_chromatic_do_not_load_the_kernel(argv):
+    assert "setmaps.kernel" not in loaded_after(run_main(*argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "expansion", "--graph", str(GRAPHS / "c5.txt")),
+        ("verify", "--check", "closed-form", "--blocks", "2,1,1"),
+    ],
+)
+def test_the_checks_load_the_kernel_as_their_second_side(argv):
+    assert "setmaps.kernel" in loaded_after(run_main(*argv)), argv
 
 
 def test_submodules_resolve_after_a_bare_import():

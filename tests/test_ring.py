@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 
 from setmaps.algebra import block_sums, compose, decompose, recover_sequence
 from setmaps.graphs import Graph, chromatic_setmap
+from setmaps.kernel import _packed, full_block_sums
 from setmaps.poly import Poly
-from setmaps.ring import (
-    SetMap,
-    bell_number,
-    _packed,
-    full_block_sums,
-    partitions_of,
-    sequence_product,
-    subsets_of,
-)
+from setmaps.ring import SetMap, bell_number, partitions_of, sequence_product, subsets_of
 
 from _oracles import bell_by_triangle, egf_to_series, series_compose, series_mul, series_to_egf
 from conftest import random_fraction, random_table

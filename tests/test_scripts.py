@@ -1,7 +1,11 @@
 """Smoke tests: the experiment scripts run to the end and report success."""
 
 import importlib.util
+import json
+import tempfile
 from pathlib import Path
+
+from setmaps.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +52,14 @@ def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS ") == len(rows) == 15 and "FAIL" not in out
     assert "PASS chromatic table and reads at n = 11, answer right: exit 0" in out
+    # the expand row's answer re-sums the printed lengths itself: a wrong length fails it
+    expand = rows["expand --basis rising"]
+    with tempfile.TemporaryDirectory() as directory:
+        assert main(expand.args(6, directory)) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert expand.answer(out)
+    out["result"]["length_coefficients"][2] = str(int(out["result"]["length_coefficients"][2]) + 1)
+    assert not expand.answer(out)
     # past a lowered cap the command exits 3 before any work
     chromatic = rows["chromatic on the star, centre 0"]
     lowered = chromatic._replace(cap=4, args=lambda n, d: [*chromatic.args(n, d), "--cap", "4"])
