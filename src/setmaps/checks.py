@@ -2,7 +2,9 @@
 coefficients' combinatorial meaning, each against a count of its own.
 
 ``check_binomial_type`` tests p_S(x+y) = sum over ordered disjoint (T, U)
-covering S of p_T(x) p_U(y) on a grid that decides it.  The graph
+covering S of p_T(x) p_U(y) on a grid that decides it.  It, the power
+identity and Stanley's evaluation read a table's values at a point as one
+linear read of its coordinates (``SetMap.coordinates``).  The graph
 verifiers check the coefficient interpretations against counts taken from
 the graph on the block-sum kernel (``kernel``), never from its chromatic
 table: acyclic-orientation pair counts in the rising basis, stable-
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expansions import expand
+from .expansions import expand, linear_read
 from .graphs import Graph
 from .kernel import full_block_sums
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, subsets_of
@@ -39,25 +41,21 @@ def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
     """Exactly test the binomial-type identity on every subset.
 
     Both sides are bivariate polynomials of degree at most D in each
-    variable, where D bounds the degrees in the table, so agreement on the
-    (D+1) x (D+1) integer grid is conclusive.
+    variable, where D is the top degree of the basis the table's values are
+    read in, so agreement on the (D+1) x (D+1) integer grid is conclusive.
     """
     if p.n > cap:
         raise CapExceeded(f"binomial-type check over ground size {p.n} exceeds cap {cap}")
-    try:
-        degree = max(0, max(v.degree for v in p.table))
-    except AttributeError:  # a rational or a float value
-        raise TypeError("the binomial-type check takes polynomial values only") from None
+    basis, columns = p.coordinates()
+    degree = max(0, len(basis) - 1)
     points = range(degree + 1)
-    # evals[T][s] = p_T(s) for s in 0..2D, covering both grid axes and x+y
-    evals = [[p.table[T](s) for s in range(2 * degree + 1)] for T in range(1 << p.n)]
+    # evals[s][T] = p_T(s) for s in 0..2D, covering both grid axes and x+y
+    evals = [linear_read(columns, [b(s) for b in basis], p.n) for s in range(2 * degree + 1)]
     for S in range(1 << p.n):
         for x in points:
             for y in points:
-                rhs = 0
-                for T in subsets_of(S):
-                    rhs += evals[T][x] * evals[S ^ T][y]
-                if evals[S][x + y] != rhs:
+                at_x, at_y = evals[x], evals[y]
+                if evals[x + y][S] != sum(at_x[T] * at_y[S ^ T] for T in subsets_of(S)):
                     return False
     return True
 
@@ -123,7 +121,7 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
 
     Evaluating the table at x0 and raising it to the y0-th set-map power
     must equal the table evaluated at x0*y0.  A whole-number x0 is used as
-    an int, so that the 2 * 2^n evaluations of an int table run on ints.
+    an int, so that both linear reads of an int table run on ints.
     """
     if not isinstance(y0, int) or y0 < 1:
         raise ValueError("the exponent must be a positive integer")
@@ -132,8 +130,8 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
     x0 = Fraction(x0)
     if x0.denominator == 1:
         x0 = x0.numerator
-    base = p.map_values(lambda q: q(x0))
-    target = p.map_values(lambda q: q(x0 * y0))
+    basis, columns = p.coordinates()
+    base, target = (SetMap(p.n, linear_read(columns, [b(x) for b in basis], p.n)) for x in (x0, x0 * y0))
     power = base
     for bit in bin(y0)[3:]:  # square and multiply from the top bit: at most 2 log2(y0) products
         power = power * power
@@ -148,4 +146,6 @@ def verify_stanley_evaluation(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_CAP)
     if graph.n > cap:
         raise CapExceeded(f"Stanley evaluation over {graph.n} vertices exceeds cap {cap}")
     counts = _orientation_counts(graph)
-    return all((-1) ** T.bit_count() * p[T](-1) == counts[T] for T in range(1 << graph.n))
+    basis, columns = p.coordinates()
+    values = linear_read(columns, [b(-1) for b in basis], graph.n)
+    return all((-1) ** T.bit_count() * values[T] == counts[T] for T in range(1 << graph.n))

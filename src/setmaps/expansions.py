@@ -12,26 +12,26 @@ and any binomial-type basis a with delta functional A, the map expands as
 
 that is, p = compose((a_k), A p) as set maps.  ``expand`` is a change of
 basis.  It reads each p_T's coordinates v_j(T) in a binomial-type basis b
-the map already holds: the stable-partition counts s_j(T) in the falling
-factorials (x)_j for a chromatic table (``graphs._CountTable``), the
-monomial coefficients in x^j for any other map.  A p_T is their dot
-product with alpha_j = A b_j.  The theorem applied to b itself gives
-b_m = sum_k B_{m,k}(alpha) a_k, the connection constants of Roman and
-Rota (Adv. Math. 1978) in the partial Bell polynomials B (Comtet,
-Advanced Combinatorics, 1974, 3.3): B_{.,k} is the k-th binomial power
-of alpha (``ring.sequence_product``) over k!.  So the block sums over the
-whole ground set are c_k = sum_j v_j(V) B_{j,k}(alpha), with no
-partition sum and no kernel.  ``expansion_reconstructs`` checks the
-theorem: the block-sum kernel's partition sums of the coefficients
-(``kernel.full_block_sums``) must be the c_k, and the c_k must re-sum to
-p.  Composing the basis with the coefficients (``algebra.compose``)
-checks it on every subset at once.  The chromatic set map is the headline
-instance.  Its derivative- and evaluation-at-a expansions are that check
-in the Abel and falling bases (see ``AbelPolynomials`` and
-``FallingFactorials``).  ``expand`` keeps the kernel's cap,
-``ring.BLOCK_SUM_CAP``, though it runs no kernel.  The binomial-type test
-and the verifiers that need an oracle of their own live in ``checks``, so
-that ``expand`` compiles neither them nor the oracles.
+the map already holds (``SetMap.coordinates``): the stable-partition counts
+s_j(T) in the falling factorials (x)_j for a chromatic table, the monomial
+coefficients in x^j for any other map.  A p_T is their dot product with
+alpha_j = A b_j, one linear read of every mask (``linear_read``).  The
+theorem applied to b itself gives b_m = sum_k B_{m,k}(alpha) a_k, the
+connection constants of Roman and Rota (Adv. Math. 1978) in the partial
+Bell polynomials B (Comtet, Advanced Combinatorics, 1974, 3.3): B_{.,k} is
+the k-th binomial power of alpha (``ring.sequence_product``) over k!.  So
+the block sums over the whole ground set are c_k = sum_j v_j(V)
+B_{j,k}(alpha), with no partition sum and no kernel.
+``expansion_reconstructs`` checks the theorem: the block-sum kernel's
+partition sums of the coefficients (``kernel.full_block_sums``) must be the
+c_k, and the c_k must re-sum to p.  Composing the basis with the
+coefficients (``algebra.compose``) checks it on every subset at once.  The
+chromatic set map is the headline instance.  Its derivative- and
+evaluation-at-a expansions are that check in the Abel and falling bases
+(see ``AbelPolynomials`` and ``FallingFactorials``).  ``expand`` keeps the
+kernel's cap, ``ring.BLOCK_SUM_CAP``, though it runs no kernel.  The
+binomial-type test and the verifiers that need an oracle of their own live
+in ``checks``, so that ``expand`` compiles neither them nor the oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import repeat
 
 from .poly import Poly
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, sequence_product
@@ -82,13 +82,23 @@ class Expansion:
         return acc
 
 
+def linear_read(columns, weights, n: int) -> list:
+    """sum_j weights[j] columns[j][T] for each of the 2^n masks T: the functional
+    b_j -> weights[j] on every value, from ``SetMap.coordinates``."""
+    acc = [0] * (1 << n)
+    for column, w in zip(columns, weights):
+        if w:
+            acc = list(map(operator.add, acc, map(operator.mul, column, repeat(w))))
+    return acc
+
+
 def expand(
     p: SetMap, family: BinomialFamily = RisingFactorials(), cap: int = BLOCK_SUM_CAP
 ) -> Expansion:
     """Expansion coefficients A p_T of a nontrivial binomial-type map, and the
     full set's coordinates c_k in the basis, by a change of basis (module
-    docstring): n + 1 functional applications on a chromatic table, none on
-    any other map, and no partition sum.
+    docstring): one functional application per member of the basis the map
+    holds (``SetMap.coordinates``), one linear read, and no partition sum.
 
     The trivial map (zero on the empty set) has no expansion and is rejected.
     """
@@ -97,26 +107,11 @@ def expand(
     n = p.n
     if n > cap:
         raise CapExceeded(f"expansion over a {n}-element subset exceeds cap {cap}")
-    counts = getattr(p, "falling_counts", lambda: None)()
-    if counts is not None:  # s_j(T), j = 0..n, mask by mask, in (x)_j
-        functional = family.delta(max(1, n))
-        falling = [Poly.one()]
-        for j in range(n):
-            falling.append(falling[-1] * Poly((-j, 1)))
-        alpha = [functional(b) for b in falling]
-        columns = [counts[j :: n + 1] for j in range(n + 1)]
-    else:  # monomial coefficients, in x^j, where A x^j is the delta's moment j
-        try:
-            columns = list(zip_longest(*(q.coeffs for q in p.table), fillvalue=0))
-        except AttributeError:  # a rational or a float value
-            raise TypeError("expansion takes polynomial values only") from None
-        alpha = family.delta(max(1, len(columns) - 1)).moments[: len(columns)]
+    basis, columns = p.coordinates()
+    alpha = list(map(family.delta(max(1, len(basis) - 1)), basis))
     scale = math.lcm(*(a.denominator for a in alpha))
     ints = [a.numerator * (scale // a.denominator) for a in alpha]
-    acc = [0] * (1 << n)
-    for column, a in zip(columns, ints):
-        if a:
-            acc = list(map(operator.add, acc, map(operator.mul, column, repeat(a))))
+    acc = linear_read(columns, ints, n)
     coeffs = acc if scale == 1 else [Fraction(c, scale) for c in acc]
     # B_{j,k}(alpha) = j! [t^j] (sum_i alpha_i t^i / i!)^k / k!: the k-th binomial power
     # of alpha over k!, homogeneous of degree k in the scaled ints

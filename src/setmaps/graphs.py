@@ -6,7 +6,8 @@ stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
 block count, and no induced subgraph is built.  The table keeps those
 packed counts and builds a polynomial only when it is read; ``expand``
-reads the counts themselves (``_CountTable.falling_counts``).  A single
+and the checks read the counts themselves, as the values' coordinates in
+the falling factorials (``_CountTable.coordinates``).  A single
 polynomial (``chromatic_poly``) is the table's value at the full set,
 under a vertex cap of its own (``CHROMATIC_POLY_CAP``) checked before the
 count pass.
@@ -26,7 +27,7 @@ import operator
 import struct
 import sys
 from collections.abc import Callable, Iterable
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .poly import Poly
 from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap
@@ -236,55 +237,43 @@ def _stable_partition_counts(graph: Graph) -> list[int]:
 
 
 class _CountTable(SetMap):
-    """A set map kept as a function of the mask until its whole table is read.
+    """A set map kept as a function of the mask, and as packed counts.
 
     ``table[S]`` calls ``value(S)`` and keeps nothing.  The ``table`` tuple,
-    which equality, the arithmetic and ``map_values`` read, is built once on
-    first use; ``value`` and what it holds are then let go.  A chromatic
-    table also holds the packed counts its values are built from, which
-    ``falling_counts`` reads for ``expand``, until the tuple is built.
+    which equality and the arithmetic read and no engine path does, is built
+    on first use and kept.  ``coordinates`` unpacks the counts once and keeps
+    them; a table made from values alone has none.
     """
 
-    __slots__ = ("_value", "_built", "_packed", "_counts")
+    __slots__ = ("_value", "_built", "_packed", "_coordinates")
 
     def __init__(self, n: int, value: Callable[[int], object], packed: list | None = None):
-        self.n = n
-        self._value = value
-        self._built = None
-        self._packed = packed
-        self._counts = None
+        self.n, self._value, self._packed = n, value, packed
+        self._built = self._coordinates = None
 
     @property
     def table(self) -> tuple:
-        built, value = self._built, self._value
-        if built is None and value is not None:
-            built = self._built = tuple(map(value, range(1 << self.n)))
-            self._value = self._packed = None
-        # a reader in another thread may have built it after the first read
-        return self._built if built is None else built
+        if self._built is None:
+            self._built = tuple(map(self._value, range(1 << self.n)))
+        return self._built
 
     def __getitem__(self, mask: int):
         if not 0 <= mask < 1 << self.n:
             raise IndexError(f"mask {mask} outside ground set of size {self.n}")
-        value = self._value
-        return self.table[mask] if value is None else value(mask)
+        return self._value(mask) if self._built is None else self._built[mask]
 
-    def falling_counts(self) -> memoryview | tuple | None:
-        """The coordinates of every value in the falling factorials, chi_S =
-        sum_j s_j(S) (x)_j: the counts s_0(S), ..., s_n(S) of each mask S in
-        turn, 2^n (n + 1) unsigned ints in all; None for a table of values
-        alone, or once the whole tuple of values was built before the first
-        call.  Unpacked on the first call and kept, so that every expansion
-        of the table reads the packed counts once."""
-        counts, packed = self._counts, self._packed  # the tuple may be built in another thread
-        if counts is None and packed is not None:
-            flat = b"".join(map(int.to_bytes, packed, repeat(8 * (self.n + 1)), repeat("little")))
+    def coordinates(self) -> tuple[list, list]:
+        """chi_S = sum_j s_j(S) (x)_j: the falling factorials (x)_0, ..., (x)_n,
+        and for each j the counts s_j(S) of every mask S, as unsigned ints."""
+        if self._coordinates is None:
+            n = self.n
+            flat = b"".join(map(int.to_bytes, self._packed, repeat(8 * (n + 1)), repeat("little")))
             # 64-bit slots written little-endian: a view where that is the native order
-            if sys.byteorder == "little":
-                counts = self._counts = memoryview(flat).cast("Q")
-            else:
-                counts = self._counts = struct.unpack(f"<{len(flat) // 8}Q", flat)
-        return counts
+            little = sys.byteorder == "little"
+            counts = memoryview(flat).cast("Q") if little else struct.unpack(f"<{len(flat) // 8}Q", flat)
+            falling = list(accumulate((Poly((-j, 1)) for j in range(n)), operator.mul, initial=Poly.one()))
+            self._coordinates = falling, [counts[j :: n + 1] for j in range(n + 1)]
+        return self._coordinates
 
 
 def chromatic_setmap(graph: Graph) -> SetMap:
@@ -297,8 +286,8 @@ def chromatic_setmap(graph: Graph) -> SetMap:
     the first kind, chi_S = sum_k s_k(S) (x)_k and (x)_k = sum_j s(k, j) x^j,
     and the Poly is built from plain ints.  ``table[S]`` builds the one
     value of S, each time it is read; the whole ``table``, which equality
-    and the arithmetic read, is built once and then kept.  ``expand``
-    reads the counts, not the values (``_CountTable.falling_counts``).
+    and the arithmetic read, is built once and then kept.  The engine's
+    readers read the counts, not the values (``_CountTable.coordinates``).
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")

@@ -11,7 +11,9 @@ imports when it runs: a process that never multiplies set maps, such as
 ``expand``, ``chromatic`` or a table read, never compiles it.  Composition,
 and the inverse, decomposition and recovery built on it, live in
 ``algebra``, which a process loads only when it composes.  All arithmetic
-is exact (Fraction or int); the kernel refuses other values.
+is exact (Fraction or int); the kernel refuses other values.  ``expand``
+and the checks read polynomial values through ``coordinates``, which
+imports ``poly`` when it runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 MAX_GROUND_SIZE = 20
 
@@ -195,6 +198,19 @@ class SetMap:
 
     def map_values(self, fn: Callable) -> "SetMap":
         return SetMap(self.n, (fn(v) for v in self.table))
+
+    def coordinates(self) -> tuple[list, list]:
+        """The values' coordinates: a basis b_0, ..., b_D and, for each j, the
+        column of j-th coordinates over all masks, so that the value at S is
+        sum_j columns[j][S] b_j.  Here the basis is the monomials x^j; a table
+        that holds its values in another basis overrides this (``graphs``)."""
+        from .poly import Poly
+
+        try:
+            columns = list(zip_longest(*(q.coeffs for q in self.table), fillvalue=0))
+        except AttributeError:  # a rational or a float value
+            raise TypeError("coordinates are read from polynomial values only") from None
+        return [Poly.monomial(j) for j in range(len(columns))], columns
 
     def inverse(self) -> "SetMap":
         """Multiplicative inverse of a rational map with value 1 on the empty

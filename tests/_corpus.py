@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from setmaps.graphs import Graph
 
@@ -31,6 +31,48 @@ def graphs_through(n: int) -> tuple[Graph, ...]:
     out = []
     for size in range(n + 1):
         out.extend(graphs_on(size))
+    return tuple(out)
+
+
+def _canonical_edges(n: int, edges: tuple) -> tuple:
+    """The least sorted edge list over the relabellings that order the vertices by
+    an invariant (degree, then twice the sorted invariants of the neighbors):
+    equal for two graphs exactly when they are isomorphic."""
+    near = [[] for _ in range(n)]
+    for u, v in edges:
+        near[u].append(v)
+        near[v].append(u)
+    invariant = [len(vs) for vs in near]
+    for _ in range(2):
+        invariant = [(invariant[v], tuple(sorted(invariant[u] for u in near[v]))) for v in range(n)]
+    cells: dict = {}
+    for v in range(n):
+        cells.setdefault(invariant[v], []).append(v)
+    best = None
+    for choice in product(*(permutations(cells[key]) for key in sorted(cells))):
+        label = {v: i for i, v in enumerate(v for cell in choice for v in cell)}
+        key = sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges)
+        if best is None or key < best:
+            best = key
+    return tuple(best)
+
+
+@lru_cache(maxsize=None)
+def classes_on(n: int) -> tuple[Graph, ...]:
+    """One representative of every isomorphism class on exactly n vertices, as
+    ``graphs_on`` gives, fast enough for n = 7: each class on n - 1 vertices with
+    a vertex joined to each subset of it (every graph is one of those, less its
+    last vertex), one graph kept per canonical edge list."""
+    if n == 0:
+        return (Graph(0),)
+    seen, out = set(), []
+    for g in classes_on(n - 1):
+        for joined in range(1 << (n - 1)):
+            edges = g.edges + tuple((u, n - 1) for u in range(n - 1) if joined >> u & 1)
+            key = _canonical_edges(n, edges)
+            if key not in seen:
+                seen.add(key)
+                out.append(Graph(n, edges))
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ import setmaps.oracles as oracles
 from setmaps.abel import ABEL_POLY_CAP
 from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
 from setmaps.poly import Poly
+from setmaps.umbral import standard_families
 
 from _corpus import random_graphs
 
@@ -121,6 +122,22 @@ def test_verify_table_mode_prints_check_lines(capsys):
 def test_verify_binomial_pass(capsys):
     status, out, _ = run_cli(capsys, "verify", "--check", "binomial", "--graph", f"{GRAPHS}/c4.txt")
     assert status == 0
+
+
+def test_no_command_builds_the_whole_table_of_values(capsys, monkeypatch):
+    # equality and the arithmetic read a chromatic table's tuple of values; every
+    # command reads single values or the counts (the values' coordinates)
+    def refuse(self):
+        raise AssertionError("the whole tuple of values was built")
+
+    monkeypatch.setattr(graphs._CountTable, "table", property(refuse))
+    c8 = f"{GRAPHS}/c8.txt"
+    runs = [("verify", "--check", "all", "--graph", c8), ("chromatic", "--graph", c8)]
+    runs += [("expand", "--graph", c8, "--basis", str(family)) for family in standard_families()]
+    for argv in runs:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 0 and err == "", argv
+    assert json.loads(out)["result"]["reconstructs"] is True
 
 
 def test_verify_unknown_selector(capsys):

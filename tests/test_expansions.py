@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 from math import factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setmaps.abel import BlockPartition, abel_setmap
 from setmaps.algebra import block_sums, compose
+import setmaps.checks as checks
 from setmaps.checks import (
     BINOMIAL_CHECK_CAP,
     _orientation_counts,
@@ -24,7 +27,7 @@ import setmaps.graphs as graphs
 from setmaps.graphs import Graph, chromatic_setmap
 from setmaps.oracles import count_acyclic_orientations, count_stable_partitions, deletion_contraction
 from setmaps.poly import Poly
-from setmaps.ring import CapExceeded, SetMap, partitions_of
+from setmaps.ring import CapExceeded, SetMap, partitions_of, subsets_of
 from setmaps.umbral import (
     AbelPolynomials,
     FallingFactorials,
@@ -36,7 +39,7 @@ from setmaps.umbral import (
     standard_families,
 )
 
-from _corpus import graphs_through, random_graphs
+from _corpus import classes_on, graphs_through, random_graphs
 from conftest import random_fraction, random_table
 
 
@@ -387,10 +390,12 @@ def test_graph_verifiers_check_their_caps_before_reading_the_table():
         verify_stanley_evaluation(Graph.complete(4), None, cap=3)
 
 
-def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
+def corrupted_c4_tables() -> tuple:
+    """Three corrupted chromatic tables of the 4-cycle: two plain tables and a
+    count table."""
+    c4 = Graph.cycle(4)
     # x^2 on the full set breaks binomial type; c*x would not, and the
     # expansion verifiers could not see it
-    c4 = Graph.cycle(4)
     table = list(chromatic_setmap(c4).table)
     table[-1] = table[-1] + Poly.monomial(2)
     full = SetMap(c4.n, table)
@@ -400,11 +405,14 @@ def test_verifiers_reject_a_corrupted_chromatic_table(monkeypatch):
     table[0b0111] = table[0b0111] + Poly.x()
     proper = SetMap(c4.n, table)
     # a count table that finds the edge {0, 1} stable: chi = x^2 there, in counts and in values
-    counts = graphs._stable_partition_counts(c4)
-    counts[0b0011] += 1 << graphs._SLOT
-    monkeypatch.setattr(graphs, "_stable_partition_counts", lambda graph: counts)
-    miscounted = chromatic_setmap(c4)
-    assert miscounted[0b0011] == Poly.monomial(2) and miscounted.falling_counts()[3 * 5 + 1] == 1
+    miscounted = miscount(c4, 0b0011, 1, 1)
+    assert miscounted[0b0011] == Poly.monomial(2) and miscounted.coordinates()[1][1][0b0011] == 1
+    return full, proper, miscounted
+
+
+def test_verifiers_reject_a_corrupted_chromatic_table():
+    c4 = Graph.cycle(4)
+    full, proper, miscounted = corrupted_c4_tables()
     for p in (full, proper, miscounted):
         # the coefficients of every subset, against the kernel or a count of the graph
         for a in (0, 1, -1):
@@ -462,17 +470,17 @@ def test_power_identity_rejects_bad_exponent():
 
 @pytest.mark.parametrize("x0", [2, Fraction(2), Fraction(-6, 3)])
 def test_power_identity_evaluates_a_whole_point_at_an_int(monkeypatch, x0):
-    tables = []  # every value table that map_values returns
-    map_values = SetMap.map_values
+    tables = []  # every value table that the linear read of the coordinates returns
+    read = checks.linear_read
 
-    def spy(self, fn):
-        out = map_values(self, fn)
-        tables.append(out.table)
+    def spy(columns, weights, n):
+        out = read(columns, weights, n)
+        tables.append(out)
         return out
 
-    monkeypatch.setattr(SetMap, "map_values", spy)
+    monkeypatch.setattr(checks, "linear_read", spy)
     assert verify_power_identity(chromatic_setmap(Graph.cycle(5)), x0, 3)
-    assert len(tables) == 2  # at x0 and at 3 x0
+    assert len(tables) == 2 and all(len(table) == 32 for table in tables)  # at x0 and at 3 x0
     assert all(type(v) is int for table in tables for v in table)
 
 
@@ -500,6 +508,132 @@ def test_power_identity_cap():
     # the products run on the block-sum kernel, under its cap of 17
     with pytest.raises(CapExceeded):
         verify_power_identity(monomial_type_map(18), 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the coordinates, and the linear reads against the values they replaced
+# ---------------------------------------------------------------------------
+
+
+def resum(p: SetMap) -> list:
+    """Every value re-summed from its coordinates: sum_j columns[j][T] b_j."""
+    basis, columns = p.coordinates()
+    return [sum((b * c[T] for b, c in zip(basis, columns) if c[T]), Poly.zero()) for T in range(1 << p.n)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_graphs(max_n=10))
+def test_a_chromatic_table_resums_its_counts_in_the_falling_factorials(g):
+    p = chromatic_setmap(g)
+    basis, columns = p.coordinates()
+    assert basis == FallingFactorials(1).members(g.n) and len(columns) == g.n + 1
+    assert resum(p) == [p[T] for T in range(1 << g.n)]
+    assert all(type(c) is int and c >= 0 for column in columns for c in column)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(standard_families() + (AbelPolynomials(Fraction(3, 4)),)),
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1 << n, max_size=1 << n
+        )
+    ),
+)
+def test_a_composition_resums_its_monomial_coordinates(source, table):
+    n = len(table).bit_length() - 1
+    p = compose(source.members(n), SetMap(n, [Fraction(0)] + table[1:]))
+    basis, columns = p.coordinates()
+    assert basis == [Poly.monomial(j) for j in range(len(basis))]
+    assert resum(p) == list(p.table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=4), max_size=7))
+def test_an_abel_map_resums_its_monomial_coordinates(sizes):
+    p = abel_setmap(BlockPartition(sizes))
+    assert resum(p) == list(p.table)
+
+
+def verdicts(graph: Graph, p: SetMap, x0, y0: int, binomial: bool) -> tuple:
+    """power, stanley and, when asked, binomial: the linear reads of the coordinates."""
+    return (
+        verify_power_identity(p, x0, y0),
+        verify_stanley_evaluation(graph, p),
+        check_binomial_type(p) if binomial else None,
+    )
+
+
+def verdicts_by_values(graph: Graph, p: SetMap, x0, y0: int, binomial: bool) -> tuple:
+    """The same verdicts from every value p[T], built and evaluated one by one, the
+    power by y0 - 1 products and the binomial identity on the grid of its degree."""
+    masks, values = range(1 << p.n), [p[T] for T in range(1 << p.n)]
+    at = [SetMap(p.n, [q(x) for q in values]) for x in (x0, x0 * y0)]
+    power = at[0]
+    for _ in range(y0 - 1):
+        power = power * at[0]
+    counts = _orientation_counts(graph)
+    stanley = all((-1) ** T.bit_count() * values[T](-1) == counts[T] for T in masks)
+    if not binomial:
+        return power == at[1], stanley, None
+    degree = max(0, max(q.degree for q in values))
+    grid = range(degree + 1)
+    evals = [[q(s) for s in range(2 * degree + 1)] for q in values]
+    holds = all(
+        evals[S][x + y] == sum(evals[T][x] * evals[S ^ T][y] for T in subsets_of(S))
+        for S in masks
+        for x in grid
+        for y in grid
+    )
+    return power == at[1], stanley, holds
+
+
+def miscount(g: Graph, mask: int, slot: int, by: int) -> SetMap:
+    """The chromatic table of g with the count s_slot(mask) raised by ``by``:
+    chi at ``mask`` gains by * (x)_slot, in its counts and in its values."""
+    counts = graphs._stable_partition_counts(g)
+    counts[mask] += by << graphs._SLOT * slot
+    with patch.object(graphs, "_stable_partition_counts", lambda graph: counts):
+        return chromatic_setmap(g)
+
+
+def test_the_linear_reads_give_the_verdicts_of_the_values_on_every_graph_of_up_to_7_vertices():
+    # the 3^n grid of the binomial check on each of the 1044 graphs of 7 vertices would take
+    # about 13 s a route, so it runs through 6 vertices here and on Hypothesis graphs below
+    for n in range(8):
+        for g in classes_on(n):
+            tables = [chromatic_setmap(g)]
+            if 2 <= n <= 5:  # x on {0, 1}: binomial type breaks on a proper subset only
+                tables.append(miscount(g, 0b11, 1, 1))
+            for p in tables:
+                assert verdicts(g, p, 2, 3, n <= 6) == verdicts_by_values(g, p, 2, 3, n <= 6), g
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_graphs(max_n=10),
+    st.sampled_from([2, -1, 3, Fraction(1, 2), Fraction(-5, 3)]),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_the_linear_reads_give_the_verdicts_of_the_values_on_miscounted_tables(g, x0, y0, data):
+    p = chromatic_setmap(g)
+    if g.n and data.draw(st.booleans()):
+        mask = data.draw(st.integers(min_value=1, max_value=g.vertex_mask))
+        slot = data.draw(st.integers(min_value=0, max_value=mask.bit_count()))
+        p = miscount(g, mask, slot, data.draw(st.integers(min_value=1, max_value=3)))
+    binomial = g.n <= 8  # the grid check's 3^n (n + 1)^2 terms: about 1.5 s a route at 10
+    assert verdicts(g, p, x0, y0, binomial) == verdicts_by_values(g, p, x0, y0, binomial)
+
+
+def test_the_linear_reads_give_the_verdicts_of_the_values_on_corrupted_tables():
+    c4 = Graph.cycle(4)
+    seen = set()
+    for p in corrupted_c4_tables():
+        for x0, y0 in ((2, 2), (Fraction(1, 2), 3), (-1, 1)):
+            seen.add(verdicts(c4, p, x0, y0, True))
+            assert verdicts(c4, p, x0, y0, True) == verdicts_by_values(c4, p, x0, y0, True)
+    assert (False, False, False) in seen and (True, False, False) in seen
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +690,13 @@ def test_a_count_table_and_its_values_expand_alike():
     # the counts route (a chromatic table) and the monomial route (the same values, eagerly)
     g = random_graphs(9, 1, seed=9, p=0.4)[0]
     lazy = chromatic_setmap(g)
-    counts = lazy.falling_counts()
-    assert len(counts) == 10 << 9 and lazy.falling_counts() is counts  # unpacked once
+    basis, columns = lazy.coordinates()
+    assert len(basis) == len(columns) == 10 and all(len(column) == 1 << 9 for column in columns)
+    assert lazy.coordinates()[1] is columns  # unpacked once
     eager = SetMap(g.n, lazy.table)
-    # a table whose values were all built first has let its packed counts go
+    # a table whose values were all built first still reads its counts
     built = chromatic_setmap(g)
-    assert built.table == eager.table and built.falling_counts() is None
+    assert built.table == eager.table and built.coordinates() == (basis, columns)
     for basis in KERNEL_ROUTE_BASES:
         family = family_from_string(basis)
         a, b, c = expand(lazy, family), expand(eager, family), expand(built, family)

@@ -25,7 +25,7 @@ from setmaps.oracles import (
 from setmaps.poly import Poly, interpolate
 from setmaps.ring import CapExceeded, SetMap, partitions_of
 
-from _corpus import graphs_on, graphs_through, random_graphs
+from _corpus import _canonical_edges, classes_on, graphs_on, graphs_through, random_graphs
 
 
 def exact(poly: Poly) -> bool:
@@ -84,6 +84,14 @@ def test_iso_class_counts():
     # unlabeled simple graph counts: 1, 1, 2, 4, 11, 34
     assert [len(graphs_on(n)) for n in range(6)] == [1, 1, 2, 4, 11, 34]
     assert len(graphs_through(4)) == 19
+
+
+def test_classes_by_extension_are_the_iso_classes():
+    # OEIS A000088: 1, 1, 2, 4, 11, 34, 156, 1044
+    assert [len(classes_on(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    for n in range(6):  # the same classes as the brute-force canonical form finds
+        keys = {_canonical_edges(n, g.edges) for g in graphs_on(n)}
+        assert {_canonical_edges(n, g.edges) for g in classes_on(n)} == keys
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,15 @@ def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
     assert expand.answer(out)
     out["result"]["length_coefficients"][2] = str(int(out["result"]["length_coefficients"][2]) + 1)
     assert not expand.answer(out)
-    # past a lowered cap the command exits 3 before any work
+    # the star row's answer is every coefficient of the closed form: one changed coefficient fails it
     chromatic = rows["chromatic on the star, centre 0"]
+    with tempfile.TemporaryDirectory() as directory:
+        assert main(chromatic.args(6, directory)) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert chromatic.answer(out) and out["result"]["coefficients"][3] == "-10"
+    out["result"]["coefficients"][3] = "-9"
+    assert not chromatic.answer(out)
+    # past a lowered cap the command exits 3 before any work
     lowered = chromatic._replace(cap=4, args=lambda n, d: [*chromatic.args(n, d), "--cap", "4"])
     assert probe.check(lowered, 5)
     assert capsys.readouterr().out.startswith("PASS chromatic on the star, centre 0 at n = 5, past cap 4: exit 3")
