@@ -9,7 +9,9 @@ command, the seeded input its cap was measured on and a check of its answer.  A
 run is a child under a 512 MiB address space that reports its peak RSS (VmHWM,
 which exec resets, unlike a parent's rusage).  At n = cap it must exit 0 with a
 right answer within the row's RSS bound, at cap + 1 exit 3 and print nothing.
-Time is printed, not gated: the caps were measured on one host.
+Time is printed, not gated: the caps were measured on one host.  The first line
+is a reference time, the median of a fixed in-process loop, so that the times of
+runs on different days or hosts can be set side by side.
 """
 
 import json
@@ -176,7 +178,22 @@ def probe(points) -> int:
     return 0 if all([check(row, n) for row, n in points]) else 1
 
 
+def reference(runs: int = 7) -> float:
+    """Print and return the median time of a fixed loop of big-int products and Fraction sums."""
+    times = []
+    for _ in range(runs):
+        start, a = time.perf_counter(), 3**4000
+        for _ in range(3000):
+            a = a * a & (1 << 9000) - 1 | 1
+        sum(Fraction(1, k) for k in range(1, 3000))
+        times.append(time.perf_counter() - start)
+    median = sorted(times)[runs // 2]
+    print(f"reference: {median:.3f} s, the median of {runs} runs of a fixed in-process loop")
+    return median
+
+
 def main() -> int:
+    reference()
     return probe([(row, n) for row in rows() for n in (row.cap, row.cap + 1)])
 
 

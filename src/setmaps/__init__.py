@@ -23,7 +23,7 @@ _SOURCES = {
         ),
         "abel",
     ),
-    **dict.fromkeys(("block_sums", "compose", "decompose", "recover_sequence"), "algebra"),
+    **dict.fromkeys(("compose", "decompose", "recover_sequence"), "algebra"),
     **dict.fromkeys(
         (
             "check_binomial_type",

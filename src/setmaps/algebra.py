@@ -2,14 +2,13 @@
 
 Composition is the set-map form of the exponential formula: (a o h)_S
 sums a_{len(sigma)} times the product of h over the blocks, over the set
-partitions sigma of S.  It reads the block sums of h at every subset
-(``block_sums``, the every-mask readout of the block-sum kernel in
-``kernel``); the decomposition and the recovery of a sequence are EGF
-algebra on it, and ``SetMap.inverse`` is one composition.  The Abel
-partition sums and the expansion checks need the full set alone
-(``kernel.full_block_sums``) and ``expand`` no kernel at all, so a process
-that runs them never loads this module.  All arithmetic is exact (Fraction
-or int); polynomial values work only in the terms of ``compose``.
+partitions sigma of S.  ``compose`` is the every-mask readout of the
+block-sum kernel (``kernel``), one Moebius transform per coefficient column
+of the terms; ``SetMap.inverse``, ``decompose`` and ``recover_sequence``
+are EGF algebra on it.  The Abel partition sums and the expansion checks
+read the full set alone (``kernel.full_block_sums``) and never load this
+module.  All arithmetic is exact: the terms are ints, Fractions or Polys,
+the inner map rational.
 """
 
 from __future__ import annotations
@@ -18,61 +17,54 @@ import math
 import operator
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import zip_longest
 
-from .kernel import _packed, _slot, _transform
-from .ring import SetMap, sequence_product
-
-
-def block_sums(table) -> list[tuple]:
-    """A list indexed by mask T of the rational ``table``: the tuple
-    (c_0, ..., c_|T|), c_k the sum over k-block set partitions of T of the
-    product of the table over the blocks (c_0 is 1 on the empty set).
-
-    Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
-    "Fourier meets Moebius", STOC 2007), Kronecker-packed (``_packed``):
-    k! c_k is the k-fold disjoint product.  No block is empty, so a packed
-    mask divides by z and its k-th power over z^k is one int product kept
-    to n + 1 - k slots; the Moebius transform of that power holds
-    k! c_k(T) lam^|T| in slot |T| - k at mask T, zeros below.
-    """
-    n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])])
-    zeta = [x >> w for x in zeta]
-    sums, power = [[1]] + [[0] for _ in ranks[1:]], zeta
-    for k in range(1, n + 1):
-        if k > 1:
-            power = [a * b & mask >> w * k for a, b in zip(power, zeta)]
-        layer = _transform(list(power), operator.sub)
-        for T, r in enumerate(ranks):
-            if r >= k:
-                sums[T].append(_slot(layer[T], w, r - k, math.factorial(k) * lam**r))
-    return [tuple(s) for s in sums]
+from .kernel import _packed, _slot, _transform, full_block_sums
+from .ring import SetMap, _terms, sequence_product
 
 
 def compose(terms: Iterable, inner: SetMap) -> SetMap:
     """Compose a sequence with a rational set map vanishing on the empty set.
 
-    (a o h)_S = sum_k a_k c_k(S) with c the block sums of h; the empty set
-    gets a_0 (empty product).  The terms, 0..n, may be polynomials.
+    (a o h)_S = sum_k a_k c_k(S), c_k(S) the sum over k-block set partitions
+    of S of the product of h over the blocks (c_0 is 1 on the empty set).
+    The terms, 0..n, are ints, Fractions or Polys.
+
+    Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
+    "Fourier meets Moebius", STOC 2007), Kronecker-packed (``_packed``):
+    k! c_k is the k-fold disjoint product.  No block is empty, so a packed
+    mask divides by z and its k-th power over z^k is one int product kept
+    to n + 1 - k slots.  The transform is linear: a coefficient column of
+    the terms, as int weights W_k = L a_k / k!, sums W_k z^k times the k-th
+    power, and one Moebius transform of the sum holds L lam^|T| (a o h)_T in
+    slot |T| at mask T, zeros below.
     """
-    n = inner.n
     if inner.table[0] != 0:
         raise ValueError("composition requires value 0 on the empty set")
-    seq = _terms(terms, n, "composition over ")
-    sums = block_sums(inner.table)
-    return SetMap(n, (_weigh(seq, sums[S]) for S in range(1 << n)))
-
-
-def _terms(terms: Iterable, n: int, what: str) -> tuple:
-    """The sequence as a tuple, which must cover indices 0..n; never padded."""
-    seq = tuple(terms)
-    if len(seq) < n + 1:
-        raise ValueError(f"sequence too short: {what}ground-set size {n} needs terms 0..{n}, got {len(seq)}")
-    return seq
-
-
-def _weigh(terms: tuple, lengths: tuple):
-    """sum_k terms[k] * lengths[k] over the block counts of one subset."""
-    return sum(a * c for a, c in zip(terms, lengths))
+    seq = _terms(terms, inner.n, "composition over ")[: inner.n + 1]
+    polys = not all(isinstance(a, (int, Fraction)) for a in seq)
+    if polys:
+        from .poly import Poly
+    # column j holds the terms' coefficients of x^j; an int or a Fraction is its own column 0
+    coeffs = ((a.coeffs or (0,)) if polys and isinstance(a, Poly) else (a,) for a in seq)
+    columns = list(zip_longest(*coeffs, fillvalue=0))
+    if not all(isinstance(a, (int, Fraction)) for column in columns for a in column):
+        raise TypeError("composition terms are ints, Fractions or Polys")
+    scaled = [[Fraction(a, math.factorial(k)) for k, a in enumerate(column)] for column in columns]
+    scales = [math.lcm(*(f.denominator for f in column)) for column in scaled]
+    weights = [[f.numerator * (L // f.denominator) for f in column] for column, L in zip(scaled, scales)]
+    n, w, mask, lam, ranks, (zeta,) = _packed([inner.table], weights)
+    power = zeta = [x >> w for x in zeta]
+    sums = [[W[0]] * len(zeta) for W in weights]  # the 0-th power is 1 at every mask
+    for k in range(1, max((j for W in weights for j, c in enumerate(W) if c), default=0) + 1):
+        if k > 1:
+            power = [a * b & mask >> w * k for a, b in zip(power, zeta)]
+        for W, s in zip(weights, sums):
+            if W[k]:
+                s[:] = [x + (W[k] * y << w * k) for x, y in zip(s, power)]
+    values = [[_slot(x, w, r, L * lam**r) for x, r in zip(_transform(s, operator.sub), ranks)]
+              for s, L in zip(sums, scales)]
+    return SetMap(n, map(Poly, zip(*values)) if polys else values[0])
 
 
 def _revert(terms: tuple) -> list[Fraction]:
@@ -110,9 +102,10 @@ def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
     """Recover terms 0..max_n of a with compose(a, inner) == outer.
 
     ``inner`` is rational, 0 on the empty set and nonzero on the singletons
-    0..max_n-1.  Term m is solved on {0, ..., m-1}, where the all-singletons
-    partition isolates a_m; a final pass over the subsets of size <= max_n
-    rejects maps that are not compositions with ``inner``.
+    0..max_n-1.  Term m is solved on {0, ..., m-1}, by the full-set readout
+    of its masks, where the all-singletons partition isolates a_m; one
+    composition, terms past max_n 0, rejects on the subsets of size <= max_n
+    the maps that are not compositions with ``inner``.
     """
     n = outer.n
     if inner.n != n:
@@ -123,15 +116,13 @@ def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
         raise ValueError(f"ground set of size {n} cannot determine terms beyond index {n}")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    for v in range(max_n):
-        if inner.table[1 << v] == 0:
-            raise ValueError("recovery requires nonzero values on one-element subsets")
-    sums = block_sums(inner.table)
+    if any(inner.table[1 << v] == 0 for v in range(max_n)):
+        raise ValueError("recovery requires nonzero values on one-element subsets")
     terms: list = [outer.table[0]]
     for m in range(1, max_n + 1):
-        lengths = sums[(1 << m) - 1]
-        terms.append((outer.table[(1 << m) - 1] - _weigh(terms, lengths)) / Fraction(lengths[m]))
-    for S in range(1 << n):
-        if S.bit_count() <= max_n and _weigh(terms, sums[S]) != outer.table[S]:
-            raise ValueError("map is not a composition of any sequence with the inner map")
+        lengths = full_block_sums(inner.table[: 1 << m])
+        terms.append((outer.table[(1 << m) - 1] - sum(map(operator.mul, terms, lengths))) / Fraction(lengths[m]))
+    composed = compose(terms + [0] * (n - max_n), inner)
+    if any(composed[S] != outer.table[S] for S in range(1 << n) if S.bit_count() <= max_n):
+        raise ValueError("map is not a composition of any sequence with the inner map")
     return tuple(terms)

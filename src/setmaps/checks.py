@@ -9,21 +9,22 @@ verifiers check the coefficient interpretations against counts taken from
 the graph on the block-sum kernel (``kernel``), never from its chromatic
 table: acyclic-orientation pair counts in the rising basis, stable-
 partition counts in the log basis and Stanley's evaluation at -1.  The
-counts start from the stable-set indicator (``_stable_sets``); the acyclic
-orientations are the inverse of its signed map (``_orientation_counts``).
-One more verifier checks the integer-power identity.  Each graph verifier
-takes a graph as its whole ground set (restrict it first for a subset)
-next to its chromatic table.  Every verifier checks its cap before it
-reads the table, and that cap is the only cap on the work it runs: it
-passes the cap on to the ``expand`` it calls.  Every verifier runs on the
-kernel and takes its cap, ``ring.BLOCK_SUM_CAP``; the grid check keeps a
-smaller one.  ``expand`` and a table read load neither this module nor
-the kernel.
+counts start from the stable-set indicator (``_stable_sets``): the stable
+partitions are one composition with it (``algebra.compose``), the acyclic
+orientations the inverse of its signed map (``_orientation_counts``, kept
+for the last graph, which the rising and Stanley checks share).  One more
+verifier checks the integer-power identity.  Each graph verifier takes a
+graph as its whole ground set (restrict it first for a subset) next to its
+chromatic table.  Every verifier checks its cap, ``ring.BLOCK_SUM_CAP`` or
+the grid check's smaller one, before it reads the table, and passes it on
+to the ``expand`` it calls: it is the only cap on the work.  ``expand`` and
+a table read load neither this module nor the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .expansions import expand, linear_read
 from .graphs import Graph
@@ -69,6 +70,7 @@ def _stable_sets(graph: Graph) -> list[int]:
     return stable
 
 
+@lru_cache(maxsize=1)  # `verify --check all` reads it for stanley and for rising-pairs
 def _orientation_counts(graph: Graph) -> tuple:
     """The acyclic-orientation count of every induced subgraph, by mask: the inverse
     of T -> (-1)^|T| [T stable], which is the sink recurrence AO(S) = sum over the
@@ -102,16 +104,15 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_
     induced subgraph (the block sums of the stable-set indicator), for every
     nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T: the
     kernel's partition sums of the s_T are the coordinates of chi_S, which
-    re-sum to it.  B chi of the empty set is 0 by linearity, while the empty
-    set has one empty stable partition, so the empty set is skipped.
+    re-sum to it.  The counts are one composition with terms 1 past term 0,
+    which is 0: B chi of the empty set is 0 by linearity.
     """
-    from .algebra import block_sums
+    from .algebra import compose
 
     if graph.n > cap:
         raise CapExceeded(f"stable-count verification over {graph.n} vertices exceeds cap {cap}")
     exp = expand(p, LogPolynomials(), cap)
-    counts = block_sums(_stable_sets(graph))
-    if any(exp.coeffs[T] != sum(counts[T]) for T in range(1, 1 << graph.n)):
+    if compose([0] + [1] * graph.n, SetMap(graph.n, [0, *_stable_sets(graph)[1:]])) != exp.coeffs:
         return False
     return full_block_sums(exp.coeffs.table) == exp.lengths and exp.reconstruct() == p[graph.vertex_mask]
 

@@ -2,14 +2,12 @@
 
 Each mask's rank polynomial is packed into one int (``_packed``) and
 zeta-transformed once (``_transform``); a slot of the result is read back
-over the packing scale (``_slot``).  ``SetMap.__mul__`` takes the product
-of two such transforms, ``algebra.block_sums`` reads every mask of the
-powers of one, and ``full_block_sums`` the full set alone: the partition
-sums of the Abel closed form and the second side of the expansion checks
-(``expansions.expansion_reconstructs``).  Only those callers import this
-module, so a process that runs ``expand``, ``chromatic`` or a table read
-never compiles it.  All arithmetic is exact; the kernel refuses values
-that are not rational.
+over the packing scale (``_slot``).  It has three readouts: the product of
+two transforms (``SetMap.__mul__``), every mask of a weighted sum of the
+powers of one (``algebra.compose``) and the full set alone
+(``full_block_sums``: the Abel closed form, the expansion checks).  Only
+those callers import it, so ``expand``, ``chromatic`` or a table read never
+compile it.  All arithmetic is exact; it refuses values that are not rational.
 """
 
 from __future__ import annotations
@@ -39,20 +37,20 @@ def _transform(a: list, op: Callable) -> list:
     return a
 
 
-def _packed(tables, k: int | None = None) -> tuple:
+def _packed(tables, weights) -> tuple:
     """Kronecker-pack rational tables: n, the slot width w, the mask
     2^(w(n+1)) - 1, the scale lam, the ranks, and per table the zeta
     transform of T -> f_T lam^|T| 2^(w|T|), one int per mask.  lam makes
     every f_T lam^|T| integral: its least power of each prime up to 2^10
     comes by trial division, its factor over the primes past that from
-    ``_large_scale``.  Every slot that is read holds a sum over ordered
-    disjoint j-tuples of sets covering a mask of r elements, j <= k (n by
-    default), of the product of the scaled values g_T = f_T lam^|T|; the
-    slots below it are 0, so only its own size matters.  It is at most
-    the coefficient of z^r in (sum of |g_T| z^|T|)^j, which counts every
-    j-tuple, and at most r! [z^r] (sum over r' of M_r' z^r' / r'!)^j with
-    M_r' the largest |g_T| at |T| = r', which counts the ordered set
-    compositions; w is 2 bits more than the largest of the smaller bounds."""
+    ``_large_scale``.  A slot that is read holds, for a vector W of
+    ``weights``, sum_j W_j P_j(r), P_j(r) a sum over ordered disjoint
+    j-tuples of sets covering a mask of r elements of the product of the
+    scaled values g_T = f_T lam^|T|; the slots below it are 0, so only its
+    own size matters.  |P_j(r)| <= b_j(r), the smaller of [z^r] (sum of
+    |g_T| z^|T|)^j, which counts every j-tuple, and r! [z^r] (sum over r' of
+    M_r' z^r' / r'!)^j, M_r' the largest |g_T| at |T| = r', which counts the
+    ordered set compositions; w is 2 bits past the largest sum_j |W_j| b_j(r)."""
     n = len(tables[0]).bit_length() - 1
     ranks = [0]
     for _ in range(n):
@@ -78,18 +76,20 @@ def _packed(tables, k: int | None = None) -> tuple:
         lam = math.lcm(lam, _large_scale(tables, ranks, rest))
     ints = [[x.numerator * (lam**r // x.denominator) for x, r in zip(t, ranks)]
             if lam > 1 else [x.numerator for x in t] for t in tables]
-    weight, top = [0] * (n + 1), [0] * (n + 1)
+    total, top = [0] * (n + 1), [0] * (n + 1)
     for g in ints:
         for a, r in zip(g, ranks):
             a = abs(a)
-            weight[r] += a
+            total[r] += a
             if a > top[r]:
                 top[r] = a
-    bound, power, compositions = max(top), weight, top
-    for _ in range(1, n if k is None else k):
-        power = [sum(power[i] * weight[j - i] for i in range(j + 1)) for j in range(n + 1)]
+    bounds, power, compositions = [[1] + [0] * n, top], total, top  # b_0 (the empty tuple) and b_1
+    for _ in range(2, max(map(len, weights), default=0)):
+        power = [sum(power[i] * total[r - i] for i in range(r + 1)) for r in range(n + 1)]
         compositions = sequence_product(compositions, top)
-        bound = max(bound, *map(min, power, compositions))
+        bounds.append(list(map(min, power, compositions)))
+    bound = max((sum(abs(c) * b[r] for c, b in zip(W, bounds)) for W in weights for r in range(n + 1)),
+                default=0)
     w = bound.bit_length() + 2
     zetas = [_transform([a << w * r for a, r in zip(g, ranks)], operator.add) for g in ints]
     return n, w, (1 << w * (n + 1)) - 1, lam, ranks, zetas
@@ -161,12 +161,14 @@ def _slot(packed: int, w: int, r: int, scale: int):
 
 
 def full_block_sums(table) -> tuple:
-    """``algebra.block_sums(table)`` at the full set alone, from n 2^n int products:
-    the Moebius transform there is the sum over masks X of (-1)^(n-|X|)
-    times the power at X, so the masks split in two lists by sign.  No
-    disjoint k-tuple short of n elements covers the full set, so the slots
-    below n are 0 and slot n is k! c_k lam^n (slot n - k over z^k)."""
-    n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])])
+    """(c_0, ..., c_n), c_k the sum over the k-block set partitions of the full
+    set of the product of ``table`` over the blocks, from n 2^n int products:
+    the Moebius transform there is the sum over masks X of (-1)^(n-|X|) times
+    the power at X, so the masks split in two lists by sign.  No disjoint
+    k-tuple short of n elements covers the full set, so the slots below n
+    are 0 and slot n is k! c_k lam^n (slot n - k over z^k)."""
+    alone = [(0,) * k + (1,) for k in range(1, len(table).bit_length())]  # each power 1..n
+    n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])], alone)
     plus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2 == 0]
     minus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2]
     sums, pp, mp = [int(n == 0)], plus, minus

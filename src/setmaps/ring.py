@@ -8,12 +8,12 @@ exponential generating functions.
 
 The product runs on the block-sum kernel (``kernel``), which ``__mul__``
 imports when it runs: a process that never multiplies set maps, such as
-``expand``, ``chromatic`` or a table read, never compiles it.  Composition,
-and the inverse, decomposition and recovery built on it, live in
-``algebra``, which a process loads only when it composes.  All arithmetic
-is exact (Fraction or int); the kernel refuses other values.  ``expand``
-and the checks read polynomial values through ``coordinates``, which
-imports ``poly`` when it runs.
+``expand``, ``chromatic`` or a table read, never compiles it.  Composition
+(the kernel's every-mask readout) and the inverse, decomposition and
+recovery built on it live in ``algebra``, loaded only to compose.  All
+arithmetic is exact (Fraction or int); the kernel refuses other values.
+``expand`` and the checks read polynomial values through
+``coordinates``, which imports ``poly`` when it runs.
 """
 
 from __future__ import annotations
@@ -139,8 +139,6 @@ class SetMap:
     @classmethod
     def from_sequence(cls, n: int, terms: Iterable) -> "SetMap":
         """Cardinality-constant map a_S = a_{|S|}; needs terms 0..n."""
-        from .algebra import _terms
-
         seq = _terms(terms, n, "")
         return cls(n, (seq[mask.bit_count()] for mask in range(1 << n)))
 
@@ -192,7 +190,7 @@ class SetMap:
         # _packed refuses a value that has none
         c, d = (getattr(t[0], "denominator", 1) for t in (self.table, other.table))
         tables = [t if e == 1 else [x * e for x in t] for t, e in ((self.table, c), (other.table, d))]
-        n, w, mask, lam, ranks, (g, h) = _packed(tables, 2)
+        n, w, mask, lam, ranks, (g, h) = _packed(tables, ((0, 1), (0, 0, 1)))
         layer = _transform([a * b & mask for a, b in zip(g, h)], operator.sub)
         return SetMap(n, (_slot(x, w, r, c * d * lam**r) for x, r in zip(layer, ranks)))
 
@@ -230,6 +228,14 @@ class SetMap:
 # abel.abel_setmap, whose values feed the kernel, took 4.3 s and 69 MiB in process
 # on 17 seeded blocks of size 1-3, and 8.7 s and 130 MiB on 18
 BLOCK_SUM_CAP = 17
+
+
+def _terms(terms: Iterable, n: int, what: str) -> tuple:
+    """The sequence as a tuple, which must cover indices 0..n; never padded."""
+    seq = tuple(terms)
+    if len(seq) < n + 1:
+        raise ValueError(f"sequence too short: {what}ground-set size {n} needs terms 0..{n}, got {len(seq)}")
+    return seq
 
 
 def sequence_product(a: Iterable, b: Iterable) -> tuple:

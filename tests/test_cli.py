@@ -695,6 +695,20 @@ def test_stable_count_check_admits_nine_vertices(capsys, tmp_path):
     assert json.loads(out)["result"] == {"all_pass": True, "passed": 1, "failed": 0}
 
 
+def test_check_all_runs_one_orientation_pass(capsys, monkeypatch):
+    # stanley and rising-pairs both read the orientation counts: one inverse serves both
+    import setmaps.checks as checks
+    from setmaps.ring import SetMap
+
+    inverses = []
+    inverse = SetMap.inverse
+    monkeypatch.setattr(SetMap, "inverse", lambda self: inverses.append(self.n) or inverse(self))
+    checks._orientation_counts.cache_clear()
+    status, out, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/c8.txt")
+    assert status == 0 and json.loads(out)["result"]["all_pass"] is True
+    assert inverses == [8]
+
+
 def test_cap_reaches_every_stage_of_the_rising_pairs_check(capsys, tmp_path):
     # K7: the vertex cap of 7 reaches the expansion and the kernel runs, on 21 edges
     path = tmp_path / "k7.txt"

@@ -1,5 +1,6 @@
 """Set-map ring: product, composition, inverse, decomposition, recovery."""
 
+import operator
 from fractions import Fraction
 from math import comb, prod
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setmaps.algebra import block_sums, compose, decompose, recover_sequence
+import setmaps.algebra as algebra
+import setmaps.kernel as kernel
+from setmaps.algebra import compose, decompose, recover_sequence
 from setmaps.graphs import Graph, chromatic_setmap
 from setmaps.kernel import _packed, full_block_sums
 from setmaps.poly import Poly
@@ -144,6 +147,15 @@ def brute_block_sums(table):
     return out
 
 
+def block_sums(table):
+    """Every mask's block sums (c_0, ..., c_|T|), read from compose with each unit
+    sequence e_k: the k-th term 1, every other 0."""
+    n = len(table).bit_length() - 1
+    h = SetMap(n, [0, *table[1:]])
+    by_k = [compose([int(j == k) for j in range(n + 1)], h) for k in range(n + 1)]
+    return [tuple(c[T] for c in by_k[: T.bit_count() + 1]) for T in range(len(table))]
+
+
 @st.composite
 def kernel_tables(draw):
     n = draw(st.integers(min_value=0, max_value=8))  # 9: test_block_sums_full_nine_element_set
@@ -159,7 +171,7 @@ def kernel_tables(draw):
 @example([Fraction(5)])
 @example([Fraction(7), Fraction(2), Fraction(0), Fraction(5, 6)])
 def test_block_sums_match_partition_enumeration(table):
-    # both readouts of the packed kernel: every mask, and the full set alone
+    # both readouts of the packed kernel: every mask (compose), and the full set alone
     brute = brute_block_sums(table)
     assert block_sums(table) == brute
     assert full_block_sums(table) == brute[-1]
@@ -199,7 +211,7 @@ def test_slot_width_counts_ordered_set_compositions():
     # into k blocks, the surjections onto k, far below what (sum_T z^|T|)^k
     # counts
     n = 10
-    _, w, *_ = _packed([[0] + [1] * ((1 << n) - 1)])
+    _, w, *_ = _packed([[0] + [1] * ((1 << n) - 1)], [(0,) * k + (1,) for k in range(1, n + 1)])
     onto = [sum((-1) ** i * comb(k, i) * (k - i) ** j for i in range(k + 1))
             for j in range(n + 1) for k in range(n + 1)]
     assert w == max(onto).bit_length() + 2
@@ -211,7 +223,7 @@ def test_block_sums_scale_each_rank_by_its_own_root():
     table = [0, Fraction(1, 3), Fraction(2, 3), Fraction(5, 9)]
     assert full_block_sums(table) == (0, Fraction(5, 9), Fraction(2, 9))
     big = [0, Fraction(1, 1031**2), Fraction(1, 1031), 1]
-    assert _packed([big])[3] == 1031**2
+    assert _packed([big], [])[3] == 1031**2
     assert block_sums(big) == brute_block_sums(big)
     assert block_sums([0, 2, 3, 4]) == [(1,), (0, 2), (0, 3), (0, 4, 6)]
     assert all(type(c) is int for c in full_block_sums([0, 2, 3, 4]))
@@ -252,7 +264,7 @@ def test_scale_is_the_least_past_trial_division(drawn):
     table, factors = drawn
     least = prod(q ** max(-(-f.get(q, 0) // T.bit_count()) for T, f in enumerate(factors) if T)
                  for q in (2, 3, *LARGE_PRIMES))
-    assert _packed([table])[3] == least
+    assert _packed([table], [])[3] == least
     brute = brute_block_sums(table)
     assert block_sums(table) == brute
     assert full_block_sums(table) == brute[-1]
@@ -395,12 +407,6 @@ def test_compose_refuses_values_that_are_not_rational(table):
 
 
 @pytest.mark.parametrize("table", [_POLY, _FLOAT])
-def test_block_sums_refuse_values_that_are_not_rational(table):
-    with pytest.raises(TypeError, match=_NOT_RATIONAL):
-        block_sums(table.table)
-
-
-@pytest.mark.parametrize("table", [_POLY, _FLOAT])
 def test_full_block_sums_refuse_values_that_are_not_rational(table):
     with pytest.raises(TypeError, match=_NOT_RATIONAL):
         full_block_sums(table.table)
@@ -477,6 +483,70 @@ def test_composition_is_ring_morphism_in_the_sequence(a, b, table):
     h = SetMap(3, table)
     lhs = compose(sequence_product(a, b), h)
     assert lhs == compose(a, h) * compose(b, h)
+
+
+def brute_compose(terms, table):
+    """(a o h)_S = sum_k a_k c_k(S), from the partition list of every mask."""
+    return tuple(sum(a * c for a, c in zip(terms, sums)) for sums in brute_block_sums(table))
+
+
+# denominators past trial division, 2^10, among small ones
+wide_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 1031, 1031 * 1033, 65537]))
+
+
+@st.composite
+def compositions(draw):
+    """Terms of one kind, int, rational or Poly, and an inner table with 0 on the empty set."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    inner = draw(st.lists(st.one_of(st.just(Fraction(0)), wide_fractions), min_size=(1 << n) - 1,
+                          max_size=(1 << n) - 1))
+    term = draw(st.sampled_from([st.integers(-9, 9), wide_fractions, st.lists(wide_fractions, max_size=4).map(Poly)]))
+    return draw(st.lists(term, min_size=n + 1, max_size=n + 1)), [Fraction(0), *inner]
+
+
+@settings(max_examples=40, deadline=None)
+@given(compositions())
+@example(([1, Fraction(1, 1031), Fraction(-7, 65537), 2], [0, Fraction(1, 1031**2), Fraction(5, 1033), 3]))
+@example(([Poly((1, Fraction(1, 1031))), Poly(), Poly.x() ** 3], [0, 1, -1, Fraction(2, 65537)]))
+def test_compose_matches_the_partition_sum(drawn):
+    terms, table = drawn
+    assert compose(terms, SetMap(len(table).bit_length() - 1, table)).table == brute_compose(terms, table)
+
+
+def test_compose_runs_one_moebius_transform_per_coefficient_column(monkeypatch):
+    runs = []
+    transform = algebra._transform
+    monkeypatch.setattr(algebra, "_transform", lambda a, op: runs.append(op) or transform(a, op))
+    h = SetMap(6, [0] + [Fraction(T % 5 - 2, 3) for T in range(1, 64)])
+    terms = [Fraction(1, k + 1) for k in range(7)]
+    assert compose(terms, h).table == brute_compose(terms, h.table)
+    assert runs == [operator.sub]
+    runs.clear()
+    terms = [Poly.monomial(k % 3, k + 1) for k in range(7)]  # degrees 0 to 2: three columns
+    assert compose(terms, h).table == brute_compose(terms, h.table)
+    assert runs == [operator.sub] * 3
+
+
+def test_compose_refuses_terms_that_are_not_exact():
+    with pytest.raises(TypeError, match="ints, Fractions or Polys"):
+        compose([1.5, 1, 0.5], SetMap(2, [0, 1, 1, 1]))
+    with pytest.raises(TypeError, match="ints, Fractions or Polys"):
+        compose([Poly.x(), 0.5, 1], SetMap(2, [0, 1, 1, 1]))
+
+
+def test_the_product_and_the_full_set_readout_keep_their_slot_width(monkeypatch):
+    # the product's w bounds the factors and their product, the full set's every
+    # power alone; composition's weighted bound leaves both as they were
+    widths = []
+    packed = kernel._packed
+    monkeypatch.setattr(kernel, "_packed", lambda *args: (lambda out: widths.append(out[1]) or out)(packed(*args)))
+    tables = [[1], [1] * 8, [1] * 1024, [Fraction(1, 3)] * 16, [7, -7, 7, -7, 2**40, 1, 1, 1],
+              [Fraction(T % 7 - 3, T % 4 + 1) for T in range(32)]]
+    for t in tables:
+        n = len(t).bit_length() - 1
+        SetMap(n, t) * SetMap(n, t[::-1])
+        full_block_sums(t)
+    assert widths == [3, 2, 6, 5, 13, 27, 7, 9, 84, 123, 28, 28]
 
 
 # ---------------------------------------------------------------------------

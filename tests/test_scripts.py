@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -41,6 +42,14 @@ def test_expansion_atlas_builds_one_table_over_the_subset(capsys, monkeypatch):
     assert "subset=63" in out
     assert "chromatic polynomial: x^6 - 5*x^5 + 10*x^4 - 10*x^3 + 5*x^2 - x\n" in out
     assert "all bases rebuild the chromatic polynomial" in out
+
+
+def test_cap_probe_prints_a_reference_timing_first(capsys, monkeypatch):
+    probe = load_script("cap_probe")
+    monkeypatch.setattr(probe, "probe", lambda points: 0)  # the rows are not run here
+    assert probe.main() == 0
+    assert re.fullmatch(r"reference: \d+\.\d{3} s, the median of 7 runs of a fixed in-process loop\n",
+                        capsys.readouterr().out)
 
 
 def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
