@@ -17,7 +17,8 @@ import argparse
 import random
 import sys
 import time
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 from setmaps.algebra import compose
 from setmaps.checks import (
@@ -34,17 +35,43 @@ from setmaps.umbral import AbelPolynomials, FallingFactorials, standard_families
 SEED = 7
 
 
+def canonical(n, edges):
+    """The least sorted edge list over the relabellings that order the vertices
+    by an invariant (degree, then twice the sorted invariants of the
+    neighbors): equal for two graphs exactly when they are isomorphic."""
+    near = [[] for _ in range(n)]
+    for u, v in edges:
+        near[u].append(v)
+        near[v].append(u)
+    invariant = [len(vs) for vs in near]
+    for _ in range(2):
+        invariant = [(invariant[v], tuple(sorted(invariant[u] for u in near[v]))) for v in range(n)]
+    cells = {}
+    for v in range(n):
+        cells.setdefault(invariant[v], []).append(v)
+    return min(
+        tuple(sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges))
+        for choice in product(*(permutations(cells[key]) for key in sorted(cells)))
+        for label in [{v: i for i, v in enumerate(v for cell in choice for v in cell)}]
+    )
+
+
+@lru_cache(maxsize=None)
 def iso_classes(n):
-    slots = list(combinations(range(n), 2))
-    perms = list(permutations(range(n)))
+    """One graph of every isomorphism class on n vertices: each class on n - 1
+    vertices with a new last vertex joined to each subset of it (every graph
+    is one of those, less its last vertex), one kept per canonical form."""
+    if n == 0:
+        return (Graph(0),)
     seen, out = set(), []
-    for bits in range(1 << len(slots)):
-        edges = tuple(e for i, e in enumerate(slots) if (bits >> i) & 1)
-        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms)
-        if key not in seen:
-            seen.add(key)
-            out.append(Graph(n, edges))
-    return out
+    for g in iso_classes(n - 1):
+        for joined in range(1 << (n - 1)):
+            edges = g.edges + tuple((u, n - 1) for u in range(n - 1) if joined >> u & 1)
+            key = canonical(n, edges)
+            if key not in seen:
+                seen.add(key)
+                out.append(Graph(n, edges))
+    return tuple(out)
 
 
 def sweep_graph(graph):

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import repeat
 
 from .poly import Poly
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, sequence_product
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, quotient, sequence_product
 from .umbral import BinomialFamily, RisingFactorials
 
 
@@ -112,13 +111,12 @@ def expand(
     scale = math.lcm(*(a.denominator for a in alpha))
     ints = [a.numerator * (scale // a.denominator) for a in alpha]
     acc = linear_read(columns, ints, n)
-    coeffs = acc if scale == 1 else [Fraction(c, scale) for c in acc]
+    coeffs = acc if scale == 1 else [quotient(c, scale) for c in acc]
     # B_{j,k}(alpha) = j! [t^j] (sum_i alpha_i t^i / i!)^k / k!: the k-th binomial power
     # of alpha over k!, homogeneous of degree k in the scaled ints
     top, power, lengths = [column[-1] for column in columns], [1] + [0] * (len(ints) - 1), []
     for k in range(max(n, len(ints) - 1) + 1):
-        c = Fraction(sum(map(operator.mul, top, power)), math.factorial(k) * scale**k)
-        lengths.append(c.numerator if c.denominator == 1 else c)
+        lengths.append(quotient(sum(map(operator.mul, top, power)), math.factorial(k) * scale**k))
         power = sequence_product(power, ints)
     return Expansion(family, SetMap(n, coeffs), tuple(lengths))
 

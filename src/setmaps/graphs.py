@@ -4,10 +4,12 @@ The chromatic table (``chromatic_setmap``) is the paper's expansion in
 the falling-factorial basis, chi_S = sum over partitions sigma of S into
 stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
-block count, and no induced subgraph is built.  The table keeps those
-packed counts and builds a polynomial only when it is read; ``expand``
-and the checks read the counts themselves, as the values' coordinates in
-the falling factorials (``_CountTable.coordinates``).  A single
+block count, visiting the vertices largest last and taking a simplicial
+vertex in one pass over the slots; no induced subgraph is built.  The
+table keeps those packed counts and builds a polynomial only when it is
+read; ``expand`` and the checks read the counts themselves, as the
+values' coordinates in the falling factorials (``_CountTable.coordinates``).
+A single
 polynomial (``chromatic_poly``) is the table's value at the full set,
 under a vertex cap of its own (``CHROMATIC_POLY_CAP``) checked before the
 count pass.
@@ -181,18 +183,45 @@ def _slots(packed: int, width: int) -> tuple:
     return _UNSIGNED[width].unpack(packed.to_bytes(8 * width, "little"))
 
 
+def _largest_last(adj: list[int]) -> list[int]:
+    """The count pass's vertex order: repeatedly, of the vertices not yet
+    placed, the one with the most neighbors not yet placed goes last (ties to
+    the lowest label); ``adj[v]`` is the neighbor mask of v."""
+    order, rest = [], (1 << len(adj)) - 1
+    while rest:
+        v = max(range(len(adj)), key=lambda u: (adj[u] & rest).bit_count() if rest >> u & 1 else -1)
+        order.append(v)
+        rest ^= 1 << v
+    return order[::-1]
+
+
 def _stable_partition_counts(graph: Graph) -> list[int]:
     """For every mask S, the counts s_k(S) of stable partitions of S into k
     blocks, packed into one int: s_k(S) in bits 64k to 64k + 63.
 
-    With v the top vertex of S and R = S - v, the block holding v is v plus
-    an independent set I of R that avoids the neighbors of v, so
-    packed[S] = (sum of packed[R - I] over those I) << 64.  The masks with
-    top vertex v are visited as A | C | v, with C the neighbors of v in S
-    and A the rest of R, by a depth-first walk over A that extends the list
-    of independent subsets of A one vertex at a time.  When C is empty, v
-    is isolated in S, chi_S = x chi_R and s_k(S) = s_{k-1}(R) + k s_k(R),
-    which takes one pass over the slots instead of the sum.
+    The vertices are visited largest last (``_largest_last``), which puts the
+    hubs last, as the largest-first coloring of Welsh and Powell (Comput. J.
+    1967) puts them first.  At v the pass fills every mask whose last vertex
+    in that order is v: S = A | C | v, with C among v's earlier neighbors and
+    A among its earlier non-neighbors.  Masks keep their labels.  With
+    R = A | C, packed[S] takes one of three routes:
+    - C is empty: v is isolated in S, chi_S = x chi_R;
+    - C is a clique of c vertices: v is simplicial in S, chi_S = (x - c) chi_R
+      (Fulkerson and Gross, Pacific J. Math. 1965; Read, J. Combin. Theory
+      1968), and since (x - c)(x)_k = (x)_(k+1) + (k - c)(x)_k, s_k(S) =
+      s_(k-1)(R) + (k - c) s_k(R): one pass over the slots, with the first
+      route as c = 0;
+    - otherwise the block holding v is v plus an independent set I of A, and
+      packed[S] is the sum of packed[R - I] over those I, shifted one slot.
+    The slot pass costs about as much as a sum of 12 counts (1.35 us, against
+    0.92 us for 8 and 1.55 us for 16, on Python 3.11), so the first two routes
+    take the sum while A has at most 8 independent subsets.  On the bench's
+    G(12-13, p) and on G(16, .3-.9) a limit of 4, 8 or 12 times alike, and
+    none (the slot pass always) is 3-7 % slower at p = .5-.8.  A depth-first
+    walk over A extends the list of A's independent subsets one vertex at a
+    time.  When every side C of v is a clique, every mask takes the slot
+    pass, in one loop over the earlier vertices' subsets, with no list of
+    independent subsets.
     """
     n = graph.n
     adj = [0] * n
@@ -204,35 +233,43 @@ def _stable_partition_counts(graph: Graph) -> list[int]:
     get = packed.__getitem__
     times_k = [k << _SLOT * k for k in range(n + 1)]
 
-    def isolated(R: int) -> int:
-        counts = _slots(packed[R], R.bit_count() + 1)
-        return (packed[R] << _SLOT) + sum(map(operator.mul, counts, times_k))
+    def simplicial(R, c):  # chi_(R + v) = (x - c) chi_R
+        P = packed[R]
+        return (P << _SLOT) + sum(map(operator.mul, _slots(P, R.bit_count() + 1), times_k)) - c * P
 
-    for v in range(n):
-        top = 1 << v
-        near = adj[v] & (top - 1)
-        if not near:
-            packed[top : 2 * top] = map(isolated, range(top))
-            continue
-        far = [u for u in range(v) if not near >> u & 1]
-        sides = [0]
-        for u in range(v):
-            if near >> u & 1:
-                sides += [c | 1 << u for c in sides]
-        sides = sides[1:]  # the nonempty submasks of near: C when v has a neighbor in S
+    placed = []
+    for v in _largest_last(adj):
+        top, near, far = 1 << v, adj[v], []
+        sides = {0: 0}  # each side C: |C| if C is a clique, else -1
+        for u in placed:
+            if near >> u & 1:  # C | u is a clique when C is one inside the neighbors of u
+                bit, a = 1 << u, adj[u]
+                sides.update({C | bit: c + 1 if c >= 0 and C & a == C else -1 for C, c in sides.items()})
+            else:
+                far.append(u)
 
-        def visit(A: int, independent: list, start: int) -> None:
+        def visit(A, independent, start):
             # independent: the independent subsets of A
-            packed[A | top] = isolated(A)
-            rests = list(map(A.__xor__, independent))
-            for C in sides:
-                packed[A | C | top] = sum(map(get, map(C.__or__, rests))) << _SLOT
+            many = len(independent) > 8
+            for C, c in sides.items():
+                R = A | C
+                if c >= 0 and many:
+                    packed[R | top] = simplicial(R, c)
+                else:
+                    packed[R | top] = sum(map(get, map(R.__xor__, independent))) << _SLOT
             for i in range(start, len(far)):
-                bit, blocked = 1 << far[i], adj[far[i]]
-                grown = independent + [I | bit for I in independent if not I & blocked]
-                visit(A | bit, grown, i + 1)
+                u = far[i]
+                visit(A | 1 << u, independent + [I | 1 << u for I in independent if not I & adj[u]], i + 1)
 
-        visit(0, [0], 0)
+        if -1 in sides.values():
+            visit(0, [0], 0)
+        else:  # every side is a clique
+            masks = [0]
+            for u in placed:
+                masks += [R | 1 << u for R in masks]
+            for R in masks:
+                packed[R | top] = simplicial(R, (R & near).bit_count())
+        placed.append(v)
     return packed
 
 
@@ -315,13 +352,14 @@ def chromatic_setmap(graph: Graph) -> SetMap:
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
 # for a cold `setmaps chromatic`, and 17 for both routes.  The count pass is
-# slowest on sparse graphs: at 17, 0.4-6.6 s and 30 MiB on G(17, p) drawn by
-# scripts/cap_probe.gnp_edges with random.Random(1), p = 0-.6, the worst at .02,
-# and 7.7 s on the star with centre 0, the probe's row, where every other vertex
-# has one lower neighbor and the rest independent (24.5 s at 18).  Deletion-
-# contraction (oracles.deletion_contraction, which this also caps) is slowest on
-# dense ones: at 17, 0.9-4.8 s and 71-225 MiB for p = .3-.6, and at 18, 13-18 s
-# and 736-809 MiB from p = .4 on (Python 3.11, 2 cores)
+# slowest on sparse graphs: at 17, 0.11-0.65 s and 29-31 MiB on G(17, p) drawn
+# by scripts/cap_probe.gnp_edges with random.Random(1), p = 0-.6, the worst at
+# .03 (the probe's row), and 0.14 s on the star with centre 0 (3.2 s before the
+# largest-last order; 0.26 s at 18); at 18 it takes 1.3-2.0 s on G(18, .02-.1).
+# Deletion-contraction (oracles.deletion_contraction, which this also caps) is
+# slowest on dense ones: at 17, 0.5-1.9 s and 70-225 MiB for p = .3-.6, and at
+# 18 it took 13-18 s and 736-809 MiB from p = .4 on, on an older, slower host
+# (Python 3.11, 2 cores)
 CHROMATIC_POLY_CAP = 17
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from fractions import Fraction
 
-from .ring import sequence_product
+from .ring import quotient, sequence_product
 
 
 def _transform(a: list, op: Callable) -> list:
@@ -156,8 +155,7 @@ def _slot(packed: int, w: int, r: int, scale: int):
     """Slot r of ``packed``, read balanced mod 2^w, over ``scale``."""
     half = 1 << (w - 1)
     q = ((packed >> w * r) + half & 2 * half - 1) - half
-    c, rem = divmod(q, scale)
-    return Fraction(q, scale) if rem else c
+    return quotient(q, scale)
 
 
 def full_block_sums(table) -> tuple:

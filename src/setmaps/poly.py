@@ -5,16 +5,31 @@ polynomials, basis members and Abel-type polynomials are all Polys.
 ``interpolate`` is exact Newton interpolation through rational points.
 Nothing here depends on the rest of the package, so a module that only
 builds or evaluates polynomials loads this one and not the umbral
-functionals and bases.
+functionals and bases.  ``fractions`` is imported only when a value that is
+not an int comes in or a quotient is taken, so integral work never loads it.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
-_Scalar = (int, Fraction)
-_KEPT = {int, Fraction}  # coefficient types a Poly stores as given
+
+def _exact(values: Iterable) -> list:
+    """The values as a list, each int or Fraction as it is and anything else
+    converted with Fraction."""
+    cs = list(values)
+    if not {int}.issuperset(map(type, cs)):
+        from fractions import Fraction
+
+        cs = [c if type(c) is int or isinstance(c, Fraction) else Fraction(c) for c in cs]
+    return cs
+
+
+def _scalar(value) -> bool:
+    """An int or a Fraction; a Fraction exists only once ``fractions`` is loaded."""
+    fractions = sys.modules.get("fractions")
+    return isinstance(value, int) or fractions is not None and isinstance(value, fractions.Fraction)
 
 
 class Poly:
@@ -34,9 +49,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
-        if not _KEPT.issuperset(map(type, cs)):
-            cs = [c if type(c) is int or isinstance(c, Fraction) else Fraction(c) for c in cs]
+        cs = _exact(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -63,8 +76,8 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -72,7 +85,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, _Scalar):
+        if _scalar(other):
             if not self.coeffs:
                 return other == 0
             return len(self.coeffs) == 1 and self.coeffs[0] == other
@@ -85,10 +98,10 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _scalar(other):
+                return NotImplemented
+            other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -103,22 +116,22 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _scalar(other):
+                return NotImplemented
+            other = Poly((other,))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
+        if not isinstance(other, Poly):
+            if not _scalar(other):
+                return NotImplemented
             if other == 0:
                 return Poly()
             return Poly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -132,7 +145,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _Scalar):
+        if _scalar(other):
+            from fractions import Fraction
+
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
@@ -152,10 +167,13 @@ class Poly:
 
     def __call__(self, point) -> int | Fraction:
         """The exact value; an int or Fraction point is used as it is."""
-        x = point if type(point) in _KEPT else Fraction(point)
+        if type(point) is not int:
+            from fractions import Fraction
+
+            point = point if type(point) is Fraction else Fraction(point)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = acc * point + c
         return acc
 
     def derivative(self) -> "Poly":
@@ -187,6 +205,8 @@ class Poly:
 
 def interpolate(points: Sequence[tuple]) -> Poly:
     """Exact Newton interpolation through the given (x, y) points."""
+    from fractions import Fraction
+
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")

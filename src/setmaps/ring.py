@@ -12,6 +12,7 @@ imports when it runs: a process that never multiplies set maps, such as
 (the kernel's every-mask readout) and the inverse, decomposition and
 recovery built on it live in ``algebra``, loaded only to compose.  All
 arithmetic is exact (Fraction or int); the kernel refuses other values.
+``fractions`` is imported only where a quotient is not an int (``quotient``).
 ``expand`` and the checks read polynomial values through
 ``coordinates``, which imports ``poly`` when it runs.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -96,6 +96,17 @@ def partitions_of(mask: int) -> Iterator[tuple[int, ...]]:
         opened[i + 1 :] = [max(opened[i], b + 1)] * (m - i)
 
 
+def quotient(a: int, b: int):
+    """a / b exactly for ints: an int when b divides a, else a Fraction, so
+    that integral work never loads ``fractions``."""
+    q, r = divmod(a, b)
+    if not r:
+        return q
+    from fractions import Fraction
+
+    return Fraction(a, b)
+
+
 @lru_cache(maxsize=None)
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set."""
@@ -131,8 +142,13 @@ class SetMap:
         return cls(n, (value,) * (1 << n))
 
     @classmethod
-    def unit(cls, n: int, one=Fraction(1)) -> "SetMap":
-        """The ring unit: ``one`` on the empty set, zero elsewhere."""
+    def unit(cls, n: int, one=None) -> "SetMap":
+        """The ring unit: ``one`` (by default Fraction(1)) on the empty set,
+        zero elsewhere."""
+        if one is None:
+            from fractions import Fraction
+
+            one = Fraction(1)
         zero = one * 0
         return cls(n, (one if mask == 0 else zero for mask in range(1 << n)))
 

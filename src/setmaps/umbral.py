@@ -24,6 +24,10 @@ operator is Q x^j = sum_{k=1..j} C(j, k) m_k x^(j-k).  Shipped families:
 monomials x^n, falling factorials (x/a)_n, rising factorials
 x(x+1)...(x+n-1), Abel polynomials x(x - a n)^{n-1}, and the basis with
 exponential generating function (1 + log(1+t))^x.
+
+Moments, members and parameters follow ``Poly``'s rule: an int stays an int,
+and a parameter is an int when it is integral, so the monomial, rising, log,
+``falling:1`` and ``abel:0`` bases run in ints and never load ``fractions``.
 """
 
 from __future__ import annotations
@@ -31,10 +35,19 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from fractions import Fraction
 
-from .poly import Poly
-from .ring import bell_number, sequence_product
+from .poly import Poly, _exact
+from .ring import bell_number, quotient, sequence_product
+
+
+def _rational(value):
+    """``value`` exactly: an int when it is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    from fractions import Fraction
+
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Functional:
@@ -49,7 +62,7 @@ class Functional:
     __slots__ = ("moments", "_scaled")
 
     def __init__(self, moments: Iterable):
-        ms = tuple(m if isinstance(m, Fraction) else Fraction(m) for m in moments)
+        ms = tuple(_exact(moments))
         if not ms:
             raise ValueError("a functional needs at least the moment on 1")
         self.moments = ms
@@ -57,13 +70,13 @@ class Functional:
 
     @classmethod
     def evaluation_at(cls, point, bound: int) -> "Functional":
-        c = Fraction(point)
+        c = _rational(point)
         return cls(tuple(c**k for k in range(bound + 1)))
 
     @classmethod
     def derivative_at(cls, point, bound: int) -> "Functional":
-        c = Fraction(point)
-        return cls((Fraction(0),) + tuple(k * c ** (k - 1) for k in range(1, bound + 1)))
+        c = _rational(point)
+        return cls((0,) + tuple(k * c ** (k - 1) for k in range(1, bound + 1)))
 
     @property
     def bound(self) -> int:
@@ -83,7 +96,7 @@ class Functional:
             self._scaled = ([m.numerator * (scale // m.denominator) for m in self.moments], scale)
         ints, scale = self._scaled
         total = sum(map(operator.mul, f.coeffs, ints))
-        return total if scale == 1 else Fraction(total, scale)
+        return total if scale == 1 else quotient(total, scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Functional):
@@ -132,7 +145,7 @@ def _next_member(m: tuple, n: int, below: Poly) -> Poly:
             acc -= math.comb(i + k, k) * m[k] * c[i + k]
         d = (i + 1) * m[1]
         if type(acc) is int and type(d) is int:
-            c[i + 1] = acc // d if acc % d == 0 else Fraction(acc, d)
+            c[i + 1] = quotient(acc, d)
         else:
             c[i + 1] = acc / d  # a Fraction
     return Poly(c)
@@ -191,6 +204,8 @@ class BinomialFamily:
         """Coefficients c with f = sum_k c_k * a_k(x), by triangular elimination."""
         if not f:
             return ()
+        from fractions import Fraction
+
         out = [Fraction(0)] * (f.degree + 1)
         members = self.members(f.degree)
         remainder = f
@@ -232,14 +247,14 @@ class FallingFactorials(BinomialFamily):
     __slots__ = ("step",)
 
     def __init__(self, step=1):
-        self.step = Fraction(step)
+        self.step = _rational(step)
         if self.step == 0:
             raise ValueError("falling-factorial step must be nonzero")
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
         a = self.step
-        return Functional((Fraction(0),) + tuple(a**k for k in range(1, bound + 1)))
+        return Functional((0,) + tuple(a**k for k in range(1, bound + 1)))
 
     def __str__(self) -> str:
         return f"falling:{self.step}"
@@ -257,7 +272,7 @@ class RisingFactorials(BinomialFamily):
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
         # moments of f(0) - f(-1): 0^k - (-1)^k
-        return Functional((Fraction(0),) + tuple(-((-1) ** k) for k in range(1, bound + 1)))
+        return Functional((0,) + tuple(-((-1) ** k) for k in range(1, bound + 1)))
 
     def __str__(self) -> str:
         return "rising"
@@ -275,7 +290,7 @@ class AbelPolynomials(BinomialFamily):
     __slots__ = ("point",)
 
     def __init__(self, point=1):
-        self.point = Fraction(point)
+        self.point = _rational(point)
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
@@ -306,6 +321,17 @@ class LogPolynomials(BinomialFamily):
         return "logfamily"
 
 
+def _parameter(text: str):
+    """An ASCII integer literal as an int; any other text through Fraction,
+    whose spellings and error text it keeps."""
+    digits = text[1:] if text[:1] in ("-", "+") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 def family_from_string(spec: str) -> BinomialFamily:
     """Parse a family spec: monomial | falling:a | rising | abel:a | logfamily.
 
@@ -321,9 +347,9 @@ def family_from_string(spec: str) -> BinomialFamily:
         if name == "logfamily" and not sep:
             return LogPolynomials()
         if name == "falling" and sep:
-            return FallingFactorials(Fraction(arg))
+            return FallingFactorials(_parameter(arg))
         if name == "abel" and sep:
-            return AbelPolynomials(Fraction(arg))
+            return AbelPolynomials(_parameter(arg))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad family parameter in {spec!r}: {exc}") from None
     raise ValueError(

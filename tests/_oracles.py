@@ -79,3 +79,47 @@ def series_binomial_power(x_value, inner, order: int) -> list[Fraction]:
         coeff = coeff * (x - k) / (k + 1)
         power = series_mul(power, inner, order)
     return out
+
+
+def label_order_counts(n: int, edges) -> list[int]:
+    """The stable-partition counts of every mask, packed as the engine packs
+    them (s_k(S) in bits 64k to 64k + 63), by the count pass that visited the
+    vertices in label order: the top vertex v of S joins an independent set I
+    of S - v that avoids its neighbors, packed[S] = (sum of packed[S - v - I])
+    << 64, and an isolated top vertex gives s_k(S) = s_(k-1)(R) + k s_k(R)."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    packed = [0] * (1 << n)
+    packed[0] = 1
+
+    def isolated(R: int) -> int:
+        counts = [packed[R] >> 64 * k & (1 << 64) - 1 for k in range(R.bit_count() + 1)]
+        return (packed[R] << 64) + sum(k * c << 64 * k for k, c in enumerate(counts))
+
+    for v in range(n):
+        top = 1 << v
+        near = adj[v] & (top - 1)
+        if not near:
+            packed[top : 2 * top] = map(isolated, range(top))
+            continue
+        far = [u for u in range(v) if not near >> u & 1]
+        sides = [0]
+        for u in range(v):
+            if near >> u & 1:
+                sides += [c | 1 << u for c in sides]
+        sides = sides[1:]
+
+        def visit(A: int, independent: list, start: int) -> None:
+            packed[A | top] = isolated(A)
+            rests = [A ^ I for I in independent]
+            for C in sides:
+                packed[A | C | top] = sum(packed[C | rest] for rest in rests) << 64
+            for i in range(start, len(far)):
+                bit, blocked = 1 << far[i], adj[far[i]]
+                grown = independent + [I | bit for I in independent if not I & blocked]
+                visit(A | bit, grown, i + 1)
+
+        visit(0, [0], 0)
+    return packed

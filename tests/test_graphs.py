@@ -26,6 +26,7 @@ from setmaps.poly import Poly, interpolate
 from setmaps.ring import CapExceeded, SetMap, partitions_of
 
 from _corpus import _canonical_edges, classes_on, graphs_on, graphs_through, random_graphs
+from _oracles import label_order_counts
 
 
 def exact(poly: Poly) -> bool:
@@ -297,6 +298,102 @@ def test_tables_of_random_graphs_match_the_recorded_digest():
         for poly in chromatic_setmap(g).table:
             digest.update(repr(poly).encode())
     assert digest.hexdigest() == TABLE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the count pass: largest last, with the simplicial branch
+# ---------------------------------------------------------------------------
+
+
+def adjacency(g: Graph) -> list[int]:
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def union(*parts: Graph) -> Graph:
+    """The disjoint union, each part's labels shifted past the parts before it."""
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
+def chordal(n: int, rng: random.Random) -> Graph:
+    """Each vertex joined to a clique among the earlier ones: read backwards, a
+    perfect elimination order, so the graph is chordal; labels shuffled."""
+    edges = set()
+    for v in range(1, n):
+        clique = []  # earlier vertices in random order, each kept when it is joined to those kept
+        for u in rng.sample(range(v), rng.randint(0, v)):
+            if all((w, u) in edges or (u, w) in edges for w in clique):
+                clique.append(u)
+        edges.update((u, v) for u in clique)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def count_pass_corpus() -> list[Graph]:
+    """Stars with the centre at every label, paths, cycles, complete and edgeless
+    graphs, disjoint unions, chordal graphs and graphs whose degrees tie."""
+    out = []
+    for n in range(1, 9):
+        out += [Graph(n, [(c, v) for v in range(n) if v != c]) for c in range(n)]
+        out += [Graph.path(n), Graph.edgeless(n), Graph.complete(min(n, 6))]
+        out += [Graph.cycle(n)] if n >= 3 else []
+    out += [union(Graph.complete(3), Graph.cycle(4), Graph.path(3)), union(Graph.edgeless(2), Graph.complete(4))]
+    out += [union(Graph(4, [(3, v) for v in range(3)]), Graph.cycle(5))]
+    rng = random.Random(0xC0D)
+    out += [chordal(rng.randint(4, 9), rng) for _ in range(12)]
+    # 3-regular: K_{3,3}, the 3-cube and the Petersen graph; every degree ties
+    out.append(Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]))
+    out.append(Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]))
+    out.append(Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
+    return out
+
+
+def test_the_largest_last_order_is_a_deterministic_permutation():
+    for g in count_pass_corpus():
+        order = graphs._largest_last(adjacency(g))
+        assert sorted(order) == list(range(g.n)) and order == graphs._largest_last(adjacency(g)), g
+    for n in range(3, 9):
+        for centre in range(n):
+            star = Graph(n, [(centre, v) for v in range(n) if v != centre])
+            assert graphs._largest_last(adjacency(star))[-1] == centre, star
+    # ties go to the lowest label, which is placed last among them: edgeless in reverse label order
+    assert graphs._largest_last(adjacency(Graph.edgeless(4))) == [3, 2, 1, 0]
+    assert graphs._largest_last(adjacency(Graph.path(4))) == [3, 0, 2, 1]
+
+
+def test_the_count_pass_equals_the_label_order_pass_on_every_class_through_7_vertices():
+    for n in range(8):
+        for g in classes_on(n):
+            assert graphs._stable_partition_counts(g) == label_order_counts(g.n, g.edges), g
+
+
+def test_the_count_pass_equals_the_label_order_pass_and_the_routes_on_named_graphs():
+    for g in count_pass_corpus():
+        assert graphs._stable_partition_counts(g) == label_order_counts(g.n, g.edges), g
+        chi = chromatic_poly(g)
+        assert chi == deletion_contraction(g) == chromatic_by_interpolation(g), g
+        assert g.edge_count > 15 or chi == subgraph_expansion(g), g
+
+
+@st.composite
+def chordal_graphs(draw, max_n: int):
+    return chordal(draw(st.integers(0, max_n)), random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(table_graphs(max_n=10), chordal_graphs(max_n=10)))
+def test_the_count_pass_equals_the_label_order_pass_on_hypothesis_graphs(g):
+    assert graphs._stable_partition_counts(g) == label_order_counts(g.n, g.edges)
+    assert chromatic_poly(g) == deletion_contraction(g)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,33 @@ def test_a_table_read_loads_neither_umbral_nor_the_oracles():
     assert engine(loaded_after(code)) == {"setmaps.graphs", "setmaps.poly", "setmaps.ring"}
 
 
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        (
+            "\n".join(
+                [
+                    "from setmaps.graphs import chromatic_setmap, load_graph",
+                    f"table = chromatic_setmap(load_graph({str(GRAPHS / 'c8.txt')!r}))",
+                    "assert table[table.full_mask].degree == 8 and table[7].degree == 3",
+                ]
+            ),
+            False,
+        ),
+        (run_main("chromatic", "--graph", str(GRAPHS / "c8.txt")), False),
+        *(
+            (run_main("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", basis), False)
+            for basis in ("monomial", "rising", "logfamily", "falling:1", "abel:0")
+        ),
+        (run_main("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "rising", "--subset", "63"), False),
+        (run_main("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "falling:1/2"), True),
+    ],
+)
+def test_integral_work_loads_neither_fractions_nor_decimal(code, loaded):
+    modules = loaded_after(code)
+    assert ("fractions" in modules) == ("decimal" in modules) == loaded, code
+
+
 def test_no_cap_warning_loads_abel():
     argv = ("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "rising", "--cap", "9")
     assert "setmaps.abel" not in loaded_after(run_main(*argv))

@@ -6,6 +6,7 @@ import re
 import tempfile
 from pathlib import Path
 
+from _corpus import _canonical_edges, classes_on
 from setmaps.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +23,16 @@ def test_identity_sweep_passes(capsys):
     sweep = load_script("run_identity_sweep")
     assert sweep.main(["--max-n", "3", "--random", "1"]) == 0
     assert "0 failing checks" in capsys.readouterr().out
+
+
+def test_the_sweep_adds_a_vertex_to_find_the_iso_classes():
+    sweep = load_script("run_identity_sweep")
+    for n in range(7):
+        classes = sweep.iso_classes(n)
+        assert len(classes) == len(classes_on(n)), n  # 1, 1, 2, 4, 11, 34, 156
+        keys = {_canonical_edges(n, g.edges) for g in classes}
+        assert len(keys) == len(classes) and keys == {_canonical_edges(n, g.edges) for g in classes_on(n)}, n
+        assert {sweep.canonical(n, g.edges) for g in classes_on(n)} == {sweep.canonical(n, g.edges) for g in classes}
 
 
 def test_expansion_atlas_rebuilds_every_basis(capsys):
@@ -59,7 +70,7 @@ def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
     small = {"verify --check tail-forests": 3, "abel on unit blocks": 5, "chromatic table and reads": 11}
     assert probe.probe([(row, small.get(name, 6)) for name, row in rows.items()]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS ") == len(rows) == 15 and "FAIL" not in out
+    assert out.count("PASS ") == len(rows) == 16 and "FAIL" not in out
     assert "PASS chromatic table and reads at n = 11, answer right: exit 0" in out
     # the expand row's answer re-sums the printed lengths itself: a wrong length fails it
     expand = rows["expand --basis rising"]
@@ -77,6 +88,14 @@ def test_cap_probe_checks_every_row_under_its_own_limits(capsys):
     assert chromatic.answer(out) and out["result"]["coefficients"][3] == "-10"
     out["result"]["coefficients"][3] = "-9"
     assert not chromatic.answer(out)
+    # the sparse row's answer is deletion-contraction's every coefficient: one changed coefficient fails it
+    sparse = rows["chromatic on G(n, .03)"]
+    with tempfile.TemporaryDirectory() as directory:
+        assert main(sparse.args(9, directory)) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sparse.answer(out) and out["result"]["degree"] == 9
+    out["result"]["coefficients"][1] = str(int(out["result"]["coefficients"][1]) + 1)
+    assert not sparse.answer(out)
     # past a lowered cap the command exits 3 before any work
     lowered = chromatic._replace(cap=4, args=lambda n, d: [*chromatic.args(n, d), "--cap", "4"])
     assert probe.check(lowered, 5)

@@ -483,18 +483,39 @@ def test_threads_share_a_family():
 def test_families_are_values():
     one, fraction_one = FallingFactorials(1), FallingFactorials(Fraction(1))
     assert one == fraction_one and hash(one) == hash(fraction_one)
-    assert type(one.step) is Fraction and AbelPolynomials(2).point == Fraction(2)
-    assert FallingFactorials("1/2") == FallingFactorials(Fraction(2, 4))
+    # a parameter is an int when it is integral, as a Poly coefficient is, else a Fraction
+    assert type(one.step) is int and type(fraction_one.step) is int
+    assert type(AbelPolynomials(Fraction(4, 2)).point) is int and AbelPolynomials(2).point == 2
+    half = FallingFactorials("1/2")
+    assert type(half.step) is Fraction and half == FallingFactorials(Fraction(2, 4))
     assert one != AbelPolynomials(1) and len({one, AbelPolynomials(1)}) == 2
     assert Monomials() != RisingFactorials() and Monomials() == Monomials()
     assert len({Monomials(), RisingFactorials(), LogPolynomials(), Monomials()}) == 3
-    assert repr(FallingFactorials(-1)) == "FallingFactorials(step=Fraction(-1, 1))"
+    assert repr(FallingFactorials(-1)) == "FallingFactorials(step=-1)"
+    assert repr(FallingFactorials(Fraction(-1, 2))) == "FallingFactorials(step=Fraction(-1, 2))"
     assert repr(Monomials()) == "Monomials()"
 
 
 def test_family_parsing_round_trip():
     for spec in ("monomial", "falling:1", "falling:-1/2", "rising", "abel:0", "abel:2/3", "logfamily"):
         assert str(family_from_string(spec)) == spec
+
+
+def test_family_parameters_are_ints_when_integral_and_keep_fractions_parsing():
+    assert type(family_from_string("falling:-1").step) is int
+    assert family_from_string("abel:+007").point == 7
+    assert type(family_from_string("falling:1/2").step) is Fraction
+    # text that is not an ASCII integer literal goes through Fraction: same spellings
+    for text in ("2.0", " 3", "1e2", "4/2", "-6/3"):
+        step = family_from_string(f"falling:{text}").step
+        assert type(step) is int and step == Fraction(text), text
+    # and the same error text, an over-long integer literal's too
+    for text in ("x", "1/0", "-", "", "3/", "9" * 5000):
+        with pytest.raises(ValueError) as caught:
+            family_from_string(f"abel:{text}")
+        with pytest.raises((ValueError, ZeroDivisionError)) as expected:
+            Fraction(text)
+        assert str(caught.value) == f"bad family parameter in {f'abel:{text}'!r}: {expected.value}"
 
 
 def test_family_parsing_rejects_garbage():
