@@ -2,7 +2,7 @@
 """Sweep every identity suite over all small graph isomorphism classes.
 
 Usage:
-    python scripts/run_identity_sweep.py [--max-n 4] [--random 20]
+    python scripts/run_identity_sweep.py [--max-n 6] [--random 20]
 
 For each graph the sweep runs: the binomial-type grid check, the
 expansion theorem on every subset in every standard basis (as the set-map
@@ -94,7 +94,7 @@ def sweep_graph(graph):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=4, help="largest exhaustive vertex count")
+    parser.add_argument("--max-n", type=int, default=6, help="largest exhaustive vertex count")
     parser.add_argument("--random", type=int, default=20, help="extra random 5-vertex graphs")
     args = parser.parse_args(argv)
 

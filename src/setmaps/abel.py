@@ -25,7 +25,6 @@ import math
 from collections.abc import Iterator
 from itertools import combinations, product
 
-from .kernel import full_block_sums
 from .poly import Poly
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap
 
@@ -181,7 +180,10 @@ def _partition_weight_sums(blocks: BlockPartition) -> tuple[int, ...]:
     """sums[k] = sum over k-part partitions gamma of the blocks of prod
     w(rho)^(len(rho)-1), k = 0..n; rho, a part of gamma, is a set of blocks,
     and w(rho) their total element count.  The full-set readout of the
-    block-sum kernel on the int table rho -> w(rho)^(len(rho)-1)."""
+    block-sum kernel on the int table rho -> w(rho)^(len(rho)-1), imported
+    here: ``abel`` and the tail-forest counts never compile it."""
+    from .kernel import full_block_sums
+
     weights = _subset_weights(blocks)
     return full_block_sums([w ** (rho.bit_count() - 1) if rho else 0 for rho, w in enumerate(weights)])
 

@@ -8,7 +8,7 @@ of the terms; ``SetMap.inverse``, ``decompose`` and ``recover_sequence``
 are EGF algebra on it.  The Abel partition sums and the expansion checks
 read the full set alone (``kernel.full_block_sums``) and never load this
 module.  All arithmetic is exact: the terms are ints, Fractions or Polys,
-the inner map rational.
+the inner map rational, and every division is ``ring.quotient``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import zip_longest
 
 from .kernel import _packed, _slot, _transform, full_block_sums
-from .ring import SetMap, _terms, sequence_product
+from .ring import SetMap, _terms, common_denominator, is_exact, quotient, sequence_product
 
 
 def compose(terms: Iterable, inner: SetMap) -> SetMap:
@@ -42,17 +41,16 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
     if inner.table[0] != 0:
         raise ValueError("composition requires value 0 on the empty set")
     seq = _terms(terms, inner.n, "composition over ")[: inner.n + 1]
-    polys = not all(isinstance(a, (int, Fraction)) for a in seq)
+    polys = not all(map(is_exact, seq))
     if polys:
         from .poly import Poly
     # column j holds the terms' coefficients of x^j; an int or a Fraction is its own column 0
     coeffs = ((a.coeffs or (0,)) if polys and isinstance(a, Poly) else (a,) for a in seq)
     columns = list(zip_longest(*coeffs, fillvalue=0))
-    if not all(isinstance(a, (int, Fraction)) for column in columns for a in column):
+    if not all(is_exact(a) for column in columns for a in column):
         raise TypeError("composition terms are ints, Fractions or Polys")
-    scaled = [[Fraction(a, math.factorial(k)) for k, a in enumerate(column)] for column in columns]
-    scales = [math.lcm(*(f.denominator for f in column)) for column in scaled]
-    weights = [[f.numerator * (L // f.denominator) for f in column] for column, L in zip(scaled, scales)]
+    weights, scales = zip(*(common_denominator(quotient(a, math.factorial(k)) for k, a in enumerate(column))
+                            for column in columns))
     n, w, mask, lam, ranks, (zeta,) = _packed([inner.table], weights)
     power = zeta = [x >> w for x in zeta]
     sums = [[W[0]] * len(zeta) for W in weights]  # the 0-th power is 1 at every mask
@@ -67,18 +65,18 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
     return SetMap(n, map(Poly, zip(*values)) if polys else values[0])
 
 
-def _revert(terms: tuple) -> list[Fraction]:
+def _revert(terms: tuple) -> list:
     """EGF terms b of the compositional inverse of sum_{k>=1} terms[k] t^k / k!:
     b_0 = 0, and b_m solves the degree-m coefficient of sum_k terms[k] B^k / k!
     = t, in which only k = 1 involves b_m."""
-    b = [Fraction(0)] * len(terms)
+    b = [0] * len(terms)
     for m in range(1, len(terms)):
-        acc = Fraction(int(m == 1))
+        acc = int(m == 1)
         power = b
         for k in range(2, m + 1):
             power = sequence_product(power, b)
-            acc -= terms[k] * power[m] / math.factorial(k)
-        b[m] = acc / terms[1]
+            acc -= quotient(terms[k] * power[m], math.factorial(k))
+        b[m] = quotient(acc, terms[1])
     return b
 
 
@@ -121,7 +119,7 @@ def recover_sequence(outer: SetMap, inner: SetMap, max_n: int) -> tuple:
     terms: list = [outer.table[0]]
     for m in range(1, max_n + 1):
         lengths = full_block_sums(inner.table[: 1 << m])
-        terms.append((outer.table[(1 << m) - 1] - sum(map(operator.mul, terms, lengths))) / Fraction(lengths[m]))
+        terms.append(quotient(outer.table[(1 << m) - 1] - sum(map(operator.mul, terms, lengths)), lengths[m]))
     composed = compose(terms + [0] * (n - max_n), inner)
     if any(composed[S] != outer.table[S] for S in range(1 << n) if S.bit_count() <= max_n):
         raise ValueError("map is not a composition of any sequence with the inner map")

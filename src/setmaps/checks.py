@@ -23,13 +23,12 @@ a table read load neither this module nor the kernel.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .expansions import expand, linear_read
+from .expansions import expand, linear_read, theorem_holds
 from .graphs import Graph
 from .kernel import full_block_sums
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, subsets_of
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, rational, subsets_of
 from .umbral import LogPolynomials, RisingFactorials
 
 # the grid check sums 3^n subset pairs at (D + 1)^2 points; by the rule that set
@@ -102,10 +101,9 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_
     Verifies, on the chromatic table ``p`` of ``graph``, that the basis
     functional B gives s_T = B chi_T, the stable-partition count of the
     induced subgraph (the block sums of the stable-set indicator), for every
-    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T: the
-    kernel's partition sums of the s_T are the coordinates of chi_S, which
-    re-sum to it.  The counts are one composition with terms 1 past term 0,
-    which is 0: B chi of the empty set is 0 by linearity.
+    nonempty T, and that chi_S = sum over sigma of b_len(x) * prod s_T
+    (``expansions.theorem_holds``).  The counts are one composition with
+    terms 1 past term 0, which is 0: B chi of the empty set is 0 by linearity.
     """
     from .algebra import compose
 
@@ -114,7 +112,7 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_
     exp = expand(p, LogPolynomials(), cap)
     if compose([0] + [1] * graph.n, SetMap(graph.n, [0, *_stable_sets(graph)[1:]])) != exp.coeffs:
         return False
-    return full_block_sums(exp.coeffs.table) == exp.lengths and exp.reconstruct() == p[graph.vertex_mask]
+    return theorem_holds(p, exp)
 
 
 def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> bool:
@@ -128,9 +126,7 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
         raise ValueError("the exponent must be a positive integer")
     if p.n > cap:
         raise CapExceeded(f"power identity over ground size {p.n} exceeds cap {cap}")
-    x0 = Fraction(x0)
-    if x0.denominator == 1:
-        x0 = x0.numerator
+    x0 = rational(x0)
     basis, columns = p.coordinates()
     base, target = (SetMap(p.n, linear_read(columns, [b(x) for b in basis], p.n)) for x in (x0, x0 * y0))
     power = base

@@ -24,10 +24,11 @@ broken pipe).
 Each process compiles and runs only the modules its command uses:
 importing this module loads no engine module, and of the standard library
 only ``os`` and ``sys``.  ``argparse`` waits for ``build_parser``,
-``json`` for ``render`` and ``fractions`` for a rational that is parsed or
-printed, so ``--help`` and usage errors load no engine module either.
-Once the arguments parse, ``main`` loads ``ring`` (for ``CapExceeded``),
-and each command imports the rest when it runs.  This module holds the parser
+``json`` for ``render`` and ``ring`` for an ``--x`` (``parse_rational``:
+an integer loads no ``fractions``), so ``--help`` and usage errors before
+an ``--x`` load no engine module either.  Once the arguments parse,
+``main`` loads ``ring`` (for ``CapExceeded``), and each command imports
+the rest when it runs.  This module holds the parser
 and the ``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
 ``abel`` live in ``cli_checks``, which ``_DISPATCH`` imports the first
 time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
@@ -38,9 +39,11 @@ those, ``checks`` and the block-sum kernel (``kernel``), and the checks
 that count orientations or stable partitions (``rising-pairs``,
 ``stable-counts``, ``stanley``) add ``algebra``, the composition behind
 ``SetMap.inverse``, when they run.  No check loads ``oracles``.  The block
-checks, ``oracle tail-forests`` and ``abel`` load ``poly``, ``abel`` and
-``kernel``.  A ``--cap`` warning loads no engine module beyond ``ring``:
-it prices each stage from the override alone.
+checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``,
+and ``closed-form`` and ``forest-count`` ``kernel``.  On integral input no
+command loads ``fractions`` (``ring.quotient``).  A ``--cap``
+warning loads no engine module beyond ``ring``: it prices each stage from
+the override alone.
 
 Checks and oracles are named once, in one ordered table per kind
 (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
@@ -104,16 +107,8 @@ ORACLES = {
 _CHECK_NAMES = ", ".join([*GRAPH_CHECKS, *BLOCK_CHECKS])
 
 
-def _rat(value) -> str:
-    if type(value) is int:  # most values: no import on each call
-        return str(value)
-    from fractions import Fraction
-
-    return str(value if type(value) is Fraction else Fraction(value))
-
-
 def _poly_result(poly) -> dict:
-    coeffs = [_rat(c) for c in poly.coeffs] if poly.coeffs else ["0"]
+    coeffs = list(map(str, poly.coeffs or (0,)))
     return {"coefficients": coeffs, "degree": poly.degree, "polynomial": str(poly)}
 
 
@@ -129,12 +124,13 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _parse_rational(text: str) -> "Fraction":
+def _parse_rational(text: str):
     import argparse
-    from fractions import Fraction
+
+    from .ring import parse_rational
 
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
@@ -328,13 +324,13 @@ def cmd_expand(ns: "argparse.Namespace") -> tuple[dict, int]:
     reconstructs = exp.reconstruct() == p[p.full_mask]
     # local mask t is the t-th submask of the subset in increasing order
     masks = sorted(subsets_of(subset))
-    subset_coeffs = {str(T): _rat(exp.coeffs[t]) for t, T in enumerate(masks) if T}
+    subset_coeffs = {str(T): str(exp.coeffs[t]) for t, T in enumerate(masks) if T}
     payload = {
         "command": "expand",
         "input": {**_graph_input(ns, graph), "basis": str(family)},
         "result": {
             "subset_coefficients": subset_coeffs,
-            "length_coefficients": [_rat(c) for c in exp.by_length()],
+            "length_coefficients": list(map(str, exp.by_length())),
             "reconstructs": reconstructs,
         },
         "checks": [],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import partial
 
 from .cli import (
@@ -63,7 +62,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     selected = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
     # usage errors come before caps: build the bases and read --x/--k first;
     # abel-one: chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
-    abel_a = AbelPolynomials(Fraction(0) if ns.x is None else ns.x)
+    abel_a = AbelPolynomials(0 if ns.x is None else ns.x)
     bases = {
         "abel-one": [("abel-one", AbelPolynomials(1))],
         "derivative": [(f"derivative a={abel_a.point}", abel_a)],
@@ -71,9 +70,9 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
     bases["expansion"] = [(f"expansion {f}", f) for f in families]
     if "evaluation" in selected:
-        falling_a = FallingFactorials(Fraction(1) if ns.x is None else ns.x)
+        falling_a = FallingFactorials(1 if ns.x is None else ns.x)
         bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
-    x0, y0 = (Fraction(2) if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
+    x0, y0 = (2 if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check][0]})

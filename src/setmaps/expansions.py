@@ -22,9 +22,10 @@ Bell polynomials B (Comtet, Advanced Combinatorics, 1974, 3.3): B_{.,k} is
 the k-th binomial power of alpha (``ring.sequence_product``) over k!.  So
 the block sums over the whole ground set are c_k = sum_j v_j(V)
 B_{j,k}(alpha), with no partition sum and no kernel.
-``expansion_reconstructs`` checks the theorem: the block-sum kernel's
-partition sums of the coefficients (``kernel.full_block_sums``) must be the
-c_k, and the c_k must re-sum to p.  Composing the basis with the
+``theorem_holds`` checks the theorem on an expansion: the block-sum
+kernel's partition sums of the coefficients (``kernel.full_block_sums``)
+must be the c_k, and the c_k must re-sum to p; ``expansion_reconstructs``
+and the stable-count check in ``checks`` call it.  Composing the basis with the
 coefficients (``algebra.compose``) checks it on every subset at once.  The
 chromatic set map is the headline instance.  Its derivative- and
 evaluation-at-a expansions are that check in the Abel and falling bases
@@ -41,7 +42,7 @@ import operator
 from itertools import repeat
 
 from .poly import Poly
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, quotient, sequence_product
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, common_denominator, quotient, sequence_product
 from .umbral import BinomialFamily, RisingFactorials
 
 
@@ -107,9 +108,8 @@ def expand(
     if n > cap:
         raise CapExceeded(f"expansion over a {n}-element subset exceeds cap {cap}")
     basis, columns = p.coordinates()
-    alpha = list(map(family.delta(max(1, len(basis) - 1)), basis))
-    scale = math.lcm(*(a.denominator for a in alpha))
-    ints = [a.numerator * (scale // a.denominator) for a in alpha]
+    # alpha_j = A b_j over a common denominator
+    ints, scale = common_denominator(map(family.delta(max(1, len(basis) - 1)), basis))
     acc = linear_read(columns, ints, n)
     coeffs = acc if scale == 1 else [quotient(c, scale) for c in acc]
     # B_{j,k}(alpha) = j! [t^j] (sum_i alpha_i t^i / i!)^k / k!: the k-th binomial power
@@ -121,11 +121,15 @@ def expand(
     return Expansion(family, SetMap(n, coeffs), tuple(lengths))
 
 
-def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = BLOCK_SUM_CAP) -> bool:
-    """True iff the expansion theorem holds for p on the whole ground set: the
-    block-sum kernel's partition sums of the subset coefficients are the full
-    set's coordinates c_k, and those re-sum to p there."""
+def theorem_holds(p: SetMap, exp: Expansion) -> bool:
+    """True iff the expansion theorem holds for p and its expansion ``exp`` on the
+    whole ground set: the full set's coordinates c_k re-sum to p there, and they
+    are the block-sum kernel's partition sums of the subset coefficients."""
     from .kernel import full_block_sums
 
-    exp = expand(p, family, cap)
     return exp.reconstruct() == p[p.full_mask] and full_block_sums(exp.coeffs.table) == exp.lengths
+
+
+def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = BLOCK_SUM_CAP) -> bool:
+    """True iff the expansion theorem holds for p in ``family`` (``theorem_holds``)."""
+    return theorem_holds(p, expand(p, family, cap))

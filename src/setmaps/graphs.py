@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import struct
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from itertools import accumulate, repeat
 
 from .poly import Poly
@@ -176,6 +176,12 @@ _SLOT = 64  # bits per packed count; s_k(S) <= Bell(20) < 2^46
 # little-endian layouts of 0..21 unsigned and signed 64-bit slots
 _UNSIGNED = [struct.Struct(f"<{w}Q") for w in range(MAX_GROUND_SIZE + 2)]
 _SIGNED = [struct.Struct(f"<{w}q") for w in range(MAX_GROUND_SIZE + 2)]
+# (x)_k for k = 0..20 as packed monomial coefficients: the int sum_j s(k, j) 2^(64 j)
+_FALLING = list(accumulate(range(MAX_GROUND_SIZE), lambda f, k: (f << _SLOT) - k * f, initial=1))
+# by width w, the top bit of each of the w lowest slots: |chi_S coefficients| sum
+# to |chi_S(-1)| <= |S|! < 2^63, so adding them to a value's slots carries nowhere,
+# and flipping them back leaves each slot in two's complement
+_BIAS = [sum(1 << _SLOT * m - 1 for m in range(1, w + 1)) for w in range(MAX_GROUND_SIZE + 2)]
 
 
 def _slots(packed: int, width: int) -> tuple:
@@ -274,19 +280,26 @@ def _stable_partition_counts(graph: Graph) -> list[int]:
 
 
 class _CountTable(SetMap):
-    """A set map kept as a function of the mask, and as packed counts.
+    """The chromatic table, kept as the packed counts of its masks.
 
-    ``table[S]`` calls ``value(S)`` and keeps nothing.  The ``table`` tuple,
-    which equality and the arithmetic read and no engine path does, is built
-    on first use and kept.  ``coordinates`` unpacks the counts once and keeps
-    them; a table made from values alone has none.
+    ``table[S]`` decodes the value of S (``_value``) and keeps nothing.  The
+    ``table`` tuple, which equality and the arithmetic read and no engine
+    path does, is built on first use and kept.  ``coordinates`` unpacks the
+    counts once and keeps them.
     """
 
-    __slots__ = ("_value", "_built", "_packed", "_coordinates")
+    __slots__ = ("_packed", "_built", "_coordinates")
 
-    def __init__(self, n: int, value: Callable[[int], object], packed: list | None = None):
-        self.n, self._value, self._packed = n, value, packed
+    def __init__(self, n: int, packed: list):
+        self.n, self._packed = n, packed
         self._built = self._coordinates = None
+
+    def _value(self, S: int) -> Poly:
+        """chi_S in monomial coefficients: sum_k s_k(S) (x)_k on the packed slots."""
+        width = S.bit_count() + 1
+        mono = sum(map(operator.mul, _slots(self._packed[S], width), _FALLING))
+        b = _BIAS[width]
+        return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
 
     @property
     def table(self) -> tuple:
@@ -328,26 +341,7 @@ def chromatic_setmap(graph: Graph) -> SetMap:
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
-    n = graph.n
-    packed = _stable_partition_counts(graph)
-    # (x)_k as packed monomial coefficients: the int sum_j s(k, j) 2^(64 j)
-    falling = [1]
-    for k in range(1, n + 1):
-        falling.append((falling[-1] << _SLOT) - (k - 1) * falling[-1])
-    # |chi_S coefficients| sum to |chi_S(-1)| <= |S|! < 2^63, so adding 2^63 to
-    # every slot carries nowhere, and flipping that bit back leaves each slot
-    # in two's complement
-    bias = [0]
-    for m in range(n + 1):
-        bias.append(bias[-1] | 1 << (_SLOT * m + _SLOT - 1))
-
-    def poly(S: int) -> Poly:
-        width = S.bit_count() + 1
-        mono = sum(map(operator.mul, _slots(packed[S], width), falling))
-        b = bias[width]
-        return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
-
-    return _CountTable(n, poly, packed)
+    return _CountTable(graph.n, _stable_partition_counts(graph))
 
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB

@@ -3,16 +3,18 @@
 ``Poly`` is the value type of every polynomial set map: chromatic
 polynomials, basis members and Abel-type polynomials are all Polys.
 ``interpolate`` is exact Newton interpolation through rational points.
-Nothing here depends on the rest of the package, so a module that only
-builds or evaluates polynomials loads this one and not the umbral
-functionals and bases.  ``fractions`` is imported only when a value that is
-not an int comes in or a quotient is taken, so integral work never loads it.
+Of the package this imports only ``ring``, for its exact-number rule
+(``is_exact``, ``quotient``), so a module that only builds or evaluates
+polynomials loads this one and not the umbral functionals and bases.
+``fractions`` is imported only when a value that is not an int comes in or
+a quotient leaves a remainder, so integral work never loads it.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Sequence
+
+from .ring import is_exact, quotient
 
 
 def _exact(values: Iterable) -> list:
@@ -26,12 +28,6 @@ def _exact(values: Iterable) -> list:
     return cs
 
 
-def _scalar(value) -> bool:
-    """An int or a Fraction; a Fraction exists only once ``fractions`` is loaded."""
-    fractions = sys.modules.get("fractions")
-    return isinstance(value, int) or fractions is not None and isinstance(value, fractions.Fraction)
-
-
 class Poly:
     """Dense univariate polynomial with exact rational coefficients;
     coeffs[k] multiplies x^k.
@@ -41,7 +37,7 @@ class Poly:
     chromatic polynomial, say) keeps int coefficients; since
     hash(Fraction(3)) == hash(3), equality and hashing do not see the
     difference.  Arithmetic never produces a float: a quotient of
-    coefficients goes through Fraction.  Normalized: no trailing zero
+    coefficients goes through ``ring.quotient``.  Normalized: no trailing zero
     coefficients; the zero polynomial stores an empty tuple and reports
     degree -1 (a stand-in for minus infinity).  Immutable and hashable.
     """
@@ -85,7 +81,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if _scalar(other):
+        if is_exact(other):
             if not self.coeffs:
                 return other == 0
             return len(self.coeffs) == 1 and self.coeffs[0] == other
@@ -99,7 +95,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            if not _scalar(other):
+            if not is_exact(other):
                 return NotImplemented
             other = Poly((other,))
         a, b = self.coeffs, other.coeffs
@@ -117,7 +113,7 @@ class Poly:
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
-            if not _scalar(other):
+            if not is_exact(other):
                 return NotImplemented
             other = Poly((other,))
         return self + (-other)
@@ -127,7 +123,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if not _scalar(other):
+            if not is_exact(other):
                 return NotImplemented
             if other == 0:
                 return Poly()
@@ -145,11 +141,10 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if _scalar(other):
-            from fractions import Fraction
-
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        if not is_exact(other):
+            return NotImplemented
+        # the zero polynomial, too, refuses a zero divisor
+        return Poly([quotient(c, other) for c in self.coeffs or (0,)])
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

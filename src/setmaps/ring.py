@@ -12,7 +12,9 @@ imports when it runs: a process that never multiplies set maps, such as
 (the kernel's every-mask readout) and the inverse, decomposition and
 recovery built on it live in ``algebra``, loaded only to compose.  All
 arithmetic is exact (Fraction or int); the kernel refuses other values.
-``fractions`` is imported only where a quotient is not an int (``quotient``).
+The engine's exact-number rule is here, once: ``quotient``, its only exact
+division, and ``rational``, ``parse_rational``, ``common_denominator`` and
+``is_exact``.  ``fractions`` is imported only where a value is not an int.
 ``expand`` and the checks read polynomial values through
 ``coordinates``, which imports ``poly`` when it runs.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import zip_longest
@@ -96,15 +99,42 @@ def partitions_of(mask: int) -> Iterator[tuple[int, ...]]:
         opened[i + 1 :] = [max(opened[i], b + 1)] * (m - i)
 
 
-def quotient(a: int, b: int):
-    """a / b exactly for ints: an int when b divides a, else a Fraction, so
-    that integral work never loads ``fractions``."""
-    q, r = divmod(a, b)
-    if not r:
-        return q
+def quotient(a, b):
+    """a / b exactly, for ints and Fractions: an int when it is integral, else a
+    Fraction.  Integral work never loads ``fractions``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
     from fractions import Fraction
 
-    return Fraction(a, b)
+    value = Fraction(a) / Fraction(b)
+    return value.numerator if value.denominator == 1 else value
+
+
+def rational(value):
+    """``value`` (an int, a Fraction or what ``Fraction`` reads) exactly, by ``quotient``."""
+    return value if type(value) is int else quotient(value, 1)
+
+
+def parse_rational(text: str):
+    """An exact rational literal: an ASCII integer by ``int``, any other text by
+    ``rational``, with the spellings and errors of ``Fraction``."""
+    digits = text[1:] if text[:1] in ("-", "+") else text
+    return int(text) if digits.isascii() and digits.isdigit() else rational(text)
+
+
+def common_denominator(values) -> tuple[list, int]:
+    """(ints, scale): value i is ints[i] / scale, scale the least common denominator."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def is_exact(value) -> bool:
+    """An int or a Fraction; a Fraction exists only once ``fractions`` is loaded."""
+    fractions = sys.modules.get("fractions")
+    return isinstance(value, int) or fractions is not None and isinstance(value, fractions.Fraction)
 
 
 @lru_cache(maxsize=None)
@@ -142,13 +172,8 @@ class SetMap:
         return cls(n, (value,) * (1 << n))
 
     @classmethod
-    def unit(cls, n: int, one=None) -> "SetMap":
-        """The ring unit: ``one`` (by default Fraction(1)) on the empty set,
-        zero elsewhere."""
-        if one is None:
-            from fractions import Fraction
-
-            one = Fraction(1)
+    def unit(cls, n: int, one=1) -> "SetMap":
+        """The ring unit: ``one`` on the empty set, zero elsewhere."""
         zero = one * 0
         return cls(n, (one if mask == 0 else zero for mask in range(1 << n)))
 

@@ -25,8 +25,10 @@ monomials x^n, falling factorials (x/a)_n, rising factorials
 x(x+1)...(x+n-1), Abel polynomials x(x - a n)^{n-1}, and the basis with
 exponential generating function (1 + log(1+t))^x.
 
-Moments, members and parameters follow ``Poly``'s rule: an int stays an int,
-and a parameter is an int when it is integral, so the monomial, rising, log,
+Moments, members and parameters follow the exact-number rule of ``ring``:
+an int stays an int, a quotient (``quotient``) and a parameter (``rational``,
+``parse_rational``) are ints when they are integral, and a functional scales
+its moments to ints (``common_denominator``).  So the monomial, rising, log,
 ``falling:1`` and ``abel:0`` bases run in ints and never load ``fractions``.
 """
 
@@ -37,17 +39,7 @@ import operator
 from collections.abc import Iterable
 
 from .poly import Poly, _exact
-from .ring import bell_number, quotient, sequence_product
-
-
-def _rational(value):
-    """``value`` exactly: an int when it is integral, else a Fraction."""
-    if type(value) is int:
-        return value
-    from fractions import Fraction
-
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+from .ring import bell_number, common_denominator, parse_rational, quotient, rational, sequence_product
 
 
 class Functional:
@@ -70,12 +62,12 @@ class Functional:
 
     @classmethod
     def evaluation_at(cls, point, bound: int) -> "Functional":
-        c = _rational(point)
+        c = rational(point)
         return cls(tuple(c**k for k in range(bound + 1)))
 
     @classmethod
     def derivative_at(cls, point, bound: int) -> "Functional":
-        c = _rational(point)
+        c = rational(point)
         return cls((0,) + tuple(k * c ** (k - 1) for k in range(1, bound + 1)))
 
     @property
@@ -92,8 +84,7 @@ class Functional:
                 " refusing to truncate"
             )
         if self._scaled is None:
-            scale = math.lcm(*(m.denominator for m in self.moments))
-            self._scaled = ([m.numerator * (scale // m.denominator) for m in self.moments], scale)
+            self._scaled = common_denominator(self.moments)
         ints, scale = self._scaled
         total = sum(map(operator.mul, f.coeffs, ints))
         return total if scale == 1 else quotient(total, scale)
@@ -143,11 +134,7 @@ def _next_member(m: tuple, n: int, below: Poly) -> Poly:
             if i + k > n:
                 break
             acc -= math.comb(i + k, k) * m[k] * c[i + k]
-        d = (i + 1) * m[1]
-        if type(acc) is int and type(d) is int:
-            c[i + 1] = quotient(acc, d)
-        else:
-            c[i + 1] = acc / d  # a Fraction
+        c[i + 1] = quotient(acc, (i + 1) * m[1])
     return Poly(c)
 
 
@@ -184,9 +171,8 @@ class BinomialFamily:
         no degree recurses."""
         if n < 0:
             raise ValueError("family index must be nonnegative")
-        moments = self.delta(n).moments if n else ()  # a_0 = 1 needs none
-        if all(m.denominator == 1 for m in moments):  # integral: members in ints (_next_member)
-            moments = [m.numerator for m in moments]
+        # a_0 = 1 needs none; integral moments give members in ints (_next_member)
+        moments = list(map(rational, self.delta(n).moments)) if n else ()
         members = [Poly.one()]
         for j in range(1, n + 1):
             members.append(_next_member(moments, j, members[-1]))
@@ -204,14 +190,12 @@ class BinomialFamily:
         """Coefficients c with f = sum_k c_k * a_k(x), by triangular elimination."""
         if not f:
             return ()
-        from fractions import Fraction
-
-        out = [Fraction(0)] * (f.degree + 1)
+        out = [0] * (f.degree + 1)
         members = self.members(f.degree)
         remainder = f
         while remainder:
             d = remainder.degree
-            c = Fraction(remainder.coeffs[d]) / members[d].coeffs[d]
+            c = quotient(remainder.coeffs[d], members[d].coeffs[d])
             out[d] = c
             remainder = remainder - members[d] * c
         return tuple(out)
@@ -247,7 +231,7 @@ class FallingFactorials(BinomialFamily):
     __slots__ = ("step",)
 
     def __init__(self, step=1):
-        self.step = _rational(step)
+        self.step = rational(step)
         if self.step == 0:
             raise ValueError("falling-factorial step must be nonzero")
 
@@ -290,7 +274,7 @@ class AbelPolynomials(BinomialFamily):
     __slots__ = ("point",)
 
     def __init__(self, point=1):
-        self.point = _rational(point)
+        self.point = rational(point)
 
     def delta(self, bound: int) -> Functional:
         self._check_bound(bound)
@@ -321,17 +305,6 @@ class LogPolynomials(BinomialFamily):
         return "logfamily"
 
 
-def _parameter(text: str):
-    """An ASCII integer literal as an int; any other text through Fraction,
-    whose spellings and error text it keeps."""
-    digits = text[1:] if text[:1] in ("-", "+") else text
-    if digits.isascii() and digits.isdigit():
-        return int(text)
-    from fractions import Fraction
-
-    return Fraction(text)
-
-
 def family_from_string(spec: str) -> BinomialFamily:
     """Parse a family spec: monomial | falling:a | rising | abel:a | logfamily.
 
@@ -347,9 +320,9 @@ def family_from_string(spec: str) -> BinomialFamily:
         if name == "logfamily" and not sep:
             return LogPolynomials()
         if name == "falling" and sep:
-            return FallingFactorials(_parameter(arg))
+            return FallingFactorials(parse_rational(arg))
         if name == "abel" and sep:
-            return AbelPolynomials(_parameter(arg))
+            return AbelPolynomials(parse_rational(arg))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad family parameter in {spec!r}: {exc}") from None
     raise ValueError(

@@ -1,10 +1,29 @@
 """Small-graph corpora for exhaustive identity checks."""
 
+import importlib.util
 import random
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
+from pathlib import Path
 
 from setmaps.graphs import Graph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name: str):
+    """The script ``scripts/<name>.py`` as a module of its own."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the isomorphism classes of the identity sweep: ``canonical(n, edges)`` is equal for
+# two graphs exactly when they are isomorphic, and ``iso_classes(n)``, one graph of
+# each class on n vertices, found by adding a vertex, is fast enough for n = 7
+_sweep = load_script("run_identity_sweep")
+canonical, iso_classes = _sweep.canonical, _sweep.iso_classes
 
 
 @lru_cache(maxsize=None)
@@ -31,48 +50,6 @@ def graphs_through(n: int) -> tuple[Graph, ...]:
     out = []
     for size in range(n + 1):
         out.extend(graphs_on(size))
-    return tuple(out)
-
-
-def _canonical_edges(n: int, edges: tuple) -> tuple:
-    """The least sorted edge list over the relabellings that order the vertices by
-    an invariant (degree, then twice the sorted invariants of the neighbors):
-    equal for two graphs exactly when they are isomorphic."""
-    near = [[] for _ in range(n)]
-    for u, v in edges:
-        near[u].append(v)
-        near[v].append(u)
-    invariant = [len(vs) for vs in near]
-    for _ in range(2):
-        invariant = [(invariant[v], tuple(sorted(invariant[u] for u in near[v]))) for v in range(n)]
-    cells: dict = {}
-    for v in range(n):
-        cells.setdefault(invariant[v], []).append(v)
-    best = None
-    for choice in product(*(permutations(cells[key]) for key in sorted(cells))):
-        label = {v: i for i, v in enumerate(v for cell in choice for v in cell)}
-        key = sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges)
-        if best is None or key < best:
-            best = key
-    return tuple(best)
-
-
-@lru_cache(maxsize=None)
-def classes_on(n: int) -> tuple[Graph, ...]:
-    """One representative of every isomorphism class on exactly n vertices, as
-    ``graphs_on`` gives, fast enough for n = 7: each class on n - 1 vertices with
-    a vertex joined to each subset of it (every graph is one of those, less its
-    last vertex), one graph kept per canonical edge list."""
-    if n == 0:
-        return (Graph(0),)
-    seen, out = set(), []
-    for g in classes_on(n - 1):
-        for joined in range(1 << (n - 1)):
-            edges = g.edges + tuple((u, n - 1) for u in range(n - 1) if joined >> u & 1)
-            key = _canonical_edges(n, edges)
-            if key not in seen:
-                seen.add(key)
-                out.append(Graph(n, edges))
     return tuple(out)
 
 

@@ -39,7 +39,7 @@ from setmaps.umbral import (
     standard_families,
 )
 
-from _corpus import classes_on, graphs_through, random_graphs
+from _corpus import graphs_through, iso_classes, random_graphs
 from conftest import random_fraction, random_table
 
 
@@ -602,7 +602,7 @@ def test_the_linear_reads_give_the_verdicts_of_the_values_on_every_graph_of_up_t
     # the 3^n grid of the binomial check on each of the 1044 graphs of 7 vertices would take
     # about 13 s a route, so it runs through 6 vertices here and on Hypothesis graphs below
     for n in range(8):
-        for g in classes_on(n):
+        for g in iso_classes(n):
             tables = [chromatic_setmap(g)]
             if 2 <= n <= 5:  # x on {0, 1}: binomial type breaks on a proper subset only
                 tables.append(miscount(g, 0b11, 1, 1))

@@ -25,7 +25,7 @@ from setmaps.oracles import (
 from setmaps.poly import Poly, interpolate
 from setmaps.ring import CapExceeded, SetMap, partitions_of
 
-from _corpus import _canonical_edges, classes_on, graphs_on, graphs_through, random_graphs
+from _corpus import canonical, graphs_on, graphs_through, iso_classes, random_graphs
 from _oracles import label_order_counts
 
 
@@ -89,10 +89,10 @@ def test_iso_class_counts():
 
 def test_classes_by_extension_are_the_iso_classes():
     # OEIS A000088: 1, 1, 2, 4, 11, 34, 156, 1044
-    assert [len(classes_on(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert [len(iso_classes(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
     for n in range(6):  # the same classes as the brute-force canonical form finds
-        keys = {_canonical_edges(n, g.edges) for g in graphs_on(n)}
-        assert {_canonical_edges(n, g.edges) for g in classes_on(n)} == keys
+        keys = {canonical(n, g.edges) for g in graphs_on(n)}
+        assert {canonical(n, g.edges) for g in iso_classes(n)} == keys
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_the_largest_last_order_is_a_deterministic_permutation():
 
 def test_the_count_pass_equals_the_label_order_pass_on_every_class_through_7_vertices():
     for n in range(8):
-        for g in classes_on(n):
+        for g in iso_classes(n):
             assert graphs._stable_partition_counts(g) == label_order_counts(g.n, g.edges), g
 
 
@@ -483,15 +483,17 @@ def test_whole_table_operations_match_an_eager_table():
     assert repr(chromatic_setmap(g)) == repr(eager)
 
 
-def test_products_match_an_eager_table():
-    # the lazy class on rational values: products need rational maps
-    values = [Fraction(S * S - 3, S + 1) for S in range(16)]
-    eager = SetMap(4, values)
-    lazy = graphs._CountTable(4, values.__getitem__)
-    assert lazy * eager == eager * eager
-    assert eager * graphs._CountTable(4, values.__getitem__) == eager * eager
-    assert graphs._CountTable(4, values.__getitem__) * lazy == eager * eager
-    assert lazy == eager and lazy.table == eager.table
+def test_products_read_a_table_as_an_eager_one():
+    # a product reads the tuple of values, and refuses polynomial values as an eager table does
+    table = chromatic_setmap(Graph.cycle(4))
+    eager = SetMap(4, table.table)
+    assert table == eager and table.table is table.table
+    for a, b in ((table, eager), (eager, table), (table, table), (eager, eager)):
+        with pytest.raises(TypeError, match="rational values only"):
+            a * b
+    # values read at a point are a rational map, whose products agree
+    at_3 = table.map_values(lambda q: q(3))
+    assert at_3 * at_3 == eager.map_values(lambda q: q(3)) * eager.map_values(lambda q: q(3))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,19 @@ def test_a_table_read_loads_neither_umbral_nor_the_oracles():
         ),
         (run_main("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "rising", "--subset", "63"), False),
         (run_main("expand", "--graph", str(GRAPHS / "c8.txt"), "--basis", "falling:1/2"), True),
+        *(
+            (run_main("verify", "--check", check, "--blocks", "2,1,1"), False)
+            for check in ("closed-form", "forest-count", "tail-forests")
+        ),
+        *(
+            (run_main("verify", "--check", check, "--graph", str(GRAPHS / "c5.txt")), False)
+            for check in ("binomial", "power", "stanley", "rising-pairs")
+        ),
+        (run_main("oracle", "acyclic", "--graph", str(GRAPHS / "c5.txt")), False),
+        (run_main("oracle", "colorings", "--graph", str(GRAPHS / "c5.txt"), "--x", "3"), False),
+        (run_main("abel", "--blocks", "2,1"), False),
+        # the log basis's members have the 1/k! terms of log(1 + t)
+        (run_main("verify", "--check", "stable-counts", "--graph", str(GRAPHS / "c5.txt")), True),
     ],
 )
 def test_integral_work_loads_neither_fractions_nor_decimal(code, loaded):
@@ -130,20 +143,16 @@ def test_no_cap_warning_loads_abel():
 
 
 def test_block_checks_do_not_load_graphs_or_expansions():
-    for argv in (
-        ("verify", "--check", "closed-form", "--blocks", "2,1,1"),
-        ("abel", "--blocks", "2,1"),
+    for argv, kernel in (
+        (("verify", "--check", "closed-form", "--blocks", "2,1,1"), True),
+        (("verify", "--check", "tail-forests", "--blocks", "2,1,1"), False),
+        (("oracle", "tail-forests", "--blocks", "2,1,1", "--k", "1"), False),
+        (("abel", "--blocks", "2,1"), False),
     ):
         modules = loaded_after(run_main(*argv))
-        # Poly without the functionals and bases of umbral; abel imports the kernel for its partition sums
-        assert engine(modules) == {
-            "setmaps.abel",
-            "setmaps.cli",
-            "setmaps.cli_checks",
-            "setmaps.kernel",
-            "setmaps.poly",
-            "setmaps.ring",
-        }, argv
+        # Poly without the functionals and bases of umbral; the kernel only for the partition sums
+        blocks = {"setmaps.abel", "setmaps.cli", "setmaps.cli_checks", "setmaps.poly", "setmaps.ring"}
+        assert engine(modules) == blocks | ({"setmaps.kernel"} if kernel else set()), argv
 
 
 def test_graph_checks_do_not_load_abel():
@@ -204,8 +213,15 @@ def test_only_the_kernels_callers_import_it_at_module_level():
         for path in (ROOT / "src" / "setmaps").glob("*.py")
         if {"kernel", "setmaps.kernel"} & set(module_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
-    # ring imports it inside SetMap.__mul__, expansions inside expansion_reconstructs
-    assert importers == {"algebra", "abel", "checks"}
+    # ring imports it inside SetMap.__mul__, expansions inside theorem_holds and abel
+    # inside _partition_weight_sums
+    assert importers == {"algebra", "checks"}
+
+
+def test_no_engine_module_imports_fractions_at_module_level():
+    # each imports it where a value stops being integral (ring.quotient, poly._exact)
+    for path in (ROOT / "src" / "setmaps").glob("*.py"):
+        assert "fractions" not in set(module_level_imports(ast.parse(path.read_text(encoding="utf-8")))), path.name
 
 
 def test_set_map_inverse_loads_the_algebra_when_it_runs():

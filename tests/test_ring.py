@@ -2,7 +2,7 @@
 
 import operator
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +14,18 @@ from setmaps.algebra import compose, decompose, recover_sequence
 from setmaps.graphs import Graph, chromatic_setmap
 from setmaps.kernel import _packed, full_block_sums
 from setmaps.poly import Poly
-from setmaps.ring import SetMap, bell_number, partitions_of, sequence_product, subsets_of
+from setmaps.ring import (
+    SetMap,
+    bell_number,
+    common_denominator,
+    is_exact,
+    parse_rational,
+    partitions_of,
+    quotient,
+    rational,
+    sequence_product,
+    subsets_of,
+)
 
 from _oracles import bell_by_triangle, egf_to_series, series_compose, series_mul, series_to_egf
 from conftest import random_fraction, random_table
@@ -673,3 +684,70 @@ def test_decompose_on_int_tables_is_exact():
     h = decompose(g, terms)
     assert h[1] == Fraction(1, 3)
     assert compose(terms, h) == g
+
+
+# ---------------------------------------------------------------------------
+# the exact-number rule
+# ---------------------------------------------------------------------------
+
+exact_st = st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**6))
+
+
+def int_exactly_when_integral(value) -> bool:
+    """An int when the value is integral, else a Fraction; never a float."""
+    return type(value) is (int if Fraction(value).denominator == 1 else Fraction)
+
+
+@given(exact_st, exact_st.filter(bool))
+@example(6, 3)
+@example(Fraction(6), Fraction(3, 2))
+@example(7, 2)
+def test_quotient_is_fraction_division_and_an_int_exactly_when_integral(a, b):
+    q = quotient(a, b)
+    assert q == Fraction(a) / Fraction(b) and int_exactly_when_integral(q)
+
+
+@given(exact_st)
+def test_quotient_by_zero_raises(a):
+    with pytest.raises(ZeroDivisionError):
+        quotient(a, 0)
+    with pytest.raises(ZeroDivisionError):
+        Poly([a]) / 0
+
+
+@given(st.one_of(exact_st, st.floats(allow_nan=False, allow_infinity=False)))
+@example(Fraction(4, 2))
+@example(-0.0)
+def test_rational_is_the_exact_value_an_int_exactly_when_integral(value):
+    r = rational(value)
+    assert r == Fraction(value) and int_exactly_when_integral(r)
+
+
+@given(exact_st)
+def test_parse_rational_reads_a_printed_value_back(value):
+    parsed = parse_rational(str(value))
+    assert parsed == value and int_exactly_when_integral(parsed)
+
+
+def test_parse_rational_keeps_the_spellings_and_errors_of_fraction():
+    for text in ("2.0", " 3", "1e2", "4/2", "-6/3", "+3", "-0", "3/4", "1e-3"):
+        assert parse_rational(text) == Fraction(text) and int_exactly_when_integral(parse_rational(text)), text
+    for text in ("x", "1/0", "-", "", "3/"):
+        with pytest.raises((ValueError, ZeroDivisionError)) as caught:
+            parse_rational(text)
+        with pytest.raises((ValueError, ZeroDivisionError)) as expected:
+            Fraction(text)
+        assert (type(caught.value), str(caught.value)) == (type(expected.value), str(expected.value)), text
+
+
+@given(st.lists(exact_st, max_size=8))
+def test_common_denominator_scales_the_values_to_ints_over_their_least_denominator(values):
+    ints, scale = common_denominator(values)
+    assert type(scale) is int and all(type(i) is int for i in ints)
+    assert scale == lcm(*(Fraction(v).denominator for v in values))
+    assert [Fraction(i, scale) for i in ints] == [Fraction(v) for v in values]
+
+
+def test_is_exact_takes_ints_and_fractions_alone():
+    assert is_exact(3) and is_exact(Fraction(1, 2)) and is_exact(True)
+    assert not any(map(is_exact, (0.5, "1", Poly.one(), None)))

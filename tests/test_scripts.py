@@ -1,38 +1,20 @@
 """Smoke tests: the experiment scripts run to the end and report success."""
 
-import importlib.util
 import json
 import re
 import tempfile
 from pathlib import Path
 
-from _corpus import _canonical_edges, classes_on
+from _corpus import load_script
 from setmaps.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_identity_sweep_passes(capsys):
     sweep = load_script("run_identity_sweep")
     assert sweep.main(["--max-n", "3", "--random", "1"]) == 0
     assert "0 failing checks" in capsys.readouterr().out
-
-
-def test_the_sweep_adds_a_vertex_to_find_the_iso_classes():
-    sweep = load_script("run_identity_sweep")
-    for n in range(7):
-        classes = sweep.iso_classes(n)
-        assert len(classes) == len(classes_on(n)), n  # 1, 1, 2, 4, 11, 34, 156
-        keys = {_canonical_edges(n, g.edges) for g in classes}
-        assert len(keys) == len(classes) and keys == {_canonical_edges(n, g.edges) for g in classes_on(n)}, n
-        assert {sweep.canonical(n, g.edges) for g in classes_on(n)} == {sweep.canonical(n, g.edges) for g in classes}
 
 
 def test_expansion_atlas_rebuilds_every_basis(capsys):
