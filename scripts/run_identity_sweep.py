@@ -4,13 +4,14 @@
 Usage:
     python scripts/run_identity_sweep.py [--max-n 6] [--random 20]
 
-For each graph the sweep runs: the binomial-type grid check, the
+For each graph the sweep runs: the binomial-type check (the ring
+equation p(x) p(y) = p(x+y), one set-map product per grid pair), the
 expansion theorem on every subset in every standard basis (as the set-map
 identity p = compose((a_k), A p)), the rising/orientation-pair and
 stable-partition coefficient interpretations, derivative and evaluation
 expansions at several base points, the acyclic-orientation evaluation,
-and the integer-power identity.  Prints one row per graph and a summary.
-The random graphs come from ``random.Random(SEED)``.
+and the integer-power identity (one composition).  Prints one row per
+graph and a summary.  The random graphs come from ``random.Random(SEED)``.
 """
 
 import argparse

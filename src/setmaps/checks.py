@@ -2,62 +2,57 @@
 coefficients' combinatorial meaning, each against a count of its own.
 
 ``check_binomial_type`` tests p_S(x+y) = sum over ordered disjoint (T, U)
-covering S of p_T(x) p_U(y) on a grid that decides it.  It, the power
-identity and Stanley's evaluation read a table's values at a point as one
-linear read of its coordinates (``SetMap.coordinates``).  The graph
-verifiers check the coefficient interpretations against counts taken from
-the graph on the block-sum kernel (``kernel``), never from its chromatic
-table: acyclic-orientation pair counts in the rising basis, stable-
-partition counts in the log basis and Stanley's evaluation at -1.  The
-counts start from the stable-set indicator (``_stable_sets``): the stable
-partitions are one composition with it (``algebra.compose``), the acyclic
-orientations the inverse of its signed map (``_orientation_counts``, kept
-for the last graph, which the rising and Stanley checks share).  One more
-verifier checks the integer-power identity.  Each graph verifier takes a
-graph as its whole ground set (restrict it first for a subset) next to its
-chromatic table.  Every verifier checks its cap, ``ring.BLOCK_SUM_CAP`` or
-the grid check's smaller one, before it reads the table, and passes it on
-to the ``expand`` it calls: it is the only cap on the work.  ``expand`` and
-a table read load neither this module nor the kernel.
+covering S of p_T(x) p_U(y), the ring equation p(x) p(y) = p(x+y), by one
+product per pair of a grid that decides it; the integer power is one
+composition (``algebra.compose``).  They and Stanley's evaluation read a
+table's values at a point as one linear read of its coordinates
+(``SetMap.coordinates``).  The graph verifiers check the coefficient
+interpretations against counts taken from the graph on the block-sum kernel
+(``kernel``), never from its chromatic table: acyclic-orientation pair
+counts in the rising basis, stable-partition counts in the log basis and
+Stanley's evaluation at -1.  The counts start from the stable-set indicator
+(``_stable_sets``): the stable partitions are one composition with it, the
+acyclic orientations the inverse of its signed map
+(``_orientation_counts``, kept for the last graph, which the rising and
+Stanley checks share).  Each graph verifier takes a graph as its whole
+ground set (restrict it first for a subset) next to its chromatic table.
+Every verifier checks its cap, ``ring.BLOCK_SUM_CAP`` or the grid check's
+smaller one, before it reads the table, and passes it on to the ``expand``
+it calls: it is the only cap on the work.  ``expand`` and a table read load
+neither this module nor the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .expansions import expand, linear_read, theorem_holds
 from .graphs import Graph
 from .kernel import full_block_sums
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, rational, subsets_of
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, rational
 from .umbral import LogPolynomials, RisingFactorials
 
-# the grid check sums 3^n subset pairs at (D + 1)^2 points; by the rule that set
-# ring.BLOCK_SUM_CAP, for a cold `verify --check binomial` on G(n, .3) seeded random.Random(1):
-# 5.4 s and 18 MiB at 11, 21 s at 12 (Python 3.11, 2 cores)
-BINOMIAL_CHECK_CAP = 11
+# (D + 1)(D + 2)/2 set-map products, D <= n; by the rule that set ring.BLOCK_SUM_CAP, a cold
+# `verify --check binomial` on G(n, p) seeded random.Random(1), slowest edgeless of p in {0, .3, 1}:
+# 4.9-5.0 s and 47 MiB at 14, 13.1 s at 15 (Python 3.11, 2 cores)
+BINOMIAL_CHECK_CAP = 14
 
 
 def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
     """Exactly test the binomial-type identity on every subset.
 
-    Both sides are bivariate polynomials of degree at most D in each
-    variable, where D is the top degree of the basis the table's values are
-    read in, so agreement on the (D+1) x (D+1) integer grid is conclusive.
+    At every mask both sides of p(x) p(y) = p(x+y), one set-map product, are
+    bivariate polynomials of degree at most D in each variable, D the top
+    degree of the basis the values are read in: the (D+1) x (D+1) grid decides.
     """
     if p.n > cap:
         raise CapExceeded(f"binomial-type check over ground size {p.n} exceeds cap {cap}")
     basis, columns = p.coordinates()
     degree = max(0, len(basis) - 1)
-    points = range(degree + 1)
-    # evals[s][T] = p_T(s) for s in 0..2D, covering both grid axes and x+y
-    evals = [linear_read(columns, [b(s) for b in basis], p.n) for s in range(2 * degree + 1)]
-    for S in range(1 << p.n):
-        for x in points:
-            for y in points:
-                at_x, at_y = evals[x], evals[y]
-                if evals[x + y][S] != sum(at_x[T] * at_y[S ^ T] for T in subsets_of(S)):
-                    return False
-    return True
+    # p at 0..2D, both axes and x+y; the ring commutes, so x <= y decides
+    evals = [SetMap(p.n, linear_read(columns, [b(s) for b in basis], p.n)) for s in range(2 * degree + 1)]
+    return all(evals[x] * evals[y] == evals[x + y] for x in range(degree + 1) for y in range(x, degree + 1))
 
 
 def _stable_sets(graph: Graph) -> list[int]:
@@ -119,9 +114,12 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
     """Check the integer-power identity for a binomial-type map.
 
     Evaluating the table at x0 and raising it to the y0-th set-map power
-    must equal the table evaluated at x0*y0.  A whole-number x0 is used as
-    an int, so that both linear reads of an int table run on ints.
+    must equal the table evaluated at x0*y0.  The power of c + g, c the
+    empty-set value, is sum_j C(y0, j) c^(y0-j) g^j with g^j = j! c_j(g): one
+    composition.  A whole x0 is an int, so an int table stays int.
     """
+    from .algebra import compose
+
     if not isinstance(y0, int) or y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     if p.n > cap:
@@ -129,12 +127,10 @@ def verify_power_identity(p: SetMap, x0, y0: int, cap: int = BLOCK_SUM_CAP) -> b
     x0 = rational(x0)
     basis, columns = p.coordinates()
     base, target = (SetMap(p.n, linear_read(columns, [b(x) for b in basis], p.n)) for x in (x0, x0 * y0))
-    power = base
-    for bit in bin(y0)[3:]:  # square and multiply from the top bit: at most 2 log2(y0) products
-        power = power * power
-        if bit == "1":
-            power = power * base
-    return power == target
+    c = base.table[0]
+    # the int 0 past y0, where c ** (y0 - j) is a float
+    terms = [math.perm(y0, j) * c ** (y0 - j) if j <= y0 else 0 for j in range(p.n + 1)]
+    return compose(terms, base - SetMap.unit(p.n, c)) == target
 
 
 def verify_stanley_evaluation(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_CAP) -> bool:

@@ -35,13 +35,13 @@ time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
 the graph oracles add ``oracles``; ``expand`` adds ``umbral`` and
 ``expansions``, and runs no kernel: its subset coefficients and lengths
 are a change of basis from the table's counts.  The graph checks load
-those, ``checks`` and the block-sum kernel (``kernel``), and the checks
-that count orientations or stable partitions (``rising-pairs``,
-``stable-counts``, ``stanley``) add ``algebra``, the composition behind
-``SetMap.inverse``, when they run.  No check loads ``oracles``.  The block
-checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and ``abel``,
-and ``closed-form`` and ``forest-count`` ``kernel``.  On integral input no
-command loads ``fractions`` (``ring.quotient``).  A ``--cap``
+those, ``checks`` and the block-sum kernel (``kernel``), and ``power`` and
+the checks that count orientations or stable partitions (``rising-pairs``,
+``stable-counts``, ``stanley``) add ``algebra``, the composition behind the
+power and ``SetMap.inverse``, when they run.  No check loads ``oracles``.
+The block checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and
+``abel``, and ``closed-form`` and ``forest-count`` ``kernel``.  On integral
+input no command loads ``fractions`` (``ring.quotient``).  A ``--cap``
 warning loads no engine module beyond ``ring``: it prices each stage from
 the override alone.
 
@@ -57,12 +57,12 @@ needs every flag it reads.  ``--source`` and ``--sink`` are vertex labels
 of the graph file, inside ``--subset``.  A negative ``--cap`` is refused
 while parsing.  A command prints that warning after its own usage checks
 and before its first cap.  A check's cap, or its ``--cap`` override,
-governs every stage the check runs.  ``expand`` and the checks on the
-block-sum kernel (all but ``binomial``: ``power`` and the counting checks
-run set-map products on it) share its cap, ``ring.BLOCK_SUM_CAP``;
-``expand`` keeps it although it runs no kernel.  Every graph check caps
-vertices.  ``chromatic`` prints the chromatic table's value at the full
-set of its induced subgraph, and caps that subgraph's vertices at
+governs every stage the check runs.  ``expand`` and every check but
+``binomial``, whose grid has a cap of its own, share the block-sum
+kernel's cap, ``ring.BLOCK_SUM_CAP``; ``expand`` keeps it although it runs
+no kernel.  Every graph check caps vertices.  ``chromatic`` prints the
+chromatic table's value at the full set of its induced subgraph, and caps
+that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
 ``abel.ABEL_POLY_CAP``, each before any work.  A graph oracle whose cap
 admits its count refuses, before the count, a subset mask too long to
@@ -80,7 +80,7 @@ import sys
 # --k, --x, --basis, --source and --sink that it reads); any other is a usage error
 _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
-    "binomial": (("table", "pairs"), ()),
+    "binomial": ((*_EXPANSION, "grid"), ()),
     "expansion": ((*_EXPANSION, "bases"), ("basis",)),
     "rising-pairs": (_EXPANSION, ()),
     "abel-one": (_EXPANSION, ()),
@@ -246,14 +246,16 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
         ),
         "bases": "the expansion check runs that kernel once per basis, eight times without --basis",
+        # one set-map product per grid pair x <= y in 0..D, D <= N the table's degree
+        "grid": "the binomial check runs that kernel "
+        + count(f"({cap}+1)({cap}+2)/2", lambda: (cap + 1) * (cap + 2) // 2) + " times",
         "partitions": (
             f"a partition oracle enumerates "
             f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"
         ),
-        "pairs": f"subset-pair sums touch {count(f'3^{cap}', lambda: 3**cap)} pairs",
         "power": (
             f"the power check makes {count(f'2*2^{cap}', lambda: 2 * 2**cap)} table evaluations "
-            f"and at most 2*log2(--k) set-map products of 2^{cap} int products each"
+            f"and one composition of at most {cap} powers of 2^{cap} int products each"
         ),
         "orientations": (
             f"orientation enumeration over {cap} edges touches up to "

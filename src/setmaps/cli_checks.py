@@ -91,8 +91,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         rows[check] = lambda p, cap, pairs=pairs: {
             label: expansion_reconstructs(p, f, cap) for label, f in pairs
         }
-    # the grid check has a cap of its own; every other check runs on the kernel,
-    # under its cap; each caps the vertex count
+    # the grid check has a cap of its own, every other check the kernel's; each caps vertices
     runs = []
     for check in selected:
         cap = BINOMIAL_CHECK_CAP if check == "binomial" else BLOCK_SUM_CAP

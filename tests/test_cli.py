@@ -17,6 +17,7 @@ import setmaps.cli as cli
 import setmaps.graphs as graphs
 import setmaps.oracles as oracles
 from setmaps.abel import ABEL_POLY_CAP
+from setmaps.checks import BINOMIAL_CHECK_CAP
 from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
 from setmaps.poly import Poly
 from setmaps.umbral import standard_families
@@ -156,8 +157,8 @@ def test_verify_failure_exit_code_via_fault_injection(capsys, monkeypatch):
 
 
 def test_verify_cap_exceeded_exit_code(capsys, tmp_path):
-    path = tmp_path / "c12.txt"  # one vertex past the binomial cap of 11
-    path.write_text(Graph.cycle(12).to_text())
+    path = tmp_path / "cycle.txt"  # one vertex past the binomial cap
+    path.write_text(Graph.cycle(BINOMIAL_CHECK_CAP + 1).to_text())
     status, _, err = run_cli(capsys, "verify", "--check", "binomial", "--graph", str(path))
     assert status == 3
     assert "cap" in err
@@ -625,14 +626,16 @@ def test_verify_all_builds_one_shared_table(capsys, monkeypatch):
 
 
 def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_path):
-    # a 12-cycle meets the first check's cap, the binomial cap of 11, and passes
-    # the kernel's cap of 17 that the others take
-    path = tmp_path / "c12.txt"
-    path.write_text(Graph.cycle(12).to_text())
+    # a cycle one vertex past the first check's cap, the binomial cap, passes the
+    # kernel's cap of 17 that the others take
+    n = BINOMIAL_CHECK_CAP + 1
+    assert n <= 17
+    path = tmp_path / "cycle.txt"
+    path.write_text(Graph.cycle(n).to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", "all", "--graph", str(path))
     assert status == 3
-    assert out == "" and err == "error: binomial check over 12 vertices exceeds cap 11\n"
+    assert out == "" and err == f"error: binomial check over {n} vertices exceeds cap {n - 1}\n"
     assert sizes == []
 
 
@@ -734,7 +737,7 @@ def test_power_check_takes_the_kernel_cap(capsys, monkeypatch, tmp_path):
 def test_power_check_takes_a_large_k_in_few_products(capsys):
     start = time.perf_counter()
     status, out, _ = run_cli(capsys, "verify", "--check", "power", "--graph", f"{GRAPHS}/c5.txt", "--k", "1000000")
-    assert time.perf_counter() - start < 1.0  # 25 set-map products, not 999999
+    assert time.perf_counter() - start < 1.0  # one composition, not 999999 set-map products
     assert status == 0
     assert json.loads(out)["checks"] == [{"name": "power x0=2 y0=1000000", "pass": True}]
 
@@ -886,9 +889,9 @@ _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
 _BASIS = "the change of basis takes about 2^7*7 = 896 products of counts and constants"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
 _BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
-_PAIRS = "subset-pair sums touch 3^7 = 2187 pairs"
+_GRID = "the binomial check runs that kernel (7+1)(7+2)/2 = 36 times"
 _POWER = (
-    "the power check makes 2*2^7 = 256 table evaluations and at most 2*log2(--k) set-map products"
+    "the power check makes 2*2^7 = 256 table evaluations and one composition of at most 7 powers"
     " of 2^7 int products each"
 )
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
@@ -902,7 +905,7 @@ _BLOCKS = ("--blocks", "2,1,1")
     "argv, priced",
     [
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _BASIS)),
-        (("verify", "--check", "binomial", *_C5), (_TABLE, _PAIRS)),
+        (("verify", "--check", "binomial", *_C5), (_TABLE, _KERNEL, _GRID)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
         (("verify", "--check", "rising-pairs", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
@@ -911,7 +914,7 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "power", *_C5), (_TABLE, _POWER)),
         (("verify", "--check", "stanley", *_C5), (_TABLE, _KERNEL)),
-        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _BASES, _PAIRS, _POWER)),
+        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _BASES, _GRID, _POWER)),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "tail-forests", *_BLOCKS), (_TAILS,)),

@@ -1,7 +1,7 @@
 """Expansion theorem, coefficient interpretations, and power identity."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from unittest.mock import patch
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setmaps.abel import BlockPartition, abel_setmap
+import setmaps.algebra as algebra
 from setmaps.algebra import compose
 import setmaps.checks as checks
 from setmaps.checks import (
@@ -52,6 +53,30 @@ def monomial_type_map(n: int) -> SetMap:
 # ---------------------------------------------------------------------------
 
 
+def grid_holds(values: list) -> bool:
+    """The binomial-type identity from every polynomial value, by the subset sum
+    p_S(x+y) = sum over T in S of p_T(x) p_(S-T)(y) on the grid of its degree."""
+    degree = max(0, max(q.degree for q in values))
+    grid = range(degree + 1)
+    evals = [[q(s) for s in range(2 * degree + 1)] for q in values]
+    return all(
+        evals[S][x + y] == sum(evals[T][x] * evals[S ^ T][y] for T in subsets_of(S))
+        for S in range(len(values))
+        for x in grid
+        for y in grid
+    )
+
+
+def power_by_products(values: list, x0, y0: int) -> bool:
+    """The power identity from every polynomial value, by y0 - 1 set-map products."""
+    n = len(values).bit_length() - 1
+    at = [SetMap(n, [q(x) for q in values]) for x in (x0, x0 * y0)]
+    power = at[0]
+    for _ in range(y0 - 1):
+        power = power * at[0]
+    return power == at[1]
+
+
 def test_chromatic_maps_are_binomial_type():
     for g in graphs_through(4):
         assert check_binomial_type(chromatic_setmap(g))
@@ -73,6 +98,47 @@ def test_perturbed_power_map_is_not_binomial_type():
 def test_binomial_check_cap():
     with pytest.raises(CapExceeded):
         check_binomial_type(monomial_type_map(BINOMIAL_CHECK_CAP + 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(standard_families() + (AbelPolynomials(Fraction(3, 4)),)),
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    ),
+    st.data(),
+)
+def test_the_binomial_check_agrees_with_the_subset_sum_grid(family, table, data):
+    n = len(table).bit_length() - 1
+    values = list(compose(family.members(n), SetMap(n, [0] + table[1:])).table)
+    # moving x^1 at the full set keeps the type; moving x^j at T with j != 1 adds
+    # delta ((x + y)^j - x^j - y^j) to the identity at T, which is -delta at j = 0
+    mask = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    degree = data.draw(st.sampled_from([0, *range(2, n + 2)]))
+    delta = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    moved = list(values)
+    moved[mask] += Poly.monomial(degree) * delta
+    # 0 on the empty set: the identity at a singleton v reads p_v(x + y) = 0
+    unborn = [Poly.zero(), *values[1:]]
+    for table, holds in ((values, True), (moved, False), (unborn, False)):
+        assert (check_binomial_type(SetMap(n, table)), grid_holds(table)) == (holds, holds)
+
+
+@pytest.mark.parametrize("g", [Graph(0, []), Graph(3, []), Graph.complete(3), Graph.cycle(5)])
+def test_the_binomial_check_takes_one_product_per_grid_pair(monkeypatch, g):
+    p = chromatic_setmap(g)
+    # the table at 0..2n, one per grid axis value and sum; a chromatic table has degree n
+    evals = [SetMap(g.n, [p[T](s) for T in range(1 << g.n)]) for s in range(2 * g.n + 1)]
+    factors = []
+    mul = SetMap.__mul__
+    monkeypatch.setattr(SetMap, "__mul__", lambda self, other: factors.append((self, other)) or mul(self, other))
+    assert check_binomial_type(p)
+    pairs = [(evals.index(a), evals.index(b)) for a, b in factors]
+    assert pairs == [(x, y) for x in range(g.n + 1) for y in range(x, g.n + 1)]
 
 
 def test_binomial_check_refuses_rational_values():
@@ -495,18 +561,46 @@ def test_power_identity_rejects_one_perturbed_value(x0):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 1000, 2**20 - 1])
-def test_power_identity_squares_and_multiplies(monkeypatch, k):
-    products = []
+def test_power_identity_is_one_composition(monkeypatch, k):
+    calls, products = [], []
+    compose_ = algebra.compose
+    monkeypatch.setattr(algebra, "compose", lambda terms, inner: calls.append(terms) or compose_(terms, inner))
     mul = SetMap.__mul__
     monkeypatch.setattr(SetMap, "__mul__", lambda self, other: products.append(k) or mul(self, other))
     assert verify_power_identity(chromatic_setmap(Graph.cycle(5)), 2, k)
-    # a square per bit under the top one and a product per 1 among them
-    assert len(products) == k.bit_length() - 1 + k.bit_count() - 1
-    assert len(products) <= min(k - 1, 2 * (k.bit_length() - 1))
+    # the table at 2 is 1 on the empty set: terms (k)_j 1^(k-j), the int 0 past k
+    assert calls == [[perm(k, j) if j <= k else 0 for j in range(6)]] and products == []
+    assert all(type(a) is int for a in calls[0])
+
+
+def through(base: list, power: list, x0, y0: int) -> SetMap:
+    """The table of lines through (x0, base[T]) and (x0 y0, power[T]): constants at y0 = 1."""
+    n = len(base).bit_length() - 1
+    if y0 == 1:
+        return SetMap(n, [Poly((b,)) for b in base])
+    slopes = [Fraction(c - b) / (x0 * y0 - x0) for b, c in zip(base, power)]
+    return SetMap(n, [Poly((b - m * x0, m)) for b, m in zip(base, slopes)])
+
+
+@pytest.mark.parametrize("x0", [2, Fraction(1, 3), -2])
+def test_the_power_identity_agrees_with_repeated_products(rng, x0):
+    n = 4
+    chi = chromatic_setmap(random_graphs(n, 1, seed=0x40, p=0.5)[0])
+    base = SetMap(n, [2, *(random_fraction(rng) for _ in range(1, 1 << n))])  # 2 on the empty set
+    for y0 in range(1, n + 3):
+        power = base
+        for _ in range(y0 - 1):
+            power = power * base
+        line = through(list(base.table), list(power.table), x0, y0)
+        moved = list(line.table)
+        moved[rng.randrange(1, 1 << n)] += Poly.one()
+        for p, holds in ((chi, True), (line, True), (SetMap(n, moved), y0 == 1)):
+            values = [p[T] for T in range(1 << n)]
+            assert (verify_power_identity(p, x0, y0), power_by_products(values, x0, y0)) == (holds, holds)
 
 
 def test_power_identity_cap():
-    # the products run on the block-sum kernel, under its cap of 17
+    # the composition runs on the block-sum kernel, under its cap of 17
     with pytest.raises(CapExceeded):
         verify_power_identity(monomial_type_map(18), 1, 2)
 
@@ -569,24 +663,9 @@ def verdicts_by_values(graph: Graph, p: SetMap, x0, y0: int, binomial: bool) -> 
     """The same verdicts from every value p[T], built and evaluated one by one, the
     power by y0 - 1 products and the binomial identity on the grid of its degree."""
     masks, values = range(1 << p.n), [p[T] for T in range(1 << p.n)]
-    at = [SetMap(p.n, [q(x) for q in values]) for x in (x0, x0 * y0)]
-    power = at[0]
-    for _ in range(y0 - 1):
-        power = power * at[0]
     counts = _orientation_counts(graph)
     stanley = all((-1) ** T.bit_count() * values[T](-1) == counts[T] for T in masks)
-    if not binomial:
-        return power == at[1], stanley, None
-    degree = max(0, max(q.degree for q in values))
-    grid = range(degree + 1)
-    evals = [[q(s) for s in range(2 * degree + 1)] for q in values]
-    holds = all(
-        evals[S][x + y] == sum(evals[T][x] * evals[S ^ T][y] for T in subsets_of(S))
-        for S in masks
-        for x in grid
-        for y in grid
-    )
-    return power == at[1], stanley, holds
+    return power_by_products(values, x0, y0), stanley, grid_holds(values) if binomial else None
 
 
 def miscount(g: Graph, mask: int, slot: int, by: int) -> SetMap:

@@ -160,7 +160,15 @@ def test_graph_checks_do_not_load_abel():
         run_main("verify", "--check", "all", "--graph", str(GRAPHS / "c5.txt"))
     )
     assert not modules & {"setmaps.abel", "setmaps.oracles"}
-    assert "setmaps.algebra" in modules  # the stanley, rising-pairs and stable-counts checks
+    assert "setmaps.algebra" in modules  # the power, stanley, rising-pairs and stable-counts checks
+
+
+@pytest.mark.parametrize("check, algebra", [("binomial", False), ("power", True)])
+def test_the_power_check_loads_the_algebra_and_the_grid_check_does_not(check, algebra):
+    # the power is one composition; the grid check's set-map products are the kernel's alone
+    modules = loaded_after(run_main("verify", "--check", check, "--graph", str(GRAPHS / "c5.txt")))
+    assert "setmaps.kernel" in modules
+    assert ("setmaps.algebra" in modules) == algebra
 
 
 @pytest.mark.parametrize(
