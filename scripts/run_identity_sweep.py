@@ -4,8 +4,10 @@
 Usage:
     python scripts/run_identity_sweep.py [--max-n 6] [--random 20]
 
-For each graph the sweep runs: the binomial-type check (the ring
-equation p(x) p(y) = p(x+y), one set-map product per grid pair), the
+For each graph the sweep runs: the chromatic table's two readers against
+each other (every value p[S] against the value rebuilt from its counts,
+sum_j s_j(S) (x)_j, from ``p.coordinates()``), the binomial-type check (the
+ring equation p(x) p(y) = p(x+y), one set-map product per grid pair), the
 expansion theorem on every subset in every standard basis (as the set-map
 identity p = compose((a_k), A p)), the rising/orientation-pair and
 stable-partition coefficient interpretations, derivative and evaluation
@@ -31,6 +33,7 @@ from setmaps.checks import (
 )
 from setmaps.expansions import expand, expansion_reconstructs
 from setmaps.graphs import Graph, chromatic_setmap
+from setmaps.poly import Poly
 from setmaps.umbral import AbelPolynomials, FallingFactorials, standard_families
 
 SEED = 7
@@ -77,7 +80,10 @@ def iso_classes(n):
 
 def sweep_graph(graph):
     p = chromatic_setmap(graph)
-    checks = {"binomial": check_binomial_type(p)}
+    basis, columns = p.coordinates()
+    # the table's two readers: each value against the one its counts re-sum to
+    resum = [sum((b * column[S] for b, column in zip(basis, columns)), Poly.zero()) for S in range(1 << graph.n)]
+    checks = {"coordinates": resum == [p[S] for S in range(1 << graph.n)], "binomial": check_binomial_type(p)}
     for family in standard_families():
         # the expansion theorem on every subset: p = compose((a_k), A p)
         checks[f"mix[{family}]"] = compose(family.members(graph.n), expand(p, family).coeffs) == p

@@ -194,7 +194,7 @@ def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = BLOCK_SU
     them first for a subset)."""
     if blocks.block_count > cap:
         raise CapExceeded(f"partition sum over {blocks.block_count} blocks exceeds cap {cap}")
-    return Poly(_partition_weight_sums(blocks)) == abel_poly(blocks, blocks.full_mask, cap)
+    return Poly(_partition_weight_sums(blocks)) == abel_poly(blocks, blocks.full_mask)
 
 
 def verify_forest_coefficients(

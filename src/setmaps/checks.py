@@ -17,9 +17,9 @@ acyclic orientations the inverse of its signed map
 Stanley checks share).  Each graph verifier takes a graph as its whole
 ground set (restrict it first for a subset) next to its chromatic table.
 Every verifier checks its cap, ``ring.BLOCK_SUM_CAP`` or the grid check's
-smaller one, before it reads the table, and passes it on to the ``expand``
-it calls: it is the only cap on the work.  ``expand`` and a table read load
-neither this module nor the kernel.
+smaller one, before it reads the table; the ``expand`` it calls reads the
+table and takes no cap.  ``expand`` and a table read load neither this
+module nor the kernel.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def verify_rising_orientation_pairs(graph: Graph, p: SetMap, cap: int = BLOCK_SU
     """
     if graph.n > cap:
         raise CapExceeded(f"orientation-pair verification over {graph.n} vertices exceeds cap {cap}")
-    coeffs = expand(p, RisingFactorials(), cap).by_length()
+    coeffs = expand(p, RisingFactorials()).by_length()
     counts = full_block_sums(_orientation_counts(graph))
     return all((-1) ** (graph.n - k) * coeffs[k] == counts[k] for k in range(graph.n + 1))
 
@@ -104,7 +104,7 @@ def verify_stable_count_expansion(graph: Graph, p: SetMap, cap: int = BLOCK_SUM_
 
     if graph.n > cap:
         raise CapExceeded(f"stable-count verification over {graph.n} vertices exceeds cap {cap}")
-    exp = expand(p, LogPolynomials(), cap)
+    exp = expand(p, LogPolynomials())
     if compose([0] + [1] * graph.n, SetMap(graph.n, [0, *_stable_sets(graph)[1:]])) != exp.coeffs:
         return False
     return theorem_holds(p, exp)

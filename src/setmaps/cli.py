@@ -57,10 +57,11 @@ needs every flag it reads.  ``--source`` and ``--sink`` are vertex labels
 of the graph file, inside ``--subset``.  A negative ``--cap`` is refused
 while parsing.  A command prints that warning after its own usage checks
 and before its first cap.  A check's cap, or its ``--cap`` override,
-governs every stage the check runs.  ``expand`` and every check but
-``binomial``, whose grid has a cap of its own, share the block-sum
-kernel's cap, ``ring.BLOCK_SUM_CAP``; ``expand`` keeps it although it runs
-no kernel.  Every graph check caps vertices.  ``chromatic`` prints the
+governs every stage the check runs.  The ``expand`` command and every
+check but ``binomial``, whose grid has a cap of its own, share the
+block-sum kernel's cap, ``ring.BLOCK_SUM_CAP``; the command keeps it on
+the table's vertices, although the library ``expand`` runs no kernel and
+takes no cap.  Every graph check caps vertices.  ``chromatic`` prints the
 chromatic table's value at the full set of its induced subgraph, and caps
 that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
@@ -322,7 +323,7 @@ def cmd_expand(ns: "argparse.Namespace") -> tuple[dict, int]:
     if local.n > cap:
         raise CapExceeded(f"expansion over {local.n} vertices exceeds cap {cap}")
     p = chromatic_setmap(local)
-    exp = expand(p, family, cap)
+    exp = expand(p, family)
     reconstructs = exp.reconstruct() == p[p.full_mask]
     # local mask t is the t-th submask of the subset in increasing order
     masks = sorted(subsets_of(subset))

@@ -29,10 +29,11 @@ and the stable-count check in ``checks`` call it.  Composing the basis with the
 coefficients (``algebra.compose``) checks it on every subset at once.  The
 chromatic set map is the headline instance.  Its derivative- and
 evaluation-at-a expansions are that check in the Abel and falling bases
-(see ``AbelPolynomials`` and ``FallingFactorials``).  ``expand`` keeps the
-kernel's cap, ``ring.BLOCK_SUM_CAP``, though it runs no kernel.  The
-binomial-type test and the verifiers that need an oracle of their own live
-in ``checks``, so that ``expand`` compiles neither them nor the oracles.
+(see ``AbelPolynomials`` and ``FallingFactorials``).  ``expand`` takes no
+cap, since it runs no kernel; ``expansion_reconstructs`` checks the
+kernel's, ``ring.BLOCK_SUM_CAP``.  The binomial-type test and the
+verifiers that need an oracle of their own live in ``checks``, so that
+``expand`` compiles neither them nor the oracles.
 """
 
 from __future__ import annotations
@@ -92,21 +93,18 @@ def linear_read(columns, weights, n: int) -> list:
     return acc
 
 
-def expand(
-    p: SetMap, family: BinomialFamily = RisingFactorials(), cap: int = BLOCK_SUM_CAP
-) -> Expansion:
+def expand(p: SetMap, family: BinomialFamily = RisingFactorials()) -> Expansion:
     """Expansion coefficients A p_T of a nontrivial binomial-type map, and the
     full set's coordinates c_k in the basis, by a change of basis (module
     docstring): one functional application per member of the basis the map
     holds (``SetMap.coordinates``), one linear read, and no partition sum.
+    It reads a map that exists in O(n 2^n) work, so it takes no cap.
 
     The trivial map (zero on the empty set) has no expansion and is rejected.
     """
     if p[0] != 1:
         raise ValueError("expansion requires a nontrivial map: empty-set value must be 1")
     n = p.n
-    if n > cap:
-        raise CapExceeded(f"expansion over a {n}-element subset exceeds cap {cap}")
     basis, columns = p.coordinates()
     # alpha_j = A b_j over a common denominator
     ints, scale = common_denominator(map(family.delta(max(1, len(basis) - 1)), basis))
@@ -131,5 +129,8 @@ def theorem_holds(p: SetMap, exp: Expansion) -> bool:
 
 
 def expansion_reconstructs(p: SetMap, family: BinomialFamily, cap: int = BLOCK_SUM_CAP) -> bool:
-    """True iff the expansion theorem holds for p in ``family`` (``theorem_holds``)."""
-    return theorem_holds(p, expand(p, family, cap))
+    """True iff the expansion theorem holds for p in ``family`` (``theorem_holds``);
+    a ground set past ``cap``, the kernel's, raises ``CapExceeded`` first."""
+    if p.n > cap:
+        raise CapExceeded(f"expansion over a {p.n}-element subset exceeds cap {cap}")
+    return theorem_holds(p, expand(p, family))

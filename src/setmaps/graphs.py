@@ -6,13 +6,12 @@ stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
 block count, visiting the vertices largest last and taking a simplicial
 vertex in one pass over the slots; no induced subgraph is built.  The
-table keeps those packed counts and builds a polynomial only when it is
-read; ``expand`` and the checks read the counts themselves, as the
-values' coordinates in the falling factorials (``_CountTable.coordinates``).
-A single
-polynomial (``chromatic_poly``) is the table's value at the full set,
-under a vertex cap of its own (``CHROMATIC_POLY_CAP``) checked before the
-count pass.
+counts are the values' coordinates in the falling factorials (``_FALLING``).
+The table keeps them packed and builds a polynomial from them only when it
+is read; ``expand`` and the checks read the counts themselves
+(``_CountTable.coordinates``).  A single polynomial (``chromatic_poly``) is
+the table's value at the full set, under a vertex cap of its own
+(``CHROMATIC_POLY_CAP``) checked before the count pass.
 
 Three routes to the chromatic polynomial check the table: deletion-
 contraction, the edge-subset expansion and interpolation through coloring
@@ -173,15 +172,10 @@ def load_graph(path: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 _SLOT = 64  # bits per packed count; s_k(S) <= Bell(20) < 2^46
-# little-endian layouts of 0..21 unsigned and signed 64-bit slots
+# little-endian layouts of 0..21 unsigned 64-bit slots
 _UNSIGNED = [struct.Struct(f"<{w}Q") for w in range(MAX_GROUND_SIZE + 2)]
-_SIGNED = [struct.Struct(f"<{w}q") for w in range(MAX_GROUND_SIZE + 2)]
-# (x)_k for k = 0..20 as packed monomial coefficients: the int sum_j s(k, j) 2^(64 j)
-_FALLING = list(accumulate(range(MAX_GROUND_SIZE), lambda f, k: (f << _SLOT) - k * f, initial=1))
-# by width w, the top bit of each of the w lowest slots: |chi_S coefficients| sum
-# to |chi_S(-1)| <= |S|! < 2^63, so adding them to a value's slots carries nowhere,
-# and flipping them back leaves each slot in two's complement
-_BIAS = [sum(1 << _SLOT * m - 1 for m in range(1, w + 1)) for w in range(MAX_GROUND_SIZE + 2)]
+# (x)_0, ..., (x)_20: the basis the counts are coordinates in
+_FALLING = list(accumulate((Poly((-k, 1)) for k in range(MAX_GROUND_SIZE)), operator.mul, initial=Poly.one()))
 
 
 def _slots(packed: int, width: int) -> tuple:
@@ -285,7 +279,7 @@ class _CountTable(SetMap):
     ``table[S]`` decodes the value of S (``_value``) and keeps nothing.  The
     ``table`` tuple, which equality and the arithmetic read and no engine
     path does, is built on first use and kept.  ``coordinates`` unpacks the
-    counts once and keeps them.
+    counts once and keeps them.  Both read them in the one list ``_FALLING``.
     """
 
     __slots__ = ("_packed", "_built", "_coordinates")
@@ -295,11 +289,13 @@ class _CountTable(SetMap):
         self._built = self._coordinates = None
 
     def _value(self, S: int) -> Poly:
-        """chi_S in monomial coefficients: sum_k s_k(S) (x)_k on the packed slots."""
+        """chi_S = sum_k s_k(S) (x)_k, each (x)_k's monomial coefficients added in."""
         width = S.bit_count() + 1
-        mono = sum(map(operator.mul, _slots(self._packed[S], width), _FALLING))
-        b = _BIAS[width]
-        return Poly(_SIGNED[width].unpack(((mono + b) ^ b).to_bytes(8 * width, "little")))
+        coeffs = [0] * width
+        for s, falling in zip(_slots(self._packed[S], width), _FALLING):
+            if s:
+                coeffs[: len(falling.coeffs)] = map(operator.add, coeffs, map(s.__mul__, falling.coeffs))
+        return Poly(coeffs)
 
     @property
     def table(self) -> tuple:
@@ -321,8 +317,7 @@ class _CountTable(SetMap):
             # 64-bit slots written little-endian: a view where that is the native order
             little = sys.byteorder == "little"
             counts = memoryview(flat).cast("Q") if little else struct.unpack(f"<{len(flat) // 8}Q", flat)
-            falling = list(accumulate((Poly((-j, 1)) for j in range(n)), operator.mul, initial=Poly.one()))
-            self._coordinates = falling, [counts[j :: n + 1] for j in range(n + 1)]
+            self._coordinates = _FALLING[: n + 1], [counts[j :: n + 1] for j in range(n + 1)]
         return self._coordinates
 
 
@@ -331,13 +326,15 @@ def chromatic_setmap(graph: Graph) -> SetMap:
 
     One pass over the masks counts the stable partitions of every subset
     by block count (``_stable_partition_counts``), and the map keeps those
-    packed counts.  A value is built when it is read: its count vector
-    becomes monomial coefficients through the signed Stirling numbers of
-    the first kind, chi_S = sum_k s_k(S) (x)_k and (x)_k = sum_j s(k, j) x^j,
-    and the Poly is built from plain ints.  ``table[S]`` builds the one
-    value of S, each time it is read; the whole ``table``, which equality
-    and the arithmetic read, is built once and then kept.  The engine's
-    readers read the counts, not the values (``_CountTable.coordinates``).
+    packed counts.  A value is built when it is read: its count vector is
+    dotted with the falling factorials' monomial coefficients, the signed
+    Stirling numbers of the first kind, chi_S = sum_k s_k(S) (x)_k and
+    (x)_k = sum_j s(k, j) x^j, and the Poly is built from plain ints.
+    ``table[S]`` builds the one value of S, each time it is read; the whole
+    ``table``, which equality and the arithmetic read, is built once and
+    then kept.  The engine's readers read the counts, not the values
+    (``_CountTable.coordinates``).  The table's one cap: more than
+    ``MAX_GROUND_SIZE`` vertices raise ``CapExceeded`` before the count pass.
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")

@@ -561,6 +561,23 @@ def test_unknown_command_is_usage_error(capsys):
     assert cli.main(["bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("abel", "--blocks", "1,x"), "argument --blocks: blocks must be comma-separated integers, got '1,x'"),
+        (("abel", "--blocks", "0,1"), "argument --blocks: block sizes must be positive integers"),
+        (
+            ("verify", "--check", "derivative", "--graph", f"{GRAPHS}/k3.txt", "--x", "abc"),
+            "argument --x: not an exact rational: 'abc'",
+        ),
+    ],
+)
+def test_malformed_flag_values_are_argparse_errors(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.endswith(f"setmaps {argv[0]}: error: {message}\n")
+
+
 def test_subset_out_of_range_is_usage_error(capsys, k2_file):
     status, _, _ = run_cli(capsys, "chromatic", "--graph", k2_file, "--subset", "8")
     assert status == 2

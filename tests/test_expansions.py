@@ -12,6 +12,7 @@ from setmaps.abel import BlockPartition, abel_setmap
 import setmaps.algebra as algebra
 from setmaps.algebra import compose
 import setmaps.checks as checks
+import setmaps.cli as cli
 from setmaps.checks import (
     BINOMIAL_CHECK_CAP,
     _orientation_counts,
@@ -28,7 +29,7 @@ import setmaps.graphs as graphs
 from setmaps.graphs import Graph, chromatic_setmap
 from setmaps.oracles import count_acyclic_orientations, count_stable_partitions, deletion_contraction
 from setmaps.poly import Poly
-from setmaps.ring import CapExceeded, SetMap, partitions_of, subsets_of
+from setmaps.ring import BLOCK_SUM_CAP, CapExceeded, SetMap, partitions_of, subsets_of
 from setmaps.umbral import (
     AbelPolynomials,
     FallingFactorials,
@@ -207,9 +208,10 @@ def test_expand_refuses_rational_values():
         expand(values, Monomials())
 
 
-def test_expand_subset_cap():
-    with pytest.raises(CapExceeded):
-        expand(monomial_type_map(4), Monomials(), cap=3)
+def test_the_theorem_check_takes_the_kernel_cap():
+    # expand reads a map that exists and takes no cap; the kernel's check does
+    with pytest.raises(CapExceeded, match="expansion over a 4-element subset exceeds cap 3"):
+        expansion_reconstructs(monomial_type_map(4), Monomials(), cap=3)
 
 
 def test_reconstruct_matches_direct_partition_sum():
@@ -253,7 +255,19 @@ def test_full_set_lengths_are_the_basis_coefficients_of_the_full_polynomial(gnp_
     # at n = 15 the slot width counts ordered set compositions, 12-17 bits
     # narrower than a count of all k-tuples of subsets
     p, family = gnp_tables[n], family_from_string(basis)
-    assert expand(p, family, cap=n).by_length() == family.coefficients(p[p.full_mask])
+    assert expand(p, family).by_length() == family.coefficients(p[p.full_mask])
+
+
+def test_a_library_expand_reads_a_table_past_the_kernel_cap(capsys, tmp_path):
+    # the library reads the table it is given; the command refuses before it builds one
+    g = random_graphs(18, 1, seed=18, p=0.5)[0]
+    assert g.n == BLOCK_SUM_CAP + 1
+    p, family = chromatic_setmap(g), RisingFactorials()
+    assert expand(p, family).by_length() == family.coefficients(p[p.full_mask])
+    path = tmp_path / "g18.txt"
+    path.write_text(g.to_text())
+    assert cli.main(["expand", "--graph", str(path), "--basis", "rising"]) == 3
+    assert capsys.readouterr() == ("", "error: expansion over 18 vertices exceeds cap 17\n")
 
 
 def basis_composite(exp):
@@ -727,7 +741,7 @@ def assert_kernel_route(p: SetMap, basis: str) -> None:
     """``expand`` equals the route it replaced: the delta functional on every
     value, and the kernel's partition sums of those coefficients."""
     family = family_from_string(basis)
-    exp = expand(p, family, cap=p.n)
+    exp = expand(p, family)
     functional = family.delta(max(1, max(q.degree for q in p.table)))
     assert exp.coeffs.table == tuple(map(functional, p.table)), basis
     assert exp.lengths == full_block_sums(exp.coeffs.table), basis

@@ -51,6 +51,22 @@ def test_graph_rejects_loops_and_range():
         Graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Graph(-1), ValueError, "vertex count must be nonnegative"),
+        (lambda: Graph.cycle(2), ValueError, "at least 3 vertices"),
+        (lambda: parse_graph("-1 0\n"), GraphFormatError, "must be nonnegative"),
+        (lambda: parse_graph("2 -1\n"), GraphFormatError, "must be nonnegative"),
+        (lambda: parse_graph("3 1\n0 1 2\n"), GraphFormatError, "edge line must be 'u v'"),
+        (lambda: parse_graph("3 1\n0\n"), GraphFormatError, "edge line must be 'u v'"),
+    ],
+)
+def test_graph_arguments_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_graph_deduplicates_edges():
     g = Graph(3, [(0, 1), (1, 0), (1, 2)])
     assert g.edges == ((0, 1), (1, 2))
@@ -424,6 +440,40 @@ def test_chromatic_at_one_detects_edges():
             assert p[S](1) == expected
 
 
+def test_the_table_refuses_21_vertices_before_the_count_pass(monkeypatch):
+    monkeypatch.setattr(graphs, "_stable_partition_counts", lambda graph: pytest.fail("count pass ran"))
+    with pytest.raises(CapExceeded, match="capped at 20 vertices"):
+        chromatic_setmap(Graph.edgeless(21))
+
+
+def stirling_rows(n: int) -> tuple[list, list]:
+    """Row n of the signed Stirling numbers of the first kind, s(n, j), and of
+    the second kind, S(n, k): (x)_n = sum_j s(n, j) x^j, x^n = sum_k S(n, k) (x)_k."""
+    first, second = [1], [1]
+    for m in range(n):
+        first = [(first[j - 1] if j else 0) - m * (first[j] if j <= m else 0) for j in range(m + 2)]
+        second = [(second[k - 1] if k else 0) + k * (second[k] if k <= m else 0) for k in range(m + 2)]
+    return first, second
+
+
+def top_width_table(counts: list):
+    """A 20-vertex count table by hand: every mask 0 but the full one, whose
+    slots hold ``counts``."""
+    packed = [0] * (1 << 20)
+    packed[-1] = sum(c << 64 * k for k, c in enumerate(counts))
+    return graphs._CountTable(20, packed)
+
+
+def test_the_decoder_reads_the_top_width_exactly():
+    first, second = stirling_rows(20)
+    # the edgeless counts S(20, k) are x^20
+    table = top_width_table(second)
+    assert table[(1 << 20) - 1] == Poly.monomial(20) and table[0] == Poly.zero()
+    # s_20 = 1 alone is (x)_20, whose coefficients' absolute values sum to 20!
+    falling = top_width_table([0] * 20 + [1])[(1 << 20) - 1]
+    assert falling == Poly(first) and sum(map(abs, first)) == math.factorial(20)
+
+
 def count_polys(monkeypatch) -> list:
     """Record every Poly that the graphs module builds."""
     built = []
@@ -617,6 +667,19 @@ def test_sink_source_refuses_bad_inputs():
         count_acyclic_sink_source(Graph(3, [(0, 1)]), 0, 1)
     with pytest.raises(ValueError, match="edge"):
         count_acyclic_sink_source(Graph.edgeless(2), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (lambda g: count_proper_colorings(g, -1), "color count must be nonnegative"),
+        (lambda g: count_acyclic_unique_sink(g, g.n), "vertex 4 outside range 0..3"),
+        (lambda g: count_acyclic_sink_source(g, -1, 0), "source or sink outside vertex range"),
+    ],
+)
+def test_oracle_arguments_are_refused(count, message):
+    with pytest.raises(ValueError, match=message):
+        count(Graph.cycle(4))
 
 
 def test_orientation_cap():

@@ -643,6 +643,20 @@ def test_recover_sequence_rejects_zero_singleton():
         recover_sequence(g, h, 2)
 
 
+@pytest.mark.parametrize(
+    "outer, inner, max_n, message",
+    [
+        (SetMap.unit(2), SetMap.from_function(3, lambda S: Fraction(S != 0)), 2, "ground-set mismatch: 2 != 3"),
+        (SetMap.unit(2), SetMap.constant(2, Fraction(1)), 2, "inner value 0 on the empty set"),
+        (SetMap.unit(2), SetMap.from_function(2, lambda S: Fraction(S != 0)), 3, "beyond index 2"),
+        (SetMap.unit(2), SetMap.from_function(2, lambda S: Fraction(S != 0)), -1, "max_n must be nonnegative"),
+    ],
+)
+def test_recover_sequence_refuses_its_arguments(outer, inner, max_n, message):
+    with pytest.raises(ValueError, match=message):
+        recover_sequence(outer, inner, max_n)
+
+
 def test_recover_sequence_rejects_inconsistent_map(rng):
     n = 3
     table = random_table(rng, n, first=0)

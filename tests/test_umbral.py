@@ -518,6 +518,19 @@ def test_family_parameters_are_ints_when_integral_and_keep_fractions_parsing():
         assert str(caught.value) == f"bad family parameter in {f'abel:{text}'!r}: {expected.value}"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Poly.monomial(-1), "exponent must be nonnegative"),
+        (lambda: Functional(()), "at least the moment on 1"),
+        (lambda: Monomials().delta(0), "degree bound of at least 1"),
+    ],
+)
+def test_poly_and_functional_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_family_parsing_rejects_garbage():
     for bad in ("falling", "abel", "falling:0", "nope", "monomial:1", "abel:x"):
         with pytest.raises(ValueError):
