@@ -18,7 +18,6 @@ _SOURCES = {
             "abel_setmap",
             "count_tail_forests",
             "verify_closed_form_partition_sum",
-            "verify_forest_coefficients",
             "verify_tail_forests",
         ),
         "abel",

@@ -7,16 +7,18 @@ subset pi of the blocks put
 
 where w(pi) is the number of underlying elements the blocks of pi cover.
 This map is of binomial type, and with all blocks of size a it collapses
-to the Abel sequence x(x + a n)^{n-1}.  Its monomial coefficients count
+to the Abel sequence x(x + a n)^{n-1}.  Its coefficient of x^k,
+C(n-1, k-1) w^(n-k), is both the k-part partition sum and the count of
 tail forests: sets of tails (block, element) with distinct origin blocks
 whose induced digraph on blocks is a directed forest, the set-partition
-analogue of planted forests.  Only block sizes matter, so the type below
-stores nothing else, and the count enumerates target blocks, not elements.
-The partition-sum checks of the closed form and of its coefficients of
-x^k run over all the blocks of their partition; the blocks of a subset
-form a partition of their own (``BlockPartition.restrict``).  They are
-one run of the block-sum kernel, and share its cap (``ring.BLOCK_SUM_CAP``)
-with the set maps, whose values feed it.
+analogue of planted forests.  The closed form is built in one place
+(``_closed_form``), which the maps and every check read.  Only block
+sizes matter, so the type below stores nothing else, and the count
+enumerates target blocks, not elements.  Every function takes its blocks
+whole; the blocks of a subset form a partition of their own
+(``BlockPartition.restrict``).  The partition-sum check, at one k or at
+every coefficient, is one run of the block-sum kernel, and shares its cap
+(``ring.BLOCK_SUM_CAP``) with the set maps, whose values feed it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections.abc import Iterator
 from itertools import combinations, product
 
 from .poly import Poly
-from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap
+from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, rational
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB
 # for a cold `verify --check tail-forests`, every k, on n seeded blocks of size
@@ -48,9 +50,9 @@ class BlockPartition:
     __slots__ = ("sizes",)
 
     def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
-        if any(s < 1 for s in sizes):
-            raise ValueError("block sizes must be positive")
+        sizes = tuple(map(rational, sizes))  # exact: 1.0 and "2" are sizes, 1.5 is not
+        if any(type(s) is not int or s < 1 for s in sizes):
+            raise ValueError("block sizes must be positive integers")
         self.sizes = sizes
 
     def __eq__(self, other) -> bool:
@@ -83,30 +85,26 @@ class BlockPartition:
             raise ValueError(f"block subset {mask} outside {self.block_count} blocks")
         return BlockPartition(tuple(s for i, s in enumerate(self.sizes) if (mask >> i) & 1))
 
-    def subset_weight(self, mask: int) -> int:
-        """Total element count of the blocks selected by ``mask``."""
-        if mask & ~self.full_mask:
-            raise ValueError(f"block subset {mask} outside {self.block_count} blocks")
-        return sum(self.sizes[i] for i in range(len(self.sizes)) if (mask >> i) & 1)
+
+def _closed_form(count: int, w) -> Poly:
+    """x(x + w)^(count-1), and 1 on no blocks, the only value consistent with a
+    nontrivial binomial-type map; its x^k coefficient is C(count-1, k-1) w^(count-k)."""
+    return Poly.x() * Poly((w, 1)) ** (count - 1) if count else Poly.one()
 
 
-def abel_poly(blocks: BlockPartition, mask: int, cap: int = ABEL_POLY_CAP, max_digits: int = 0) -> Poly:
-    """The polynomial x(x + w)^(len-1) attached to a subset of the blocks.
+def abel_poly(blocks: BlockPartition, *, cap: int = ABEL_POLY_CAP, max_digits: int = 0) -> Poly:
+    """The polynomial x(x + w)^(n-1) on all n blocks, of total weight w
+    (restrict them first for a subset).
 
-    The empty subset gets 1, the only value consistent with a nontrivial
-    binomial-type map.  More than ``cap`` selected blocks raise
-    ``CapExceeded`` before the power is taken, and so, when ``max_digits``
-    is not 0, does a bound on the largest coefficient's decimal digits
-    (``coefficient_digits``) above it.
+    More than ``cap`` blocks raise ``CapExceeded`` before the power is
+    taken, and so, when ``max_digits`` is not 0, does a bound on the
+    largest coefficient's decimal digits (``coefficient_digits``) above it.
     """
-    count = mask.bit_count()
-    if count == 0:
-        return Poly.one()
-    w = blocks.subset_weight(mask)
+    count, w = blocks.block_count, blocks.weight
     if count > cap:
         raise CapExceeded(f"Abel polynomial over {count} blocks exceeds cap {cap}")
     _check_digits("Abel polynomial", count, w, max_digits)
-    return Poly.x() * Poly((w, 1)) ** (count - 1)
+    return _closed_form(count, w)
 
 
 def coefficient_digits(count: int, w: int) -> int:
@@ -158,14 +156,7 @@ def abel_general_setmap(alpha: SetMap, cap: int = BLOCK_SUM_CAP) -> SetMap:
     for S in range(1 << n):
         if alpha[S] != (alpha[S & (S - 1)] + alpha[S & -S] if S else 0):
             raise ValueError(f"alpha is not additive at subset {S}")
-    table = []
-    for S in range(1 << n):
-        size = S.bit_count()
-        if size == 0:
-            table.append(Poly.one())
-        else:
-            table.append(Poly.x() * Poly((alpha[S], 1)) ** (size - 1))
-    return SetMap(n, table)
+    return SetMap(n, [_closed_form(S.bit_count(), alpha[S]) for S in range(1 << n)])
 
 
 def _subset_weights(blocks: BlockPartition) -> Iterator[int]:
@@ -188,31 +179,24 @@ def _partition_weight_sums(blocks: BlockPartition) -> tuple[int, ...]:
     return full_block_sums([w ** (rho.bit_count() - 1) if rho else 0 for rho, w in enumerate(weights)])
 
 
-def verify_closed_form_partition_sum(blocks: BlockPartition, cap: int = BLOCK_SUM_CAP) -> bool:
-    """Check f = sum over partitions gamma of the blocks of
-    x^len(gamma) * prod w(rho)^(len(rho)-1), on all the blocks (restrict
-    them first for a subset)."""
-    if blocks.block_count > cap:
-        raise CapExceeded(f"partition sum over {blocks.block_count} blocks exceeds cap {cap}")
-    return Poly(_partition_weight_sums(blocks)) == abel_poly(blocks, blocks.full_mask)
-
-
-def verify_forest_coefficients(
+def verify_closed_form_partition_sum(
     blocks: BlockPartition, k: int | None = None, cap: int = BLOCK_SUM_CAP
 ) -> bool:
-    """Check C(n-1, k-1) w^(n-k) = sum over k-part partitions of prod w(rho)^(len(rho)-1),
-    the closed form's coefficient of x^k.
+    """Check that the closed form's coefficient of x^k, C(n-1, k-1) w^(n-k), is
+    the sum over k-part partitions gamma of the blocks of prod w(rho)^(len(rho)-1).
 
     n is the number of blocks and w their total weight (restrict the blocks
-    first for a subset); with k = None every k in 1..n is checked.
+    first for a subset).  With k = None every coefficient 0..n is checked,
+    so the closed form is the whole partition sum; a k outside 1..n is
+    refused (``component_counts``) before the cap.
     """
     n = blocks.block_count
-    ks = component_counts(n, k)
+    ks = range(n + 1) if k is None else component_counts(n, k)
     if n > cap:
         raise CapExceeded(f"partition sum over {n} blocks exceeds cap {cap}")
-    w = blocks.weight
     sums = _partition_weight_sums(blocks)
-    return all(math.comb(n - 1, kk - 1) * w ** (n - kk) == sums[kk] for kk in ks)
+    closed = _closed_form(n, blocks.weight)
+    return all(sums[kk] == closed.coefficient(kk) for kk in ks)
 
 
 def verify_tail_forests(
@@ -221,12 +205,10 @@ def verify_tail_forests(
     """Check the tail-forest count against C(n-1, k-1) w^(n-k), the closed
     form's coefficient of x^k: one verdict per k, every k in 1..n when k is
     None (restrict the blocks first for a subset)."""
-    n, w = blocks.block_count, blocks.weight
     # counted first: count_tail_forests checks the cap
-    return {
-        kk: count_tail_forests(blocks, kk, cap) == math.comb(n - 1, kk - 1) * w ** (n - kk)
-        for kk in component_counts(n, k)
-    }
+    counts = {kk: count_tail_forests(blocks, kk, cap) for kk in component_counts(blocks.block_count, k)}
+    closed = _closed_form(blocks.block_count, blocks.weight)
+    return {kk: count == closed.coefficient(kk) for kk, count in counts.items()}
 
 
 def _forest_acyclic(n: int, successor: dict[int, int]) -> bool:

@@ -40,7 +40,11 @@ the checks that count orientations or stable partitions (``rising-pairs``,
 ``stable-counts``, ``stanley``) add ``algebra``, the composition behind the
 power and ``SetMap.inverse``, when they run.  No check loads ``oracles``.
 The block checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and
-``abel``, and ``closed-form`` and ``forest-count`` ``kernel``.  On integral
+``abel``, and ``closed-form`` and ``forest-count`` ``kernel``.  Every block
+command restricts the blocks to ``--subset`` first and passes them whole;
+``closed-form`` and ``forest-count`` are one library check
+(``abel.verify_closed_form_partition_sum``), of every coefficient of the
+closed form, or of one ``--k`` (every k without it).  On integral
 input no command loads ``fractions`` (``ring.quotient``).  A ``--cap``
 warning loads no engine module beyond ``ring``: it prices each stage from
 the override alone.
@@ -65,7 +69,8 @@ takes no cap.  Every graph check caps vertices.  ``chromatic`` prints the
 chromatic table's value at the full set of its induced subgraph, and caps
 that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
-``abel.ABEL_POLY_CAP``, each before any work.  A graph oracle whose cap
+``abel.ABEL_POLY_CAP``, each before any work; the ``abel`` warning prices
+the power ``cap - 1``, or 0 at ``--cap 0``.  A graph oracle whose cap
 admits its count refuses, before the count, a subset mask too long to
 print (``sys.get_int_max_str_digits``).
 """
@@ -270,7 +275,7 @@ def _warn_cap(cap: int | None, stages) -> None:
         ),
         # squaring dense polynomials of degree up to N - 1
         "abel": (
-            f"the Abel polynomial over {cap} blocks raises x + w to the power {cap - 1} "
+            f"the Abel polynomial over {cap} blocks raises x + w to the power {max(cap - 1, 0)} "
             f"in about {count(f'{cap}^2', lambda: cap**2)} int products"
         ),
     }

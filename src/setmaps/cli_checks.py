@@ -106,18 +106,16 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
 
 def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
     """Run the selected check on ``blocks``, already restricted to the subset."""
-    from .abel import component_counts, verify_forest_coefficients, verify_tail_forests
-    from .abel import verify_closed_form_partition_sum
+    from .abel import component_counts, verify_closed_form_partition_sum, verify_tail_forests
 
     kwargs = {} if ns.cap is None else {"cap": ns.cap}
     if ns.check != "closed-form":  # usage errors come before the warning and the caps
         component_counts(blocks.block_count, ns.k)
     _warn_cap(ns.cap, BLOCK_CHECKS[ns.check][0])
-    if ns.check == "closed-form":
-        return [("closed-form", verify_closed_form_partition_sum(blocks, **kwargs))]
-    if ns.check == "forest-count":
-        return [("forest-count", verify_forest_coefficients(blocks, ns.k, **kwargs))]
-    return [(f"tail-forests k={k}", ok) for k, ok in verify_tail_forests(blocks, ns.k, **kwargs).items()]
+    if ns.check == "tail-forests":
+        return [(f"tail-forests k={k}", ok) for k, ok in verify_tail_forests(blocks, ns.k, **kwargs).items()]
+    # closed-form reads no --k: every coefficient; forest-count one k, or every k and the constant term
+    return [(ns.check, verify_closed_form_partition_sum(blocks, ns.k, **kwargs))]
 
 
 def _refuse_unread(ns: argparse.Namespace, what: str, entries, needed) -> None:
@@ -244,7 +242,7 @@ def cmd_abel(ns: argparse.Namespace) -> tuple[dict, int]:
     blocks = BlockPartition(ns.blocks)
     selected = _block_subset(ns, blocks)  # a subset outside the blocks errs before the warning
     _warn_cap(ns.cap, ("abel",))
-    poly = abel_poly(selected, selected.full_mask, max_digits=_digit_limit(), **kwargs)
+    poly = abel_poly(selected, max_digits=_digit_limit(), **kwargs)
     subset = blocks.full_mask if ns.subset is None else ns.subset
     return {
         "command": "abel",

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from itertools import accumulate, repeat
 
 from .poly import Poly
-from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap
+from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, rational
 
 
 class GraphFormatError(ValueError):
@@ -42,16 +42,21 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are deduplicated and stored sorted as (u, v) with u < v; loops
-    are rejected.  Instances are immutable and hashable.
+    are rejected.  The vertex count and labels are read exactly (``rational``):
+    2.0 is the int 2, and 2.5 is refused.  Instances are immutable and hashable.
     """
 
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = rational(n)
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be nonnegative and an integer, got {n}")
         seen = set()
         for u, v in edges:
+            u, v = rational(u), rational(v)
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u}, {v}) has a label that is not an integer")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

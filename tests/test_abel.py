@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from setmaps import abel
 from setmaps.abel import (
     ABEL_POLY_CAP,
     BlockPartition,
@@ -19,7 +21,6 @@ from setmaps.abel import (
     coefficient_digits,
     count_tail_forests,
     verify_closed_form_partition_sum,
-    verify_forest_coefficients,
     verify_tail_forests,
 )
 from setmaps.checks import check_binomial_type
@@ -39,11 +40,12 @@ def size_vectors(max_blocks, max_size):
 
 
 def test_block_partition_validation():
-    with pytest.raises(ValueError):
-        BlockPartition((2, 0))
+    for sizes in ((2, 0), (1.5, 2), ("3/2",)):
+        with pytest.raises(ValueError, match="block sizes must be positive integers"):
+            BlockPartition(sizes)
     bp = BlockPartition((2, 1, 3))
     assert bp.block_count == 3 and bp.weight == 6
-    assert bp.subset_weight(0b101) == 5
+    assert bp.restrict(0b101).weight == 5
 
 
 def test_block_partitions_are_values():
@@ -59,8 +61,8 @@ def test_block_partition_restrict_keeps_block_order():
     assert bp.restrict(0b0110).sizes == (1, 3)
     assert bp.restrict(bp.full_mask) == bp
     assert bp.restrict(0).sizes == ()
-    # the restricted closed form is the closed form at the subset
-    assert abel_poly(bp.restrict(0b1101), 0b111) == abel_poly(bp, 0b1101)
+    # the closed form of the blocks at a subset: x(x + 6)^2 on sizes 2, 3, 1
+    assert abel_poly(bp.restrict(0b1101)) == Poly.x() * Poly((6, 1)) ** 2
     for mask in (0b10000, 0b10101, -1):
         with pytest.raises(ValueError, match="outside 4 blocks"):
             bp.restrict(mask)
@@ -68,27 +70,36 @@ def test_block_partition_restrict_keeps_block_order():
 
 def test_single_block_gives_x():
     for size in (1, 2, 5):
-        assert abel_poly(BlockPartition((size,)), 1) == Poly.x()
+        assert abel_poly(BlockPartition((size,))) == Poly.x()
 
 
 def test_two_singleton_blocks_full_set():
     # x(x + 2) at weight 2, two blocks
-    assert abel_poly(BlockPartition((1, 1)), 0b11) == Poly((0, 2, 1))
+    assert abel_poly(BlockPartition((1, 1))) == Poly((0, 2, 1))
 
 
 def test_sizes_two_one_full_set():
     # x(x + 3) at weight 3, two blocks
-    assert abel_poly(BlockPartition((2, 1)), 0b11) == Poly((0, 3, 1))
+    assert abel_poly(BlockPartition((2, 1))) == Poly((0, 3, 1))
 
 
 def test_abel_poly_keeps_int_coefficients():
-    poly = abel_poly(BlockPartition((2, 1, 1)), 0b111)
+    poly = abel_poly(BlockPartition((2, 1, 1)))
     assert poly == Poly((0, 16, 8, 1))  # x(x + 4)^2
     assert {type(c) for c in poly.coeffs} == {int}
 
 
 def test_empty_subset_value_is_one():
-    assert abel_poly(BlockPartition((2, 1)), 0) == Poly.one()
+    assert abel_poly(BlockPartition((2, 1)).restrict(0)) == Poly.one()
+    assert abel_poly(BlockPartition(()), cap=0) == Poly.one()
+
+
+def test_abel_poly_takes_its_blocks_whole():
+    # cap and max_digits are keyword-only: an old positional mask fails loudly
+    with pytest.raises(TypeError):
+        abel_poly(BlockPartition((2, 1)), 0b11)
+    with pytest.raises(CapExceeded, match="over 3 blocks exceeds cap 2"):
+        abel_poly(BlockPartition((2, 1, 1)), cap=2)
 
 
 def test_abel_setmap_is_binomial_type():
@@ -109,7 +120,7 @@ def test_abel_setmap_admits_blocks_past_the_old_cap():
     bp = BlockPartition((1, 2, 3) * 4 + (2,))
     p = abel_setmap(bp)
     assert p.n == 13
-    assert p[p.full_mask] == abel_poly(bp, bp.full_mask)
+    assert p[p.full_mask] == abel_poly(bp)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +160,7 @@ def test_general_map_reproduces_block_map():
     bp = BlockPartition(sizes)
     p = abel_general_setmap(additive_map(len(sizes), sizes))
     assert p == abel_setmap(bp)
-    assert all(p[mask] == abel_poly(bp, mask) for mask in range(1 << bp.block_count))
+    assert all(p[mask] == abel_poly(bp.restrict(mask)) for mask in range(1 << bp.block_count))
 
 
 def test_general_map_is_binomial_type():
@@ -200,7 +211,7 @@ def test_partition_weight_sums_match_bell_enumeration():
     rng = random.Random(10)
     for count in range(11):
         blocks = BlockPartition(rng.randint(1, 4) for _ in range(count))
-        part = [0] + [blocks.subset_weight(r) ** (r.bit_count() - 1) for r in range(1, 1 << count)]
+        part = [0] + [blocks.restrict(r).weight ** (r.bit_count() - 1) for r in range(1, 1 << count)]
         sums = [0] * (count + 1)
         for gamma in partitions_of(blocks.full_mask):
             term = 1
@@ -212,16 +223,17 @@ def test_partition_weight_sums_match_bell_enumeration():
 
 def test_forest_coefficients_hand_values():
     # two singletons, k=1: C(1,0) * 2 = 2 = the single one-block term
-    assert verify_forest_coefficients(BlockPartition((1, 1)), k=1)
+    assert verify_closed_form_partition_sum(BlockPartition((1, 1)), k=1)
     # sizes (2,1), k=1: both sides 3
-    assert verify_forest_coefficients(BlockPartition((2, 1)), k=1)
+    assert verify_closed_form_partition_sum(BlockPartition((2, 1)), k=1)
     # k = n: both sides 1
-    assert verify_forest_coefficients(BlockPartition((2, 2, 1)), k=3)
+    assert verify_closed_form_partition_sum(BlockPartition((2, 2, 1)), k=3)
 
 
 def test_forest_coefficients_sweep_all_k():
     for sizes in size_vectors(7, 3):
-        assert verify_forest_coefficients(BlockPartition(sizes))
+        bp = BlockPartition(sizes)
+        assert all(verify_closed_form_partition_sum(bp, k) for k in range(1, bp.block_count + 1))
 
 
 def test_forest_coefficients_match_polynomial_coefficients():
@@ -229,16 +241,21 @@ def test_forest_coefficients_match_polynomial_coefficients():
     for sizes in size_vectors(4, 3):
         bp = BlockPartition(sizes)
         n = bp.block_count
-        poly = abel_poly(bp, bp.full_mask)
+        poly = abel_poly(bp)
         for k in range(1, n + 1):
             assert poly.coefficient(k) == comb(n - 1, k - 1) * bp.weight ** (n - k)
 
 
 def test_forest_coefficients_rejects_bad_k():
-    with pytest.raises(ValueError):
-        verify_forest_coefficients(BlockPartition((1, 1)), k=3)
-    with pytest.raises(ValueError):
-        verify_forest_coefficients(BlockPartition((1, 1)), k=0)
+    with pytest.raises(ValueError, match="component count"):
+        verify_closed_form_partition_sum(BlockPartition((1, 1)), k=3)
+    with pytest.raises(ValueError, match="component count"):
+        verify_closed_form_partition_sum(BlockPartition((1, 1)), k=0)
+    with pytest.raises(ValueError, match="at least one block"):
+        verify_closed_form_partition_sum(BlockPartition(()), k=1)
+    # the usage error comes before the cap
+    with pytest.raises(ValueError, match="component count"):
+        verify_closed_form_partition_sum(BlockPartition((1,) * 18), k=19)
 
 
 def test_partition_sum_cap():
@@ -250,17 +267,39 @@ def test_partition_sums_run_past_the_bell_era_cap():
     # 11 blocks: over the old cap of 10, well inside the block-sum kernel's
     blocks = BlockPartition(random.Random(11).randint(1, 3) for _ in range(11))
     assert verify_closed_form_partition_sum(blocks)
-    assert verify_forest_coefficients(blocks)
+    assert all(verify_closed_form_partition_sum(blocks, k) for k in range(1, 12))
 
 
-@pytest.mark.parametrize("verify", [verify_closed_form_partition_sum, verify_forest_coefficients])
-def test_partition_sums_check_the_kernel_cap_first(monkeypatch, verify):
+@pytest.mark.parametrize("k", [None, 1])
+def test_partition_sums_check_the_kernel_cap_first(monkeypatch, k):
     def kernel(blocks):
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr("setmaps.abel._partition_weight_sums", kernel)
     with pytest.raises(CapExceeded, match="18 blocks exceeds cap 17"):
-        verify(BlockPartition((1,) * 18))
+        verify_closed_form_partition_sum(BlockPartition((1,) * 18), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=9).flatmap(
+        lambda sizes: st.tuples(st.just(sizes), st.integers(0, len(sizes)), st.integers(-2, 2))
+    )
+)
+@example(([2, 1, 3], 0, 1))  # off only in the constant term: every k passes, k=None fails
+def test_partition_sum_verdicts_match_the_test_side_closed_form(case):
+    # the kernel's sums, off by delta at index j, against C(n-1, k-1) w^(n-k) written here
+    sizes, j, delta = case
+    bp = BlockPartition(sizes)
+    n, w = bp.block_count, bp.weight
+    closed = [int(n == 0)] + [comb(n - 1, k - 1) * w ** (n - k) for k in range(1, n + 1)]
+    sums = list(_partition_weight_sums(bp))
+    assert sums == closed
+    sums[j] += delta
+    with mock.patch.object(abel, "_partition_weight_sums", lambda blocks: tuple(sums)):
+        for k in range(1, n + 1):
+            assert verify_closed_form_partition_sum(bp, k) == (sums[k] == closed[k])
+        assert verify_closed_form_partition_sum(bp) == (sums == closed) == (delta == 0)
 
 
 # ---------------------------------------------------------------------------

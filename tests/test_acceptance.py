@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import setmaps.cli as cli
-from setmaps.abel import BlockPartition, count_tail_forests, verify_closed_form_partition_sum, verify_forest_coefficients
+from setmaps.abel import BlockPartition, count_tail_forests, verify_closed_form_partition_sum
 from setmaps.algebra import compose, decompose, recover_sequence
 from setmaps.checks import (
     check_binomial_type,
@@ -213,7 +213,7 @@ def test_criterion_07_abel_identities_and_tail_forests():
             for sizes in combinations_with_replacement((1, 2, 3), count):
                 bp = BlockPartition(sizes)
                 assert verify_closed_form_partition_sum(bp), sizes
-                assert verify_forest_coefficients(bp), sizes
+                assert all(verify_closed_form_partition_sum(bp, k) for k in range(1, count + 1)), sizes
         for count in range(1, 5):
             for sizes in combinations_with_replacement(range(1, 9), count):
                 bp = BlockPartition(sizes)

@@ -914,6 +914,8 @@ _POWER = (
 _ORIENTATIONS = "orientation enumeration over 7 edges touches up to 2^7 = 128 orientations"
 _TAILS = "tail-forest enumeration over 7 blocks tries up to 8^7 = 2097152 tail sets"
 _ABEL = "the Abel polynomial over 7 blocks raises x + w to the power 6 in about 7^2 = 49 int products"
+# at --cap 0 the power is 0, never -1
+_ABEL_0 = "the Abel polynomial over 0 blocks raises x + w to the power 0 in about 0^2 = 0 int products"
 _C5 = ("--graph", f"{GRAPHS}/c5.txt")
 _BLOCKS = ("--blocks", "2,1,1")
 
@@ -949,6 +951,15 @@ def test_cap_warning_lines_are_pinned(capsys, argv, priced):
     status, _, err = run_cli(capsys, *argv, "--cap", "7")
     assert status == 0
     assert err == f"warning: cap override 7; {'; '.join(priced)}\n"
+
+
+def test_abel_cap_zero_prices_no_negative_power(capsys):
+    status, out, err = run_cli(capsys, "abel", *_BLOCKS, "--subset", "0", "--cap", "0")
+    assert status == 0 and json.loads(out)["result"]["coefficients"] == ["1"]
+    assert err == f"warning: cap override 0; {_ABEL_0}\n"
+    status, out, err = run_cli(capsys, "abel", *_BLOCKS, "--cap", "0")
+    assert status == 3 and out == ""
+    assert err == f"warning: cap override 0; {_ABEL_0}\nerror: Abel polynomial over 3 blocks exceeds cap 0\n"
 
 
 @pytest.mark.parametrize("check", ["abel-one", "derivative", "evaluation", "expansion"])

@@ -55,6 +55,10 @@ def test_graph_rejects_loops_and_range():
     "build, error, message",
     [
         (lambda: Graph(-1), ValueError, "vertex count must be nonnegative"),
+        (lambda: Graph(2.5), ValueError, "vertex count must be nonnegative and an integer, got 5/2"),
+        (lambda: Graph("3/2"), ValueError, "vertex count must be nonnegative and an integer"),
+        (lambda: Graph(3, [(0, 1.5)]), ValueError, "label that is not an integer"),
+        (lambda: Graph(3, [("1/2", 2)]), ValueError, "label that is not an integer"),
         (lambda: Graph.cycle(2), ValueError, "at least 3 vertices"),
         (lambda: parse_graph("-1 0\n"), GraphFormatError, "must be nonnegative"),
         (lambda: parse_graph("2 -1\n"), GraphFormatError, "must be nonnegative"),
@@ -65,6 +69,14 @@ def test_graph_rejects_loops_and_range():
 def test_graph_arguments_are_refused(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_graph_reads_integral_sizes_and_labels_exactly():
+    # 3.0 and 1.0 are the ints 3 and 1, so the table sees int labels
+    g = Graph(3.0, [(0, 1.0), ("2", 1)])
+    assert g == Graph(3, [(0, 1), (1, 2)]) and type(g.n) is int
+    assert all(type(label) is int for edge in g.edges for label in edge)
+    assert chromatic_poly(g) == chromatic_poly(Graph.path(3))
 
 
 def test_graph_deduplicates_edges():
