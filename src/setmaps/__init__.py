@@ -87,20 +87,7 @@ _SOURCES = {
         "umbral",
     ),
 }
-_SUBMODULES = (
-    "abel",
-    "algebra",
-    "checks",
-    "cli",
-    "cli_checks",
-    "expansions",
-    "graphs",
-    "kernel",
-    "oracles",
-    "poly",
-    "ring",
-    "umbral",
-)
+_SUBMODULES = {*_SOURCES.values(), "cli", "cli_checks"}
 
 __all__ = list(_SOURCES)
 

@@ -28,39 +28,39 @@ only ``os`` and ``sys``.  ``argparse`` waits for ``build_parser``,
 an integer loads no ``fractions``), so ``--help`` and usage errors before
 an ``--x`` load no engine module either.  Once the arguments parse,
 ``main`` loads ``ring`` (for ``CapExceeded``), and each command imports
-the rest when it runs.  This module holds the parser
-and the ``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
+the rest when it runs.  This module holds the parser and the
+``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
 ``abel`` live in ``cli_checks``, which ``_DISPATCH`` imports the first
 time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
 the graph oracles add ``oracles``; ``expand`` adds ``umbral`` and
 ``expansions``, and runs no kernel: its subset coefficients and lengths
 are a change of basis from the table's counts.  The graph checks load
-those, ``checks`` and the block-sum kernel (``kernel``), and ``power`` and
-the checks that count orientations or stable partitions (``rising-pairs``,
-``stable-counts``, ``stanley``) add ``algebra``, the composition behind the
-power and ``SetMap.inverse``, when they run.  No check loads ``oracles``.
+those, ``checks`` and the block-sum kernel (``kernel``), and ``algebra``
+where a check composes or inverts a set map; no check loads ``oracles``.
 The block checks, ``oracle tail-forests`` and ``abel`` load ``poly`` and
-``abel``, and ``closed-form`` and ``forest-count`` ``kernel``.  Every block
-command restricts the blocks to ``--subset`` first and passes them whole;
-``closed-form`` and ``forest-count`` are one library check
-(``abel.verify_closed_form_partition_sum``), of every coefficient of the
-closed form, or of one ``--k`` (every k without it).  On integral
-input no command loads ``fractions`` (``ring.quotient``).  A ``--cap``
-warning loads no engine module beyond ``ring``: it prices each stage from
-the override alone.
+``abel``, and the partition-sum checks ``kernel``; every block command
+restricts the blocks to ``--subset`` first and passes them whole.  On
+integral input no command loads ``fractions`` (``ring.quotient``).  A
+``--cap`` warning loads no engine module beyond ``ring``: it prices each
+stage from the override alone.
 
-Checks and oracles are named once, in one ordered table per kind
-(``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name to
-the stages a ``--cap`` override raises and the flags it reads among
+Each flag is declared once, by its argparse keywords, in ``_FLAGS``, and
+each command has one row in ``_COMMANDS``: its help, its flags in parser
+order and the ones it requires.  ``build_parser`` builds every subparser
+from these two tables and adds only ``verify --check`` and the ``oracle``
+positional.  Checks and oracles are named once, in one ordered table per
+kind (``GRAPH_CHECKS``, ``BLOCK_CHECKS``, ``ORACLES``) that maps each name
+to the stages a ``--cap`` override raises and the flags it reads among
 ``--k``, ``--x``, ``--basis``, ``--source`` and ``--sink``; the parser, the
 ``--check`` help, the cost warning, ``verify`` and ``oracle`` read them.
 Beyond those, a name reads ``--graph`` or ``--blocks`` after its kind, and
-``--subset``, ``--format`` and ``--cap``; any other flag is a usage error
-(``--check all`` takes each flag one of its checks reads), and an oracle
-needs every flag it reads.  ``--source`` and ``--sink`` are vertex labels
-of the graph file, inside ``--subset``.  A negative ``--cap`` is refused
-while parsing.  A command prints that warning after its own usage checks
-and before its first cap.  A check's cap, or its ``--cap`` override,
+``--subset``, ``--format`` and ``--cap``; any other flag is a usage error,
+and of several the first in ``_NAMED_FLAGS`` is named (``--check all``
+takes each flag one of its checks reads); an oracle needs every flag it
+reads.  ``--source`` and ``--sink`` are vertex labels of the graph file,
+inside ``--subset``.  A negative ``--cap`` is refused while parsing.  A
+command prints that warning after its own usage checks and before its
+first cap.  A check's cap, or its ``--cap`` override,
 governs every stage the check runs.  The ``expand`` command and every
 check but ``binomial``, whose grid has a cap of its own, share the
 block-sum kernel's cap, ``ring.BLOCK_SUM_CAP``; the command keeps it on
@@ -153,6 +153,36 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
+# each flag once, by its argparse keywords: first the flags that a check or oracle
+# reads or refuses by name, in the order a refusal names them, then the flags
+# that every name reads
+_NAMED_FLAGS = {
+    "graph": {"help": "path to a graph file"},
+    "blocks": {"type": _parse_blocks, "help": "comma-separated block sizes, e.g. 2,1,1"},
+    "k": {"type": int, "help": "component count / power exponent"},
+    "x": {"type": _parse_rational, "help": "expansion parameter / base point / color count"},
+    "basis": {"help": "monomial | falling:a | rising | abel:a | logfamily"},
+    "source": {"type": int, "help": "source vertex (sink-source)"},
+    "sink": {"type": int, "help": "sink vertex (unique-sink, sink-source)"},
+}
+_FLAGS = {
+    **_NAMED_FLAGS,
+    "subset": {"type": int, "help": "subset bitmask (decimal; default: the full set)"},
+    "format": {"choices": ("json", "table"), "default": "json"},
+    "cap": {"type": _parse_cap, "help": "override the command's governing size cap (prints a cost warning)"},
+}
+# each command -> (its help, its flags in parser order, the ones it requires)
+_COMMANDS = {
+    "chromatic": ("chromatic polynomial of an induced subgraph", "graph subset format cap", "graph"),
+    "expand": (
+        "expansion coefficients in a binomial-type basis", "graph subset format basis cap", "graph basis"
+    ),
+    "verify": ("run a named identity suite", "graph blocks basis subset x k format cap", ""),
+    "oracle": ("brute-force combinatorial counts", "graph blocks subset x k source sink format cap", ""),
+    "abel": ("Abel-type polynomial of a subset of blocks", "blocks subset format cap", "blocks"),
+}
+
+
 def build_parser() -> "argparse.ArgumentParser":
     import argparse
 
@@ -161,69 +191,13 @@ def build_parser() -> "argparse.ArgumentParser":
         description="Exact chromatic-polynomial expansions in binomial-type bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, graph=False, blocks=False) -> None:
-        if graph:
-            p.add_argument("--graph", required=True, help="path to a graph file")
-        if blocks:
-            p.add_argument(
-                "--blocks",
-                type=_parse_blocks,
-                required=True,
-                help="comma-separated block sizes, e.g. 2,1,1",
-            )
-        p.add_argument(
-            "--subset",
-            type=int,
-            default=None,
-            help="subset bitmask (decimal; default: the full set)",
-        )
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
-    def cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cap",
-            type=_parse_cap,
-            default=None,
-            help="override the command's governing size cap (prints a cost warning)",
-        )
-
-    p = sub.add_parser("chromatic", help="chromatic polynomial of an induced subgraph")
-    common(p, graph=True)
-    cap(p)
-
-    p = sub.add_parser("expand", help="expansion coefficients in a binomial-type basis")
-    common(p, graph=True)
-    p.add_argument("--basis", required=True, help="monomial | falling:a | rising | abel:a | logfamily")
-    cap(p)
-
-    p = sub.add_parser("verify", help="run a named identity suite")
-    p.add_argument("--check", required=True, help=f"one of {_CHECK_NAMES}")
-    p.add_argument("--graph", default=None, help="path to a graph file (graph checks)")
-    p.add_argument("--blocks", type=_parse_blocks, default=None, help="block sizes (block checks)")
-    p.add_argument("--basis", default=None, help="restrict the expansion check to one basis")
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--x", type=_parse_rational, default=None, help="expansion parameter / base point")
-    p.add_argument("--k", type=int, default=None, help="component count / power exponent")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--cap", type=_parse_cap, default=None)
-
-    p = sub.add_parser("oracle", help="brute-force combinatorial counts")
-    p.add_argument("oracle", choices=ORACLES)
-    p.add_argument("--graph", default=None)
-    p.add_argument("--blocks", type=_parse_blocks, default=None)
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--x", type=_parse_rational, default=None, help="color count (colorings)")
-    p.add_argument("--k", type=int, default=None, help="component count (tail-forests)")
-    p.add_argument("--source", type=int, default=None, help="source vertex (sink-source)")
-    p.add_argument("--sink", type=int, default=None, help="sink vertex (unique-sink, sink-source)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--cap", type=_parse_cap, default=None)
-
-    p = sub.add_parser("abel", help="Abel-type polynomial of a subset of blocks")
-    common(p, blocks=True)
-    cap(p)
-
+    for command, (text, flags, required) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "verify":  # its usage lists --check first
+            p.add_argument("--check", required=True, help=f"one of {_CHECK_NAMES}")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", required=flag in required.split(), **_FLAGS[flag])
+    sub.choices["oracle"].add_argument("oracle", choices=ORACLES)
     return parser
 
 

@@ -3,8 +3,8 @@
 ``cli`` parses every command and imports this module the first time it
 dispatches one of these three, so that ``chromatic`` and ``expand`` never
 compile the check suites.  Each command imports the engine modules it runs
-when it runs (see ``cli`` for the load map) and reads the check and oracle
-tables, the cost warning and the graph helpers from ``cli``.
+when it runs (see ``cli`` for the load map) and reads the check, oracle
+and flag tables, the cost warning and the graph helpers from ``cli``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .cli import (
     GRAPH_CHECKS,
     ORACLES,
     _CHECK_NAMES,
+    _NAMED_FLAGS,
     _graph_input,
     _poly_result,
     _subset,
@@ -46,14 +47,7 @@ def _refuse_an_unprintable_subset(mask: int, vertices: int) -> None:
 
 def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, bool]]:
     """Run the selected checks on ``graph``, already restricted to the subset."""
-    from .checks import (
-        BINOMIAL_CHECK_CAP,
-        check_binomial_type,
-        verify_power_identity,
-        verify_rising_orientation_pairs,
-        verify_stable_count_expansion,
-        verify_stanley_evaluation,
-    )
+    from . import checks
     from .expansions import expansion_reconstructs
     from .graphs import chromatic_setmap
     from .ring import BLOCK_SUM_CAP
@@ -62,13 +56,13 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     selected = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
     # usage errors come before caps: build the bases and read --x/--k first;
     # abel-one: chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
+    families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
     abel_a = AbelPolynomials(0 if ns.x is None else ns.x)
     bases = {
+        "expansion": [(f"expansion {f}", f) for f in families],
         "abel-one": [("abel-one", AbelPolynomials(1))],
         "derivative": [(f"derivative a={abel_a.point}", abel_a)],
     }
-    families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
-    bases["expansion"] = [(f"expansion {f}", f) for f in families]
     if "evaluation" in selected:
         falling_a = FallingFactorials(1 if ns.x is None else ns.x)
         bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
@@ -76,32 +70,30 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check][0]})
-    # one row per graph check: its labelled runs on the shared table p
-    rows = {
-        "binomial": lambda p, cap: {"binomial-type": check_binomial_type(p, cap)},
-        "power": lambda p, cap: {f"power x0={x0} y0={y0}": verify_power_identity(p, x0, y0, cap)},
-    }
-    for check, verify in (  # the checks against counts of the graph's own
-        ("rising-pairs", verify_rising_orientation_pairs),
-        ("stable-counts", verify_stable_count_expansion),
-        ("stanley", verify_stanley_evaluation),
-    ):
-        rows[check] = lambda p, cap, check=check, verify=verify: {check: verify(graph, p, cap)}
-    for check, pairs in bases.items():  # the expansion checks share one run
-        rows[check] = lambda p, cap, pairs=pairs: {
-            label: expansion_reconstructs(p, f, cap) for label, f in pairs
-        }
     # the grid check has a cap of its own, every other check the kernel's; each caps vertices
-    runs = []
+    caps = {}
     for check in selected:
-        cap = BINOMIAL_CHECK_CAP if check == "binomial" else BLOCK_SUM_CAP
-        cap = cap if ns.cap is None else ns.cap
+        cap = checks.BINOMIAL_CHECK_CAP if check == "binomial" else BLOCK_SUM_CAP
+        caps[check] = cap = cap if ns.cap is None else ns.cap
         if graph.n > cap:
             raise CapExceeded(f"{check} check over {graph.n} vertices exceeds cap {cap}")
-        runs.append((rows[check], cap))
-    # one table, built after every cap above, for every check
-    p = chromatic_setmap(graph)
-    return [(label, bool(ok)) for run, cap in runs for label, ok in run(p, cap).items()]
+    counts = {  # the checks against counts of the graph's own
+        "rising-pairs": checks.verify_rising_orientation_pairs,
+        "stable-counts": checks.verify_stable_count_expansion,
+        "stanley": checks.verify_stanley_evaluation,
+    }
+    p = chromatic_setmap(graph)  # one table, built after every cap above, for every check
+    runs = []
+    for check, cap in caps.items():
+        if check == "binomial":
+            runs.append(("binomial-type", checks.check_binomial_type(p, cap)))
+        elif check == "power":
+            runs.append((f"power x0={x0} y0={y0}", checks.verify_power_identity(p, x0, y0, cap)))
+        elif check in counts:
+            runs.append((check, counts[check](graph, p, cap)))
+        else:  # the expansion checks share one run
+            runs += [(label, expansion_reconstructs(p, f, cap)) for label, f in bases[check]]
+    return [(label, bool(ok)) for label, ok in runs]
 
 
 def _block_check_list(ns: argparse.Namespace, blocks: BlockPartition) -> list[tuple[str, bool]]:
@@ -122,7 +114,7 @@ def _refuse_unread(ns: argparse.Namespace, what: str, entries, needed) -> None:
     """A usage error for a flag that none of the table ``entries`` reads, then
     for a missing flag of ``needed``, whose first is the input flag they read."""
     read = {needed[0], *(flag for _, flags in entries for flag in flags)}
-    for flag in ("graph", "blocks", "k", "x", "basis", "source", "sink"):
+    for flag in _NAMED_FLAGS:
         if getattr(ns, flag, None) is not None and flag not in read:
             raise ValueError(f"{what} does not read --{flag}")
     for flag in needed:

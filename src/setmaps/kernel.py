@@ -165,6 +165,8 @@ def full_block_sums(table) -> tuple:
     the power at X, so the masks split in two lists by sign.  No disjoint
     k-tuple short of n elements covers the full set, so the slots below n
     are 0 and slot n is k! c_k lam^n (slot n - k over z^k)."""
+    if not table or len(table) & (len(table) - 1):  # a table over n elements has 2^n values
+        raise ValueError(f"table length {len(table)} is not a power of 2")
     alone = [(0,) * k + (1,) for k in range(1, len(table).bit_length())]  # each power 1..n
     n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])], alone)
     plus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2 == 0]

@@ -1069,6 +1069,40 @@ def test_a_flag_the_check_does_not_read_is_a_usage_error(capsys, argv, refused):
     assert err == f"error: {refused}\n"
 
 
+def test_the_check_tables_and_the_refusals_name_only_flags_of_the_parser():
+    import argparse
+
+    from setmaps.cli_checks import _refuse_unread
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {
+        name: {option[2:] for option in p._option_string_actions if option.startswith("--")}
+        for name, p in commands.items()
+    }
+    # every flag a check or oracle reads, and the input flag of its kind, is an option of its command
+    for command, tables in (("verify", (cli.GRAPH_CHECKS, cli.BLOCK_CHECKS)), ("oracle", (cli.ORACLES,))):
+        assert {"graph", "blocks"} <= options[command]
+        for table in tables:
+            for name, (_, flags) in table.items():
+                assert set(flags) <= options[command], (command, name)
+    # a refusal can name every declared flag but the ones every name reads
+    declared = set().union(*options.values()) - {"help", "check"}
+    refused = set()
+    for needed in ("graph", "blocks"):
+        ns = argparse.Namespace(**dict.fromkeys(declared, 1))
+        while True:
+            try:
+                _refuse_unread(ns, "it", (), (needed,))
+            except ValueError as exc:
+                flag = re.fullmatch(r"it does not read --(.*)", str(exc))[1]
+                refused.add(flag)
+                setattr(ns, flag, None)
+            else:
+                break
+    assert refused == declared - {"subset", "format", "cap"}
+
+
 def test_check_all_takes_every_flag_one_of_its_checks_reads(capsys):
     argv = ("--graph", f"{GRAPHS}/k3.txt", "--k", "2", "--x", "3", "--basis", "rising")
     status, out, err = run_cli(capsys, "verify", "--check", "all", *argv)

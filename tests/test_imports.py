@@ -299,7 +299,11 @@ def test_every_public_name_resolves_to_its_submodule_object():
 
 def test_dir_and_star_import_cover_the_public_names():
     assert set(setmaps.__all__) <= set(dir(setmaps))
-    assert {"graphs", "umbral", "cli"} <= set(dir(setmaps))
+    # every module of the package, by the name of its file
+    modules = {path.stem for path in Path(setmaps.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    assert modules <= set(dir(setmaps))
+    for name in modules:
+        assert getattr(setmaps, name) is importlib.import_module(f"setmaps.{name}")
     namespace: dict = {}
     exec("from setmaps import *", namespace)
     assert {name for name in namespace if name != "__builtins__"} == set(setmaps.__all__)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import setmaps.algebra as algebra
 import setmaps.kernel as kernel
+from setmaps.abel import BlockPartition
 from setmaps.algebra import compose, decompose, recover_sequence
 from setmaps.graphs import Graph, chromatic_setmap
 from setmaps.kernel import _packed, full_block_sums
@@ -26,6 +27,7 @@ from setmaps.ring import (
     sequence_product,
     subsets_of,
 )
+from setmaps.umbral import Functional
 
 from _oracles import bell_by_triangle, egf_to_series, series_compose, series_mul, series_to_egf
 from conftest import random_fraction, random_table
@@ -139,6 +141,25 @@ def test_from_sequence_rejects_short_sequence():
         SetMap.from_sequence(3, (Fraction(1), Fraction(1)))
 
 
+def test_setmap_negation_and_a_mask_outside_the_table():
+    s = SetMap(2, [1, Fraction(-1, 2), 3, 0])
+    assert -s == SetMap(2, [-1, Fraction(1, 2), -3, 0]) and s + -s == SetMap(2, [0] * 4)
+    for mask in (-1, 4):
+        with pytest.raises(IndexError, match="mask .* outside ground set of size 2"):
+            s[mask]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Poly((1, 2)), SetMap(1, [1, 2]), Functional((1, 2)), Graph(2, [(0, 1)]), BlockPartition([2, 1])],
+    ids=lambda value: type(value).__name__,
+)
+def test_equality_with_a_foreign_type_is_left_to_the_other_side(value):
+    for foreign in ("x", 1.5, None):
+        assert value.__eq__(foreign) is NotImplemented
+        assert value != foreign and not value == foreign
+
+
 # ---------------------------------------------------------------------------
 # block sums
 # ---------------------------------------------------------------------------
@@ -238,6 +259,14 @@ def test_block_sums_scale_each_rank_by_its_own_root():
     assert block_sums(big) == brute_block_sums(big)
     assert block_sums([0, 2, 3, 4]) == [(1,), (0, 2), (0, 3), (0, 4, 6)]
     assert all(type(c) is int for c in full_block_sums([0, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("table", [[], [0, 1, 2], [0, 1, 2, 3, 4], [0] * 7])
+def test_full_block_sums_refuse_a_length_that_is_not_a_power_of_two(table):
+    # only 2^n values make a table over a ground set; one value is the empty set's
+    with pytest.raises(ValueError, match=f"table length {len(table)} is not a power of 2"):
+        full_block_sums(table)
+    assert full_block_sums([5]) == (1,)
 
 
 # primes past the trial division bound, 2^10: just past it, and of 17 and 20 bits

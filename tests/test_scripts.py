@@ -37,6 +37,26 @@ def test_expansion_atlas_builds_one_table_over_the_subset(capsys, monkeypatch):
     assert "all bases rebuild the chromatic polynomial" in out
 
 
+def test_cli_corpus_digests_every_command_check_and_oracle(capsys, monkeypatch):
+    import setmaps.cli as cli
+
+    corpus = load_script("cli_corpus")
+    runs = corpus.corpus(small=True)
+    names = {argv[i + 1] for argv in runs for i, flag in enumerate(argv[:-1]) if flag == "--check"}
+    assert {*cli.GRAPH_CHECKS, *cli.BLOCK_CHECKS} <= names
+    heads = {tuple(argv[:2]) for argv in runs}
+    assert {("oracle", name) for name in cli.ORACLES} <= heads
+    assert {"chromatic", "expand", "abel"} <= {head[0] for head in heads if head}
+    assert corpus.main(["--small"]) == 0
+    line = capsys.readouterr().out
+    assert re.fullmatch(rf"{len(runs)} runs, sha256 [0-9a-f]{{64}}\n", line)
+    # the same source prints the same line; one changed output byte changes it
+    assert corpus.main(["--small"]) == 0 and capsys.readouterr().out == line
+    render = cli.render
+    monkeypatch.setattr(cli, "render", lambda payload, fmt: render(payload, fmt) + " ")
+    assert corpus.main(["--small"]) == 0 and capsys.readouterr().out != line
+
+
 def test_cap_probe_prints_a_reference_timing_first(capsys, monkeypatch):
     probe = load_script("cap_probe")
     monkeypatch.setattr(probe, "probe", lambda points: 0)  # the rows are not run here

@@ -38,6 +38,9 @@ def test_poly_normalization_and_degree():
     assert Poly((0, 0)).degree == -1
     assert Poly((0, 0)) == Poly.zero() == 0
     assert Poly((5,)) == 5
+    # a constant hashes like its scalar, as it compares equal to it
+    assert {Poly((3,)): 1}[3] == 1 and hash(Poly()) == hash(0)
+    assert hash(Poly((1, 2, 0))) == hash(Poly((1, 2)))
 
 
 def test_poly_arithmetic_and_eval():
@@ -47,6 +50,7 @@ def test_poly_arithmetic_and_eval():
     assert p(1) == 0 and p(3) == Fraction(2)
     assert p.derivative() == 2 * x - 3
     assert (x + 1) ** 3 == Poly((1, 3, 3, 1))
+    assert 1 - x == Poly((1, -1)) and Fraction(1, 2) - p == Poly((Fraction(-3, 2), 3, -1))
     assert (p / 2).coeffs == (1, Fraction(-3, 2), Fraction(1, 2))
 
 
@@ -158,7 +162,7 @@ def test_functional_values_keep_their_type_on_one_path():
 def test_umbral_unit_is_evaluation_at_zero():
     L = Functional(tuple(Fraction(k * k + 1) for k in range(5)))
     unit = Functional.evaluation_at(0, 4)
-    assert L * unit == L
+    assert L * unit == L and {L: 1}[L * unit] == 1
 
 
 def test_umbral_square_of_derivative():
