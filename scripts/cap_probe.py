@@ -42,7 +42,6 @@ def gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
 
 def rows() -> tuple[Row, ...]:
     from setmaps.abel import ABEL_POLY_CAP, TAIL_BLOCK_CAP
-    from setmaps.checks import BINOMIAL_CHECK_CAP
     from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
     from setmaps.oracles import BELL_ENUM_CAP, EDGE_ENUM_CAP, deletion_contraction
     from setmaps.poly import Poly
@@ -112,12 +111,10 @@ def rows() -> tuple[Row, ...]:
         Row("abel on unit blocks", ABEL_POLY_CAP, lambda n, _: ["abel", "--blocks", ",".join("1" * n)], abel),
         Row("verify --check expansion", BLOCK_SUM_CAP, on_graph(0.3, "verify", "--check", "expansion"),
             lambda out: passes(out) and out["result"]["passed"] == 8),
-        # the counting checks run on the kernel; of G(17, p) at p in {0, .3, 1}, each was slowest edgeless
+        # the counting checks and the binomial check's composition run on the kernel; of G(17, p) at
+        # p in {0, .3, 1}, each was slowest edgeless
         *(Row(f"verify --check {check}, edgeless", BLOCK_SUM_CAP, on_graph(0.0, "verify", "--check", check),
-              passes) for check in ("stanley", "rising-pairs", "stable-counts")),
-        # the grid of set-map products: of G(14, p) at p in {0, .3, 1} it was slowest edgeless
-        Row("verify --check binomial, edgeless", BINOMIAL_CHECK_CAP, on_graph(0.0, "verify", "--check", "binomial"),
-            passes),
+              passes) for check in ("stanley", "rising-pairs", "stable-counts", "binomial")),
         Row("oracle stable-partitions, edgeless", BELL_ENUM_CAP, on_graph(0.0, "oracle", "stable-partitions"),
             lambda out: out["result"]["count"] == bell_number(out["input"]["vertices"])),
         # n edges: every orientation of the star K_{1,n} is acyclic, and one has its only sink at the centre

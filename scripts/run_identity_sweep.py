@@ -7,7 +7,7 @@ Usage:
 For each graph the sweep runs: the chromatic table's two readers against
 each other (every value p[S] against the value rebuilt from its counts,
 sum_j s_j(S) (x)_j, from ``p.coordinates()``), the binomial-type check (the
-ring equation p(x) p(y) = p(x+y), one set-map product per grid pair), the
+ring equation p(x) p(y) = p(x+y), as the count s_k = c_k(s_1) of every k), the
 expansion theorem on every subset in every standard basis (as the set-map
 identity p = compose((a_k), A p)), the rising/orientation-pair and
 stable-partition coefficient interpretations, derivative and evaluation

@@ -36,7 +36,8 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
     to n + 1 - k slots.  The transform is linear: a coefficient column of
     the terms, as int weights W_k = L a_k / k!, sums W_k z^k times the k-th
     power, and one Moebius transform of the sum holds L lam^|T| (a o h)_T in
-    slot |T| at mask T, zeros below.
+    slot |T| at mask T, zeros below.  A column is read once its last nonzero
+    weight is in, so the terms x^0..x^n hold one column of packed sums at a time.
     """
     if inner.table[0] != 0:
         raise ValueError("composition requires value 0 on the empty set")
@@ -53,16 +54,18 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
                             for column in columns))
     n, w, mask, lam, ranks, (zeta,) = _packed([inner.table], weights)
     power = zeta = [x >> w for x in zeta]
+    last = [max((k for k, c in enumerate(W) if c), default=0) for W in weights]
     sums = [[W[0]] * len(zeta) for W in weights]  # the 0-th power is 1 at every mask
-    for k in range(1, max((j for W in weights for j, c in enumerate(W) if c), default=0) + 1):
+    for k in range(max(last) + 1):
         if k > 1:
             power = [a * b & mask >> w * k for a, b in zip(power, zeta)]
-        for W, s in zip(weights, sums):
-            if W[k]:
-                s[:] = [x + (W[k] * y << w * k) for x, y in zip(s, power)]
-    values = [[_slot(x, w, r, L * lam**r) for x, r in zip(_transform(s, operator.sub), ranks)]
-              for s, L in zip(sums, scales)]
-    return SetMap(n, map(Poly, zip(*values)) if polys else values[0])
+        for j, (W, L) in enumerate(zip(weights, scales)):
+            if k and W[k]:
+                sums[j][:] = [x + (W[k] * y << w * k) for x, y in zip(sums[j], power)]
+            if k == last[j]:  # the column is whole: its values replace its packed sums
+                _transform(sums[j], operator.sub)
+                sums[j] = [_slot(x, w, r, L * lam**r) for x, r in zip(sums[j], ranks)]
+    return SetMap(n, map(Poly, zip(*sums)) if polys else sums[0])
 
 
 def _revert(terms: tuple) -> list:

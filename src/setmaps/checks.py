@@ -2,30 +2,31 @@
 coefficients' combinatorial meaning, each against a count of its own.
 
 ``check_binomial_type`` tests p_S(x+y) = sum over ordered disjoint (T, U)
-covering S of p_T(x) p_U(y), the ring equation p(x) p(y) = p(x+y), by one
-product per pair of a grid that decides it; the integer power is one
-composition (``algebra.compose``).  They and Stanley's evaluation read a
-table's values at a point as one linear read of its coordinates
-(``SetMap.coordinates``).  The graph verifiers check the coefficient
-interpretations against counts taken from the graph on the block-sum kernel
-(``kernel``), never from its chromatic table: acyclic-orientation pair
-counts in the rising basis, stable-partition counts in the log basis and
-Stanley's evaluation at -1.  The counts start from the stable-set indicator
-(``_stable_sets``): the stable partitions are one composition with it, the
-acyclic orientations the inverse of its signed map
-(``_orientation_counts``, kept for the last graph, which the rising and
-Stanley checks share).  Each graph verifier takes a graph as its whole
-ground set (restrict it first for a subset) next to its chromatic table.
-Every verifier checks its cap, ``ring.BLOCK_SUM_CAP`` or the grid check's
-smaller one, before it reads the table; the ``expand`` it calls reads the
-table and takes no cap.  ``expand`` and a table read load neither this
-module nor the kernel.
+covering S of p_T(x) p_U(y), the ring equation p(x) p(y) = p(x+y), by the
+expansion theorem: a map of that type is the composition of its basis with
+its first coordinates (``algebra.compose``).  The integer power is one
+composition too; it and Stanley's evaluation read a table's values at a
+point as one linear read of its coordinates (``SetMap.coordinates``).  The
+graph verifiers check the coefficient interpretations against counts taken
+from the graph on the block-sum kernel (``kernel``), never from its
+chromatic table: acyclic-orientation pair counts in the rising basis,
+stable-partition counts in the log basis and Stanley's evaluation at -1.
+The counts start from the stable-set indicator (``_stable_sets``): the
+stable partitions are one composition with it, the acyclic orientations
+the inverse of its signed map (``_orientation_counts``, kept for the last
+graph, which the rising and Stanley checks share).  Each graph verifier
+takes a graph as its whole ground set (restrict it first for a subset)
+next to its chromatic table.  Every verifier checks its cap,
+``ring.BLOCK_SUM_CAP``, before it reads the table; the ``expand`` it calls
+reads the table and takes no cap.  ``expand`` and a table read load
+neither this module nor the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import zip_longest
 
 from .expansions import expand, linear_read, theorem_holds
 from .graphs import Graph
@@ -33,26 +34,27 @@ from .kernel import full_block_sums
 from .ring import BLOCK_SUM_CAP, CapExceeded, SetMap, rational
 from .umbral import LogPolynomials, RisingFactorials
 
-# (D + 1)(D + 2)/2 set-map products, D <= n; by the rule that set ring.BLOCK_SUM_CAP, a cold
-# `verify --check binomial` on G(n, p) seeded random.Random(1), slowest edgeless of p in {0, .3, 1}:
-# 4.9-5.0 s and 47 MiB at 14, 13.1 s at 15 (Python 3.11, 2 cores)
-BINOMIAL_CHECK_CAP = 14
 
-
-def check_binomial_type(p: SetMap, cap: int = BINOMIAL_CHECK_CAP) -> bool:
+def check_binomial_type(p: SetMap, cap: int = BLOCK_SUM_CAP) -> bool:
     """Exactly test the binomial-type identity on every subset.
 
-    At every mask both sides of p(x) p(y) = p(x+y), one set-map product, are
-    bivariate polynomials of degree at most D in each variable, D the top
-    degree of the basis the values are read in: the (D+1) x (D+1) grid decides.
+    By the expansion theorem with a = b, p is of binomial type exactly when
+    p = 0, or p_empty = 1 and v_k = c_k(v_1) for the values' coordinates v_j
+    (v_1 taken 0 on the empty set): one composition with the int terms k! x^k.
     """
+    from .algebra import compose
+    from .poly import Poly
+
     if p.n > cap:
         raise CapExceeded(f"binomial-type check over ground size {p.n} exceeds cap {cap}")
-    basis, columns = p.coordinates()
-    degree = max(0, len(basis) - 1)
-    # p at 0..2D, both axes and x+y; the ring commutes, so x <= y decides
-    evals = [SetMap(p.n, linear_read(columns, [b(s) for b in basis], p.n)) for s in range(2 * degree + 1)]
-    return all(evals[x] * evals[y] == evals[x + y] for x in range(degree + 1) for y in range(x, degree + 1))
+    _, columns = p.coordinates()
+    if not any(map(any, columns)):
+        return True
+    zero = (0,) * (1 << p.n)  # each coordinate past the last
+    ones = SetMap(p.n, (0, *columns[1][1:]) if len(columns) > 1 else zero)
+    _, powers = compose([Poly.monomial(k, math.factorial(k)) for k in range(p.n + 1)], ones).coordinates()
+    return all(list(a) == [math.factorial(k) * v for v in b]
+               for k, (a, b) in enumerate(zip_longest(powers, columns, fillvalue=zero)))
 
 
 def _stable_sets(graph: Graph) -> list[int]:

@@ -62,12 +62,11 @@ inside ``--subset``.  A negative ``--cap`` is refused while parsing.  A
 command prints that warning after its own usage checks and before its
 first cap.  A check's cap, or its ``--cap`` override,
 governs every stage the check runs.  The ``expand`` command and every
-check but ``binomial``, whose grid has a cap of its own, share the
-block-sum kernel's cap, ``ring.BLOCK_SUM_CAP``; the command keeps it on
-the table's vertices, although the library ``expand`` runs no kernel and
-takes no cap.  Every graph check caps vertices.  ``chromatic`` prints the
-chromatic table's value at the full set of its induced subgraph, and caps
-that subgraph's vertices at
+graph check share the block-sum kernel's cap, ``ring.BLOCK_SUM_CAP``;
+the command keeps it on the table's vertices, although the library
+``expand`` runs no kernel and takes no cap.  Every graph check caps
+vertices.  ``chromatic`` prints the chromatic table's value at the full
+set of its induced subgraph, and caps that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
 ``abel.ABEL_POLY_CAP``, each before any work; the ``abel`` warning prices
 the power ``cap - 1``, or 0 at ``--cap 0``.  A graph oracle whose cap
@@ -86,7 +85,7 @@ import sys
 # --k, --x, --basis, --source and --sink that it reads); any other is a usage error
 _EXPANSION = ("table", "kernel")
 GRAPH_CHECKS = {
-    "binomial": ((*_EXPANSION, "grid"), ()),
+    "binomial": (_EXPANSION, ()),
     "expansion": ((*_EXPANSION, "bases"), ("basis",)),
     "rising-pairs": (_EXPANSION, ()),
     "abel-one": (_EXPANSION, ()),
@@ -226,9 +225,6 @@ def _warn_cap(cap: int | None, stages) -> None:
             f"{count(f'2^{cap}*{cap}', lambda: 2**cap * cap)} int products"
         ),
         "bases": "the expansion check runs that kernel once per basis, eight times without --basis",
-        # one set-map product per grid pair x <= y in 0..D, D <= N the table's degree
-        "grid": "the binomial check runs that kernel "
-        + count(f"({cap}+1)({cap}+2)/2", lambda: (cap + 1) * (cap + 2) // 2) + " times",
         "partitions": (
             f"a partition oracle enumerates "
             f"{count(f'Bell({cap})', lambda: bell_number(cap))} set partitions"

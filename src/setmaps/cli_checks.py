@@ -53,7 +53,7 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     from .ring import BLOCK_SUM_CAP
     from .umbral import AbelPolynomials, FallingFactorials, family_from_string, standard_families
 
-    selected = GRAPH_CHECKS if ns.check == "all" else (ns.check,)
+    selected = tuple(GRAPH_CHECKS) if ns.check == "all" else (ns.check,)
     # usage errors come before caps: build the bases and read --x/--k first;
     # abel-one: chi_S = sum over sigma of x(x - len)^(len-1) * prod chi'_T(1)
     families = standard_families() if ns.basis is None else (family_from_string(ns.basis),)
@@ -64,27 +64,25 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
         "derivative": [(f"derivative a={abel_a.point}", abel_a)],
     }
     if "evaluation" in selected:
+        if ns.x == 0:
+            raise ValueError("check 'evaluation' needs a nonzero --x, the falling-factorial step")
         falling_a = FallingFactorials(1 if ns.x is None else ns.x)
         bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
     x0, y0 = (2 if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
     _warn_cap(ns.cap, {stage for check in selected for stage in GRAPH_CHECKS[check][0]})
-    # the grid check has a cap of its own, every other check the kernel's; each caps vertices
-    caps = {}
-    for check in selected:
-        cap = checks.BINOMIAL_CHECK_CAP if check == "binomial" else BLOCK_SUM_CAP
-        caps[check] = cap = cap if ns.cap is None else ns.cap
-        if graph.n > cap:
-            raise CapExceeded(f"{check} check over {graph.n} vertices exceeds cap {cap}")
+    cap = BLOCK_SUM_CAP if ns.cap is None else ns.cap  # every graph check's, on vertices
+    if graph.n > cap:
+        raise CapExceeded(f"{selected[0]} check over {graph.n} vertices exceeds cap {cap}")
     counts = {  # the checks against counts of the graph's own
         "rising-pairs": checks.verify_rising_orientation_pairs,
         "stable-counts": checks.verify_stable_count_expansion,
         "stanley": checks.verify_stanley_evaluation,
     }
-    p = chromatic_setmap(graph)  # one table, built after every cap above, for every check
+    p = chromatic_setmap(graph)  # one table, built after the cap, for every check
     runs = []
-    for check, cap in caps.items():
+    for check in selected:
         if check == "binomial":
             runs.append(("binomial-type", checks.check_binomial_type(p, cap)))
         elif check == "power":

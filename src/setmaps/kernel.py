@@ -2,12 +2,12 @@
 
 Each mask's rank polynomial is packed into one int (``_packed``) and
 zeta-transformed once (``_transform``); a slot of the result is read back
-over the packing scale (``_slot``).  It has three readouts: the product of
-two transforms (``SetMap.__mul__``), every mask of a weighted sum of the
-powers of one (``algebra.compose``) and the full set alone
-(``full_block_sums``: the Abel closed form, the expansion checks).  Only
-those callers import it, so ``expand``, ``chromatic`` or a table read never
-compile it.  All arithmetic is exact; it refuses values that are not rational.
+over the packing scale (``_slot``).  Its readouts: the product of two
+transforms (``SetMap.__mul__``), every mask of weighted sums of the powers
+of one, a coefficient column at a time (``algebra.compose``), and the full
+set alone (``full_block_sums``: the Abel closed form, the expansion checks).
+Only those callers import it, so ``expand``, ``chromatic`` or a table read
+never compile it.  All arithmetic is exact; it refuses non-rational values.
 """
 
 from __future__ import annotations

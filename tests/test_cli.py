@@ -17,9 +17,9 @@ import setmaps.cli as cli
 import setmaps.graphs as graphs
 import setmaps.oracles as oracles
 from setmaps.abel import ABEL_POLY_CAP
-from setmaps.checks import BINOMIAL_CHECK_CAP
 from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
 from setmaps.poly import Poly
+from setmaps.ring import BLOCK_SUM_CAP
 from setmaps.umbral import standard_families
 
 from _corpus import random_graphs
@@ -157,8 +157,8 @@ def test_verify_failure_exit_code_via_fault_injection(capsys, monkeypatch):
 
 
 def test_verify_cap_exceeded_exit_code(capsys, tmp_path):
-    path = tmp_path / "cycle.txt"  # one vertex past the binomial cap
-    path.write_text(Graph.cycle(BINOMIAL_CHECK_CAP + 1).to_text())
+    path = tmp_path / "cycle.txt"  # one vertex past the kernel's cap, which the binomial check takes
+    path.write_text(Graph.cycle(BLOCK_SUM_CAP + 1).to_text())
     status, _, err = run_cli(capsys, "verify", "--check", "binomial", "--graph", str(path))
     assert status == 3
     assert "cap" in err
@@ -642,31 +642,18 @@ def test_verify_all_builds_one_shared_table(capsys, monkeypatch):
     assert sizes == [4]
 
 
-def test_verify_all_checks_every_cap_before_the_table(capsys, monkeypatch, tmp_path):
-    # a cycle one vertex past the first check's cap, the binomial cap, passes the
-    # kernel's cap of 17 that the others take
-    n = BINOMIAL_CHECK_CAP + 1
-    assert n <= 17
-    path = tmp_path / "cycle.txt"
-    path.write_text(Graph.cycle(n).to_text())
-    sizes = spy_on_tables(monkeypatch)
-    status, out, err = run_cli(capsys, "verify", "--check", "all", "--graph", str(path))
-    assert status == 3
-    assert out == "" and err == f"error: binomial check over {n} vertices exceeds cap {n - 1}\n"
-    assert sizes == []
-
-
 @pytest.mark.parametrize(
-    "check", ["binomial", "power", "expansion", "derivative", "rising-pairs", "stable-counts", "stanley"]
+    "check", ["binomial", "power", "expansion", "derivative", "rising-pairs", "stable-counts", "stanley", "all"]
 )
 def test_graph_checks_test_their_caps_before_any_table(capsys, monkeypatch, tmp_path, check):
-    # 18 vertices: over every graph check's cap, the expansion cap of 17 included
+    # 18 vertices: over the kernel's cap of 17, which every graph check takes; all names its first check
     path = tmp_path / "g18.txt"
     path.write_text(random_graphs(18, 1, seed=0x16, p=0.3)[0].to_text())
     sizes = spy_on_tables(monkeypatch)
     status, out, err = run_cli(capsys, "verify", "--check", check, "--graph", str(path))
     assert status == 3
-    assert out == "" and "exceeds cap" in err
+    first = next(iter(cli.GRAPH_CHECKS)) if check == "all" else check
+    assert out == "" and err == f"error: {first} check over 18 vertices exceeds cap {BLOCK_SUM_CAP}\n"
     assert sizes == []
 
 
@@ -906,7 +893,6 @@ _KERNEL = "the block-sum kernel takes about 2^7*7 = 896 int products"
 _BASIS = "the change of basis takes about 2^7*7 = 896 products of counts and constants"
 _PARTITIONS = "a partition oracle enumerates Bell(7) = 877 set partitions"
 _BASES = "the expansion check runs that kernel once per basis, eight times without --basis"
-_GRID = "the binomial check runs that kernel (7+1)(7+2)/2 = 36 times"
 _POWER = (
     "the power check makes 2*2^7 = 256 table evaluations and one composition of at most 7 powers"
     " of 2^7 int products each"
@@ -924,7 +910,7 @@ _BLOCKS = ("--blocks", "2,1,1")
     "argv, priced",
     [
         (("expand", *_C5, "--basis", "rising"), (_TABLE, _BASIS)),
-        (("verify", "--check", "binomial", *_C5), (_TABLE, _KERNEL, _GRID)),
+        (("verify", "--check", "binomial", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "expansion", *_C5), (_TABLE, _KERNEL, _BASES)),
         (("verify", "--check", "rising-pairs", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "abel-one", *_C5), (_TABLE, _KERNEL)),
@@ -933,7 +919,7 @@ _BLOCKS = ("--blocks", "2,1,1")
         (("verify", "--check", "evaluation", *_C5), (_TABLE, _KERNEL)),
         (("verify", "--check", "power", *_C5), (_TABLE, _POWER)),
         (("verify", "--check", "stanley", *_C5), (_TABLE, _KERNEL)),
-        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _BASES, _GRID, _POWER)),
+        (("verify", "--check", "all", *_C5), (_TABLE, _KERNEL, _BASES, _POWER)),
         (("verify", "--check", "closed-form", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "forest-count", *_BLOCKS), (_KERNEL,)),
         (("verify", "--check", "tail-forests", *_BLOCKS), (_TAILS,)),
@@ -1059,6 +1045,14 @@ def test_block_commands_refuse_k_before_the_cap(capsys, argv):
         (
             ("verify", "--check", "closed-form", "--blocks", "2,1", "--graph", f"{GRAPHS}/k3.txt"),
             "check 'closed-form' does not read --graph",
+        ),
+        # the falling factorials of step 0 are not a basis; every other graph check takes a = 0
+        *(
+            (
+                ("verify", "--check", check, "--graph", f"{GRAPHS}/k3.txt", "--x", "0"),
+                "check 'evaluation' needs a nonzero --x, the falling-factorial step",
+            )
+            for check in ("evaluation", "all")
         ),
     ],
 )

@@ -14,7 +14,6 @@ from setmaps.algebra import compose
 import setmaps.checks as checks
 import setmaps.cli as cli
 from setmaps.checks import (
-    BINOMIAL_CHECK_CAP,
     _orientation_counts,
     _stable_sets,
     check_binomial_type,
@@ -98,7 +97,7 @@ def test_perturbed_power_map_is_not_binomial_type():
 
 def test_binomial_check_cap():
     with pytest.raises(CapExceeded):
-        check_binomial_type(monomial_type_map(BINOMIAL_CHECK_CAP + 1))
+        check_binomial_type(monomial_type_map(BLOCK_SUM_CAP + 1))
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,17 +128,16 @@ def test_the_binomial_check_agrees_with_the_subset_sum_grid(family, table, data)
         assert (check_binomial_type(SetMap(n, table)), grid_holds(table)) == (holds, holds)
 
 
-@pytest.mark.parametrize("g", [Graph(0, []), Graph(3, []), Graph.complete(3), Graph.cycle(5)])
-def test_the_binomial_check_takes_one_product_per_grid_pair(monkeypatch, g):
-    p = chromatic_setmap(g)
-    # the table at 0..2n, one per grid axis value and sum; a chromatic table has degree n
-    evals = [SetMap(g.n, [p[T](s) for T in range(1 << g.n)]) for s in range(2 * g.n + 1)]
-    factors = []
-    mul = SetMap.__mul__
-    monkeypatch.setattr(SetMap, "__mul__", lambda self, other: factors.append((self, other)) or mul(self, other))
+@pytest.mark.parametrize("S", [0, 0b00111, 0b11111])
+@pytest.mark.parametrize("k", ["0", "2", "|S|"])
+def test_the_binomial_check_refuses_a_chromatic_table_with_one_count_moved(S, k):
+    # the table's own coordinates, the counts s_k(S) in the falling factorials, which the
+    # monomial maps above never reach: one count one higher is not of binomial type
+    p = chromatic_setmap(Graph.cycle(5))
     assert check_binomial_type(p)
-    pairs = [(evals.index(a), evals.index(b)) for a, b in factors]
-    assert pairs == [(x, y) for x in range(g.n + 1) for y in range(x, g.n + 1)]
+    packed = list(p._packed)
+    packed[S] += 1 << graphs._SLOT * (S.bit_count() if k == "|S|" else int(k))
+    assert not check_binomial_type(graphs._CountTable(5, packed))
 
 
 def test_binomial_check_refuses_rational_values():
