@@ -8,9 +8,10 @@ Every run is ``setmaps.cli.main(argv)`` with its standard output and error
 captured: each command, every check and oracle (with and without the flags
 they read, and with flags they refuse), over the bundled graphs and a few
 block vectors, each under several subsets, both formats and ``--cap``
-overrides, then parse errors.  The last line is the run count and one
-sha256 over every run's (argv, exit status, stdout, stderr): two sources
-that print the same line behave alike on the whole corpus.  ``setmaps`` is
+overrides, then parse errors and the refusals of basis specs.  The last
+line is the run count and one sha256 over every run's (argv, exit status,
+stdout, stderr): two sources that print the same line behave alike on the
+whole corpus.  ``setmaps`` is
 imported from the import path, so pointing ``PYTHONPATH`` at another
 checkout's ``src`` digests that checkout.
 
@@ -126,6 +127,11 @@ PARSE_ERRORS = [
     ["oracle", "unique-sink", "--graph", "graphs/k3.txt", "--sink", "x"],
     ["verify", "--check", "forest-count", "--blocks", "2,1", "--k", "x"],
 ]
+# fixed argvs: every refusal of a basis spec, and a spec name in another case
+SPEC_ARGVS = [
+    ["expand", "--graph", "graphs/k3.txt", "--basis", spec]
+    for spec in ("falling:0", "abel:1/0", "Rising", "monomial:1", "falling", "logfamily:2")
+]
 
 
 def corpus(small: bool = False) -> list[list[str]]:
@@ -141,7 +147,7 @@ def corpus(small: bool = False) -> list[list[str]]:
     for blocks in BLOCK_VECTORS[: 1 if small else None]:
         for argv in block_argvs(blocks):
             runs += variants(argv, BLOCK_SUBSETS[:keep], CAPS[:keep])
-    return runs + PARSE_ERRORS
+    return runs + PARSE_ERRORS + SPEC_ARGVS
 
 
 def variants(argv: list[str], subsets, caps) -> list[list[str]]:

@@ -57,8 +57,11 @@ Beyond those, a name reads ``--graph`` or ``--blocks`` after its kind, and
 ``--subset``, ``--format`` and ``--cap``; any other flag is a usage error,
 and of several the first in ``_NAMED_FLAGS`` is named (``--check all``
 takes each flag one of its checks reads); an oracle needs every flag it
-reads.  ``--source`` and ``--sink`` are vertex labels of the graph file,
-inside ``--subset``.  A negative ``--cap`` is refused while parsing.  A
+reads.  A flag of ``_FLAGS`` that the command's parser does not declare
+is refused by the same line as the arguments parse, before any other
+check (``error: command 'abel' does not read --graph``); any other
+unknown argument gets argparse's usage error.  ``--source`` and
+``--sink`` are vertex labels of the graph file, inside ``--subset``.  A negative ``--cap`` is refused while parsing.  A
 command prints that warning after its own usage checks and before its
 first cap.  A check's cap, or its ``--cap`` override,
 governs every stage the check runs.  The ``expand`` command and every
@@ -355,12 +358,29 @@ _DISPATCH = {
 }
 
 
+def _subject(ns: "argparse.Namespace") -> str:
+    """What a refusal of a flag names: the check or oracle, else the command."""
+    if ns.command == "verify":
+        return f"check {ns.check!r}"
+    if ns.command == "oracle":
+        return f"oracle {ns.oracle!r}"
+    return f"command {ns.command!r}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, extras = parser.parse_known_args(argv)
+        # a flag of another command is one this command does not read (--flag or --flag=value)
+        given = {arg.partition("=")[0] for arg in extras}
+        undeclared = [flag for flag in _FLAGS if f"--{flag}" in given]
+        if extras and not undeclared:  # parse_args's own refusal
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code is None else int(exc.code)
+    if undeclared:
+        print(f"error: {_subject(ns)} does not read --{undeclared[0]}", file=sys.stderr)
+        return 2
     from .ring import CapExceeded
 
     try:  # rendering too: an int past sys.get_int_max_str_digits() raises ValueError

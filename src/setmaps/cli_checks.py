@@ -21,6 +21,7 @@ from .cli import (
     _NAMED_FLAGS,
     _graph_input,
     _poly_result,
+    _subject,
     _subset,
     _warn_cap,
 )
@@ -61,13 +62,13 @@ def _graph_check_list(ns: argparse.Namespace, graph: Graph) -> list[tuple[str, b
     bases = {
         "expansion": [(f"expansion {f}", f) for f in families],
         "abel-one": [("abel-one", AbelPolynomials(1))],
-        "derivative": [(f"derivative a={abel_a.point}", abel_a)],
+        "derivative": [(f"derivative a={abel_a.param}", abel_a)],
     }
     if "evaluation" in selected:
         if ns.x == 0:
             raise ValueError("check 'evaluation' needs a nonzero --x, the falling-factorial step")
         falling_a = FallingFactorials(1 if ns.x is None else ns.x)
-        bases["evaluation"] = [(f"evaluation a={falling_a.step}", falling_a)]
+        bases["evaluation"] = [(f"evaluation a={falling_a.param}", falling_a)]
     x0, y0 = (2 if ns.x is None else ns.x), (2 if ns.k is None else ns.k)
     if "power" in selected and y0 < 1:
         raise ValueError("the exponent must be a positive integer")
@@ -133,7 +134,7 @@ def _block_input(ns: argparse.Namespace, blocks: BlockPartition) -> dict:
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
-    what = f"check {ns.check!r}"
+    what = _subject(ns)
     if ns.check in GRAPH_CHECKS or (ns.check == "all" and ns.graph is not None):
         from .graphs import load_graph
 
@@ -168,7 +169,7 @@ def cmd_oracle(ns: argparse.Namespace) -> tuple[dict, int]:
     name = ns.oracle
     stages, flags = ORACLES[name]
     needed = ("blocks" if name == "tail-forests" else "graph", *flags)
-    _refuse_unread(ns, f"oracle {name!r}", (ORACLES[name],), needed)
+    _refuse_unread(ns, _subject(ns), (ORACLES[name],), needed)
     if name == "tail-forests":
         from .abel import BlockPartition, component_counts, count_tail_forests
 

@@ -29,7 +29,7 @@ and the stable-count check in ``checks`` call it.  Composing the basis with the
 coefficients (``algebra.compose``) checks it on every subset at once.  The
 chromatic set map is the headline instance.  Its derivative- and
 evaluation-at-a expansions are that check in the Abel and falling bases
-(see ``AbelPolynomials`` and ``FallingFactorials``).  ``expand`` takes no
+(the ``abel:a`` and ``falling:a`` specs of ``umbral``).  ``expand`` takes no
 cap, since it runs no kernel; ``expansion_reconstructs`` checks the
 kernel's, ``ring.BLOCK_SUM_CAP``.  The binomial-type test and the
 verifiers that need an oracle of their own live in ``checks``, so that

@@ -17,13 +17,31 @@ type when a_n(x+y) = sum_k C(n,k) a_k(x) a_{n-k}(y).  Such a sequence is
 fixed by its associated delta functional A, characterized by
 A^k a_n = k! [n == k] (Rota-Kahaner-Odlyzko, 1973); that is what turns
 coefficient extraction in these bases into a single functional
-application.  A family here is only its parameters and the moments m of
-A; every member is derived from them: a_0 = 1, and for n >= 1, a_n is
-the polynomial with a_n(0) = 0 and Q a_n = n a_{n-1}, where the delta
-operator is Q x^j = sum_{k=1..j} C(j, k) m_k x^(j-k).  Shipped families:
-monomials x^n, falling factorials (x/a)_n, rising factorials
-x(x+1)...(x+n-1), Abel polynomials x(x - a n)^{n-1}, and the basis with
-exponential generating function (1 + log(1+t))^x.
+application.  A family here is only its spec and the moments m of A;
+every member is derived from them: a_0 = 1, and for n >= 1, a_n is the
+polynomial with a_n(0) = 0 and Q a_n = n a_{n-1}, where the delta
+operator is Q x^j = sum_{k=1..j} C(j, k) m_k x^(j-k).  The specs are the
+rows of one table (``_SPECS``), each a name, a parameter a or none, and
+the moment m_k = A x^k for k >= 1:
+
+    spec         basis a_n                 A                      m_k
+    monomial     x^n                       f -> f'(0)             [k == 1]
+    falling:a    (x/a)_n, a != 0           f -> f(a) - f(0)       a^k
+    rising       x(x+1)...(x+n-1)          f -> f(0) - f(-1)      -(-1)^k
+    abel:a       x(x - a n)^(n-1)          f -> f'(a)             k a^(k-1)
+    logfamily    EGF (1 + log(1+t))^x      (x)_n -> [n > 0]       Bell(k)
+
+Since chi_T(0) = 0 for every nonempty T, expanding the chromatic set map
+in falling:a is the evaluation expansion chi_S = sum over sigma of
+(x/a)_len * prod chi_T(a): a = 1 gives the stable-partition expansion,
+a = -1 the rising/orientation form.  In abel:a it is the derivative
+expansion chi_S = sum over sigma of x(x - a len)^(len-1) * prod chi'_T(a):
+a = 0 gives the classical monomial expansion in connected-subgraph
+derivatives, a = 1 the Abel-one check.  The log family's member n is the
+sum over partitions of an n-set of (x)_len * prod over blocks T of
+(-1)^(|T|-1) (|T|-1)!, so its falling-factorial coefficients are signed
+Stirling numbers of the first kind; since x^n = sum_j S(n, j) (x)_j, its
+moments are the Bell numbers.
 
 Moments, members and parameters follow the exact-number rule of ``ring``:
 an int stays an int, a quotient (``quotient``) and a parameter (``rational``,
@@ -141,29 +159,13 @@ def _next_member(m: tuple, n: int, below: Poly) -> Poly:
 class BinomialFamily:
     """A binomial-type polynomial basis, fixed by its delta functional.
 
-    A family is a value: its parameters are the slots of its class, set
-    once in ``__init__`` and never changed.  Two families are equal, and
-    hash alike, when they are of the same class with equal parameters.  A
-    family keeps no state between calls: each call derives the members it
-    returns, so one family serves any number of threads.
+    The members and the coordinates in the basis are derived from the
+    moments that the subclass's ``delta`` returns.  A family keeps no state
+    between calls: each call derives the members it returns, so one family
+    serves any number of threads.
     """
 
     __slots__ = ()
-
-    def _params(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._params() == other._params()
-
-    def __hash__(self) -> int:
-        return hash(self._params())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
     def members(self, n: int) -> list[Poly]:
         """The members a_0..a_n, derived bottom up from one read of the delta
@@ -182,10 +184,6 @@ class BinomialFamily:
         """The degree-n member of the family; a_0 = 1."""
         return self.members(n)[n]
 
-    def delta(self, bound: int) -> Functional:
-        """Moment vector, up to the given degree, of the associated functional."""
-        raise NotImplementedError
-
     def coefficients(self, f: Poly) -> tuple:
         """Coefficients c with f = sum_k c_k * a_k(x), by triangular elimination."""
         if not f:
@@ -200,145 +198,103 @@ class BinomialFamily:
             remainder = remainder - members[d] * c
         return tuple(out)
 
-    def _check_bound(self, bound: int) -> None:
+
+# each spec name -> (what its parameter is, or None for a spec without one,
+# the moment A x^k for k >= 1 at parameter a); module docstring
+_SPECS = {
+    "monomial": (None, lambda k, a: int(k == 1)),
+    "falling": ("falling-factorial step", lambda k, a: a**k),
+    "rising": (None, lambda k, a: -((-1) ** k)),
+    "abel": ("Abel point", lambda k, a: k * a ** (k - 1)),
+    "logfamily": (None, lambda k, a: bell_number(k)),
+}
+
+
+# the only subclass: perfbench's tracer times ``delta`` on each direct subclass
+class Family(BinomialFamily):
+    """The family of one row of ``_SPECS`` at one parameter.
+
+    A family is a value, named by its spec ``str``: ``falling:-1/2``, or
+    ``rising`` for a row without a parameter.  Two families are equal, and
+    hash alike, exactly when their specs are.  The parameter is stored by
+    ``rational``, an int when it is integral, so the spec is canonical.
+    """
+
+    __slots__ = ("name", "param")
+
+    def __init__(self, name: str, param=None):
+        if name not in _SPECS:
+            raise ValueError(f"unknown family {name!r}; expected one of {', '.join(_SPECS)}")
+        meaning, moment = _SPECS[name]
+        if (param is None) != (meaning is None):
+            needs = "no parameter" if meaning is None else f"its {meaning}"
+            raise TypeError(f"family {name!r} takes {needs}, got {param!r}")
+        if meaning is not None:
+            param = rational(param)
+            if moment(1, param) == 0:  # A x != 0 for a delta functional
+                raise ValueError(f"{meaning} must be nonzero")
+        self.name, self.param = name, param
+
+    def delta(self, bound: int) -> Functional:
+        """Moment vector, up to the given degree, of the associated functional."""
         if bound < 1:
             raise ValueError("a delta functional needs a degree bound of at least 1")
-
-
-class Monomials(BinomialFamily):
-    """The basis x^n; delta functional f -> f'(0)."""
-
-    __slots__ = ()
-
-    def delta(self, bound: int) -> Functional:
-        self._check_bound(bound)
-        return Functional.derivative_at(0, bound)
+        moment, a = _SPECS[self.name][1], self.param
+        return Functional((0, *(moment(k, a) for k in range(1, bound + 1))))
 
     def __str__(self) -> str:
-        return "monomial"
+        return self.name if self.param is None else f"{self.name}:{self.param}"
+
+    def __repr__(self) -> str:
+        return f"Family({self.name!r}, {self.param!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Family):
+            return NotImplemented
+        return str(self) == str(other)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
 
 
-class FallingFactorials(BinomialFamily):
-    """The basis (x/a)_n = (x/a)(x/a - 1)...(x/a - n + 1), a != 0.
-
-    Delta functional f -> f(a) - f(0).  Since chi_T(0) = 0 for every
-    nonempty T, expanding the chromatic set map here is the evaluation
-    expansion chi_S = sum over sigma of (x/a)_len * prod chi_T(a); a = 1
-    gives the stable-partition expansion, a = -1 the rising/orientation
-    form.
-    """
-
-    __slots__ = ("step",)
-
-    def __init__(self, step=1):
-        self.step = rational(step)
-        if self.step == 0:
-            raise ValueError("falling-factorial step must be nonzero")
-
-    def delta(self, bound: int) -> Functional:
-        self._check_bound(bound)
-        a = self.step
-        return Functional((0,) + tuple(a**k for k in range(1, bound + 1)))
-
-    def __str__(self) -> str:
-        return f"falling:{self.step}"
+# one constructor per spec row, under the names the package exports
+def Monomials() -> Family:
+    return Family("monomial")
 
 
-class RisingFactorials(BinomialFamily):
-    """The basis x(x+1)...(x+n-1); delta functional f -> f(0) - f(-1).
-
-    The functional is forced by x^(n) = (-1)^n (-x)_n and is checked by the
-    associated-functional property tests rather than assumed.
-    """
-
-    __slots__ = ()
-
-    def delta(self, bound: int) -> Functional:
-        self._check_bound(bound)
-        # moments of f(0) - f(-1): 0^k - (-1)^k
-        return Functional((0,) + tuple(-((-1) ** k) for k in range(1, bound + 1)))
-
-    def __str__(self) -> str:
-        return "rising"
+def FallingFactorials(step=1) -> Family:
+    return Family("falling", step)
 
 
-class AbelPolynomials(BinomialFamily):
-    """The basis x(x - a n)^{n-1}; delta functional f -> f'(a).
-
-    Expanding the chromatic set map here is the derivative expansion
-    chi_S = sum over sigma of x(x - a len)^(len-1) * prod chi'_T(a); a = 0
-    gives the classical monomial expansion in connected-subgraph
-    derivatives, a = 1 the Abel-one check.
-    """
-
-    __slots__ = ("point",)
-
-    def __init__(self, point=1):
-        self.point = rational(point)
-
-    def delta(self, bound: int) -> Functional:
-        self._check_bound(bound)
-        return Functional.derivative_at(self.point, bound)
-
-    def __str__(self) -> str:
-        return f"abel:{self.point}"
+def RisingFactorials() -> Family:
+    return Family("rising")
 
 
-class LogPolynomials(BinomialFamily):
-    """The basis with EGF (1 + log(1+t))^x.
-
-    Member n is the set-partition sum over partitions of an n-set of
-    (x)_len(sigma) * prod over blocks T of (-1)^(|T|-1) (|T|-1)!, i.e. the
-    falling-factorial coefficients are signed Stirling numbers of the
-    first kind.  Its delta functional B has B (x)_n = 1 for n > 0 and
-    B 1 = 0; since x^n = sum_j S(n, j) (x)_j, its moments B x^n are the
-    Bell numbers.
-    """
-
-    __slots__ = ()
-
-    def delta(self, bound: int) -> Functional:
-        self._check_bound(bound)
-        return Functional((0,) + tuple(bell_number(k) for k in range(1, bound + 1)))
-
-    def __str__(self) -> str:
-        return "logfamily"
+def AbelPolynomials(point=1) -> Family:
+    return Family("abel", point)
 
 
-def family_from_string(spec: str) -> BinomialFamily:
+def LogPolynomials() -> Family:
+    return Family("logfamily")
+
+
+def family_from_string(spec: str) -> Family:
     """Parse a family spec: monomial | falling:a | rising | abel:a | logfamily.
 
     The parameter a is an exact rational literal such as 2, -1, or 3/4.
     """
     name, sep, arg = spec.strip().partition(":")
     name = name.lower()
-    try:
-        if name == "monomial" and not sep:
-            return Monomials()
-        if name == "rising" and not sep:
-            return RisingFactorials()
-        if name == "logfamily" and not sep:
-            return LogPolynomials()
-        if name == "falling" and sep:
-            return FallingFactorials(parse_rational(arg))
-        if name == "abel" and sep:
-            return AbelPolynomials(parse_rational(arg))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad family parameter in {spec!r}: {exc}") from None
-    raise ValueError(
-        f"unknown family spec {spec!r}; expected monomial, falling:a, rising, abel:a, or logfamily"
-    )
+    if name in _SPECS and bool(sep) == (_SPECS[name][0] is not None):
+        try:
+            return Family(name, parse_rational(arg) if sep else None)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad family parameter in {spec!r}: {exc}") from None
+    *rows, last = (row if meaning is None else f"{row}:a" for row, (meaning, _) in _SPECS.items())
+    raise ValueError(f"unknown family spec {spec!r}; expected {', '.join(rows)}, or {last}")
 
 
-def standard_families() -> tuple[BinomialFamily, ...]:
+def standard_families() -> tuple[Family, ...]:
     """The family instances exercised by the verification suites."""
-    return (
-        Monomials(),
-        FallingFactorials(1),
-        FallingFactorials(-1),
-        FallingFactorials(2),
-        RisingFactorials(),
-        AbelPolynomials(0),
-        AbelPolynomials(1),
-        LogPolynomials(),
-    )
+    specs = ("monomial", "falling:1", "falling:-1", "falling:2", "rising", "abel:0", "abel:1", "logfamily")
+    return tuple(map(family_from_string, specs))

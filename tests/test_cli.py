@@ -1046,6 +1046,28 @@ def test_block_commands_refuse_k_before_the_cap(capsys, argv):
             ("verify", "--check", "closed-form", "--blocks", "2,1", "--graph", f"{GRAPHS}/k3.txt"),
             "check 'closed-form' does not read --graph",
         ),
+        # a flag the command's parser does not declare is refused by the same line
+        (
+            ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt", "--source", "0"),
+            "check 'binomial' does not read --source",
+        ),
+        (
+            ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt", "--sink=0", "--source", "0"),
+            "check 'binomial' does not read --source",
+        ),
+        (("abel", "--blocks", "2,1", "--graph", f"{GRAPHS}/k3.txt"), "command 'abel' does not read --graph"),
+        (
+            ("chromatic", "--graph", f"{GRAPHS}/k3.txt", "--basis", "rising"),
+            "command 'chromatic' does not read --basis",
+        ),
+        (
+            ("expand", "--graph", f"{GRAPHS}/k3.txt", "--basis", "rising", "--k=2"),
+            "command 'expand' does not read --k",
+        ),
+        (
+            ("oracle", "colorings", "--graph", f"{GRAPHS}/k3.txt", "--x", "3", "--basis", "rising"),
+            "oracle 'colorings' does not read --basis",
+        ),
         # the falling factorials of step 0 are not a basis; every other graph check takes a = 0
         *(
             (
@@ -1061,6 +1083,22 @@ def test_a_flag_the_check_does_not_read_is_a_usage_error(capsys, argv, refused):
     status, out, err = run_cli(capsys, *argv, "--cap", "1")
     assert status == 2 and out == ""
     assert err == f"error: {refused}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chromatic", "--graph", f"{GRAPHS}/k3.txt", "--bogus", "1"),
+        ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt", "--sourc", "0"),
+        ("abel", "--blocks", "2,1", "extra"),
+    ],
+)
+def test_any_other_unknown_argument_gets_the_parsers_own_error(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(list(argv))
+    assert status == exited.value.code == 2 and out == ""
+    assert err == capsys.readouterr().err and "error: unrecognized arguments: " in err
 
 
 def test_the_check_tables_and_the_refusals_name_only_flags_of_the_parser():

@@ -14,6 +14,7 @@ from setmaps.ring import partitions_of
 from setmaps.umbral import (
     AbelPolynomials,
     FallingFactorials,
+    Family,
     Functional,
     LogPolynomials,
     Monomials,
@@ -250,21 +251,21 @@ def closed_form(fam, n):
     """Member n of a shipped family by its textbook closed form, not by the
     derivation from the delta functional that ``poly`` runs."""
     x = Poly.x()
-    if isinstance(fam, Monomials):
+    if fam.name == "monomial":
         return Poly.monomial(n)
-    if isinstance(fam, FallingFactorials):
+    if fam.name == "falling":
         result = Poly.one()
         for i in range(n):
-            result = result * (x / fam.step - i)
+            result = result * (x / fam.param - i)
         return result
-    if isinstance(fam, RisingFactorials):
+    if fam.name == "rising":
         result = Poly.one()
         for i in range(n):
             result = result * (x + i)
         return result
-    if isinstance(fam, AbelPolynomials):
-        return Poly.one() if n == 0 else x * (x - fam.point * n) ** (n - 1)
-    if isinstance(fam, LogPolynomials):
+    if fam.name == "abel":
+        return Poly.one() if n == 0 else x * (x - fam.param * n) ** (n - 1)
+    if fam.name == "logfamily":
         stirling = [1]  # row m of s(m, k), by s(m+1, k) = s(m, k-1) - m s(m, k)
         for m in range(n):
             stirling = [a - m * b for a, b in zip([0] + stirling, stirling + [0])]
@@ -309,6 +310,43 @@ def test_integral_families_derive_int_members():
 def test_falling_step_must_be_nonzero():
     with pytest.raises(ValueError):
         FallingFactorials(0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Family("nope"), ValueError, "unknown family 'nope'"),
+        (lambda: Family("Rising"), ValueError, "unknown family 'Rising'"),
+        (lambda: Family("monomial", 1), TypeError, "takes no parameter"),
+        (lambda: Family("logfamily", 0), TypeError, "takes no parameter"),
+        (lambda: Family("falling"), TypeError, "takes its falling-factorial step, got None"),
+        (lambda: FallingFactorials(None), TypeError, "takes its falling-factorial step, got None"),
+        (lambda: AbelPolynomials(None), TypeError, "takes its Abel point, got None"),
+        (lambda: Family("falling", Fraction(0)), ValueError, "^falling-factorial step must be nonzero$"),
+    ],
+)
+def test_a_family_is_refused_when_it_is_built_not_when_it_is_read(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@st.composite
+def drawn_families(draw):
+    """A family of any row, its parameter drawn exactly and spelled as a Fraction or as text."""
+    name = draw(st.sampled_from(("monomial", "falling", "rising", "abel", "logfamily")))
+    if name not in ("falling", "abel"):
+        return Family(name)
+    a = draw(fractions_st.filter(lambda a: a != 0 or name == "abel"))
+    return Family(name, draw(st.sampled_from((Fraction, str)))(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_families(), drawn_families())
+def test_a_family_equals_another_exactly_when_their_specs_are_equal(f, g):
+    assert (f == g) == (str(f) == str(g))
+    if f == g:
+        assert hash(f) == hash(g) and f.delta(6) == g.delta(6)
+    assert family_from_string(str(f)) == f and family_from_string(str(g)) == g
 
 
 def test_monomial_delta_moments():
@@ -435,11 +473,11 @@ def test_family_members_do_not_recurse_per_degree():
 
 def test_poly_reads_the_delta_moments_once_per_call(monkeypatch):
     calls = []
-    delta = FallingFactorials.delta
-    monkeypatch.setattr(
-        FallingFactorials, "delta", lambda self, bound: calls.append(bound) or delta(self, bound)
-    )
     family = FallingFactorials(Fraction(7, 3))
+    delta = type(family).delta
+    monkeypatch.setattr(
+        type(family), "delta", lambda self, bound: calls.append(bound) or delta(self, bound)
+    )
     assert family.poly(20).degree == 20
     assert calls == [20]
     assert family.poly(20).degree == 20  # no member is kept: a second call reads once more
@@ -488,16 +526,18 @@ def test_families_are_values():
     one, fraction_one = FallingFactorials(1), FallingFactorials(Fraction(1))
     assert one == fraction_one and hash(one) == hash(fraction_one)
     # a parameter is an int when it is integral, as a Poly coefficient is, else a Fraction
-    assert type(one.step) is int and type(fraction_one.step) is int
-    assert type(AbelPolynomials(Fraction(4, 2)).point) is int and AbelPolynomials(2).point == 2
+    assert type(one.param) is int and type(fraction_one.param) is int
+    assert type(AbelPolynomials(Fraction(4, 2)).param) is int and AbelPolynomials(2).param == 2
     half = FallingFactorials("1/2")
-    assert type(half.step) is Fraction and half == FallingFactorials(Fraction(2, 4))
+    assert type(half.param) is Fraction and half == FallingFactorials(Fraction(2, 4))
     assert one != AbelPolynomials(1) and len({one, AbelPolynomials(1)}) == 2
     assert Monomials() != RisingFactorials() and Monomials() == Monomials()
     assert len({Monomials(), RisingFactorials(), LogPolynomials(), Monomials()}) == 3
-    assert repr(FallingFactorials(-1)) == "FallingFactorials(step=-1)"
-    assert repr(FallingFactorials(Fraction(-1, 2))) == "FallingFactorials(step=Fraction(-1, 2))"
-    assert repr(Monomials()) == "Monomials()"
+    # the same members, x^n, under two specs: families are their specs, not their members
+    assert Monomials().members(8) == AbelPolynomials(0).members(8) and Monomials() != AbelPolynomials(0)
+    assert repr(FallingFactorials(-1)) == "Family('falling', -1)"
+    assert repr(FallingFactorials(Fraction(-1, 2))) == "Family('falling', Fraction(-1, 2))"
+    assert repr(Monomials()) == "Family('monomial', None)"
 
 
 def test_family_parsing_round_trip():
@@ -506,12 +546,12 @@ def test_family_parsing_round_trip():
 
 
 def test_family_parameters_are_ints_when_integral_and_keep_fractions_parsing():
-    assert type(family_from_string("falling:-1").step) is int
-    assert family_from_string("abel:+007").point == 7
-    assert type(family_from_string("falling:1/2").step) is Fraction
+    assert type(family_from_string("falling:-1").param) is int
+    assert family_from_string("abel:+007").param == 7
+    assert type(family_from_string("falling:1/2").param) is Fraction
     # text that is not an ASCII integer literal goes through Fraction: same spellings
     for text in ("2.0", " 3", "1e2", "4/2", "-6/3"):
-        step = family_from_string(f"falling:{text}").step
+        step = family_from_string(f"falling:{text}").param
         assert type(step) is int and step == Fraction(text), text
     # and the same error text, an over-long integer literal's too
     for text in ("x", "1/0", "-", "", "3/", "9" * 5000):
