@@ -8,10 +8,10 @@ Every run is ``setmaps.cli.main(argv)`` with its standard output and error
 captured: each command, every check and oracle (with and without the flags
 they read, and with flags they refuse), over the bundled graphs and a few
 block vectors, each under several subsets, both formats and ``--cap``
-overrides, then parse errors and the refusals of basis specs.  The last
-line is the run count and one sha256 over every run's (argv, exit status,
-stdout, stderr): two sources that print the same line behave alike on the
-whole corpus.  ``setmaps`` is
+overrides, then parse errors, the refusals of basis specs and the order
+of the check and flag refusals.  The last line is the run count and one
+sha256 over every run's (argv, exit status, stdout, stderr): two sources
+that print the same line behave alike on the whole corpus.  ``setmaps`` is
 imported from the import path, so pointing ``PYTHONPATH`` at another
 checkout's ``src`` digests that checkout.
 
@@ -132,6 +132,14 @@ SPEC_ARGVS = [
     ["expand", "--graph", "graphs/k3.txt", "--basis", spec]
     for spec in ("falling:0", "abel:1/0", "Rising", "monomial:1", "falling", "logfamily:2")
 ]
+# fixed argvs: an unknown check, then the first unread flag in the flag table's order,
+# declared by the command or not
+REFUSAL_ORDER = [
+    ["verify", "--check", "binomial", "--graph", "graphs/k3.txt", "--basis", "rising", "--source", "0"],
+    ["verify", "--check", "closed-form", "--blocks", "2,1", "--graph", "graphs/k3.txt", "--source", "1"],
+    ["verify", "--check", "all", "--graph", "graphs/k3.txt", "--blocks", "2,1", "--source", "1"],
+    ["verify", "--check", "nope", "--graph", "graphs/k3.txt", "--source", "0"],
+]
 
 
 def corpus(small: bool = False) -> list[list[str]]:
@@ -147,7 +155,7 @@ def corpus(small: bool = False) -> list[list[str]]:
     for blocks in BLOCK_VECTORS[: 1 if small else None]:
         for argv in block_argvs(blocks):
             runs += variants(argv, BLOCK_SUBSETS[:keep], CAPS[:keep])
-    return runs + PARSE_ERRORS + SPEC_ARGVS
+    return runs + PARSE_ERRORS + SPEC_ARGVS + REFUSAL_ORDER
 
 
 def variants(argv: list[str], subsets, caps) -> list[list[str]]:

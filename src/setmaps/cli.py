@@ -25,11 +25,12 @@ Each process compiles and runs only the modules its command uses:
 importing this module loads no engine module, and of the standard library
 only ``os`` and ``sys``.  ``argparse`` waits for ``build_parser``,
 ``json`` for ``render`` and ``ring`` for an ``--x`` (``parse_rational``:
-an integer loads no ``fractions``), so ``--help`` and usage errors before
-an ``--x`` load no engine module either.  Once the arguments parse,
-``main`` loads ``ring`` (for ``CapExceeded``), and each command imports
-the rest when it runs.  This module holds the parser and the
-``chromatic`` and ``expand`` commands; ``verify``, ``oracle`` and
+an integer loads no ``fractions``), so ``--help``, usage errors and the
+refusals of a check or flag (``_refusal``) load no engine module either
+when no ``--x`` is given.  Once they pass, ``main`` loads ``ring`` (for
+``CapExceeded``), and each command imports the rest when it runs.  This
+module holds the parser and the ``chromatic`` and ``expand`` commands;
+``verify``, ``oracle`` and
 ``abel`` live in ``cli_checks``, which ``_DISPATCH`` imports the first
 time it runs one of them.  ``chromatic`` loads ``graphs`` and ``poly``;
 the graph oracles add ``oracles``; ``expand`` adds ``umbral`` and
@@ -54,18 +55,20 @@ to the stages a ``--cap`` override raises and the flags it reads among
 ``--k``, ``--x``, ``--basis``, ``--source`` and ``--sink``; the parser, the
 ``--check`` help, the cost warning, ``verify`` and ``oracle`` read them.
 Beyond those, a name reads ``--graph`` or ``--blocks`` after its kind, and
-``--subset``, ``--format`` and ``--cap``; any other flag is a usage error,
-and of several the first in ``_NAMED_FLAGS`` is named (``--check all``
-takes each flag one of its checks reads); an oracle needs every flag it
-reads.  A flag of ``_FLAGS`` that the command's parser does not declare
-is refused by the same line as the arguments parse, before any other
-check (``error: command 'abel' does not read --graph``); any other
-unknown argument gets argparse's usage error.  ``--source`` and
-``--sink`` are vertex labels of the graph file, inside ``--subset``.  A negative ``--cap`` is refused while parsing.  A
-command prints that warning after its own usage checks and before its
-first cap.  A check's cap, or its ``--cap`` override,
-governs every stage the check runs.  The ``expand`` command and every
-graph check share the block-sum kernel's cap, ``ring.BLOCK_SUM_CAP``;
+``--subset``, ``--format`` and ``--cap`` (``--check all`` reads each flag
+one of its checks reads, and the other commands every flag they declare);
+an oracle needs every flag it reads.  One function, ``_refusal``, reads
+these tables right after parsing and names the first of three usage
+errors: an unknown check; the first flag in ``_NAMED_FLAGS`` order that
+the name does not read, declared by the command's parser or not (``error:
+command 'abel' does not read --graph``); the first flag it needs.  Any
+other unknown argument gets argparse's usage error.  ``--source`` and
+``--sink`` are vertex labels of the graph file, inside ``--subset``.  A
+negative ``--cap`` is refused while parsing.  A command prints that
+warning after its own usage checks and before its first cap.  A check's
+cap, or its ``--cap`` override, governs every stage the check runs.
+The ``expand`` command and every graph check share the block-sum
+kernel's cap, ``ring.BLOCK_SUM_CAP``;
 the command keeps it on the table's vertices, although the library
 ``expand`` runs no kernel and takes no cap.  Every graph check caps
 vertices.  ``chromatic`` prints the chromatic table's value at the full
@@ -358,13 +361,30 @@ _DISPATCH = {
 }
 
 
-def _subject(ns: "argparse.Namespace") -> str:
-    """What a refusal of a flag names: the check or oracle, else the command."""
+def _refusal(ns: "argparse.Namespace", given: set[str]) -> str | None:
+    """The usage error of the check, oracle or command that ``ns`` names, or None:
+    an unknown check, then the first flag of ``_NAMED_FLAGS`` that it does not read,
+    set in ``ns`` or passed undeclared (``given``), then the first it needs and lacks."""
     if ns.command == "verify":
-        return f"check {ns.check!r}"
-    if ns.command == "oracle":
-        return f"oracle {ns.oracle!r}"
-    return f"command {ns.command!r}"
+        what = f"check {ns.check!r}"
+        if ns.check in BLOCK_CHECKS:
+            needed, entries = ("blocks",), [BLOCK_CHECKS[ns.check]]
+        elif ns.check in GRAPH_CHECKS:
+            needed, entries = ("graph",), [GRAPH_CHECKS[ns.check]]
+        elif ns.check == "all" and ns.graph is not None:  # each flag one of its checks reads
+            needed, entries = ("graph",), GRAPH_CHECKS.values()
+        else:
+            return f"unknown check {ns.check!r}; expected one of {_CHECK_NAMES} (or 'all' with --graph)"
+        read = {*needed, *(flag for _, flags in entries for flag in flags)}
+    elif ns.command == "oracle":  # an oracle needs every flag it reads
+        what = f"oracle {ns.oracle!r}"
+        needed = read = ("blocks" if ns.oracle == "tail-forests" else "graph", *ORACLES[ns.oracle][1])
+    else:  # a command reads every flag it declares, and argparse enforces the ones it requires
+        what, needed, read = f"command {ns.command!r}", (), _COMMANDS[ns.command][1].split()
+    for flag in _NAMED_FLAGS:
+        if flag not in read and (flag in given or getattr(ns, flag, None) is not None):
+            return f"{what} does not read --{flag}"
+    return next((f"{what} needs --{flag}" for flag in needed if getattr(ns, flag) is None), None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,14 +392,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns, extras = parser.parse_known_args(argv)
         # a flag of another command is one this command does not read (--flag or --flag=value)
-        given = {arg.partition("=")[0] for arg in extras}
-        undeclared = [flag for flag in _FLAGS if f"--{flag}" in given]
-        if extras and not undeclared:  # parse_args's own refusal
+        given = {arg.partition("=")[0][2:] for arg in extras if arg.startswith("--")} & _FLAGS.keys()
+        if extras and not given:  # parse_args's own refusal
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code is None else int(exc.code)
-    if undeclared:
-        print(f"error: {_subject(ns)} does not read --{undeclared[0]}", file=sys.stderr)
+    refusal = _refusal(ns, given)
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
     from .ring import CapExceeded
 

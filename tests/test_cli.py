@@ -112,6 +112,24 @@ def test_verify_all_on_k3(capsys):
     assert all(check["pass"] for check in payload["checks"])
 
 
+@pytest.mark.parametrize("x, runs", [((), 8), (("--x", "3/2"), 10)])
+def test_check_all_runs_each_distinct_basis_once(capsys, monkeypatch, x, runs):
+    # abel-one, derivative and evaluation use abel:1, abel:a and falling:a; at the
+    # default a they are abel:1, abel:0 and falling:1, three of the eight standard bases
+    import setmaps.expansions as expansions
+
+    families, reconstructs = [], expansions.expansion_reconstructs
+
+    def counted(p, family, cap):
+        families.append(family)
+        return reconstructs(p, family, cap)
+
+    monkeypatch.setattr(expansions, "expansion_reconstructs", counted)
+    status, out, _ = run_cli(capsys, "verify", "--check", "all", "--graph", f"{GRAPHS}/k3.txt", *x)
+    assert status == 0 and json.loads(out)["result"]["passed"] == 16
+    assert len(families) == len(set(families)) == runs
+
+
 def test_verify_table_mode_prints_check_lines(capsys):
     status, out, _ = run_cli(
         capsys, "verify", "--check", "forest-count", "--blocks", "2,1", "--format", "table"
@@ -1068,6 +1086,24 @@ def test_block_commands_refuse_k_before_the_cap(capsys, argv):
             ("oracle", "colorings", "--graph", f"{GRAPHS}/k3.txt", "--x", "3", "--basis", "rising"),
             "oracle 'colorings' does not read --basis",
         ),
+        # declared or not, the first unread flag in the flag table's order is named
+        (
+            ("verify", "--check", "binomial", "--graph", f"{GRAPHS}/k3.txt", "--basis", "rising", "--source", "0"),
+            "check 'binomial' does not read --basis",
+        ),
+        (
+            ("verify", "--check", "closed-form", "--blocks", "2,1", "--graph", f"{GRAPHS}/k3.txt", "--source", "1"),
+            "check 'closed-form' does not read --graph",
+        ),
+        (
+            ("verify", "--check", "all", "--graph", f"{GRAPHS}/k3.txt", "--blocks", "2,1", "--source", "1"),
+            "check 'all' does not read --blocks",
+        ),
+        # an unknown check is refused before any flag
+        (
+            ("verify", "--check", "nope", "--graph", f"{GRAPHS}/k3.txt", "--source", "0"),
+            f"unknown check 'nope'; expected one of {cli._CHECK_NAMES} (or 'all' with --graph)",
+        ),
         # the falling factorials of step 0 are not a basis; every other graph check takes a = 0
         *(
             (
@@ -1104,8 +1140,6 @@ def test_any_other_unknown_argument_gets_the_parsers_own_error(capsys, argv):
 def test_the_check_tables_and_the_refusals_name_only_flags_of_the_parser():
     import argparse
 
-    from setmaps.cli_checks import _refuse_unread
-
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     options = {
@@ -1118,20 +1152,16 @@ def test_the_check_tables_and_the_refusals_name_only_flags_of_the_parser():
         for table in tables:
             for name, (_, flags) in table.items():
                 assert set(flags) <= options[command], (command, name)
-    # a refusal can name every declared flag but the ones every name reads
+    # a refusal can name every declared flag but the ones every name reads: the
+    # checks of each kind that read nothing but their input flag refuse the rest
     declared = set().union(*options.values()) - {"help", "check"}
     refused = set()
-    for needed in ("graph", "blocks"):
-        ns = argparse.Namespace(**dict.fromkeys(declared, 1))
-        while True:
-            try:
-                _refuse_unread(ns, "it", (), (needed,))
-            except ValueError as exc:
-                flag = re.fullmatch(r"it does not read --(.*)", str(exc))[1]
-                refused.add(flag)
-                setattr(ns, flag, None)
-            else:
-                break
+    for check in ("binomial", "closed-form"):
+        ns = argparse.Namespace(command="verify", check=check, **dict.fromkeys(declared, 1))
+        while (refusal := cli._refusal(ns, set())) is not None:
+            flag = re.fullmatch(rf"check '{check}' does not read --(.*)", refusal)[1]
+            refused.add(flag)
+            setattr(ns, flag, None)
     assert refused == declared - {"subset", "format", "cap"}
 
 

@@ -61,7 +61,20 @@ def test_import_cli_loads_no_engine_or_parser_module():
     assert not modules & {"argparse", "json", "fractions", "decimal"}
 
 
-@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["chromatic"], 2), (["expand", "--cap", "x"], 2)])
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["--help"], 0),
+        (["chromatic"], 2),
+        (["expand", "--cap", "x"], 2),
+        # the refusals of a flag the check does not read, declared by verify or not,
+        # of a flag the oracle needs, and of an unknown check
+        (["verify", "--check", "binomial", "--graph", str(GRAPHS / "k3.txt"), "--k", "2"], 2),
+        (["verify", "--check", "binomial", "--graph", str(GRAPHS / "k3.txt"), "--source", "0"], 2),
+        (["oracle", "sink-source", "--graph", str(GRAPHS / "k3.txt"), "--sink", "1"], 2),
+        (["verify", "--check", "nope", "--graph", str(GRAPHS / "k3.txt")], 2),
+    ],
+)
 def test_help_and_usage_errors_load_no_engine_module(argv, status):
     modules = loaded_after(f"import setmaps.cli; assert setmaps.cli.main({argv!r}) == {status}")
     assert engine(modules) == {"setmaps.cli"}
