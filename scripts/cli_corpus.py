@@ -21,12 +21,19 @@ output echoes are the same in every checkout.  ``--help`` is not run: its
 text is argparse's rendering of the help strings.  argparse's messages
 differ between Python versions, so compare digests made by one version.
 ``--small`` runs a corner of the corpus, as a smoke test.
+
+``cli_corpus_digests.txt`` records the whole corpus's line on each Python
+version it was run on (``platform.python_version()``).  Where the running
+version has a line there and the corpus prints another, the script exits
+1; a version with no line gets a note on standard error.  A change that
+moves the CLI's output records its new line for every version listed.
 """
 
 import argparse
 import hashlib
 import io
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -38,6 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # range, a header that is not a header; and a name that no file has
 MALFORMED = {"range.txt": "2 1\n0 5\n", "header.txt": "two 1\n0 1\n"}
 MISSING = "missing.txt"
+# one "<python version> <line>" a line
+DIGESTS = ROOT / "scripts" / "cli_corpus_digests.txt"
 BASES = ("monomial", "falling:1", "falling:-1/2", "rising", "abel:0", "abel:2", "logfamily", "nope")
 BLOCK_VECTORS = ("2,1", "1", "2,1,1", "3,1,2,1")
 # each run of a graph or block argv goes through every subset, format and cap
@@ -140,6 +149,11 @@ REFUSAL_ORDER = [
     ["verify", "--check", "all", "--graph", "graphs/k3.txt", "--blocks", "2,1", "--source", "1"],
     ["verify", "--check", "nope", "--graph", "graphs/k3.txt", "--source", "0"],
 ]
+# fixed argvs: a negative fraction after --x, which argparse alone reads as a flag
+NEGATIVE_X = [
+    ["verify", "--check", "evaluation", "--graph", "graphs/k3.txt", "--x", "-3/4"],
+    ["oracle", "colorings", "--graph", "graphs/k3.txt", "--x", "-3/4"],
+]
 
 
 def corpus(small: bool = False) -> list[list[str]]:
@@ -155,7 +169,7 @@ def corpus(small: bool = False) -> list[list[str]]:
     for blocks in BLOCK_VECTORS[: 1 if small else None]:
         for argv in block_argvs(blocks):
             runs += variants(argv, BLOCK_SUBSETS[:keep], CAPS[:keep])
-    return runs + PARSE_ERRORS + SPEC_ARGVS + REFUSAL_ORDER
+    return runs + PARSE_ERRORS + SPEC_ARGVS + REFUSAL_ORDER + NEGATIVE_X
 
 
 def variants(argv: list[str], subsets, caps) -> list[list[str]]:
@@ -205,8 +219,23 @@ def main(argv=None) -> int:
                 del os.environ["COLUMNS"]
             else:
                 os.environ["COLUMNS"] = columns
-    print(f"{len(runs)} runs, sha256 {digest.hexdigest()}")
+    line = f"{len(runs)} runs, sha256 {digest.hexdigest()}"
+    print(line)
+    if args.small:
+        return 0
+    version = platform.python_version()
+    pinned = recorded().get(version)
+    if pinned is None:
+        print(f"note: {DIGESTS.name} records no line for Python {version}", file=sys.stderr)
+    elif pinned != line:
+        print(f"error: {DIGESTS.name} records {pinned!r} for Python {version}", file=sys.stderr)
+        return 1
     return 0
+
+
+def recorded() -> dict[str, str]:
+    """The whole corpus's line by Python version, from ``DIGESTS``."""
+    return dict(entry.split(" ", 1) for entry in DIGESTS.read_text().splitlines())
 
 
 if __name__ == "__main__":

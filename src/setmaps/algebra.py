@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from itertools import zip_longest
 
 from .kernel import _packed, _slot, _transform, full_block_sums
-from .ring import SetMap, _terms, common_denominator, is_exact, quotient, sequence_product
+from .ring import SetMap, _LazyMap, _terms, common_denominator, is_exact, quotient, sequence_product
 
 
 def compose(terms: Iterable, inner: SetMap) -> SetMap:
@@ -38,6 +38,7 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
     power, and one Moebius transform of the sum holds L lam^|T| (a o h)_T in
     slot |T| at mask T, zeros below.  A column is read once its last nonzero
     weight is in, so the terms x^0..x^n hold one column of packed sums at a time.
+    With Poly terms the map holds the columns as its coordinates (``ring._LazyMap``).
     """
     if inner.table[0] != 0:
         raise ValueError("composition requires value 0 on the empty set")
@@ -65,7 +66,10 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
             if k == last[j]:  # the column is whole: its values replace its packed sums
                 _transform(sums[j], operator.sub)
                 sums[j] = [_slot(x, w, r, L * lam**r) for x, r in zip(sums[j], ranks)]
-    return SetMap(n, map(Poly, zip(*sums)) if polys else sums[0])
+    if not polys:
+        return SetMap(n, sums[0])
+    basis = [Poly.monomial(j) for j in range(len(sums))]
+    return _LazyMap(n, lambda S: Poly(column[S] for column in sums), lambda: (basis, sums))
 
 
 def _revert(terms: tuple) -> list:

@@ -64,14 +64,14 @@ the name does not read, declared by the command's parser or not (``error:
 command 'abel' does not read --graph``); the first flag it needs.  Any
 other unknown argument gets argparse's usage error.  ``--source`` and
 ``--sink`` are vertex labels of the graph file, inside ``--subset``.  A
-negative ``--cap`` is refused while parsing.  A command prints that
-warning after its own usage checks and before its first cap.  A check's
-cap, or its ``--cap`` override, governs every stage the check runs.
-The ``expand`` command and every graph check share the block-sum
-kernel's cap, ``ring.BLOCK_SUM_CAP``;
-the command keeps it on the table's vertices, although the library
-``expand`` runs no kernel and takes no cap.  Every graph check caps
-vertices.  ``chromatic`` prints the chromatic table's value at the full
+negative fraction after ``--x`` is its value (``--x -3/4``), and a negative
+``--cap`` is refused while parsing.  A command prints that warning after
+its own usage checks and before its first cap.  A check's cap, or its
+``--cap`` override, governs every stage the check runs.  The ``expand``
+command and every graph check share the block-sum kernel's cap,
+``ring.BLOCK_SUM_CAP``; the command keeps it on the table's vertices,
+although the library ``expand`` runs no kernel and takes no cap.  Every
+graph check caps vertices.  ``chromatic`` prints the chromatic table's value at the full
 set of its induced subgraph, and caps that subgraph's vertices at
 ``graphs.CHROMATIC_POLY_CAP``, and ``abel`` the selected blocks at
 ``abel.ABEL_POLY_CAP``, each before any work; the ``abel`` warning prices
@@ -389,8 +389,14 @@ def _refusal(ns: "argparse.Namespace", given: set[str]) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    args = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a token that starts with "-" as a flag unless it is an integer or a
+    # decimal, so a negative fraction after --x is joined to it: --x=-3/4
+    for i in reversed(range(1, len(args))):
+        if args[i - 1] == "--x" and args[i][:1] == "-" and args[i][1:2].isdigit():
+            args[i - 1 : i + 1] = [f"--x={args[i]}"]
     try:
-        ns, extras = parser.parse_known_args(argv)
+        ns, extras = parser.parse_known_args(args)
         # a flag of another command is one this command does not read (--flag or --flag=value)
         given = {arg.partition("=")[0][2:] for arg in extras if arg.startswith("--")} & _FLAGS.keys()
         if extras and not given:  # parse_args's own refusal

@@ -6,12 +6,11 @@ stable sets of (x)_len(sigma), that is compose((x)_k, [T stable]).  One
 pass over the masks counts the stable partitions of every subset by
 block count, visiting the vertices largest last and taking a simplicial
 vertex in one pass over the slots; no induced subgraph is built.  The
-counts are the values' coordinates in the falling factorials (``_FALLING``).
-The table keeps them packed and builds a polynomial from them only when it
-is read; ``expand`` and the checks read the counts themselves
-(``_CountTable.coordinates``).  A single polynomial (``chromatic_poly``) is
-the table's value at the full set, under a vertex cap of its own
-(``CHROMATIC_POLY_CAP``) checked before the count pass.
+counts are the values' coordinates in the falling factorials (``_FALLING``):
+the table holds them packed (``ring._LazyMap``), and ``expand`` and the
+checks read them.  A single polynomial (``chromatic_poly``) is the table's
+value at the full set, under a vertex cap of its own (``CHROMATIC_POLY_CAP``)
+checked before the count pass.
 
 Three routes to the chromatic polynomial check the table: deletion-
 contraction, the edge-subset expansion and interpolation through coloring
@@ -31,7 +30,7 @@ from collections.abc import Iterable
 from itertools import accumulate, repeat
 
 from .poly import Poly
-from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, rational
+from .ring import MAX_GROUND_SIZE, CapExceeded, SetMap, _LazyMap, rational
 
 
 class GraphFormatError(ValueError):
@@ -278,72 +277,40 @@ def _stable_partition_counts(graph: Graph) -> list[int]:
     return packed
 
 
-class _CountTable(SetMap):
-    """The chromatic table, kept as the packed counts of its masks.
-
-    ``table[S]`` decodes the value of S (``_value``) and keeps nothing.  The
-    ``table`` tuple, which equality and the arithmetic read and no engine
-    path does, is built on first use and kept.  ``coordinates`` unpacks the
-    counts once and keeps them.  Both read them in the one list ``_FALLING``.
-    """
-
-    __slots__ = ("_packed", "_built", "_coordinates")
-
-    def __init__(self, n: int, packed: list):
-        self.n, self._packed = n, packed
-        self._built = self._coordinates = None
-
-    def _value(self, S: int) -> Poly:
-        """chi_S = sum_k s_k(S) (x)_k, each (x)_k's monomial coefficients added in."""
-        width = S.bit_count() + 1
-        coeffs = [0] * width
-        for s, falling in zip(_slots(self._packed[S], width), _FALLING):
-            if s:
-                coeffs[: len(falling.coeffs)] = map(operator.add, coeffs, map(s.__mul__, falling.coeffs))
-        return Poly(coeffs)
-
-    @property
-    def table(self) -> tuple:
-        if self._built is None:
-            self._built = tuple(map(self._value, range(1 << self.n)))
-        return self._built
-
-    def __getitem__(self, mask: int):
-        if not 0 <= mask < 1 << self.n:
-            raise IndexError(f"mask {mask} outside ground set of size {self.n}")
-        return self._value(mask) if self._built is None else self._built[mask]
-
-    def coordinates(self) -> tuple[list, list]:
-        """chi_S = sum_j s_j(S) (x)_j: the falling factorials (x)_0, ..., (x)_n,
-        and for each j the counts s_j(S) of every mask S, as unsigned ints."""
-        if self._coordinates is None:
-            n = self.n
-            flat = b"".join(map(int.to_bytes, self._packed, repeat(8 * (n + 1)), repeat("little")))
-            # 64-bit slots written little-endian: a view where that is the native order
-            little = sys.byteorder == "little"
-            counts = memoryview(flat).cast("Q") if little else struct.unpack(f"<{len(flat) // 8}Q", flat)
-            self._coordinates = _FALLING[: n + 1], [counts[j :: n + 1] for j in range(n + 1)]
-        return self._coordinates
-
-
 def chromatic_setmap(graph: Graph) -> SetMap:
     """The map S -> chromatic polynomial of the induced subgraph on S.
 
     One pass over the masks counts the stable partitions of every subset
-    by block count (``_stable_partition_counts``), and the map keeps those
-    packed counts.  A value is built when it is read: its count vector is
-    dotted with the falling factorials' monomial coefficients, the signed
-    Stirling numbers of the first kind, chi_S = sum_k s_k(S) (x)_k and
-    (x)_k = sum_j s(k, j) x^j, and the Poly is built from plain ints.
-    ``table[S]`` builds the one value of S, each time it is read; the whole
-    ``table``, which equality and the arithmetic read, is built once and
-    then kept.  The engine's readers read the counts, not the values
-    (``_CountTable.coordinates``).  The table's one cap: more than
-    ``MAX_GROUND_SIZE`` vertices raise ``CapExceeded`` before the count pass.
+    by block count (``_stable_partition_counts``), and the map holds those
+    packed counts (``ring._LazyMap``).  ``table[S]`` builds the value of S: its
+    count vector dotted with the falling factorials' monomial coefficients,
+    the signed Stirling numbers of the first kind, chi_S = sum_k s_k(S) (x)_k
+    and (x)_k = sum_j s(k, j) x^j, a Poly built from plain ints.  The engine
+    reads the counts, unpacked once, as the coordinates: the falling factorials
+    (x)_0, ..., (x)_n and, for each j, the unsigned counts s_j(S) of every mask.
+    The table's one cap: more than ``MAX_GROUND_SIZE`` vertices raise
+    ``CapExceeded`` before the count pass.
     """
     if graph.n > MAX_GROUND_SIZE:
         raise CapExceeded(f"chromatic set map capped at {MAX_GROUND_SIZE} vertices")
-    return _CountTable(graph.n, _stable_partition_counts(graph))
+    n, packed = graph.n, _stable_partition_counts(graph)
+
+    def value(S: int) -> Poly:  # each (x)_k's monomial coefficients added in
+        width = S.bit_count() + 1
+        coeffs = [0] * width
+        for s, falling in zip(_slots(packed[S], width), _FALLING):
+            if s:
+                coeffs[: len(falling.coeffs)] = map(operator.add, coeffs, map(s.__mul__, falling.coeffs))
+        return Poly(coeffs)
+
+    def coordinates() -> tuple[list, list]:
+        flat = b"".join(map(int.to_bytes, packed, repeat(8 * (n + 1)), repeat("little")))
+        # 64-bit slots written little-endian: a view where that is the native order
+        little = sys.byteorder == "little"
+        counts = memoryview(flat).cast("Q") if little else struct.unpack(f"<{len(flat) // 8}Q", flat)
+        return _FALLING[: n + 1], [counts[j :: n + 1] for j in range(n + 1)]
+
+    return _LazyMap(n, value, coordinates)
 
 
 # by the rule that set ring.BLOCK_SUM_CAP: the largest n under 10 s and 512 MiB

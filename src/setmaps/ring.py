@@ -25,7 +25,7 @@ import math
 import operator
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import zip_longest
 
 MAX_GROUND_SIZE = 20
@@ -241,8 +241,7 @@ class SetMap:
     def coordinates(self) -> tuple[list, list]:
         """The values' coordinates: a basis b_0, ..., b_D and, for each j, the
         column of j-th coordinates over all masks, so that the value at S is
-        sum_j columns[j][S] b_j.  Here the basis is the monomials x^j; a table
-        that holds its values in another basis overrides this (``graphs``)."""
+        sum_j columns[j][S] b_j; here the basis is the monomials x^j."""
         from .poly import Poly
 
         try:
@@ -260,6 +259,26 @@ class SetMap:
 
         terms = [(-1) ** k * math.factorial(k) for k in range(self.n + 1)]
         return compose(terms, self - SetMap.unit(self.n))
+
+
+class _LazyMap(SetMap):
+    """A polynomial map that holds its coordinates: ``coordinates()`` returns what
+    the function ``coordinates`` returns on its first call, ``[S]`` builds one value
+    by ``read(S)`` and keeps nothing, and ``table``, which equality and the
+    arithmetic read, is built once and kept."""
+
+    def __init__(self, n: int, read: Callable[[int], object], coordinates: Callable[[], tuple]):
+        self.n, self._read, self.coordinates = n, read, cache(coordinates)
+
+    @cached_property
+    def table(self) -> tuple:
+        return tuple(map(self._read, range(1 << self.n)))
+
+    def __getitem__(self, mask: int):
+        if not 0 <= mask < 1 << self.n:
+            raise IndexError(f"mask {mask} outside ground set of size {self.n}")
+        built = vars(self).get("table")  # where cached_property keeps it
+        return self._read(mask) if built is None else built[mask]
 
 
 # the default cap of `expand` and of every caller whose work is the block-sum kernel

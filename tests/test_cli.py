@@ -16,6 +16,7 @@ import pytest
 import setmaps.cli as cli
 import setmaps.graphs as graphs
 import setmaps.oracles as oracles
+import setmaps.ring as ring
 from setmaps.abel import ABEL_POLY_CAP
 from setmaps.graphs import CHROMATIC_POLY_CAP, Graph
 from setmaps.poly import Poly
@@ -144,14 +145,16 @@ def test_verify_binomial_pass(capsys):
 
 
 def test_no_command_builds_the_whole_table_of_values(capsys, monkeypatch):
-    # equality and the arithmetic read a chromatic table's tuple of values; every
-    # command reads single values or the counts (the values' coordinates)
+    # equality and the arithmetic read the tuple of values of a map that holds its
+    # coordinates, a chromatic table or a composition with Poly terms; every command
+    # reads single values or the coordinates (the counts, the coefficient columns)
     def refuse(self):
         raise AssertionError("the whole tuple of values was built")
 
-    monkeypatch.setattr(graphs._CountTable, "table", property(refuse))
+    monkeypatch.setattr(ring._LazyMap, "table", property(refuse))
     c8 = f"{GRAPHS}/c8.txt"
     runs = [("verify", "--check", "all", "--graph", c8), ("chromatic", "--graph", c8)]
+    runs += [("verify", "--check", "binomial", "--graph", c8)]
     runs += [("expand", "--graph", c8, "--basis", str(family)) for family in standard_families()]
     for argv in runs:
         status, out, err = run_cli(capsys, *argv)
@@ -594,6 +597,21 @@ def test_malformed_flag_values_are_argparse_errors(capsys, argv, message):
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == ""
     assert err.endswith(f"setmaps {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, status, text",
+    [
+        (("verify", "--check", "evaluation", "--graph", f"{GRAPHS}/k3.txt"), 0, '"name": "evaluation a=-3/4"'),
+        # the value reaches the oracle, which counts colorings with a whole number of colors
+        (("oracle", "colorings", "--graph", f"{GRAPHS}/k3.txt"), 2, "color count must be a nonnegative integer"),
+    ],
+)
+def test_a_negative_fraction_after_x_is_its_value(capsys, argv, status, text):
+    # argparse alone reads "-3/4" as a flag, though "-1" and "-2.5" as values
+    runs = [run_cli(capsys, *argv, *x) for x in (("--x", "-3/4"), ("--x=-3/4",))]
+    assert runs[0] == runs[1] and runs[0][0] == status and text in runs[0][1] + runs[0][2]
+    assert "expected one argument" not in runs[0][2]
 
 
 def test_subset_out_of_range_is_usage_error(capsys, k2_file):

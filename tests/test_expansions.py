@@ -1,7 +1,7 @@
 """Expansion theorem, coefficient interpretations, and power identity."""
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, perm, prod
 from unittest.mock import patch
 
 import pytest
@@ -133,11 +133,9 @@ def test_the_binomial_check_agrees_with_the_subset_sum_grid(family, table, data)
 def test_the_binomial_check_refuses_a_chromatic_table_with_one_count_moved(S, k):
     # the table's own coordinates, the counts s_k(S) in the falling factorials, which the
     # monomial maps above never reach: one count one higher is not of binomial type
-    p = chromatic_setmap(Graph.cycle(5))
-    assert check_binomial_type(p)
-    packed = list(p._packed)
-    packed[S] += 1 << graphs._SLOT * (S.bit_count() if k == "|S|" else int(k))
-    assert not check_binomial_type(graphs._CountTable(5, packed))
+    g = Graph.cycle(5)
+    assert check_binomial_type(chromatic_setmap(g))
+    assert not check_binomial_type(miscount(g, S, S.bit_count() if k == "|S|" else int(k), 1))
 
 
 def test_binomial_check_refuses_rational_values():
@@ -660,6 +658,79 @@ def test_a_composition_resums_its_monomial_coordinates(source, table):
 def test_an_abel_map_resums_its_monomial_coordinates(sizes):
     p = abel_setmap(BlockPartition(sizes))
     assert resum(p) == list(p.table)
+
+
+@st.composite
+def held_maps(draw):
+    """A graph on n <= 6 vertices, a map on its vertices (the graph's chromatic table, a
+    composition with Poly terms, a family's members or random, or one with int terms)
+    and the plain SetMap of the map's values, taken by deletion-contraction or by the
+    sum over the set partitions of each mask."""
+    graph = draw(small_graphs(max_n=6))
+    n = graph.n
+    kind = draw(st.sampled_from(["chromatic", "family", "poly", "int"]))
+    if kind == "chromatic":
+        values = [deletion_contraction(graph.restrict(S)) for S in range(1 << n)]
+        return graph, chromatic_setmap(graph), SetMap(n, values)
+    inner = [0, *draw(st.lists(st.integers(-3, 3), min_size=(1 << n) - 1, max_size=(1 << n) - 1))]
+    if kind == "family":
+        terms = draw(st.sampled_from(standard_families())).members(n)
+    else:
+        term = st.lists(st.integers(-3, 3), max_size=3).map(Poly) if kind == "poly" else st.integers(-3, 3)
+        terms = draw(st.lists(term, min_size=n + 1, max_size=n + 1))
+    values = [sum((terms[len(sigma)] * prod(inner[B] for B in sigma) for sigma in partitions_of(S)), 0 * terms[0])
+              for S in range(1 << n)]
+    return graph, compose(terms, SetMap(n, inner)), SetMap(n, values)
+
+
+def readings(graph: Graph, p: SetMap, family, x0, y0: int) -> tuple:
+    """What each coordinate reader makes of p, or the type of the error it raises."""
+    def outcome(read):
+        try:
+            return read()
+        except (TypeError, ValueError) as exc:  # values that are not polynomials; p_empty != 1
+            return type(exc)
+
+    exp = outcome(lambda: expand(p, family))
+    return (
+        exp if isinstance(exp, type) else (exp.coeffs, exp.lengths),
+        outcome(lambda: check_binomial_type(p)),
+        outcome(lambda: verify_power_identity(p, x0, y0)),
+        outcome(lambda: verify_stanley_evaluation(graph, p)),
+    )
+
+
+def trimmed(p: SetMap) -> tuple:
+    """p's coordinates as lists, without their trailing all-zero columns."""
+    basis, columns = p.coordinates()
+    columns = [list(column) for column in columns]
+    while columns and not any(columns[-1]):
+        columns.pop()
+    return basis[: len(columns)], columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(held_maps(), st.sampled_from(standard_families()), st.sampled_from([2, -1, Fraction(1, 2)]),
+       st.integers(1, 3))
+def test_a_map_that_holds_its_coordinates_agrees_with_the_plain_map_of_its_values(drawn, family, x0, y0):
+    graph, p, plain = drawn
+    masks = range(1 << p.n)
+    for _ in range(2):  # each read before the whole table is built, then after
+        assert [p[S] for S in masks] == list(plain.table)
+        for mask in (-1, 1 << p.n):
+            with pytest.raises(IndexError, match=f"mask {mask} outside ground set of size {p.n}"):
+                p[mask]
+        assert readings(graph, p, family, x0, y0) == readings(graph, plain, family, x0, y0)
+        if isinstance(p[0], Poly):
+            # a chromatic table holds its counts in the falling factorials, a composition
+            # its coefficient columns in the monomials
+            assert resum(p) == list(plain.table)
+            basis = p.coordinates()[0]
+            if basis == [Poly.monomial(j) for j in range(len(basis))]:
+                assert trimmed(p) == trimmed(plain)
+        assert p == plain and plain == p and p.table == plain.table
+        assert p + plain == plain + p == plain + plain and p - plain == plain - p == plain - plain
+    assert p.table is p.table
 
 
 def verdicts(graph: Graph, p: SetMap, x0, y0: int, binomial: bool) -> tuple:

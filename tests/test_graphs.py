@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -473,7 +474,8 @@ def top_width_table(counts: list):
     slots hold ``counts``."""
     packed = [0] * (1 << 20)
     packed[-1] = sum(c << 64 * k for k, c in enumerate(counts))
-    return graphs._CountTable(20, packed)
+    with patch.object(graphs, "_stable_partition_counts", lambda graph: packed):
+        return chromatic_setmap(Graph.edgeless(20))
 
 
 def test_the_decoder_reads_the_top_width_exactly():

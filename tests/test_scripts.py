@@ -57,6 +57,30 @@ def test_cli_corpus_digests_every_command_check_and_oracle(capsys, monkeypatch):
     assert corpus.main(["--small"]) == 0 and capsys.readouterr().out != line
 
 
+def test_cli_corpus_fails_where_its_python_records_another_line(capsys, monkeypatch, tmp_path):
+    import platform
+
+    corpus = load_script("cli_corpus")
+    # every recorded line counts the runs of the whole corpus
+    recorded = corpus.recorded()
+    assert recorded and all(re.fullmatch(r"\d+\.\d+\.\d+", version) for version in recorded)
+    assert {line.split(" runs")[0] for line in recorded.values()} == {str(len(corpus.corpus()))}
+    # the whole corpus takes about a minute: its small corner stands in for it
+    small = corpus.corpus(small=True)
+    monkeypatch.setattr(corpus, "corpus", lambda small_only: small)
+    monkeypatch.setattr(corpus, "DIGESTS", tmp_path / "digests.txt")
+    corpus.DIGESTS.write_text("")
+    assert corpus.main([]) == 0
+    line, err = capsys.readouterr()
+    assert err == f"note: digests.txt records no line for Python {platform.python_version()}\n"
+    moved = line[:-2] + ("0" if line[-2] != "0" else "1")  # its last hex digit moved
+    for text, status in ((line, 0), (moved, 1)):
+        corpus.DIGESTS.write_text(f"3.0.0 {moved}\n{platform.python_version()} {text}")
+        assert corpus.main([]) == status
+        out, err = capsys.readouterr()
+        assert out == line and (err == "") == (status == 0)
+
+
 def test_cap_probe_prints_a_reference_timing_first(capsys, monkeypatch):
     probe = load_script("cap_probe")
     monkeypatch.setattr(probe, "probe", lambda points: 0)  # the rows are not run here
