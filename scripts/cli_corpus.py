@@ -149,10 +149,15 @@ REFUSAL_ORDER = [
     ["verify", "--check", "all", "--graph", "graphs/k3.txt", "--blocks", "2,1", "--source", "1"],
     ["verify", "--check", "nope", "--graph", "graphs/k3.txt", "--source", "0"],
 ]
-# fixed argvs: a negative fraction after --x, which argparse alone reads as a flag
+# fixed argvs: a negative fraction after a flag, which argparse alone reads as a flag
 NEGATIVE_X = [
     ["verify", "--check", "evaluation", "--graph", "graphs/k3.txt", "--x", "-3/4"],
     ["oracle", "colorings", "--graph", "graphs/k3.txt", "--x", "-3/4"],
+]
+NEGATIVE_VALUES = [
+    ["verify", "--check", "power", "--graph", "graphs/k3.txt", "--k", "-2/3"],
+    ["oracle", "unique-sink", "--graph", "graphs/k3.txt", "--sink", "-1/2"],
+    ["abel", "--blocks", "-1,2"],
 ]
 
 
@@ -169,7 +174,7 @@ def corpus(small: bool = False) -> list[list[str]]:
     for blocks in BLOCK_VECTORS[: 1 if small else None]:
         for argv in block_argvs(blocks):
             runs += variants(argv, BLOCK_SUBSETS[:keep], CAPS[:keep])
-    return runs + PARSE_ERRORS + SPEC_ARGVS + REFUSAL_ORDER + NEGATIVE_X
+    return runs + PARSE_ERRORS + SPEC_ARGVS + REFUSAL_ORDER + NEGATIVE_X + NEGATIVE_VALUES
 
 
 def variants(argv: list[str], subsets, caps) -> list[list[str]]:

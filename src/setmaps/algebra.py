@@ -2,13 +2,12 @@
 
 Composition is the set-map form of the exponential formula: (a o h)_S
 sums a_{len(sigma)} times the product of h over the blocks, over the set
-partitions sigma of S.  ``compose`` is the every-mask readout of the
-block-sum kernel (``kernel``), one Moebius transform per coefficient column
-of the terms; ``SetMap.inverse``, ``decompose`` and ``recover_sequence``
-are EGF algebra on it.  The Abel partition sums and the expansion checks
-read the full set alone (``kernel.full_block_sums``) and never load this
-module.  All arithmetic is exact: the terms are ints, Fractions or Polys,
-the inner map rational, and every division is ``ring.quotient``.
+partitions sigma of S.  ``compose`` reads each coefficient column of its
+terms at every mask (``kernel.composition_columns``); ``SetMap.inverse``,
+``decompose`` and ``recover_sequence`` are EGF algebra on it.  The Abel
+partition sums and the expansion checks read the full set alone
+(``kernel.full_block_sums``) and never load this module.  All arithmetic
+is exact, and every division is ``ring.quotient``.
 """
 
 from __future__ import annotations
@@ -18,27 +17,16 @@ import operator
 from collections.abc import Iterable
 from itertools import zip_longest
 
-from .kernel import _packed, _slot, _transform, full_block_sums
-from .ring import SetMap, _LazyMap, _terms, common_denominator, is_exact, quotient, sequence_product
+from .kernel import composition_columns, full_block_sums
+from .ring import SetMap, _LazyMap, _terms, is_exact, quotient, sequence_product
 
 
 def compose(terms: Iterable, inner: SetMap) -> SetMap:
     """Compose a sequence with a rational set map vanishing on the empty set.
 
-    (a o h)_S = sum_k a_k c_k(S), c_k(S) the sum over k-block set partitions
-    of S of the product of h over the blocks (c_0 is 1 on the empty set).
-    The terms, 0..n, are ints, Fractions or Polys.
-
-    Ranked zeta/Moebius transform (Bjorklund, Husfeldt, Kaski, Koivisto,
-    "Fourier meets Moebius", STOC 2007), Kronecker-packed (``_packed``):
-    k! c_k is the k-fold disjoint product.  No block is empty, so a packed
-    mask divides by z and its k-th power over z^k is one int product kept
-    to n + 1 - k slots.  The transform is linear: a coefficient column of
-    the terms, as int weights W_k = L a_k / k!, sums W_k z^k times the k-th
-    power, and one Moebius transform of the sum holds L lam^|T| (a o h)_T in
-    slot |T| at mask T, zeros below.  A column is read once its last nonzero
-    weight is in, so the terms x^0..x^n hold one column of packed sums at a time.
-    With Poly terms the map holds the columns as its coordinates (``ring._LazyMap``).
+    (a o h)_S = sum_k a_k c_k(S), c_k(S) the sum over k-block set partitions of S of the
+    product of h over the blocks (c_0 is 1 on the empty set).  The terms, 0..n, are ints,
+    Fractions or Polys; with Polys the map holds the columns' compositions (``ring._LazyMap``).
     """
     if inner.table[0] != 0:
         raise ValueError("composition requires value 0 on the empty set")
@@ -51,25 +39,11 @@ def compose(terms: Iterable, inner: SetMap) -> SetMap:
     columns = list(zip_longest(*coeffs, fillvalue=0))
     if not all(is_exact(a) for column in columns for a in column):
         raise TypeError("composition terms are ints, Fractions or Polys")
-    weights, scales = zip(*(common_denominator(quotient(a, math.factorial(k)) for k, a in enumerate(column))
-                            for column in columns))
-    n, w, mask, lam, ranks, (zeta,) = _packed([inner.table], weights)
-    power = zeta = [x >> w for x in zeta]
-    last = [max((k for k, c in enumerate(W) if c), default=0) for W in weights]
-    sums = [[W[0]] * len(zeta) for W in weights]  # the 0-th power is 1 at every mask
-    for k in range(max(last) + 1):
-        if k > 1:
-            power = [a * b & mask >> w * k for a, b in zip(power, zeta)]
-        for j, (W, L) in enumerate(zip(weights, scales)):
-            if k and W[k]:
-                sums[j][:] = [x + (W[k] * y << w * k) for x, y in zip(sums[j], power)]
-            if k == last[j]:  # the column is whole: its values replace its packed sums
-                _transform(sums[j], operator.sub)
-                sums[j] = [_slot(x, w, r, L * lam**r) for x, r in zip(sums[j], ranks)]
+    sums = composition_columns(inner.table, columns)
     if not polys:
-        return SetMap(n, sums[0])
+        return SetMap(inner.n, sums[0])
     basis = [Poly.monomial(j) for j in range(len(sums))]
-    return _LazyMap(n, lambda S: Poly(column[S] for column in sums), lambda: (basis, sums))
+    return _LazyMap(inner.n, lambda S: Poly(column[S] for column in sums), lambda: (basis, sums))
 
 
 def _revert(terms: tuple) -> list:

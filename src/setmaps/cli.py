@@ -64,7 +64,7 @@ the name does not read, declared by the command's parser or not (``error:
 command 'abel' does not read --graph``); the first flag it needs.  Any
 other unknown argument gets argparse's usage error.  ``--source`` and
 ``--sink`` are vertex labels of the graph file, inside ``--subset``.  A
-negative fraction after ``--x`` is its value (``--x -3/4``), and a negative
+negative fraction after any flag is its value (``--x -3/4``), and a negative
 ``--cap`` is refused while parsing.  A command prints that warning after
 its own usage checks and before its first cap.  A check's cap, or its
 ``--cap`` override, governs every stage the check runs.  The ``expand``
@@ -391,10 +391,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a token that starts with "-" as a flag unless it is an integer or a
-    # decimal, so a negative fraction after --x is joined to it: --x=-3/4
+    # decimal, so a negative fraction after a flag is joined to it: --x=-3/4, --k=-2/3
     for i in reversed(range(1, len(args))):
-        if args[i - 1] == "--x" and args[i][:1] == "-" and args[i][1:2].isdigit():
-            args[i - 1 : i + 1] = [f"--x={args[i]}"]
+        if args[i - 1][:2] == "--" and args[i - 1][2:] in _FLAGS and args[i][:1] == "-" and args[i][1:2].isdigit():
+            args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
     try:
         ns, extras = parser.parse_known_args(args)
         # a flag of another command is one this command does not read (--flag or --flag=value)

@@ -1,12 +1,12 @@
 """The block-sum kernel: ranked zeta and Moebius transforms, Kronecker-packed.
 
 Each mask's rank polynomial is packed into one int (``_packed``) and
-zeta-transformed once (``_transform``); a slot of the result is read back
-over the packing scale (``_slot``).  Its readouts: the product of two
-transforms (``SetMap.__mul__``), every mask of weighted sums of the powers
-of one, a coefficient column at a time (``algebra.compose``), and the full
-set alone (``full_block_sums``: the Abel closed form, the expansion checks).
-Only those callers import it, so ``expand``, ``chromatic`` or a table read
+zeta-transformed once (``_transform``); one loop forms its powers
+(``_powers``), and a slot is read back over the packing scale (``_slot``).
+No other module reads this format, only its readouts: the ``product`` of
+two tables, a column's weighted sum of the powers at every mask
+(``composition_columns``), and the full set alone (``full_block_sums``).
+Only their callers import it, so ``expand``, ``chromatic`` or a table read
 never compile it.  All arithmetic is exact; it refuses non-rational values.
 """
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
+from itertools import chain
 
-from .ring import quotient, sequence_product
+from .ring import common_denominator, quotient, sequence_product
 
 
 def _transform(a: list, op: Callable) -> list:
@@ -158,25 +159,59 @@ def _slot(packed: int, w: int, r: int, scale: int):
     return quotient(q, scale)
 
 
+def _powers(base: list, mask: int, w: int, top: int):
+    """Yield the k-th power over z^k of each int of ``base``, k = 1..top, one at a
+    time, kept to n + 1 - k slots: no block is empty, so each int divides by z."""
+    for k in range(1, top + 1):
+        power = base if k == 1 else [a * b & mask >> w * k for a, b in zip(power, base)]
+        yield power
+
+
+def product(g, h) -> list:
+    """The convolution of two rational tables, (g * h)_S the sum of g_T h_U over
+    T | U = S, T & U = 0.  lam^0 cannot clear a denominator on the empty set, and
+    ``_packed`` refuses a value that has none, so the two are cleared first."""
+    c, d = (getattr(t[0], "denominator", 1) for t in (g, h))
+    tables = [t if e == 1 else [x * e for x in t] for t, e in ((g, c), (h, d))]
+    n, w, mask, lam, ranks, (a, b) = _packed(tables, ((0, 1), (0, 0, 1)))
+    layer = _transform([x * y & mask for x, y in zip(a, b)], operator.sub)
+    return [_slot(x, w, r, c * d * lam**r) for x, r in zip(layer, ranks)]
+
+
+def composition_columns(table, columns) -> list:
+    """Per column (a_0, a_1, ...) of exact coefficients, sum_k a_k c_k(S) at every mask S, c_k
+    as in ``full_block_sums``, for a rational ``table`` 0 on the empty set.  k! c_k is the
+    k-fold disjoint product (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007), so with the
+    column's int weights W_k = L a_k / k!, one Moebius transform of sum_k W_k z^k times the
+    k-th power holds L lam^|S| times the value in slot |S| at mask S.  A column is read once
+    its last nonzero weight is in: the terms x^0..x^n hold one column of sums at a time."""
+    weights, scales = zip(*(common_denominator(quotient(a, math.factorial(k)) for k, a in enumerate(column))
+                            for column in columns))
+    n, w, mask, lam, ranks, (zeta,) = _packed([table], weights)
+    zeta[:] = [x >> w for x in zeta]
+    last = [max((k for k, c in enumerate(W) if c), default=0) for W in weights]
+    sums = [[W[0]] * len(zeta) for W in weights]  # the 0-th power is 1 at every mask
+    for k, power in enumerate(chain([None], _powers(zeta, mask, w, max(last)))):
+        for j, (W, L) in enumerate(zip(weights, scales)):
+            if k and W[k]:
+                sums[j][:] = [x + (W[k] * y << w * k) for x, y in zip(sums[j], power)]
+            if k == last[j]:  # the column is whole: its values replace its packed sums
+                sums[j] = [_slot(x, w, r, L * lam**r) for x, r in zip(_transform(sums[j], operator.sub), ranks)]
+    return sums
+
+
 def full_block_sums(table) -> tuple:
-    """(c_0, ..., c_n), c_k the sum over the k-block set partitions of the full
-    set of the product of ``table`` over the blocks, from n 2^n int products:
-    the Moebius transform there is the sum over masks X of (-1)^(n-|X|) times
-    the power at X, so the masks split in two lists by sign.  No disjoint
-    k-tuple short of n elements covers the full set, so the slots below n
-    are 0 and slot n is k! c_k lam^n (slot n - k over z^k)."""
+    """(c_0, ..., c_n), c_k the sum over the k-block set partitions of the full set of the
+    product of ``table`` over the blocks.  The Moebius transform there sums (-1)^(n-|X|)
+    times the power at X, so the masks are ordered by sign and the halves go through the
+    power loop in turn, half a power list alive at a time.  No disjoint k-tuple short of n
+    elements covers the full set: slot n (n - k over z^k) is k! c_k lam^n, zeros below."""
     if not table or len(table) & (len(table) - 1):  # a table over n elements has 2^n values
         raise ValueError(f"table length {len(table)} is not a power of 2")
     alone = [(0,) * k + (1,) for k in range(1, len(table).bit_length())]  # each power 1..n
     n, w, mask, lam, ranks, (zeta,) = _packed([(0, *table[1:])], alone)
-    plus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2 == 0]
-    minus = [x >> w for x, r in zip(zeta, ranks) if (n - r) % 2]
-    sums, pp, mp = [int(n == 0)], plus, minus
-    for k in range(1, n + 1):
-        if k > 1:
-            pp = [a * b & mask >> w * k for a, b in zip(pp, plus)]
-            mp = [a * b & mask >> w * k for a, b in zip(mp, minus)]
-        sums.append(_slot(sum(pp) - sum(mp), w, n - k, math.factorial(k) * lam**n))
-    return tuple(sums)
-
-
+    zeta[:] = [x >> w for sign in (0, 1) for x, r in zip(zeta, ranks) if (n - r) % 2 == sign]
+    half = len(zeta) // 2
+    even, odd = ([sum(power) for power in _powers(part, mask, w, n)] for part in (zeta[:half], zeta[half:]))
+    return (int(n == 0), *(_slot(a - b, w, n - k, math.factorial(k) * lam**n)
+                           for k, (a, b) in enumerate(zip(even, odd), 1)))

@@ -6,11 +6,10 @@ convolution over ordered disjoint decompositions, (g * h)_S = sum of
 g_T h_U over T | U = S, T & U = 0, and generalizes the product of
 exponential generating functions.
 
-The product runs on the block-sum kernel (``kernel``), which ``__mul__``
-imports when it runs: a process that never multiplies set maps, such as
-``expand``, ``chromatic`` or a table read, never compiles it.  Composition
-(the kernel's every-mask readout) and the inverse, decomposition and
-recovery built on it live in ``algebra``, loaded only to compose.  All
+The product is ``kernel.product``, a readout of the block-sum kernel that
+``__mul__`` imports when it runs, so ``expand``, ``chromatic`` or a table
+read never compile the kernel; composition and the inverse, decomposition
+and recovery built on it live in ``algebra``, loaded only to compose.  All
 arithmetic is exact (Fraction or int); the kernel refuses other values.
 The engine's exact-number rule is here, once: ``quotient``, its only exact
 division, and ``rational``, ``parse_rational``, ``common_denominator`` and
@@ -22,7 +21,6 @@ division, and ``rational``, ``parse_rational``, ``common_denominator`` and
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache, cached_property, lru_cache
@@ -220,20 +218,13 @@ class SetMap:
         return SetMap(self.n, (-a for a in self.table))
 
     def __mul__(self, other):
-        """Convolution of rational maps: the packed ranked transform
-        (``kernel._packed``) of a product of two factors."""
+        """Convolution of rational maps: the block-sum kernel's ``product``."""
         if not isinstance(other, SetMap):
             return NotImplemented
         self._same_ground(other)
-        from .kernel import _packed, _slot, _transform
+        from .kernel import product
 
-        # lam^0 cannot clear a denominator on the empty set, so clear it first;
-        # _packed refuses a value that has none
-        c, d = (getattr(t[0], "denominator", 1) for t in (self.table, other.table))
-        tables = [t if e == 1 else [x * e for x in t] for t, e in ((self.table, c), (other.table, d))]
-        n, w, mask, lam, ranks, (g, h) = _packed(tables, ((0, 1), (0, 0, 1)))
-        layer = _transform([a * b & mask for a, b in zip(g, h)], operator.sub)
-        return SetMap(n, (_slot(x, w, r, c * d * lam**r) for x, r in zip(layer, ranks)))
+        return SetMap(self.n, product(self.table, other.table))
 
     def map_values(self, fn: Callable) -> "SetMap":
         return SetMap(self.n, (fn(v) for v in self.table))

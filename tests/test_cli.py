@@ -591,6 +591,13 @@ def test_unknown_command_is_usage_error(capsys):
             ("verify", "--check", "derivative", "--graph", f"{GRAPHS}/k3.txt", "--x", "abc"),
             "argument --x: not an exact rational: 'abc'",
         ),
+        # a negative value after any flag reaches the flag's own type, as after --x,
+        # where argparse alone reads it as a flag ("expected one argument")
+        (("verify", "--check", "power", "--graph", f"{GRAPHS}/k3.txt", "--k", "-2/3"),
+         "argument --k: invalid int value: '-2/3'"),
+        (("oracle", "unique-sink", "--graph", f"{GRAPHS}/k3.txt", "--sink", "-1/2"),
+         "argument --sink: invalid int value: '-1/2'"),
+        (("abel", "--blocks", "-1,2"), "argument --blocks: block sizes must be positive integers"),
     ],
 )
 def test_malformed_flag_values_are_argparse_errors(capsys, argv, message):

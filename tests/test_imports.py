@@ -238,6 +238,24 @@ def test_only_the_kernels_callers_import_it_at_module_level():
     assert importers == {"algebra", "checks"}
 
 
+def private_imports(tree: ast.AST, module: str):
+    """The ``_``-prefixed names that an import from ``module`` names, in a function body or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in {module, f"setmaps.{module}"}:
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+def test_only_the_kernel_reads_its_packed_format():
+    # the packing, the transform, the slot reads and the power loop stay behind
+    # the kernel's readouts: product, composition_columns and full_block_sums
+    read = set()
+    for path in (ROOT / "src" / "setmaps").glob("*.py"):
+        if path.stem != "kernel":
+            assert not list(private_imports(ast.parse(path.read_text(encoding="utf-8")), "kernel")), path.name
+            read.add(path.stem)
+    assert {"ring", "algebra", "checks", "abel", "expansions"} <= read
+
+
 def test_no_engine_module_imports_fractions_at_module_level():
     # each imports it where a value stops being integral (ring.quotient, poly._exact)
     for path in (ROOT / "src" / "setmaps").glob("*.py"):

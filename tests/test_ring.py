@@ -2,13 +2,13 @@
 
 import operator
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import setmaps.algebra as algebra
 import setmaps.kernel as kernel
 from setmaps.abel import BlockPartition
 from setmaps.algebra import compose, decompose, recover_sequence
@@ -554,17 +554,53 @@ def test_compose_matches_the_partition_sum(drawn):
 
 
 def test_compose_runs_one_moebius_transform_per_coefficient_column(monkeypatch):
+    # and one zeta transform, of the inner map
     runs = []
-    transform = algebra._transform
-    monkeypatch.setattr(algebra, "_transform", lambda a, op: runs.append(op) or transform(a, op))
+    transform = kernel._transform
+    monkeypatch.setattr(kernel, "_transform", lambda a, op: runs.append(op) or transform(a, op))
     h = SetMap(6, [0] + [Fraction(T % 5 - 2, 3) for T in range(1, 64)])
     terms = [Fraction(1, k + 1) for k in range(7)]
     assert compose(terms, h).table == brute_compose(terms, h.table)
-    assert runs == [operator.sub]
+    assert runs == [operator.add, operator.sub]
     runs.clear()
     terms = [Poly.monomial(k % 3, k + 1) for k in range(7)]  # degrees 0 to 2: three columns
     assert compose(terms, h).table == brute_compose(terms, h.table)
-    assert runs == [operator.sub] * 3
+    assert runs == [operator.add] + [operator.sub] * 3
+
+
+def test_compose_reads_each_column_before_it_forms_the_next_power(monkeypatch):
+    # the terms k! x^k put power k alone in column k: its Moebius transform comes
+    # before power k + 1 is drawn from the power loop, so no more than one power
+    # and one column of packed sums are alive at once
+    runs = []
+
+    def logged(*args):
+        for k, power in enumerate(powers(*args), 1):
+            runs.append(k)
+            yield power
+
+    transform, powers = kernel._transform, kernel._powers
+    monkeypatch.setattr(kernel, "_transform", lambda a, op: runs.append(op) or transform(a, op))
+    monkeypatch.setattr(kernel, "_powers", logged)
+    n = 6
+    h = SetMap(n, [0] + [Fraction(T % 5 - 2, 3) for T in range(1, 1 << n)])
+    terms = [Poly.monomial(k, factorial(k)) for k in range(n + 1)]
+    assert compose(terms, h).table == brute_compose(terms, h.table)
+    # the zeta transform of h and column 0, then power k and column k for each k
+    assert runs == [operator.add, operator.sub] + [x for k in range(1, n + 1) for x in (k, operator.sub)]
+    # and the loop forms a power only when it is drawn: by the draw of power k it
+    # has made at most k passes over the base (a list of powers makes them all first)
+    passes = []
+
+    class Base(list):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    drawn = powers(Base([3, 5, 7]), (1 << 40) - 1, 8, 4)
+    for k in range(1, 5):
+        next(drawn)
+        assert len(passes) <= k
 
 
 def test_compose_refuses_terms_that_are_not_exact():
@@ -572,6 +608,9 @@ def test_compose_refuses_terms_that_are_not_exact():
         compose([1.5, 1, 0.5], SetMap(2, [0, 1, 1, 1]))
     with pytest.raises(TypeError, match="ints, Fractions or Polys"):
         compose([Poly.x(), 0.5, 1], SetMap(2, [0, 1, 1, 1]))
+    # only a Poly is split into its coefficients, not another value that has some
+    with pytest.raises(TypeError, match="ints, Fractions or Polys"):
+        compose([SimpleNamespace(coeffs=(1, 2)), 1, 1], SetMap(2, [0, 1, 1, 1]))
 
 
 def test_the_product_and_the_full_set_readout_keep_their_slot_width(monkeypatch):
